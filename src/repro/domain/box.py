@@ -73,12 +73,22 @@ class Box:
         points = np.asarray(points)
         if points.ndim != 2 or points.shape[1] != 3:
             raise DomainError(f"points must be (N, 3), got {points.shape}")
-        above = np.all(points >= self.lo, axis=1)
-        if closed:
-            below = np.all(points <= self.hi, axis=1)
-        else:
-            below = np.all(points < self.hi, axis=1)
-        return above & below
+        # One comparison per axis, folded into one mask: a reduction over
+        # the short axis of an (N, 3) temporary costs several times the
+        # comparisons.  Positions strided through wider records (a result
+        # array's ``position`` field) are gathered per axis once rather
+        # than streamed through the cache six times.  The corners stay
+        # 1-element arrays so a float32 column still compares in float64,
+        # whichever scalar-promotion rule numpy applies.
+        columns = points.T
+        if not points.flags.c_contiguous:
+            columns = np.ascontiguousarray(columns)
+        below = np.less_equal if closed else np.less
+        mask = np.ones(len(points), dtype=bool)
+        for column, lo, hi in zip(columns, self.lo[:, None], self.hi[:, None]):
+            mask &= column >= lo
+            mask &= below(column, hi)
+        return mask
 
     def contains_point(self, point: Sequence[float], closed: bool = False) -> bool:
         return bool(self.contains_points(np.asarray(point, dtype=float)[None, :], closed)[0])

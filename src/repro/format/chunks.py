@@ -42,8 +42,76 @@ __all__ = [
     "build_chunk_entry",
     "chunks_from_entry",
     "chunks_to_entry",
+    "concat_ranges",
     "FileChunkIndex",
+    "Runs",
 ]
+
+
+def concat_ranges(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(f, f + n) for f, n in zip(firsts, lengths)])``
+    without the loop: every element is its range's first value plus its
+    position within that range."""
+    before = np.cumsum(lengths) - lengths
+    return np.repeat(firsts - before, lengths) + np.arange(int(lengths.sum()))
+
+
+class Runs:
+    """``(start, count)`` particle runs of one file, as arrays.
+
+    The read path computes on whole run lists — byte offsets, destination
+    offsets, chunk ids, bounds checks — so runs travel as two parallel
+    int64 arrays plus their particle ``total``, summed once here and
+    reused by everything that sizes a read (planning, the result
+    allocation, staging).  Iterating yields ``(start, count)`` int pairs
+    and equality is by value against any such sequence, so run lists
+    still read as the tuples they replace.
+    """
+
+    __slots__ = ("starts", "counts", "total")
+
+    def __init__(self, starts: np.ndarray, counts: np.ndarray):
+        self.starts = starts
+        self.counts = counts
+        self.total = int(counts.sum())
+
+    @classmethod
+    def of(cls, runs) -> "Runs":
+        """Coerce any iterable of ``(start, count)`` pairs; empty runs
+        (``count == 0``) name no particles and are dropped."""
+        if isinstance(runs, cls):
+            return runs
+        pairs = np.array(list(runs), dtype=np.int64).reshape(-1, 2)
+        pairs = pairs[pairs[:, 1] != 0]
+        return cls(
+            np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+        )
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Where each run begins once the runs are packed back to back —
+        a read's destination, a staged buffer."""
+        return np.cumsum(self.counts) - self.counts
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self):
+        return iter(zip(self.starts.tolist(), self.counts.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        try:
+            return tuple(self) == tuple(tuple(r) for r in other)  # type: ignore[union-attr]
+        except TypeError:
+            return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Runs({list(self)})"
+
+
+_NO_RUNS = Runs(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 
 def build_chunk_entry(
@@ -157,7 +225,7 @@ class FileChunkIndex:
 
     __slots__ = (
         "starts", "counts", "lo", "hi", "attr_ranges",
-        "segments", "codec", "attr_names",
+        "segments", "codec", "attr_names", "_segment_table",
     )
 
     def __init__(
@@ -186,9 +254,26 @@ class FileChunkIndex:
         #: Names behind ``attr_ranges`` columns (the dataset's attr_index
         #: order); empty when the caller did not supply them.
         self.attr_names = tuple(attr_names)
+        self._segment_table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.starts)
+
+    @property
+    def segment_table(self) -> np.ndarray:
+        """``segments`` as one int64 ``(chunks, columns, 3)`` array of
+        ``(offset, encoded_length, crc32)``, built on first use: a run
+        read takes all its descriptors with one fancy index instead of
+        walking the per-chunk tuples."""
+        table = self._segment_table
+        if table is None:
+            if self.segments is None:
+                raise DataFileError("chunk index carries no column segments")
+            table = np.array(self.segments, dtype=np.int64).reshape(
+                len(self.segments), -1, 3
+            )
+            self._segment_table = table
+        return table
 
     @property
     def total_particles(self) -> int:
@@ -297,7 +382,7 @@ class FileChunkIndex:
         self,
         box: Box,
         where: dict[str, tuple[float, float]] | None = None,
-    ) -> tuple[tuple[int, int], ...]:
+    ) -> Runs:
         """Coalesced ``(start, count)`` particle runs a closed-box query needs.
 
         Chunk bounds are tight, so a chunk holds a candidate particle iff
@@ -310,29 +395,31 @@ class FileChunkIndex:
         selected chunks merge into one run — one ranged read each.
         """
         if not len(self.starts):
-            return ()
-        qlo = np.asarray(box.lo, dtype=np.float64)
-        qhi = np.asarray(box.hi, dtype=np.float64)
-        mask = (self.lo <= qhi).all(axis=1) & (qlo <= self.hi).all(axis=1)
-        if where:
+            return _NO_RUNS
+        qlo, qhi = box.lo, box.hi
+        # Per axis on the strided bound columns: a reduction over the short
+        # axis of an (N, 3) temporary costs several times the comparisons.
+        mask = self.lo[:, 0] <= qhi[0]
+        for axis in (1, 2):
+            mask &= self.lo[:, axis] <= qhi[axis]
+        for axis in (0, 1, 2):
+            mask &= qlo[axis] <= self.hi[:, axis]
+        if where and self.attr_ranges is not None:
             for name, (alo, ahi) in where.items():
-                if name not in self.attr_names or self.attr_ranges is None:
+                if name not in self.attr_names:
                     continue  # not indexed at chunk level: no pruning
                 k = self.attr_names.index(name)
-                amin = self.attr_ranges[:, k, 0]
-                amax = self.attr_ranges[:, k, 1]
-                mask &= (amin <= float(ahi)) & (float(alo) <= amax)
+                mask &= self.attr_ranges[:, k, 0] <= float(ahi)
+                mask &= float(alo) <= self.attr_ranges[:, k, 1]
         sel = np.flatnonzero(mask)
         if not len(sel):
-            return ()
-        breaks = np.flatnonzero(np.diff(sel) > 1) + 1
-        runs = []
-        for group in np.split(sel, breaks):
-            first, last = int(group[0]), int(group[-1])
-            start = int(self.starts[first])
-            end = int(self.starts[last] + self.counts[last])
-            runs.append((start, end - start))
-        return tuple(runs)
+            return _NO_RUNS
+        # A run ends wherever the next selected chunk is not its neighbour.
+        gap = np.flatnonzero(sel[1:] - sel[:-1] > 1)
+        first = sel[np.concatenate(([0], gap + 1))]
+        last = sel[np.concatenate((gap, [len(sel) - 1]))]
+        starts = self.starts[first]
+        return Runs(starts, self.starts[last] + self.counts[last] - starts)
 
     def __repr__(self) -> str:
         return (

@@ -53,18 +53,22 @@ except ImportError:  # pragma: no cover
     _lz4_block = None
 
 
+def _check_whole_values(nbytes: int, itemsize: int, verb: str) -> None:
+    if itemsize <= 0:
+        raise ValueError(f"itemsize must be positive, got {itemsize}")
+    if nbytes % itemsize:
+        raise DataFileError(
+            f"cannot {verb} {nbytes} bytes with itemsize {itemsize}"
+        )
+
+
 def byte_shuffle(raw: bytes, itemsize: int) -> bytes:
     """Transpose ``raw`` from value-major to byte-plane-major order.
 
     ``raw`` must be a whole number of ``itemsize``-byte values.  With
     ``itemsize == 1`` (or empty input) the transform is the identity.
     """
-    if itemsize <= 0:
-        raise ValueError(f"itemsize must be positive, got {itemsize}")
-    if len(raw) % itemsize:
-        raise DataFileError(
-            f"cannot shuffle {len(raw)} bytes with itemsize {itemsize}"
-        )
+    _check_whole_values(len(raw), itemsize, "shuffle")
     if itemsize == 1 or not raw:
         return bytes(raw)
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, itemsize)
@@ -73,12 +77,7 @@ def byte_shuffle(raw: bytes, itemsize: int) -> bytes:
 
 def byte_unshuffle(shuffled: bytes, itemsize: int) -> bytes:
     """Invert :func:`byte_shuffle`."""
-    if itemsize <= 0:
-        raise ValueError(f"itemsize must be positive, got {itemsize}")
-    if len(shuffled) % itemsize:
-        raise DataFileError(
-            f"cannot unshuffle {len(shuffled)} bytes with itemsize {itemsize}"
-        )
+    _check_whole_values(len(shuffled), itemsize, "unshuffle")
     if itemsize == 1 or not shuffled:
         return bytes(shuffled)
     arr = np.frombuffer(shuffled, dtype=np.uint8).reshape(itemsize, -1)
@@ -92,6 +91,12 @@ class Codec:
     ``itemsize`` is the attribute's scalar width (the shuffle stride) and
     ``raw_len`` the expected decoded length — both come from the particle
     dtype and the chunk geometry, so they are never stored per segment.
+
+    Reads decode whole chunk runs, in two steps that together equal
+    ``decode`` on each segment: :meth:`inflate` undoes the entropy stage
+    of *one* segment (the step that can fail per segment, so a degraded
+    read knows which chunk to drop), then :meth:`decode_run` undoes the
+    shuffle of *many* equal-length inflated segments in one pass.
     """
 
     name: str = "none"
@@ -104,7 +109,17 @@ class Codec:
         self._check_len(out, raw_len)
         return out
 
-    def _check_len(self, out: bytes, raw_len: int) -> None:
+    def inflate(self, enc, itemsize: int, raw_len: int):
+        """One stored segment back to its ``raw_len`` pre-entropy bytes."""
+        self._check_len(enc, raw_len)
+        return enc
+
+    def decode_run(self, inflated: list, itemsize: int) -> np.ndarray:
+        """The raw column bytes of consecutive equal-length segments
+        (each from :meth:`inflate`), as one contiguous uint8 array."""
+        return np.frombuffer(b"".join(inflated), dtype=np.uint8)
+
+    def _check_len(self, out, raw_len: int) -> None:
         if len(out) != raw_len:
             raise DataFileError(
                 f"codec {self.name!r} decoded {len(out)} bytes, "
@@ -121,32 +136,46 @@ class _ShuffleZlibCodec(Codec):
     def encode(self, raw: bytes, itemsize: int) -> bytes:
         return zlib.compress(byte_shuffle(raw, itemsize), level=6)
 
-    def decode(self, enc: bytes, itemsize: int, raw_len: int) -> bytes:
+    def _decompress(self, enc) -> bytes:
         try:
-            shuffled = zlib.decompress(bytes(enc))
+            return zlib.decompress(enc)
         except zlib.error as exc:
             raise DataFileError(f"zlib segment decode failed: {exc}") from exc
-        out = byte_unshuffle(shuffled, itemsize)
+
+    def decode(self, enc: bytes, itemsize: int, raw_len: int) -> bytes:
+        out = byte_unshuffle(self._decompress(enc), itemsize)
         self._check_len(out, raw_len)
         return out
 
+    def inflate(self, enc, itemsize: int, raw_len: int) -> bytes:
+        planes = self._decompress(enc)
+        if len(planes) != raw_len:
+            # Same complaints, in the same order, as ``decode`` makes.
+            _check_whole_values(len(planes), itemsize, "unshuffle")
+            self._check_len(planes, raw_len)
+        return planes
 
-class _ShuffleLz4Codec(Codec):  # pragma: no cover - needs optional lz4
+    def decode_run(self, inflated: list, itemsize: int) -> np.ndarray:
+        # Each segment is (itemsize, values) byte planes; one transposed
+        # copy over the whole run puts every value's bytes back together.
+        planes = np.frombuffer(b"".join(inflated), dtype=np.uint8)
+        planes = planes.reshape(len(inflated), itemsize, -1)
+        return np.ascontiguousarray(planes.transpose(0, 2, 1)).reshape(-1)
+
+
+class _ShuffleLz4Codec(_ShuffleZlibCodec):  # pragma: no cover - needs optional lz4
     name = "shuffle-lz4"
 
     def encode(self, raw: bytes, itemsize: int) -> bytes:
         assert _lz4_block is not None
         return _lz4_block.compress(byte_shuffle(raw, itemsize))
 
-    def decode(self, enc: bytes, itemsize: int, raw_len: int) -> bytes:
+    def _decompress(self, enc) -> bytes:
         assert _lz4_block is not None
         try:
-            shuffled = _lz4_block.decompress(bytes(enc))
+            return _lz4_block.decompress(bytes(enc))
         except Exception as exc:
             raise DataFileError(f"lz4 segment decode failed: {exc}") from exc
-        out = byte_unshuffle(shuffled, itemsize)
-        self._check_len(out, raw_len)
-        return out
 
 
 _REGISTRY: dict[str, Codec] = {"none": Codec(), "shuffle-zlib": _ShuffleZlibCodec()}

@@ -69,7 +69,12 @@ import numpy as np
 
 from repro.domain.box import Box
 from repro.errors import DataChecksumError, DataFileError
-from repro.format.chunks import chunks_from_entry, chunks_to_entry
+from repro.format.chunks import (
+    Runs,
+    chunks_from_entry,
+    chunks_to_entry,
+    concat_ranges,
+)
 from repro.format.codecs import get_codec
 from repro.io.backend import FileBackend
 from repro.particles.batch import ParticleBatch
@@ -605,53 +610,56 @@ def read_particle_runs_into(
     verification — the chunk index they were planned from is validated
     against the manifest instead.  Returns the particle count read.
     """
-    runs = list(runs)
+    runs = Runs.of(runs)
+    starts, counts = runs.starts, runs.counts
+    ends = starts + counts
+    negative = (starts < 0) | (counts < 0)
     itemsize = dtype.itemsize
     header = bytearray(HEADER_BYTES)
-    # Header plus every run in one readv (one open).  The segment list is
-    # built speculatively; validation against the parsed header runs after,
-    # and an out-of-bounds plan (which cannot assemble valid segments) takes
-    # the header-only fallback and raises from the checks below.
-    segments: list = [(0, header)]
-    pos = 0
-    end_max = 0
-    sane = True
-    for start, count in runs:
-        if start < 0 or count < 0 or pos + count > len(out):
-            sane = False
-            break
-        if count:
-            segments.append(
-                (
-                    HEADER_BYTES + start * itemsize,
-                    out[pos : pos + count].view(np.uint8),
-                )
+    # Header plus every run in one readv (one open), issued speculatively:
+    # the header it fetches is what the plan is validated against below.  A
+    # plan that cannot assemble valid segments (negative run, destination
+    # mismatch, past EOF) takes the header-only read and raises from the
+    # same checks.
+    if (
+        not negative.any()
+        and runs.total == len(out)
+        and HEADER_BYTES + int(ends.max(initial=0)) * itemsize
+        <= backend.size(path)
+    ):
+        dest = memoryview(out.view(np.uint8))
+        begins = runs.offsets * itemsize
+        segments: list = [(0, header)]
+        segments += [
+            (offset, dest[lo:hi])
+            for offset, lo, hi in zip(
+                (HEADER_BYTES + starts * itemsize).tolist(),
+                begins.tolist(),
+                (begins + counts * itemsize).tolist(),
             )
-        end_max = max(end_max, start + count)
-        pos += count
-    if sane and HEADER_BYTES + end_max * itemsize <= backend.size(path):
+        ]
         backend.readv(path, segments, actor=actor)
     else:
         header[:] = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
     _version, total = _parse_header(bytes(header), path, dtype)
     _reject_columnar(_version, path)
-    pos = 0
-    for start, count in runs:
-        if start < 0 or count < 0 or start + count > total:
-            raise DataFileError(
-                f"{path}: run [{start}, {start + count}) exceeds particle "
-                f"count {total}"
-            )
-        if pos + count > len(out):
-            raise DataFileError(
-                f"{path}: runs overflow destination of {len(out)} particles"
-            )
-        pos += count
-    if pos != len(out):
+    outside = np.flatnonzero(negative | (ends > total))
+    if len(outside):
+        bad = outside[0]
         raise DataFileError(
-            f"{path}: runs cover {pos} particles, destination holds {len(out)}"
+            f"{path}: run [{int(starts[bad])}, {int(ends[bad])}) exceeds "
+            f"particle count {total}"
         )
-    return pos
+    if runs.total > len(out):
+        raise DataFileError(
+            f"{path}: runs overflow destination of {len(out)} particles"
+        )
+    if runs.total != len(out):
+        raise DataFileError(
+            f"{path}: runs cover {runs.total} particles, destination holds "
+            f"{len(out)}"
+        )
+    return runs.total
 
 
 def peek_data_header(
@@ -907,6 +915,30 @@ def _read_columnar_image(
     return ParticleBatch(arr)
 
 
+def _chunks_of_runs(index, runs: Runs, path: str) -> np.ndarray:
+    """Ids of the chunks that tile ``runs``, in run order.
+
+    The index tiles the payload, so a run is chunk-aligned iff both its
+    ends are chunk boundaries — two ``searchsorted`` calls for all runs.
+    """
+    edges = np.append(index.starts, index.total_particles)
+    ends = runs.starts + runs.counts
+    first = np.searchsorted(edges, runs.starts)
+    last = np.searchsorted(edges, ends)
+    aligned = (
+        (edges.take(first, mode="clip") == runs.starts)
+        & (edges.take(last, mode="clip") == ends)
+        & (first < last)
+    )
+    if not aligned.all():
+        bad = int(np.flatnonzero(~aligned)[0])
+        raise DataFileError(
+            f"{path}: run [{int(runs.starts[bad])}, {int(ends[bad])}) is not "
+            "aligned to chunk boundaries"
+        )
+    return concat_ranges(first, last - first)
+
+
 def read_columnar_runs_into(
     backend: FileBackend,
     path: str,
@@ -930,18 +962,21 @@ def read_columnar_runs_into(
     ``dtype`` is the file's full logical dtype (the header guard).
 
     Header plus every needed segment arrive in one :meth:`FileBackend.readv`
-    (a single open), and file-adjacent segments are **coalesced** first:
-    the needed segments of a contiguous chunk run form one extent on disk
-    (the writer lays a chunk's columns out back-to-back), so a whole run
-    arrives as a single ``readv`` segment into one buffer — per-segment
-    views are sliced out of it zero-copy for CRC and decode.  Each segment
-    is CRC32-verified and decoded here, in the caller's thread — the reader
-    submits this function as an executor task, which is what moves decode
-    work off the submitting thread.  ``decode_stats`` (if given) receives
-    ``vectorized_runs`` (coalesced extents read) and ``bytes`` (encoded
-    bytes fetched) — the ``decode.*`` obs counters.  (Named to avoid the
-    ``stats`` kwarg :meth:`~repro.io.retry.RetryPolicy.call` consumes when
-    this function runs under a retry policy.)
+    (a single open) into one landing buffer, and file-adjacent segments are
+    **coalesced** first: the needed segments of a contiguous chunk run form
+    one extent on disk (the writer lays a chunk's columns out back-to-back),
+    so a whole run arrives as a single ``readv`` segment.  Every segment is
+    then CRC32-verified and inflated on its own — the steps that can fail
+    per segment — while the byte unshuffle and the scatter into ``out`` run
+    once per column over each stretch of equal-sized chunks
+    (:meth:`~repro.format.codecs.Codec.decode_run`).  All of it happens
+    here, in the caller's thread — the reader submits this function as an
+    executor task, which is what moves decode work off the submitting
+    thread.  ``decode_stats`` (if given) receives ``vectorized_runs``
+    (coalesced extents read) and ``bytes`` (encoded bytes fetched) — the
+    ``decode.*`` obs counters.  (Named to avoid the ``stats`` kwarg
+    :meth:`~repro.io.retry.RetryPolicy.call` consumes when this function
+    runs under a retry policy.)
 
     With ``strict=False`` a segment that fails its CRC (or decode) drops
     only its *chunk*: surviving chunks pack to the front of ``out`` and the
@@ -961,74 +996,51 @@ def read_columnar_runs_into(
             raise DataFileError(
                 f"{path}: projected field {name!r} is not in the file dtype"
             )
-    need = [j for j, col in enumerate(cols) if col.field in names]
-    starts, counts = index.starts, index.counts
-    sel: list[int] = []
-    for rstart, rcount in runs:
-        rstart, rcount = int(rstart), int(rcount)
-        if rcount <= 0:
-            continue
-        i = int(np.searchsorted(starts, rstart))
-        at = rstart
-        while at < rstart + rcount:
-            if i >= len(starts) or int(starts[i]) != at:
-                raise DataFileError(
-                    f"{path}: run [{rstart}, {rstart + rcount}) is not "
-                    "aligned to chunk boundaries"
-                )
-            sel.append(i)
-            at += int(counts[i])
-            i += 1
-        if at != rstart + rcount:
-            raise DataFileError(
-                f"{path}: run [{rstart}, {rstart + rcount}) is not "
-                "aligned to chunk boundaries"
-            )
-    expected = sum(int(counts[i]) for i in sel)
+    need_ids = [j for j, col in enumerate(cols) if col.field in names]
+    need = [cols[j] for j in need_ids]
+    sel = _chunks_of_runs(index, Runs.of(runs), path)
+    counts = index.counts[sel]
+    expected = int(counts.sum())
     if expected != len(out):
         raise DataFileError(
             f"{path}: runs cover {expected} particles, destination holds "
             f"{len(out)}"
         )
+    table = index.segment_table
+    if len(sel) and table.shape[1] != len(cols):
+        raise DataFileError(
+            f"{path}: chunk {int(sel[0])} has {table.shape[1]} segments for "
+            f"{len(cols)} columns"
+        )
+    # One (offset, length, crc) row per needed segment, chunk-major: the
+    # order the writer laid them out in, so file-adjacent segments are
+    # neighbours here and coalesce into single extents — one readv segment
+    # per contiguous byte range, all landing back-to-back in one buffer.
+    wanted = table[sel][:, need_ids].reshape(-1, 3)
+    offs, lens = wanted[:, 0], wanted[:, 1]
+    stops = np.cumsum(lens)
+    begins = stops - lens
+    opens_extent = np.ones(len(wanted), dtype=bool)
+    opens_extent[1:] = offs[1:] != offs[:-1] + lens[:-1]
+    ext = np.flatnonzero(opens_extent)
+    nbytes = int(lens.sum())
+    landing = memoryview(bytearray(nbytes))
     header = bytearray(HEADER_BYTES)
-    # Coalesce file-adjacent segments into single extents: one buffer (and
-    # one readv segment) per contiguous byte range, with per-segment
-    # memoryviews sliced out of it — zero-copy, and the backend sees whole
-    # chunk runs instead of per-column fragments.
-    wanted: list[tuple[int, int, tuple[int, int]]] = []
-    for ci in sel:
-        segs = index.segments[ci]
-        if len(segs) != len(cols):
-            raise DataFileError(
-                f"{path}: chunk {ci} has {len(segs)} segments for "
-                f"{len(cols)} columns"
-            )
-        for j in need:
-            off, ln, _crc = segs[j]
-            wanted.append((int(off), int(ln), (ci, j)))
-    groups: list[tuple[int, int, list[tuple[int, int, tuple[int, int]]]]] = []
-    for off, ln, key in wanted:
-        if groups and groups[-1][0] + groups[-1][1] == off:
-            start, length, members = groups.pop()
-            groups.append((start, length + ln, members + [(off, ln, key)]))
-        else:
-            groups.append((off, ln, [(off, ln, key)]))
     segments: list = [(0, header)]
-    bufs: dict[tuple[int, int], memoryview] = {}
-    for start, length, members in groups:
-        group_buf = memoryview(bytearray(length))
-        segments.append((HEADER_BYTES + start, group_buf))
-        for off, ln, key in members:
-            bufs[key] = group_buf[off - start : off - start + ln]
+    segments += [
+        (offset, landing[lo:hi])
+        for offset, lo, hi in zip(
+            (HEADER_BYTES + offs[ext]).tolist(),
+            begins[ext].tolist(),
+            np.append(begins[ext[1:]], nbytes).tolist(),
+        )
+    ]
     backend.readv(path, segments, actor=actor)
     if decode_stats is not None:
         decode_stats["vectorized_runs"] = (
-            decode_stats.get("vectorized_runs", 0) + len(groups)
+            decode_stats.get("vectorized_runs", 0) + len(ext)
         )
-        decode_stats["bytes"] = (
-            decode_stats.get("bytes", 0)
-            + sum(length for _s, length, _m in groups)
-        )
+        decode_stats["bytes"] = decode_stats.get("bytes", 0) + nbytes
     version, total = _parse_header(bytes(header), path, dtype)
     if version < DATA_VERSION_COLUMNAR:
         raise DataFileError(
@@ -1039,41 +1051,62 @@ def read_columnar_runs_into(
             f"{path}: chunk index covers {index.total_particles} particles, "
             f"header says {total}"
         )
-    pos = 0
-    for ci in sel:
-        count = int(counts[ci])
-        segs = index.segments[ci]
-        decoded: dict[int, bytes] = {}
-        bad: tuple[str, str] | None = None
-        for j in need:
-            col = cols[j]
-            off, ln, crc = segs[j]
-            enc = bufs[(ci, j)]
-            actual = zlib.crc32(enc)
-            if actual != int(crc):
-                detail = (
-                    f"chunk {ci} column {col.name!r} segment CRC32 mismatch "
-                    f"— stored {int(crc):#010x}, computed {actual:#010x}"
-                )
-                if strict:
-                    raise DataChecksumError(f"{path}: {detail}")
-                bad = (col.name, detail)
-                break
+    # Pass 1, per segment: verify, inflate.  A failure costs its chunk.
+    raw_lens = counts[:, None] * np.array([col.nbytes for col in need])
+    inflated: list = []
+    lost: dict[int, tuple[int, str, str]] = {}
+    for k, (lo, hi, crc, itemsize, raw_len) in enumerate(
+        zip(
+            begins.tolist(),
+            stops.tolist(),
+            wanted[:, 2].tolist(),
+            [col.itemsize for col in need] * len(sel),
+            raw_lens.reshape(-1).tolist(),
+        )
+    ):
+        enc = landing[lo:hi]
+        actual = zlib.crc32(enc)
+        if actual == crc:
             try:
-                decoded[j] = codec.decode(enc, col.itemsize, count * col.nbytes)
+                inflated.append(codec.inflate(enc, itemsize, raw_len))
+                continue
             except DataFileError as exc:
                 if strict:
                     raise
-                bad = (col.name, f"chunk {ci} column {col.name!r}: {exc}")
-                break
-        if bad is not None:
-            if skipped is not None:
-                skipped.append((ci, bad[0], bad[1]))
-            continue
-        for j in need:
-            _column_scatter(out, pos, count, cols[j], decoded[j])
-        pos += count
-    return pos
+                why = f": {exc}"
+        else:
+            why = (
+                f" segment CRC32 mismatch — stored {crc:#010x}, "
+                f"computed {actual:#010x}"
+            )
+        at, j = divmod(k, len(need))
+        ci, name = int(sel[at]), need[j].name
+        detail = f"chunk {ci} column {name!r}{why}"
+        if strict:
+            raise DataChecksumError(f"{path}: {detail}")
+        inflated.append(None)
+        lost.setdefault(at, (ci, name, detail))
+    if skipped is not None:
+        skipped.extend(lost.values())
+    # Pass 2, per column per stretch of equal-sized surviving chunks: one
+    # unshuffle and one scatter.  Survivors pack to the head of ``out``.
+    keep = np.delete(np.arange(len(sel)), list(lost))
+    if not len(keep):
+        return 0
+    kept = counts[keep]
+    cuts = [0, *(np.flatnonzero(kept[1:] != kept[:-1]) + 1).tolist(), len(keep)]
+    for j, col in enumerate(need):
+        parts = inflated[j :: len(need)]
+        if lost:
+            parts = [parts[at] for at in keep.tolist()]
+        pos = 0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            n = int(kept[lo]) * (hi - lo)
+            _column_scatter(
+                out, pos, n, col, codec.decode_run(parts[lo:hi], col.itemsize)
+            )
+            pos += n
+    return int(kept.sum())
 
 
 # -- prefix checksums ----------------------------------------------------------

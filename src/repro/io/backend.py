@@ -79,9 +79,9 @@ class FileBackend(ABC):
         if self.recorder is not None:
             self.recorder.add(IO_OPENS, 1, key=(path,))
 
-    def _note_read(self, path: str, nbytes: int) -> None:
+    def _note_read(self, path: str, nbytes: int, reads: int = 1) -> None:
         if self.recorder is not None:
-            self.recorder.add(IO_READS, 1, key=(path,))
+            self.recorder.add(IO_READS, reads, key=(path,))
             self.recorder.add(IO_BYTES_READ, nbytes, key=(path,))
 
     def _note_write(self, path: str, nbytes: int) -> None:

@@ -55,6 +55,13 @@ from repro.obs.names import IO_HANDLE_REUSES, IO_MMAP_HITS, IO_MMAP_MISSES
 #: aggregator ranks are threads) never share a temp file.
 _TMP_IDS = itertools.count()
 
+#: Mapped segments at least this long are landed with a numpy copy, which
+#: releases the GIL so executor threads copy in parallel; shorter ones by
+#: buffer slice assignment, whose fixed cost is several times smaller and
+#: which finishes before another thread could have been scheduled anyway.
+#: A pruned read's chunk runs are a few KiB each, a scan's payload MiBs.
+_GIL_RELEASING_COPY_BYTES = 1 << 16
+
 #: Most buffers one ``preadv`` call accepts (POSIX IOV_MAX is >= 1024 on
 #: every platform we run on; staying at the floor avoids a sysconf probe).
 _IOV_MAX = 1024
@@ -196,6 +203,16 @@ class _HandlePool:
                 "pooled": len(self._handles),
                 "mapped_bytes": self._mapped_bytes,
             }
+
+
+def _numpy_copy(mm: mmap.mmap, offset: int, out: memoryview) -> None:
+    """Land ``len(out)`` mapped bytes at ``offset`` in ``out``.  numpy
+    copies release the GIL for large transfers, unlike memoryview slice
+    assignment."""
+    np.copyto(
+        np.frombuffer(out, dtype=np.uint8),
+        np.frombuffer(mm, dtype=np.uint8, count=len(out), offset=offset),
+    )
 
 
 def _preadv_fill(fd: int, full: Path, items: list[tuple[int, memoryview]]) -> None:
@@ -463,30 +480,29 @@ class PosixBackend(FileBackend):
         try:
             self._note_open(norm)
             if handle.mm is not None:
-                mview = np.frombuffer(handle.mm, dtype=np.uint8)
-                for offset, out in items:
-                    length = len(out)
-                    if offset + length > handle.size:
-                        raise BackendError(
-                            f"short read from {full}: wanted {length} bytes "
-                            f"at {offset}, got {max(0, handle.size - offset)}"
-                        )
-                    if length:
-                        np.copyto(
-                            np.frombuffer(out, dtype=np.uint8),
-                            mview[offset : offset + length],
-                        )
-                    self._note_read(norm, length)
-                    total += length
-                self._note_mmap(norm, True)
+                size = handle.size
+                # Released before the handle is: a pooled mapping cannot
+                # close while a buffer export is outstanding.
+                with memoryview(handle.mm) as mapped:
+                    for offset, out in items:
+                        length = len(out)
+                        if offset + length > size:
+                            raise BackendError(
+                                f"short read from {full}: wanted {length} "
+                                f"bytes at {offset}, got {max(0, size - offset)}"
+                            )
+                        if length < _GIL_RELEASING_COPY_BYTES:
+                            out[:] = mapped[offset : offset + length]
+                        else:
+                            _numpy_copy(handle.mm, offset, out)
+                        total += length
             else:
                 _preadv_fill(
                     handle.fd, full, [(o, v) for o, v in items if len(v)]
                 )
-                for offset, out in items:
-                    self._note_read(norm, len(out))
-                    total += len(out)
-                self._note_mmap(norm, False)
+                total = sum(len(out) for _offset, out in items)
+            self._note_read(norm, total, reads=len(items))
+            self._note_mmap(norm, handle.mm is not None)
         except OSError as exc:
             raise BackendError(f"reading {full}: {exc}") from exc
         finally:
@@ -508,14 +524,7 @@ class PosixBackend(FileBackend):
                     f"{offset}, got {got}"
                 )
             if length:
-                # numpy copies release the GIL for large transfers, unlike
-                # memoryview slice assignment.
-                np.copyto(
-                    np.frombuffer(out, dtype=np.uint8),
-                    np.frombuffer(
-                        handle.mm, dtype=np.uint8, count=length, offset=offset
-                    ),
-                )
+                _numpy_copy(handle.mm, offset, out)
             self._note_mmap(norm, True)
             return
         try:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import threading
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +51,7 @@ from repro.errors import (
     QueryError,
     TransientBackendError,
 )
+from repro.format.chunks import Runs, concat_ranges
 from repro.format.datafile import (
     read_columnar_runs_into,
     read_data_file_into,
@@ -97,9 +97,7 @@ class QueryPlan:
     #: pruning actually shrinks the read; applied by :meth:`QueryEngine.run`
     #: for exact box queries (a pruned read is a superset of the box but a
     #: subset of the file, so it is only equivalent after the exact filter).
-    chunk_runs: dict[int, tuple[tuple[int, int], ...]] = field(
-        default_factory=dict
-    )
+    chunk_runs: dict[int, Runs] = field(default_factory=dict)
     #: Attribute projection: extra field names to materialise alongside
     #: ``position`` (None = all fields).  Columnar (v4) files fetch only
     #: the projected columns' segments; row files read whole records and
@@ -116,6 +114,23 @@ class QueryPlan:
     #: snapshot it was planned on.
     generation: int | None = None
 
+    def demand(self, exact: bool) -> list[tuple[MetadataRecord, int, Runs | None]]:
+        """What executing this plan reads, per non-empty entry.
+
+        Each item is ``(record, head count, chunk runs or None)``: the
+        entry's runs replace its head count only for exact box reads (a
+        pruned read is a superset of the box but a subset of the file), and
+        then the entry reads ``runs.total`` particles, else ``count``.
+        This is the one definition of the plan's reads — execution,
+        :attr:`pruned_particles` and cross-query staging all start here.
+        """
+        use_runs = exact and self.box is not None
+        return [
+            (rec, count, self.chunk_runs.get(i) if use_runs else None)
+            for i, (rec, count) in enumerate(self.entries)
+            if count > 0
+        ]
+
     @property
     def num_files(self) -> int:
         return sum(1 for _rec, n in self.entries if n > 0)
@@ -127,11 +142,10 @@ class QueryPlan:
     @property
     def pruned_particles(self) -> int:
         """Particles an exact chunk-pruned execution actually reads."""
-        total = 0
-        for i, (_rec, n) in enumerate(self.entries):
-            runs = self.chunk_runs.get(i)
-            total += sum(c for _s, c in runs) if runs is not None else n
-        return total
+        return sum(
+            count if runs is None else runs.total
+            for _rec, count, runs in self.demand(exact=True)
+        )
 
     def bytes_to_read(self, particle_bytes: int) -> int:
         return self.pruned_particles * particle_bytes
@@ -281,11 +295,10 @@ def _skip_reason(exc: Exception) -> str:
 class _StagedFile:
     """One file's pre-read, decoded particles (merged across queries)."""
 
-    #: merged ascending, non-overlapping ``(start, count)`` particle runs.
-    runs: tuple[tuple[int, int], ...]
-    #: run start positions (for bisection) and buffer offsets per run.
-    starts: tuple[int, ...]
-    offsets: tuple[int, ...]
+    #: merged ascending, non-overlapping particle runs.
+    runs: Runs
+    #: position in ``buf`` of each run's first particle.
+    offsets: np.ndarray
     #: decoded particles of every merged run, in run order.  The dtype is
     #: the union of every demanding query's result dtype (full dtype for
     #: row files), so any one query's fields are a subset.
@@ -320,29 +333,17 @@ class StagedReads:
     def staged_files(self) -> int:
         return len(self._files)
 
-    def stage(
-        self,
-        path: str,
-        runs: tuple[tuple[int, int], ...],
-        buf: np.ndarray,
-    ) -> None:
+    def stage(self, path: str, runs, buf: np.ndarray) -> None:
         """Park ``buf`` (the decoded particles of ``runs``, in order)."""
-        offsets: list[int] = []
-        pos = 0
-        for _start, count in runs:
-            offsets.append(pos)
-            pos += count
-        if pos != len(buf):
+        runs = Runs.of(runs)
+        if runs.total != len(buf):
             raise ValueError(
                 f"{path}: staged buffer holds {len(buf)} particles, "
-                f"runs cover {pos}"
+                f"runs cover {runs.total}"
             )
-        staged = _StagedFile(
-            runs=tuple(runs),
-            starts=tuple(s for s, _c in runs),
-            offsets=tuple(offsets),
-            buf=buf,
-        )
+        if not len(runs):
+            return
+        staged = _StagedFile(runs, runs.offsets, np.ascontiguousarray(buf))
         with self._lock:
             self._files[path] = staged
 
@@ -350,7 +351,7 @@ class StagedReads:
         self,
         rec: MetadataRecord,
         count: int,
-        runs: tuple[tuple[int, int], ...] | None,
+        runs,
         dest: np.ndarray,
     ) -> int | None:
         """Copy one plan entry out of the stage, or ``None`` on a miss."""
@@ -363,40 +364,39 @@ class StagedReads:
             # and columnar boundary rounding belong to the direct path).
             self._miss()
             return None
-        want = runs if runs is not None else ((0, count),)
+        want = Runs.of(runs if runs is not None else ((0, count),))
         names = dest.dtype.names or ()
-        buf_names = set(staged.buf.dtype.names or ())
-        if not set(names) <= buf_names:
+        buf = staged.buf
+        if want.total != len(dest) or not set(names) <= set(buf.dtype.names or ()):
             self._miss()
             return None
-        copies: list[tuple[int, int, int]] = []
-        pos = 0
-        for start, n in want:
-            i = bisect_right(staged.starts, start) - 1
-            if i < 0:
-                self._miss()
-                return None
-            mstart, mcount = staged.runs[i]
-            if not (mstart <= start and start + n <= mstart + mcount):
-                self._miss()
-                return None
-            copies.append((pos, staged.offsets[i] + (start - mstart), n))
-            pos += n
-        if pos != len(dest):
+        # Every wanted run must lie inside ONE merged run: the last one
+        # starting at or before it (merged runs are disjoint and ascending).
+        at = np.searchsorted(staged.runs.starts, want.starts, side="right") - 1
+        inside = want.starts - staged.runs.starts[at]
+        if ((at < 0) | (inside + want.counts > staged.runs.counts[at])).any():
             self._miss()
             return None
-        if dest.dtype == staged.buf.dtype:
-            for dpos, spos, n in copies:
-                dest[dpos : dpos + n] = staged.buf[spos : spos + n]
+        src = staged.offsets[at] + inside
+        if dest.dtype == buf.dtype and dest.flags.c_contiguous:
+            # Whole records: one byte-slice copy per run.  (A per-particle
+            # index gather moves 100+-byte records several times slower.)
+            size = buf.dtype.itemsize
+            src_bytes = memoryview(buf.view(np.uint8))
+            dest_bytes = memoryview(dest.view(np.uint8))
+            for lo, start, nbytes in zip(
+                (want.offsets * size).tolist(),
+                (src * size).tolist(),
+                (want.counts * size).tolist(),
+            ):
+                dest_bytes[lo : lo + nbytes] = src_bytes[start : start + nbytes]
         else:
+            rows = concat_ranges(src, want.counts)
             for name in names:
-                dcol = dest[name]
-                scol = staged.buf[name]
-                for dpos, spos, n in copies:
-                    dcol[dpos : dpos + n] = scol[spos : spos + n]
+                dest[name] = buf[name][rows]
         with self._lock:
             self.hits += 1
-        return pos
+        return want.total
 
     def _miss(self) -> None:
         with self._lock:
@@ -442,7 +442,7 @@ def read_entry_into(
     dtype: np.dtype,
     rec: MetadataRecord,
     count: int,
-    runs: tuple[tuple[int, int], ...] | None,
+    runs: Runs | None,
     dest: np.ndarray,
     recorder: Recorder,
     strict: bool,
@@ -486,7 +486,7 @@ def read_entry_into(
     (coalesced extents for columnar files, gathered runs for row files),
     keyed by path.
     """
-    if runs is not None and not runs:
+    if runs is not None and not len(runs):
         return 0  # file intersects the box, but no chunk does
     if staged is not None:
         got = staged.fetch(rec, count, runs, dest)
@@ -504,7 +504,7 @@ def read_entry_into(
             ends = np.asarray(index.starts) + np.asarray(index.counts)
             pos = int(np.searchsorted(ends, count, side="left"))
             aligned = int(ends[min(pos, len(ends) - 1)])
-            eff_runs: tuple[tuple[int, int], ...] = ((0, aligned),)
+            eff_runs = ((0, aligned),)
             target = np.empty(aligned, dtype=dest.dtype)
         else:
             eff_runs = runs if runs is not None else ((0, count),)
@@ -825,7 +825,7 @@ class QueryEngine:
             if index is None:
                 continue
             runs = index.select_runs(box, where=where_norm)
-            if sum(c for _s, c in runs) < count:
+            if runs.total < count:
                 plan.chunk_runs[i] = runs
         return plan
 
@@ -874,7 +874,7 @@ class QueryEngine:
         self,
         rec: MetadataRecord,
         count: int,
-        runs: tuple[tuple[int, int], ...] | None,
+        runs: Runs | None,
         dest: np.ndarray,
         recorder: Recorder,
         strict: bool,
@@ -923,7 +923,7 @@ class QueryEngine:
         self,
         tasks: list,
         entries: list[tuple[MetadataRecord, int]],
-        runs_for: list[tuple[tuple[int, int], ...] | None],
+        runs_for: list[Runs | None],
         dests: list[np.ndarray],
         offsets: list[int],
         strict: bool,
@@ -1027,17 +1027,11 @@ class QueryEngine:
         recorder = recorder if recorder is not None else self.recorder
         strict = self.strict if strict is None else strict
         deadline = deadline if deadline is not None else current_deadline()
-        use_runs = exact and plan.box is not None
-        entries: list[tuple[MetadataRecord, int]] = []
-        runs_for: list[tuple[tuple[int, int], ...] | None] = []
-        for i, (rec, count) in enumerate(plan.entries):
-            if count <= 0:
-                continue
-            entries.append((rec, count))
-            runs_for.append(plan.chunk_runs.get(i) if use_runs else None)
+        demand = plan.demand(exact)
+        entries = [(rec, count) for rec, count, _runs in demand]
+        runs_for = [runs for _rec, _count, runs in demand]
         expected = [
-            sum(c for _s, c in runs) if runs is not None else count
-            for (_rec, count), runs in zip(entries, runs_for)
+            count if runs is None else runs.total for _rec, count, runs in demand
         ]
         offsets = [0] * len(entries)
         pos = 0
@@ -1164,19 +1158,21 @@ class QueryEngine:
                 if kept
                 else np.empty(0, dtype=out.dtype)
             )
-        if exact and plan.box is not None and len(result):
-            batch = ParticleBatch(result)
-            mask = plan.box.contains_points(batch.positions, closed=True)
-            result = batch.data[mask]
-        if plan.where and len(result):
-            # Exact predicate re-application: chunk/file pruning only
-            # discards provably-disjoint data, so filtering here makes the
-            # pushdown result equal post-hoc filtering by construction.
-            mask = np.ones(len(result), dtype=bool)
+        if len(result) and (plan.where or (exact and plan.box is not None)):
+            # One fused mask, one compaction.  The predicate is re-applied
+            # exactly: chunk/file pruning only discards provably-disjoint
+            # data, so filtering here makes the pushdown result equal
+            # post-hoc filtering by construction.
+            mask = (
+                plan.box.contains_points(result["position"], closed=True)
+                if exact and plan.box is not None
+                else np.ones(len(result), dtype=bool)
+            )
             for name, (lo, hi) in plan.where.items():
                 vals = result[name].astype(np.float64, copy=False)
-                mask &= (vals >= lo) & (vals <= hi)
-            result = result[mask]
+                mask &= vals >= lo
+                mask &= vals <= hi
+            result = result.compress(mask)
         return QueryResult(ParticleBatch(result), report, plan)
 
     def __repr__(self) -> str:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.format.chunks import Runs
 from repro.format.datafile import (
     read_columnar_runs_into,
     read_data_file_into,
@@ -54,23 +55,25 @@ from repro.query.engine import QueryEngine, QueryPlan, QueryResult, StagedReads
 __all__ = ["stage_plans", "execute_batch", "merge_runs"]
 
 
-def merge_runs(
-    runs: list[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
+def merge_runs(runs) -> Runs:
     """Coalesce ``(start, count)`` intervals: union, overlapping/adjacent
     intervals merged, ascending.  The union of chunk-aligned intervals is
     chunk-aligned (every component boundary is a boundary of some input
     run), so merged runs stay valid for columnar reads."""
-    if not runs:
-        return ()
-    ordered = sorted((int(s), int(c)) for s, c in runs if c > 0)
-    merged: list[list[int]] = []
-    for start, count in ordered:
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], start + count)
-        else:
-            merged.append([start, start + count])
-    return tuple((s, e - s) for s, e in merged)
+    runs = Runs.of(runs)
+    live = np.flatnonzero(runs.counts > 0)
+    order = live[np.argsort(runs.starts[live], kind="stable")]
+    starts = runs.starts[order]
+    if not len(starts):
+        return Runs(starts, starts)
+    # Sorted by start, a run opens a new component iff it begins past
+    # everything seen so far; the component then reaches the running max.
+    reach = np.maximum.accumulate(starts + runs.counts[order])
+    opens = np.ones(len(starts), dtype=bool)
+    opens[1:] = starts[1:] > reach[:-1]
+    first = np.flatnonzero(opens)
+    merged = starts[first]
+    return Runs(merged, reach[np.append(first[1:] - 1, len(starts) - 1)] - merged)
 
 
 def _union_dtype(
@@ -94,28 +97,18 @@ def _union_dtype(
     return np.dtype(fields)
 
 
-def _demand_for(
-    plan: QueryPlan, exact: bool
-) -> list[tuple[MetadataRecord, tuple[tuple[int, int], ...]]]:
-    """The per-file particle runs one plan's execution will request.
-
-    Mirrors :meth:`QueryEngine.run` exactly: chunk runs apply only to
-    exact box reads; empty-run entries read nothing; LOD-prefix entries
-    (a head read shorter than the file) are excluded — they are never
-    served from a stage.
-    """
-    use_runs = exact and plan.box is not None
+def _demand_for(plan: QueryPlan, exact: bool) -> list[tuple[MetadataRecord, Runs]]:
+    """The per-file particle runs of :meth:`QueryPlan.demand` a stage can
+    serve: empty-run entries read nothing, and LOD-prefix entries (a head
+    read shorter than the file) are never served from a stage."""
     demand = []
-    for i, (rec, count) in enumerate(plan.entries):
-        if count <= 0:
-            continue
-        runs = plan.chunk_runs.get(i) if use_runs else None
-        if runs is not None and not runs:
-            continue
-        if runs is None and count < rec.particle_count:
-            continue  # LOD prefix: direct path only
-        want = runs if runs is not None else ((0, count),)
-        demand.append((rec, want))
+    for rec, count, runs in plan.demand(exact):
+        if runs is None:
+            if count < rec.particle_count:
+                continue  # LOD prefix: direct path only
+            runs = Runs.of(((0, count),))
+        if len(runs):
+            demand.append((rec, runs))
     return demand
 
 
@@ -141,7 +134,7 @@ def stage_plans(
     full_dtype = engine.dtype
     # path -> (record, [runs per demanding query], [projected field names]).
     demand: dict[
-        str, tuple[MetadataRecord, list[tuple[tuple[int, int], ...]], list[tuple[str, ...]]]
+        str, tuple[MetadataRecord, list[Runs], list[tuple[str, ...]]]
     ] = {}
     for plan, exact in items:
         names = tuple(plan.result_dtype(full_dtype).names or ())
@@ -156,15 +149,19 @@ def stage_plans(
     for path, (rec, wants, field_sets) in demand.items():
         if len(wants) < 2:
             continue  # nobody to share with: direct reads are already optimal
-        merged = merge_runs([r for want in wants for r in want])
-        total = sum(c for _s, c in merged)
-        if total == 0:
-            continue
+        merged = merge_runs(
+            Runs(
+                np.concatenate([want.starts for want in wants]),
+                np.concatenate([want.counts for want in wants]),
+            )
+        )
         index = engine.dataset.chunk_index(rec)
         columnar = index is not None and getattr(index, "codec", None) is not None
         try:
             if columnar:
-                buf = np.empty(total, dtype=_union_dtype(full_dtype, field_sets))
+                buf = np.empty(
+                    merged.total, dtype=_union_dtype(full_dtype, field_sets)
+                )
                 discard: list[tuple[int, str, str]] = []
                 engine.retry.call(
                     read_columnar_runs_into,
@@ -182,7 +179,7 @@ def stage_plans(
             else:
                 # Row files decode whole records whatever the projection,
                 # exactly as their direct reads do.
-                buf = np.empty(total, dtype=full_dtype)
+                buf = np.empty(merged.total, dtype=full_dtype)
                 if merged == ((0, rec.particle_count),):
                     # Whole file: use the footer-verifying read, the same
                     # primitive a direct whole-file read runs.

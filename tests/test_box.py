@@ -58,6 +58,23 @@ class TestMembership:
         pts = np.array([[1, 1, 1], [1, 0.5, 0.5]])
         assert b.contains_points(pts, closed=True).tolist() == [True, True]
 
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_strided_and_float32_points_match_the_reduction(self, closed):
+        """Per-axis evaluation (on a record array's strided position field,
+        or float32 coordinates) equals the all-axes reduction it replaced,
+        compared in float64."""
+        rng = np.random.default_rng(5)
+        b = Box([0.1, 0.2, 0.3], [0.7, 0.8, 0.9000000001])
+        records = np.zeros(500, dtype=[("position", "<f8", (3,)), ("pad", "<f4", (7,))])
+        records["position"] = rng.random((500, 3)).round(1)  # many on a face
+        single = records["position"].astype(np.float32)
+        for pts in (records["position"], single, single[::-1]):
+            wide = pts.astype(np.float64)
+            below = (wide <= b.hi) if closed else (wide < b.hi)
+            expect = np.all(wide >= b.lo, axis=1) & np.all(below, axis=1)
+            got = b.contains_points(pts, closed=closed)
+            assert got.dtype == bool and np.array_equal(got, expect)
+
     def test_contains_point_scalar(self):
         b = Box([0, 0, 0], [1, 1, 1])
         assert b.contains_point([0.5, 0.5, 0.5])

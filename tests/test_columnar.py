@@ -23,6 +23,7 @@ Seeded via ``REPRO_FAULT_SEED`` so CI can sweep the fault matrix.
 
 from __future__ import annotations
 
+import functools
 import os
 import zlib
 
@@ -44,16 +45,24 @@ from repro.domain import Box
 from repro.errors import (
     ConfigError,
     DataChecksumError,
+    DataFileError,
     QueryError,
     RankFailedError,
 )
+from repro.format.chunks import FileChunkIndex, chunks_from_entry
 from repro.format.codecs import (
     available_codecs,
     byte_shuffle,
     byte_unshuffle,
     get_codec,
 )
-from repro.format.datafile import HEADER_BYTES, columnar_columns
+from repro.format.datafile import (
+    HEADER_BYTES,
+    columnar_columns,
+    columnar_payload_length,
+    decode_columnar_payload,
+    read_columnar_runs_into,
+)
 from repro.format.generations import resolve_generation
 from repro.io import VirtualBackend
 from repro.io.executor import executor_for
@@ -173,6 +182,39 @@ class TestCodecs:
         enc = codec.encode(raw, itemsize)
         assert codec.decode(enc, itemsize, len(raw)) == raw
         assert codec.decode(codec.encode(b"", itemsize), itemsize, 0) == b""
+
+    @pytest.mark.parametrize("name", available_codecs())
+    @pytest.mark.parametrize("itemsize", [1, 2, 8])
+    def test_run_decode_equals_per_segment_decode(self, name, itemsize, rng):
+        """inflate-each then one decode_run == decode on every segment."""
+        codec = get_codec(name)
+        raws = [rng.bytes(itemsize * 24) for _ in range(5)]
+        encs = [codec.encode(raw, itemsize) for raw in raws]
+        inflated = [
+            codec.inflate(memoryview(enc), itemsize, len(raw))
+            for enc, raw in zip(encs, raws)
+        ]
+        run = codec.decode_run(inflated, itemsize)
+        assert run.dtype == np.uint8 and run.flags.c_contiguous
+        assert run.tobytes() == b"".join(
+            codec.decode(enc, itemsize, len(raw)) for enc, raw in zip(encs, raws)
+        )
+
+    @pytest.mark.parametrize("name", available_codecs())
+    def test_inflate_fails_like_decode(self, name):
+        """Wrong lengths (and broken streams) raise the same DataFileError
+        text from the run path's per-segment step as from ``decode``."""
+        codec = get_codec(name)
+        enc = codec.encode(bytes(range(24)), 8)
+        cases = [(enc, 8, 16), (codec.encode(bytes(20), 1), 8, 24)]
+        if name != "none":
+            cases.append((b"\xff\xff" + enc[2:], 8, 24))
+        for bad, itemsize, raw_len in cases:
+            with pytest.raises(DataFileError) as want:
+                codec.decode(bad, itemsize, raw_len)
+            with pytest.raises(DataFileError) as got:
+                codec.inflate(memoryview(bad), itemsize, raw_len)
+            assert str(got.value) == str(want.value)
 
     def test_shuffle_zlib_compresses_smooth_columns(self):
         codec = get_codec("shuffle-zlib")
@@ -480,6 +522,222 @@ class TestSegmentDamage:
         got = reader.read_full()
         assert len(got) == ds.total_particles - lost
         assert reader.last_report.chunks_skipped == 1
+
+
+# -- run decode vs the per-segment reference -----------------------------------
+
+#: A subarray column, a narrow integer and a float32 beside the scalars, so
+#: every scatter shape and shuffle stride is exercised.
+RUN_DTYPE = np.dtype(
+    [
+        ("position", "<f8", (3,)),
+        ("spin", "<f4", (5,)),
+        ("density", "<f8"),
+        ("kind", "<i2"),
+    ]
+)
+RUN_PROJECTIONS = (
+    RUN_DTYPE,
+    np.dtype([("position", "<f8", (3,)), ("spin", "<f4", (5,))]),
+    np.dtype([("position", "<f8", (3,)), ("density", "<f8"), ("kind", "<i2")]),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _run_dataset(codec) -> VirtualBackend:
+    def batch(rank, patch):
+        rng = np.random.default_rng(100 + rank)
+        d = uniform_particles(
+            patch, 300, dtype=RUN_DTYPE, seed=7, rank=rank
+        ).data.copy()
+        d["spin"] = rng.normal(size=(300, 5))
+        d["density"] = rng.random(300)
+        d["kind"] = rng.integers(-5, 5, 300)
+        return ParticleBatch(d)
+
+    # 48 does not divide the LOD level sizes (32, 64, 128, ...), so every
+    # level ends in a short tail chunk: counts are ragged.
+    backend, _, _ = write_dataset(
+        nprocs=NPROCS,
+        partition_factor=PF,
+        config=WriterConfig(
+            partition_factor=PF, chunk_size=48, layout="columnar", codec=codec
+        ),
+        dtype=RUN_DTYPE,
+        batch_fn=batch,
+    )
+    return backend
+
+
+class RunFile:
+    """One data file of a written v4 dataset (a private copy, free to
+    damage), with what the run reader needs (backend, path, chunk index)
+    and what the reference needs (the stored payload and the canonical
+    chunk tuple)."""
+
+    def __init__(self, codec):
+        self.backend = clone(_run_dataset(codec))
+        ds = Dataset(self.backend)
+        self.rec = ds.metadata.records[0]
+        self.path = self.rec.file_path
+        self.codec = codec
+        self.entry = ds.manifest.checksums[self.path]
+        self.chunks = chunks_from_entry(self.entry["chunks"])
+        self.cols = columnar_columns(RUN_DTYPE)
+
+    def index(self):
+        return FileChunkIndex.from_entry(
+            self.entry["chunks"], self.rec.particle_count, self.path, codec=self.codec
+        )
+
+    def reference_rows(self) -> np.ndarray:
+        """Every row of the file through ``decode_columnar_payload`` — one
+        ``Codec.decode`` per segment."""
+        image = self.backend._files[self.path]
+        length = columnar_payload_length(self.chunks)
+        return decode_columnar_payload(
+            image[HEADER_BYTES : HEADER_BYTES + length],
+            self.chunks, self.codec, RUN_DTYPE, self.path,
+        )
+
+    def chunk_runs(self, ids) -> list[tuple[int, int]]:
+        """Coalesced runs over the chunks ``ids`` (ascending)."""
+        runs: list[list[int]] = []
+        for ci in ids:
+            start, count = self.chunks[ci][0], self.chunks[ci][1]
+            if runs and runs[-1][0] + runs[-1][1] == start:
+                runs[-1][1] += count
+            else:
+                runs.append([start, count])
+        return [(s, c) for s, c in runs]
+
+    def rows_of(self, rows, ids, out_dtype) -> np.ndarray:
+        picked = np.concatenate(
+            [rows[self.chunks[ci][0] : self.chunks[ci][0] + self.chunks[ci][1]]
+             for ci in ids]
+        )
+        out = np.empty(len(picked), dtype=out_dtype)
+        for name in out_dtype.names:
+            out[name] = picked[name]
+        return out
+
+    def damage(self, ci, column, mode) -> tuple[int, str, str]:
+        """Damage one stored segment; returns the ``skipped`` triple a
+        degraded read must report for it.
+
+        ``crc``: one flipped byte, the descriptor's CRC no longer matches.
+        ``stream``: the zlib header is overwritten *and* the descriptor's
+        CRC re-stamped, so the CRC passes and the inflate fails.
+        """
+        j = [c.name for c in self.cols].index(column)
+        off, ln, crc = self.entry["chunks"][ci][5][j]
+        raw = bytearray(self.backend._files[self.path])
+        lo = HEADER_BYTES + off
+        if mode == "crc":
+            raw[lo + ln // 2] ^= 0x40
+            actual = zlib.crc32(bytes(raw[lo : lo + ln]))
+            why = (
+                f" segment CRC32 mismatch — stored {crc:#010x}, "
+                f"computed {actual:#010x}"
+            )
+        else:
+            raw[lo : lo + 2] = b"\xff\xff"
+            self.entry["chunks"][ci][5][j][2] = zlib.crc32(bytes(raw[lo : lo + ln]))
+            col = self.cols[j]
+            with pytest.raises(DataFileError) as err:
+                get_codec(self.codec).decode(
+                    bytes(raw[lo : lo + ln]), col.itemsize,
+                    self.chunks[ci][1] * col.nbytes,
+                )
+            why = f": {err.value}"
+        self.backend._files[self.path] = bytes(raw)
+        return (ci, column, f"chunk {ci} column {column!r}{why}")
+
+    def read(self, runs, out_dtype, strict=True):
+        total = sum(c for _s, c in runs)
+        out = np.empty(total, dtype=out_dtype)
+        skipped: list = []
+        got = read_columnar_runs_into(
+            self.backend, self.path, RUN_DTYPE, self.index(), runs, out,
+            strict=strict, skipped=skipped,
+        )
+        return out[:got], skipped
+
+
+@pytest.mark.parametrize("codec", ["none", "shuffle-zlib"])
+class TestRunDecode:
+    def test_chunk_counts_are_ragged(self, codec):
+        counts = {c[1] for c in RunFile(codec).chunks}
+        assert len(counts) >= 3 and 48 in counts
+
+    @pytest.mark.parametrize("out_dtype", RUN_PROJECTIONS, ids=["all", "spin", "scalars"])
+    def test_runs_equal_per_segment_reference(self, codec, out_dtype):
+        f = RunFile(codec)
+        rows = f.reference_rows()
+        n = len(f.chunks)
+        rng = np.random.default_rng(FAULT_SEED)
+        selections = [
+            list(range(n)),                       # the whole file, one run
+            list(range(0, n, 2)),                 # alternating: no two merge
+            [0, 1, 2, n - 3, n - 2, n - 1],       # head + tail stretches
+            sorted(rng.choice(n, n // 2, replace=False).tolist()),
+            [n - 1],                              # a lone ragged tail chunk
+        ]
+        for ids in selections:
+            got, skipped = f.read(f.chunk_runs(ids), out_dtype)
+            assert skipped == []
+            assert np.array_equal(got, f.rows_of(rows, ids, out_dtype))
+
+    def test_misaligned_and_overflowing_runs_are_rejected(self, codec):
+        f = RunFile(codec)
+        with pytest.raises(DataFileError, match="not aligned"):
+            f.read([(1, f.chunks[0][1])], RUN_DTYPE)
+        with pytest.raises(DataFileError, match="not aligned"):
+            f.read([(0, f.chunks[0][1] - 1)], RUN_DTYPE)
+        with pytest.raises(DataFileError, match="not aligned"):
+            f.read([(0, f.rec.particle_count + 1)], RUN_DTYPE)
+        out = np.empty(3, dtype=RUN_DTYPE)
+        with pytest.raises(DataFileError, match="runs cover"):
+            read_columnar_runs_into(
+                f.backend, f.path, RUN_DTYPE, f.index(), [(0, f.chunks[0][1])], out
+            )
+
+    @pytest.mark.parametrize("mode", ["crc", "stream"])
+    @pytest.mark.parametrize("column", ["x", "density"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_degraded_read_drops_exactly_the_damaged_chunk(
+        self, codec, mode, column, where
+    ):
+        if mode == "stream" and codec == "none":
+            pytest.skip("the identity codec has no stream to damage")
+        f = RunFile(codec)
+        rows = f.reference_rows()
+        ids = list(range(2, len(f.chunks), 3))
+        victim = {"first": ids[0], "middle": ids[len(ids) // 2], "last": ids[-1]}[where]
+        triple = f.damage(victim, column, mode)
+        runs = f.chunk_runs(ids)
+        with pytest.raises(DataChecksumError if mode == "crc" else DataFileError) as err:
+            f.read(runs, RUN_DTYPE)
+        assert triple[2].split(": ", 1)[-1] in str(err.value)
+        got, skipped = f.read(runs, RUN_DTYPE, strict=False)
+        assert skipped == [triple]
+        survivors = [ci for ci in ids if ci != victim]
+        assert np.array_equal(got, f.rows_of(rows, survivors, RUN_DTYPE))
+
+    def test_first_failing_column_wins_and_chunks_ascend(self, codec):
+        f = RunFile(codec)
+        rows = f.reference_rows()
+        ids = list(range(len(f.chunks)))
+        late = f.damage(ids[-2], "kind", "crc")
+        f.damage(ids[4], "density", "crc")
+        early = f.damage(ids[4], "y", "crc")  # before density in projection order
+        got, skipped = f.read(f.chunk_runs(ids), RUN_DTYPE, strict=False)
+        assert skipped == [early, late]
+        survivors = [ci for ci in ids if ci not in (ids[4], ids[-2])]
+        assert np.array_equal(got, f.rows_of(rows, survivors, RUN_DTYPE))
+        # A projection that leaves out the damaged columns never sees them.
+        got, skipped = f.read(f.chunk_runs(ids), RUN_PROJECTIONS[1], strict=False)
+        assert [s[:2] for s in skipped] == [(ids[4], "y")]
 
 
 # -- mixed generation chains ---------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.domain import Box
 from repro.errors import DataFileError
+from repro.format.chunks import Runs
 from repro.format.datafile import (
     FOOTER_BYTES,
     HEADER_BYTES,
@@ -12,6 +13,7 @@ from repro.format.datafile import (
     peek_particle_count,
     read_data_file,
     read_data_prefix,
+    read_particle_runs_into,
     write_data_file,
 )
 from repro.io import VirtualBackend
@@ -96,6 +98,56 @@ class TestPrefixReads:
         read_data_prefix(vb, "data/f.pbin", MINIMAL_DTYPE, 10)
         read_bytes = sum(op.nbytes for op in vb.ops_of_kind("read"))
         assert read_bytes == HEADER_BYTES + 10 * MINIMAL_DTYPE.itemsize
+
+
+class TestRunReads:
+    """``read_particle_runs_into``: many runs, one readv, validated whole."""
+
+    def _read(self, backend, runs, n):
+        out = np.empty(n, dtype=MINIMAL_DTYPE)
+        got = read_particle_runs_into(backend, "data/f.pbin", MINIMAL_DTYPE, runs, out)
+        return out, got
+
+    def test_runs_land_in_order(self, batch):
+        vb = VirtualBackend()
+        write_data_file(vb, "data/f.pbin", batch)
+        vb.clear_ops()
+        runs = [(3, 4), (20, 1), (21, 9), (90, 10)]
+        out, got = self._read(vb, runs, 24)
+        assert got == 24
+        assert np.array_equal(
+            out, np.concatenate([batch.data[s : s + c] for s, c in runs])
+        )
+        # The header and each run: one ranged read apiece, nothing more.
+        reads = vb.ops_of_kind("read")
+        assert sorted(op.nbytes for op in reads) == sorted(
+            [HEADER_BYTES] + [c * MINIMAL_DTYPE.itemsize for _s, c in runs]
+        )
+        # The array form the planner produces reads the same.
+        again, _ = self._read(vb, Runs.of(runs), 24)
+        assert np.array_equal(again, out)
+
+    def test_empty_runs_and_zero_count_runs(self, backend, batch):
+        write_data_file(backend, "data/f.pbin", batch)
+        assert self._read(backend, [], 0)[1] == 0
+        out, got = self._read(backend, [(5, 0), (7, 2)], 2)
+        assert got == 2 and np.array_equal(out, batch.data[7:9])
+
+    @pytest.mark.parametrize(
+        "runs,n,message",
+        [
+            ([(0, 10), (95, 6)], 16, r"run \[95, 101\) exceeds particle count 100"),
+            ([(-1, 4)], 4, r"run \[-1, 3\) exceeds particle count 100"),
+            ([(4, -2), (9, 6)], 4, r"run \[4, 2\) exceeds particle count 100"),
+            ([(0, 10), (20, 10)], 15, "runs overflow destination of 15 particles"),
+            ([(0, 10)], 15, "runs cover 10 particles, destination holds 15"),
+            ([(0, 500)], 500, r"run \[0, 500\) exceeds particle count 100"),
+        ],
+    )
+    def test_invalid_plans_raise(self, backend, batch, runs, n, message):
+        write_data_file(backend, "data/f.pbin", batch)
+        with pytest.raises(DataFileError, match=message):
+            self._read(backend, runs, n)
 
 
 class TestCorruption:

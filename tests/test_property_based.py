@@ -280,3 +280,141 @@ class TestQueryEquivalence:
         assert set(hits.data["id"].tolist()) == set(
             everything.data["id"][brute].tolist()
         )
+
+
+# -- chunk selection -----------------------------------------------------------
+
+# Corners on a small integer grid, so closed-interval touching (a chunk's
+# face exactly on the query's) is drawn often rather than never.
+grid_coord = st.integers(0, 6).map(float)
+
+
+@st.composite
+def grid_boxes(draw):
+    lo = np.array([draw(grid_coord) for _ in range(3)])
+    ext = np.array([draw(st.integers(0, 3)) for _ in range(3)], dtype=float)
+    return Box(lo, lo + ext)
+
+
+@st.composite
+def chunk_indexes(draw, max_chunks=24):
+    """A tiling chunk index with ragged counts, grid bounds and one indexed
+    attribute ``a``."""
+    from repro.format.chunks import FileChunkIndex
+
+    n = draw(st.integers(0, max_chunks))
+    counts = np.array(
+        [draw(st.integers(1, 5)) for _ in range(n)], dtype=np.int64
+    )
+    bounds = [draw(grid_boxes()) for _ in range(n)]
+    ranges = np.array(
+        [
+            [sorted((draw(grid_coord), draw(grid_coord)))]
+            for _ in range(n)
+        ],
+        dtype=np.float64,
+    ).reshape(n, 1, 2)
+    return FileChunkIndex(
+        np.cumsum(counts) - counts,
+        counts,
+        np.array([b.lo for b in bounds]).reshape(n, 3),
+        np.array([b.hi for b in bounds]).reshape(n, 3),
+        ranges,
+        attr_names=("a",),
+    )
+
+
+def brute_force_selection(index, box, where) -> list[int]:
+    """Per-chunk loop: closed bounds intersect and every *indexed* where
+    range closed-intersects the chunk's recorded [min, max]."""
+    selected = []
+    for i in range(len(index)):
+        hit = all(
+            index.lo[i][a] <= box.hi[a] and box.lo[a] <= index.hi[i][a]
+            for a in range(3)
+        )
+        for name, (lo, hi) in where.items():
+            if name in index.attr_names:
+                amin, amax = index.attr_ranges[i][index.attr_names.index(name)]
+                hit = hit and amin <= hi and lo <= amax
+        if hit:
+            selected.append(i)
+    return selected
+
+
+def check_runs(index, runs, selected) -> None:
+    """``runs`` cover exactly the ``selected`` chunks' particles, ascending,
+    maximal (no two runs touch) and summed once in ``total``."""
+    pairs = list(runs)
+    wanted = {
+        p
+        for i in selected
+        for p in range(index.starts[i], index.starts[i] + index.counts[i])
+    }
+    covered = [p for start, count in pairs for p in range(start, start + count)]
+    assert len(covered) == len(set(covered)) and set(covered) == wanted
+    assert all(count > 0 for _start, count in pairs)
+    for (start, count), (nxt, _n) in zip(pairs, pairs[1:]):
+        assert start + count < nxt  # ascending, and a gap: else one run
+    assert runs.total == sum(int(index.counts[i]) for i in selected)
+    assert len(runs) == len(pairs)
+
+
+class TestChunkSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        chunk_indexes(),
+        grid_boxes(),
+        st.dictionaries(
+            st.sampled_from(["a", "not_indexed"]),
+            st.tuples(grid_coord, grid_coord).map(lambda t: tuple(sorted(t))),
+        ),
+    )
+    def test_select_runs_equals_per_chunk_loop(self, index, box, where):
+        check_runs(
+            index,
+            index.select_runs(box, where=where),
+            brute_force_selection(index, box, where),
+        )
+
+    def _index(self, hits, with_attrs=True):
+        """Unit-count-3 chunks; chunk i sits at x = i when hits[i] else far away."""
+        from repro.format.chunks import FileChunkIndex
+
+        n = len(hits)
+        lo = np.array([[i if h else 100.0, 0, 0] for i, h in enumerate(hits)], float)
+        counts = np.full(n, 3, dtype=np.int64)
+        ranges = np.tile([[[0.0, 1.0]]], (n, 1, 1)) if with_attrs else None
+        return FileChunkIndex(
+            np.arange(n, dtype=np.int64) * 3, counts,
+            lo.reshape(n, 3), lo.reshape(n, 3) + 0.5, ranges,
+            attr_names=("a",) if with_attrs else (),
+        )
+
+    QUERY = Box([0, 0, 0], [50, 1, 1])
+
+    def test_empty_index(self):
+        runs = self._index([]).select_runs(self.QUERY)
+        assert list(runs) == [] and runs.total == 0 and len(runs) == 0
+
+    def test_nothing_selected(self):
+        runs = self._index([False] * 4).select_runs(self.QUERY)
+        assert list(runs) == [] and runs.total == 0
+
+    def test_all_selected_is_one_run(self):
+        assert self._index([True] * 7).select_runs(self.QUERY) == ((0, 21),)
+
+    def test_alternating_chunks_never_merge(self):
+        runs = self._index([True, False] * 4).select_runs(self.QUERY)
+        assert runs == tuple((6 * i, 3) for i in range(4))
+        assert runs.total == 12
+
+    def test_where_on_non_indexed_attribute_prunes_nothing(self):
+        for index in (self._index([True] * 3), self._index([True] * 3, False)):
+            runs = index.select_runs(self.QUERY, where={"other": (5.0, 6.0)})
+            assert runs == ((0, 9),)
+
+    def test_where_on_indexed_attribute_prunes(self):
+        index = self._index([True] * 3)
+        assert index.select_runs(self.QUERY, where={"a": (1.0, 2.0)}) == ((0, 9),)
+        assert list(index.select_runs(self.QUERY, where={"a": (1.5, 2.0)})) == []

@@ -17,6 +17,7 @@ replacement, LRU bounds) and the new obs coverage
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.core import SpatialReader, WriterConfig
@@ -24,16 +25,20 @@ from repro.dataset import Dataset
 from repro.domain import Box
 from repro.errors import BackendError
 from repro.format.datafile import HEADER_BYTES
-from repro.io import PosixBackend
+from repro.io import PosixBackend, posix
 from repro.io.executor import ProcessExecutor, SerialExecutor, ThreadedExecutor
 from repro.io.faults import FaultInjectingBackend, FaultPlan
 from repro.obs.names import (
     DECODE_VECTORIZED_RUNS,
+    IO_BYTES_READ,
     IO_HANDLE_REUSES,
     IO_MMAP_HITS,
     IO_MMAP_MISSES,
+    IO_OPENS,
+    IO_READS,
     SPAN_EXECUTOR_RUN,
 )
+from repro.obs.recorder import Recorder
 from repro.particles.dtype import make_particle_dtype
 
 from .conftest import write_dataset
@@ -136,6 +141,62 @@ class TestMmapParity:
         assert got.data.tobytes() == want.data.tobytes()
         assert ds.recorder.total(IO_MMAP_HITS) == 0
         assert ds.recorder.total(IO_MMAP_MISSES) > 0
+
+
+class TestReadvCopyThreshold:
+    """``readv`` lands short mapped segments by slice assignment and long
+    ones by the GIL-releasing numpy copy; which one ran is unobservable."""
+
+    T = posix._GIL_RELEASING_COPY_BYTES
+    LENGTHS = (0, 1, T - 1, T, T + 1, 3 * (1 << 20) + 17)
+
+    def _file(self, tmp_path):
+        rng = np.random.default_rng(FAULT_SEED)
+        blob = rng.integers(0, 256, 4 * (1 << 20) + 99, dtype=np.uint8).tobytes()
+        PosixBackend(tmp_path / "raw").write_file("blob.bin", blob)
+        return blob
+
+    def _readv(self, backend, lengths, first_offset=5):
+        rec = Recorder()
+        backend.attach_recorder(rec)
+        # Distinct offsets, touching and overlapping freely: segments are
+        # independent reads of one open.
+        offsets = [first_offset + 7 * i for i in range(len(lengths))]
+        views = [bytearray(n) for n in lengths]
+        total = backend.readv("blob.bin", list(zip(offsets, views)))
+        return offsets, views, total, rec
+
+    def test_lengths_straddling_the_threshold(self, tmp_path):
+        blob = self._file(tmp_path)
+        mapped = self._readv(PosixBackend(tmp_path / "raw"), self.LENGTHS)
+        fallback = self._readv(
+            PosixBackend(tmp_path / "raw", use_mmap=False), self.LENGTHS
+        )
+        for offsets, views, total, rec in (mapped, fallback):
+            assert total == sum(self.LENGTHS)
+            for off, view, n in zip(offsets, views, self.LENGTHS):
+                assert bytes(view) == blob[off : off + n]
+            assert rec.value(IO_READS, ("blob.bin",)) == len(self.LENGTHS)
+            assert rec.value(IO_BYTES_READ, ("blob.bin",)) == sum(self.LENGTHS)
+            assert rec.value(IO_OPENS, ("blob.bin",)) == 1
+        assert mapped[3].value(IO_MMAP_HITS, ("blob.bin",)) == 1
+        assert mapped[3].value(IO_MMAP_MISSES, ("blob.bin",)) == 0
+        assert fallback[3].value(IO_MMAP_HITS, ("blob.bin",)) == 0
+        assert fallback[3].value(IO_MMAP_MISSES, ("blob.bin",)) == 1
+
+    @pytest.mark.parametrize("length", [1, T - 1, T, T + 1])
+    @pytest.mark.parametrize("use_mmap", [True, False])
+    def test_short_read_error_text(self, tmp_path, length, use_mmap):
+        blob = self._file(tmp_path)
+        backend = PosixBackend(tmp_path / "raw", use_mmap=use_mmap)
+        offset = len(blob) - length + 1  # one byte past EOF
+        with pytest.raises(BackendError) as err:
+            backend.readv("blob.bin", [(0, bytearray(8)), (offset, bytearray(length))])
+        full = tmp_path / "raw" / "blob.bin"
+        assert str(err.value) == (
+            f"reading {full}: short read from {full}: wanted {length} "
+            f"bytes at {offset}, got {length - 1}"
+        )
 
 
 class TestHandlePool:

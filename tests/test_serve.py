@@ -13,6 +13,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import WriterConfig
 from repro.dataset import Dataset
@@ -80,6 +82,19 @@ class TestMergeRuns:
 
     def test_zero_count_dropped(self):
         assert merge_runs([(3, 0), (1, 2)]) == ((1, 2),)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), max_size=30))
+    def test_equals_the_sort_and_sweep_loop(self, runs):
+        merged: list[list[int]] = []
+        for start, count in sorted(r for r in runs if r[1] > 0):
+            if merged and start <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], start + count)
+            else:
+                merged.append([start, start + count])
+        got = merge_runs(runs)
+        assert got == tuple((s, e - s) for s, e in merged)
+        assert got.total == sum(e - s for s, e in merged)
 
 
 class TestBatchParity:
@@ -180,6 +195,40 @@ class TestBatchParity:
         got = staged.fetch(Rec(), 5, ((2, 5),), dest)
         assert got is not None
         assert np.array_equal(dest["x"], np.arange(2.0, 7.0))
+
+
+    def test_staged_fetch_gathers_many_runs(self):
+        """Runs resolve against the merged runs in one pass and land in
+        order — whole records and projected fields alike."""
+        from repro.query.engine import StagedReads
+
+        full = np.dtype([("position", "<f8", (3,)), ("a", "<f8"), ("b", "<i4")])
+        merged = ((10, 20), (50, 5), (70, 30))
+        ids = np.concatenate([np.arange(s, s + c) for s, c in merged])
+        buf = np.zeros(len(ids), dtype=full)
+        buf["position"] = ids[:, None] + np.array([0.0, 0.25, 0.5])
+        buf["a"], buf["b"] = ids / 2, ids * 2
+        staged = StagedReads()
+        staged.stage("data/file_0.pbin", merged, buf)
+
+        class Rec:
+            file_path = "data/file_0.pbin"
+            particle_count = 100
+
+        want = ((12, 3), (29, 1), (50, 5), (75, 10))
+        expect = np.concatenate([np.arange(s, s + c) for s, c in want])
+        projected = np.dtype([("position", "<f8", (3,)), ("b", "<i4")])
+        for dtype in (full, projected):
+            dest = np.empty(len(expect), dtype=dtype)
+            assert staged.fetch(Rec(), 0, want, dest) == len(expect)
+            assert np.array_equal(dest["b"], expect * 2)
+            assert np.array_equal(dest["position"][:, 1], expect + 0.25)
+        # One run reaching past its merged run, a run before every merged
+        # run, and a destination of the wrong size all miss.
+        assert staged.fetch(Rec(), 0, ((28, 3),), np.empty(3, dtype=full)) is None
+        assert staged.fetch(Rec(), 0, ((5, 3),), np.empty(3, dtype=full)) is None
+        assert staged.fetch(Rec(), 0, want, np.empty(7, dtype=full)) is None
+        assert staged.hits == 2 and staged.misses == 3
 
 
 class TestQueryService:
