@@ -8,20 +8,10 @@ model; a functional strong-scaling measurement at simulator scale confirms
 the per-case access patterns (files opened, bytes moved).
 """
 
-import os
-import time
-
 import pytest
 
 from repro.core import SpatialReader
-from repro.dataset import Dataset
 from repro.domain import Box
-from repro.io import (
-    PosixBackend,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadedExecutor,
-)
 from repro.perf import THETA, WORKSTATION, simulate_parallel_read
 from repro.utils import Table
 from repro.workloads import (
@@ -35,54 +25,6 @@ TOTAL_PARTICLES = 2**31
 TOTAL_BYTES = TOTAL_PARTICLES * 124.0
 FILES_222 = 8_192     # 64K procs at (2,2,2)
 FILES_111 = 65_536    # 64K procs at (1,1,1)
-
-
-class PacedPosixBackend(PosixBackend):
-    """A POSIX backend with a deterministic per-request service time.
-
-    Local page-cached reads complete in microseconds, so on a small (or
-    single-core) CI box the *request concurrency* the executors provide has
-    nothing to overlap and the scaling measurement degenerates to noise.
-    Production parallel filesystems are the opposite regime: every request
-    pays a fixed round-trip (metadata + RPC) plus a bandwidth term.  This
-    backend models that openly — each read op sleeps
-    ``base_s + nbytes / bytes_per_s`` *after* performing the real I/O.
-    The sleeps release the GIL, so overlapping them across workers is real
-    wall-clock parallelism, exactly like overlapping in-flight PFS
-    requests.  The pacing parameters are recorded in the emitted JSON.
-
-    Inherits :meth:`PosixBackend.process_clone`/pickling, so the process
-    executor ships paced reads to workers unchanged (the pacing attributes
-    ride along in ``__getstate__``'s dict copy).
-    """
-
-    def __init__(self, root, base_s=0.02, bytes_per_s=2.5e8, **kw):
-        super().__init__(root, **kw)
-        self.base_s = float(base_s)
-        self.bytes_per_s = float(bytes_per_s)
-
-    def _pace(self, nbytes: int) -> None:
-        time.sleep(self.base_s + nbytes / self.bytes_per_s)
-
-    def read_file(self, path, actor=-1):
-        data = super().read_file(path, actor=actor)
-        self._pace(len(data))
-        return data
-
-    def read_range(self, path, offset, length, actor=-1):
-        data = super().read_range(path, offset, length, actor=actor)
-        self._pace(length)
-        return data
-
-    def readinto(self, path, offset, view, actor=-1):
-        got = super().readinto(path, offset, view, actor=actor)
-        self._pace(got)
-        return got
-
-    def readv(self, path, segments, actor=-1):
-        total = super().readv(path, segments, actor=actor)
-        self._pace(total)
-        return total
 
 
 @pytest.mark.parametrize(
@@ -141,109 +83,6 @@ def test_fig07_file_count_penalty_larger_on_theta(report, benchmark):
     assert penalties["Theta"] > penalties["SSD workstation"]
     assert penalties["SSD workstation"] < 1.1  # 'almost comparable' on SSDs
     benchmark(lambda: simulate_parallel_read(THETA, 64, FILES_111, TOTAL_BYTES))
-
-
-def test_fig07_executor_scaling(tmp_path, report, bench_json, benchmark):
-    """Executor strong scaling on a ≥256 MB dataset: serial/thread/process.
-
-    The single-reader half of the Fig. 7 story the paper leaves implicit:
-    one reading process overlaps its independent per-file requests.  A
-    32-file, ≥256 MB dataset is read through :class:`PacedPosixBackend`
-    (deterministic per-request service time modelling a parallel
-    filesystem — see its docstring) with the serial executor, thread pools
-    of 1/2/4/8 workers, and process pools of 1/2/4/8 workers.  Requested
-    shape: speedup is monotone through 4 workers and reaches ≥1.8x there
-    in both pooled modes, and every mode returns bit-identical bytes.
-    Results land in BENCH_fig07_executor_scaling.json (historic schema
-    plus the ``mode`` axis and the pacing parameters).
-    """
-    n_files, per_rank = 32, 262_144
-    backend, _, _ = write_dataset(
-        nprocs=n_files,
-        partition_factor=(1, 1, 1),
-        particles_per_rank=per_rank,
-        backend=PosixBackend(tmp_path / "ds"),
-    )
-    expected = Dataset(backend).reader().read_full()
-    total_bytes = expected.data.nbytes
-    assert total_bytes >= 256 * 10**6
-    expected_bytes = expected.tobytes()
-
-    paced = PacedPosixBackend(tmp_path / "ds")
-    bit_identical = True
-
-    def best_of(executor, repeats=3):
-        nonlocal bit_identical
-        reader = Dataset(paced, executor=executor).reader()
-        best = float("inf")
-        reader.read_full()  # warmup: pool spin-up, page cache, handle pool
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            batch = reader.read_full()
-            best = min(best, time.perf_counter() - t0)
-            # Interchangeability is part of the claim: identical bytes.
-            bit_identical &= batch.tobytes() == expected_bytes
-        executor.shutdown()
-        return best
-
-    workers_axis = (1, 2, 4, 8)
-    modes: dict[str, dict[int, float]] = {
-        "serial": {1: best_of(SerialExecutor())},
-        "thread": {w: best_of(ThreadedExecutor(w)) for w in workers_axis},
-        "process": {w: best_of(ProcessExecutor(w)) for w in workers_axis},
-    }
-    serial_t = modes["serial"][1]
-
-    # Historic flat keys ("serial", "threaded_N") plus the process series.
-    timings = {"serial": serial_t}
-    for w in workers_axis:
-        timings[f"threaded_{w}"] = modes["thread"][w]
-        timings[f"process_{w}"] = modes["process"][w]
-
-    table = Table(
-        ["mode", "workers", "seconds", "GB/s", "speedup vs serial"],
-        title=f"Fig. 7 (executor) — {n_files}-file paced POSIX read",
-    )
-    for mode, series in modes.items():
-        for w, t in series.items():
-            table.add_row(
-                [mode, w, f"{t:.4f}", f"{total_bytes / t / 1e9:.2f}",
-                 f"{serial_t / t:.2f}x"]
-            )
-    report("fig07_executor_scaling", table)
-    bench_json(
-        "fig07_executor_scaling",
-        {
-            "figure": "fig07",
-            "files": n_files,
-            "particles": n_files * per_rank,
-            "dataset_bytes": total_bytes,
-            "seconds": timings,
-            "speedup_vs_serial": {
-                k: serial_t / v for k, v in timings.items()
-            },
-            "mode": {
-                m: {str(w): t for w, t in series.items()}
-                for m, series in modes.items()
-            },
-            "paced": {"base_s": paced.base_s, "bytes_per_s": paced.bytes_per_s},
-            "cpus": os.cpu_count(),
-            "bit_identical": bit_identical,
-        },
-    )
-
-    assert bit_identical
-    for mode in ("thread", "process"):
-        speedup = {w: serial_t / modes[mode][w] for w in workers_axis}
-        # Monotone through 4 workers (5% noise tolerance), ≥1.8x at 4;
-        # 8 workers may plateau but must not regress.
-        assert speedup[2] >= speedup[1] * 0.95, (mode, speedup)
-        assert speedup[4] >= speedup[2] * 0.95, (mode, speedup)
-        assert speedup[4] >= 1.8, (mode, speedup)
-        assert speedup[8] >= speedup[4] * 0.9, (mode, speedup)
-    benchmark(
-        lambda: Dataset(paced, executor=ThreadedExecutor(4)).reader().read_full()
-    )
 
 
 def test_fig07_functional_access_patterns(report, benchmark):

@@ -124,7 +124,8 @@ def _remote_target(args: argparse.Namespace):
     RTT/bandwidth/cost physics on top (``--rtt-ms``), and the resilient
     stack (retry, hedging, circuit breaker, RAM cache) wraps it.  Returns
     ``(open_target, transport)`` — the transport is kept so commands can
-    print the request/cost ledger afterwards.
+    print the request/cost ledger afterwards.  The caller closes the stack
+    (:func:`_on_read_target` does): its hedging pool owns threads.
     """
     from repro.io.posix import PosixBackend
     from repro.io.remote import OutagePlan, SimulatedTransport
@@ -159,6 +160,19 @@ def _remote_target(args: argparse.Namespace):
     return stack, transport
 
 
+def _on_read_target(args: argparse.Namespace, run) -> int:
+    """``run(args, target, transport, cache_bytes)`` on what a read command
+    opens: the dataset directory or, with ``--remote``, the remote stack,
+    which is closed afterwards whatever ``run`` did."""
+    if not args.remote:
+        return run(args, args.dataset, None, int(args.cache_mb * 2**20))
+    stack, transport = _remote_target(args)
+    try:
+        return run(args, stack, transport, 0)  # the stack has its own RAM tier
+    finally:
+        stack.close()
+
+
 def _print_remote_stats(transport) -> None:
     stats = transport.stats
     print(f"remote requests : {stats.requests} "
@@ -177,16 +191,14 @@ def _executor(args: argparse.Namespace):
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    return _on_read_target(args, _query)
+
+
+def _query(args: argparse.Namespace, target, transport, cache_bytes: int) -> int:
     from repro.dataset import Dataset
     from repro.domain.box import Box
     from repro.io.resilience import Deadline, deadline_scope
 
-    transport = None
-    if args.remote:
-        target, transport = _remote_target(args)
-        cache_bytes = 0  # the remote stack carries its own RAM tier
-    else:
-        target, cache_bytes = args.dataset, int(args.cache_mb * 2**20)
     reader = Dataset.open(
         target,
         executor=_executor(args),
@@ -322,6 +334,10 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    return _on_read_target(args, _serve)
+
+
+def _serve(args: argparse.Namespace, target, transport, cache_bytes: int) -> int:
     import threading
 
     import numpy as np
@@ -331,12 +347,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.errors import AdmissionError, DeadlineExceededError
     from repro.serve import ClientQuota, QueryService
 
-    transport = None
-    if args.remote:
-        target, transport = _remote_target(args)
-        cache_bytes = 0  # the remote stack carries its own RAM tier
-    else:
-        target, cache_bytes = args.dataset, int(args.cache_mb * 2**20)
     ds = Dataset.open(
         target,
         strict=not args.degraded,

@@ -1,7 +1,10 @@
 """Storage backends: where datasets' bytes actually live.
 
-Two interchangeable backends implement the same small interface
-(:class:`FileBackend`):
+The interface (:class:`FileBackend`) has two read verbs: ``read_file`` for a
+whole object and ``readv(path, [(offset, view), ...])`` for every ranged
+read; ``read_range`` and ``readinto`` are base-class conveniences over
+``readv`` that no backend overrides.  Three leaf backends implement it
+(the third, :class:`RemoteBackend`, is described below):
 
 * :class:`PosixBackend` — a directory on the real filesystem; used by the
   examples and the functional tests, so write→read cycles exercise real
@@ -10,6 +13,12 @@ Two interchangeable backends implement the same small interface
   operation (creates, opens, writes, reads with offsets).  The recorded op
   stream is what the performance models replay against a machine's storage
   model, and what tests assert on ("the reader opened exactly one file").
+
+Backends that delegate to another backend — :class:`PrefixBackend`,
+:class:`FaultInjectingBackend`, :class:`CachingBackend`,
+:class:`DiskCacheBackend`, :class:`ResilientBackend` — derive from
+:class:`WrapperBackend`, which forwards every operation,
+``attach_recorder`` and ``close``, so each overrides only what it changes.
 
 Fault tolerance lives alongside the backends:
 
@@ -29,12 +38,13 @@ same interface to a high-latency object store over a pluggable transport
 (:class:`SimulatedTransport` with RTT/bandwidth/cost physics, or a
 stdlib-only :class:`HttpTransport`); :class:`ResilientBackend` adds
 deadlines, hedged requests, and a per-path circuit breaker; and
-:class:`DiskCacheBackend` persists a crash-safe local cache tier so warm
-reads survive a remote outage.  :func:`build_remote_stack` assembles the
-whole composition.
+:class:`DiskCacheBackend` — :class:`CachingBackend` with its entries kept
+in files — persists a crash-safe local cache tier so warm reads survive a
+remote outage.  :func:`build_remote_stack` assembles the whole
+composition.
 """
 
-from repro.io.backend import FileBackend, IoOp
+from repro.io.backend import FileBackend, IoOp, WrapperBackend
 from repro.io.cache import CachingBackend
 from repro.io.diskcache import DiskCacheBackend
 from repro.io.executor import (
@@ -71,6 +81,7 @@ from repro.io.virtual import VirtualBackend
 
 __all__ = [
     "FileBackend",
+    "WrapperBackend",
     "IoOp",
     "PosixBackend",
     "PrefixBackend",

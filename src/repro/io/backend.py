@@ -5,6 +5,15 @@ directory listing are all the library needs.  Paths are POSIX-style strings
 relative to the backend root ("data/file_0.pbin"); backends own the mapping
 to whatever actually stores the bytes.
 
+A backend implements exactly two read verbs: :meth:`FileBackend.read_file`
+(the whole object — an un-ranged request with its own cache key) and
+:meth:`FileBackend.readv` (every ranged read: a flattened
+``[(offset, view), ...]`` list served under one logical open).
+``read_range`` and ``readinto`` are conveniences defined once, here, over
+``readv``; no backend overrides them.  Backends that delegate to another
+backend derive from :class:`WrapperBackend`, which forwards everything, so
+each overrides only the operations it changes.
+
 Instrumentation: any backend can have an obs recorder attached
 (:meth:`FileBackend.attach_recorder`), after which it maintains
 Darshan-style per-file counters — opens, reads, writes, bytes moved, keyed
@@ -18,6 +27,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.errors import BackendError
 from repro.obs.names import (
     IO_BYTES_READ,
     IO_BYTES_WRITTEN,
@@ -73,6 +83,13 @@ class FileBackend(ABC):
         """
         return None
 
+    def close(self) -> None:
+        """Release pooled resources (open handles, worker threads).
+
+        A no-op by default and idempotent everywhere; a closed backend
+        stays usable — pools refill lazily on the next operation.
+        """
+
     # -- instrumentation helpers (no-ops without an attached recorder) ------
 
     def _note_open(self, path: str) -> None:
@@ -89,6 +106,8 @@ class FileBackend(ABC):
             self.recorder.add(IO_WRITES, 1, key=(path,))
             self.recorder.add(IO_BYTES_WRITTEN, nbytes, key=(path,))
 
+    # -- the operations a backend implements --------------------------------
+
     @abstractmethod
     def write_file(self, path: str, data: bytes, actor: int = -1) -> None:
         """Create (or replace) ``path`` with ``data`` in one shot."""
@@ -98,43 +117,33 @@ class FileBackend(ABC):
         """Read the entire contents of ``path``."""
 
     @abstractmethod
-    def read_range(
-        self, path: str, offset: int, length: int, actor: int = -1
-    ) -> bytes:
-        """Read ``length`` bytes at ``offset``.  Short reads are an error."""
-
-    def readinto(
-        self, path: str, offset: int, view, actor: int = -1
-    ) -> int:
-        """Read ``len(view)`` bytes at ``offset`` directly into ``view``.
-
-        ``view`` is any writable buffer (memoryview, ndarray byte view).
-        Same contract as :meth:`read_range` — short reads are an error —
-        but the destination is caller-owned, so scatter-gather consumers
-        can land ranged reads in a preallocated result with no per-range
-        allocation.  This default copies through :meth:`read_range`;
-        concrete backends override it with a genuinely copy-free path.
-        """
-        out = memoryview(view).cast("B")
-        data = self.read_range(path, offset, len(out), actor=actor)
-        out[:] = data
-        return len(out)
-
     def readv(self, path: str, segments, actor: int = -1) -> int:
         """Scatter-gather read: fill each ``(offset, view)`` in ``segments``.
 
+        The one ranged read.  Each ``view`` is any writable buffer
+        (memoryview, ndarray byte view) and is filled completely — short
+        reads are an error — so the destination is caller-owned and ranged
+        reads land in a preallocated result with no per-range allocation.
         One *logical open* of ``path`` serves every segment, so a reader
         that wants the header, a handful of pruned particle runs, and the
         footer of one file pays a single open (the dominant fixed cost on
-        parallel filesystems) instead of one per range.  Segments follow
-        the :meth:`readinto` contract; returns total bytes read.  This
-        default loops over :meth:`readinto` (one open per segment) —
-        concrete backends override it to share the open.
+        parallel filesystems) instead of one per range.  Returns total
+        bytes read.
         """
-        total = 0
-        for offset, view in segments:
-            total += self.readinto(path, offset, view, actor=actor)
-        return total
+
+    # -- conveniences over readv (defined here only) ------------------------
+
+    def read_range(self, path: str, offset: int, length: int, actor: int = -1) -> bytes:
+        """Read ``length`` bytes at ``offset`` as a one-segment :meth:`readv`."""
+        if offset < 0 or length < 0:
+            raise BackendError(f"negative offset/length ({offset}, {length})")
+        buf = bytearray(length)
+        self.readv(path, [(offset, buf)], actor=actor)
+        return bytes(buf)
+
+    def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
+        """Fill ``view`` from ``offset`` as a one-segment :meth:`readv`."""
+        return self.readv(path, [(offset, view)], actor=actor)
 
     @abstractmethod
     def exists(self, path: str) -> bool: ...
@@ -159,3 +168,67 @@ class FileBackend(ABC):
         if any(p == ".." for p in parts):
             raise ValueError(f"path may not contain '..': {path!r}")
         return "/".join(parts)
+
+    @staticmethod
+    def _segments(segments) -> list[tuple[int, memoryview]]:
+        """``readv`` segments as ``(int offset, flat byte view)`` pairs,
+        rejecting negative offsets."""
+        out = []
+        for offset, view in segments:
+            flat = memoryview(view).cast("B")
+            if offset < 0:
+                raise BackendError(
+                    f"negative offset/length ({offset}, {len(flat)})"
+                )
+            out.append((int(offset), flat))
+        return out
+
+
+class WrapperBackend(FileBackend):
+    """A backend that delegates to another backend, ``base``.
+
+    Every operation, :meth:`attach_recorder` and :meth:`close` are
+    forwarded here, once, so a wrapper (path view, fault injector, cache
+    tier, resilience guard) overrides only the operations it changes and
+    cannot forget one.  ``process_clone`` is deliberately *not* forwarded:
+    a wrapper's state cannot follow a clone into a worker process.
+    """
+
+    def __init__(self, base: FileBackend):
+        self.base = base
+
+    def attach_recorder(self, recorder: Recorder | None) -> None:
+        """Keep ``recorder`` for this layer's own counters and pass it
+        down — every actual I/O op runs on the innermost backend, so the
+        ``io.*`` counters must accumulate there."""
+        self.recorder = recorder
+        self.base.attach_recorder(recorder)
+
+    def close(self) -> None:
+        self.base.close()
+
+    def _forward(self, op: str, path: str, *args, **kwargs):
+        """The single point where a forwarded operation reaches ``base``;
+        override to intercept every operation at once."""
+        return getattr(self.base, op)(path, *args, **kwargs)
+
+    def write_file(self, path: str, data: bytes, actor: int = -1) -> None:
+        self._forward("write_file", path, data, actor=actor)
+
+    def read_file(self, path: str, actor: int = -1) -> bytes:
+        return self._forward("read_file", path, actor=actor)
+
+    def readv(self, path: str, segments, actor: int = -1) -> int:
+        return self._forward("readv", path, segments, actor=actor)
+
+    def exists(self, path: str) -> bool:
+        return self._forward("exists", path)
+
+    def size(self, path: str) -> int:
+        return self._forward("size", path)
+
+    def listdir(self, path: str) -> list[str]:
+        return self._forward("listdir", path)
+
+    def delete(self, path: str, missing_ok: bool = False) -> None:
+        self._forward("delete", path, missing_ok=missing_ok)

@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 
-from repro.io.backend import FileBackend
+from repro.errors import ConfigError
+from repro.io.backend import FileBackend, WrapperBackend
 from repro.obs.names import CACHE_EVICT, CACHE_HIT, CACHE_MISS
-from repro.obs.recorder import Recorder
 
 __all__ = ["CachingBackend"]
 
@@ -47,38 +48,62 @@ __all__ = ["CachingBackend"]
 _Key = tuple
 
 
-class CachingBackend(FileBackend):
-    """Wraps ``base`` with a bounded byte-range LRU read cache."""
+class CachingBackend(WrapperBackend):
+    """Wraps ``base`` with a bounded byte-range LRU read cache.
+
+    This class is also the cache *core*: keys, epochs, LRU order, the byte
+    budget and ``readv`` miss-batching live here once.  Where an entry's
+    bytes live is behind three hooks — :meth:`_save`, :meth:`_load`,
+    :meth:`_discard` — which keep them in a dict here and in one file per
+    entry in :class:`~repro.io.diskcache.DiskCacheBackend`.
+    """
+
+    #: Counter names (the disk tier reports under its own).
+    _HIT, _MISS, _EVICT = CACHE_HIT, CACHE_MISS, CACHE_EVICT
 
     def __init__(self, base: FileBackend, max_bytes: int):
         if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        self.base = base
+            raise ConfigError(f"max_bytes must be >= 0, got {max_bytes}")
+        super().__init__(base)
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
-        self._entries: OrderedDict[_Key, bytes] = OrderedDict()
+        #: key -> payload size; insertion order = LRU order.
+        self._entries: OrderedDict[_Key, int] = OrderedDict()
+        self._data: dict[_Key, bytes] = {}
         self._epochs: dict[str, int] = {}
         self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def attach_recorder(self, recorder: Recorder | None) -> None:
-        """Cache counters accumulate here; I/O counters on ``base``."""
-        self.recorder = recorder
-        self.base.attach_recorder(recorder)
+    # -- where entry bytes live (called with the lock held) ------------------
+
+    def _save(self, key: _Key, path: str, data: bytes) -> None:
+        self._data[key] = data
+
+    def _load(self, key: _Key) -> bytes | None:
+        """The stored bytes, or ``None`` if storage lost the entry."""
+        return self._data.get(key)
+
+    def _discard(self, key: _Key) -> None:
+        self._data.pop(key, None)
 
     # -- cache machinery ----------------------------------------------------
 
     def _lookup(self, key: _Key, path: str) -> bytes | None:
         with self._lock:
-            data = self._entries.get(key)
+            if key not in self._entries:
+                return None
+            data = self._load(key)
             if data is None:
+                # Torn/vanished in storage: forget it and fall through to a
+                # normal miss.
+                self._drop(key)
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
         if self.recorder is not None:
-            self.recorder.add(CACHE_HIT, 1, key=(path,))
+            self.recorder.add(self._HIT, 1, key=(path,))
         return data
 
     def _epoch(self, path: str) -> int:
@@ -87,6 +112,8 @@ class CachingBackend(FileBackend):
             return self._epochs.get(path, 0)
 
     def _store(self, key: _Key, path: str, data: bytes, epoch: int) -> None:
+        """Count a miss and cache ``data`` — unless the path was invalidated
+        since ``epoch`` was taken, or the entry alone exceeds the budget."""
         evicted: list[_Key] = []
         with self._lock:
             self.misses += 1
@@ -95,24 +122,45 @@ class CachingBackend(FileBackend):
                 and len(data) <= self.max_bytes
                 and key not in self._entries
             ):
-                self._entries[key] = data
+                self._save(key, path, data)
+                self._entries[key] = len(data)
                 self._bytes += len(data)
                 while self._bytes > self.max_bytes:
-                    old_key, old_data = self._entries.popitem(last=False)
-                    self._bytes -= len(old_data)
+                    old_key = next(iter(self._entries))
+                    self._drop(old_key)
                     self.evictions += 1
                     evicted.append(old_key)
         if self.recorder is not None:
-            self.recorder.add(CACHE_MISS, 1, key=(path,))
+            self.recorder.add(self._MISS, 1, key=(path,))
             for old_key in evicted:
-                self.recorder.add(CACHE_EVICT, 1, key=(old_key[1],))
+                self.recorder.add(self._EVICT, 1, key=(old_key[1],))
+
+    def _drop(self, key: _Key) -> None:
+        """Forget one entry and its bytes (caller holds the lock)."""
+        self._bytes -= self._entries.pop(key)
+        self._discard(key)
+
+    def _stale_after_write(self, path: str) -> tuple[tuple[str, ...], list[_Key]]:
+        """What mutating ``path`` invalidates: the paths whose epoch bumps
+        and the cached keys to drop (caller holds the lock)."""
+        return (path,), [k for k in self._entries if k[1] == path]
 
     def _invalidate(self, path: str) -> None:
         with self._lock:
-            self._epochs[path] = self._epochs.get(path, 0) + 1
-            stale = [k for k in self._entries if k[1] == path]
+            paths, stale = self._stale_after_write(path)
+            for p in paths:
+                self._epochs[p] = self._epochs.get(p, 0) + 1
             for key in stale:
-                self._bytes -= len(self._entries.pop(key))
+                self._drop(key)
+
+    def _cached(self, key: _Key, path: str, fetch: Callable[[], bytes]) -> bytes:
+        """The entry under ``key``, fetching (and caching) it on a miss."""
+        data = self._lookup(key, path)
+        if data is None:
+            epoch = self._epoch(path)
+            data = fetch()
+            self._store(key, path, data, epoch)
+        return data
 
     @property
     def cached_bytes(self) -> int:
@@ -121,61 +169,32 @@ class CachingBackend(FileBackend):
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-            self._bytes = 0
+            for key in list(self._entries):
+                self._drop(key)
 
     # -- reads (cached) -----------------------------------------------------
 
     def read_file(self, path: str, actor: int = -1) -> bytes:
         path = self._normalize(path)
-        key = ("file", path)
-        data = self._lookup(key, path)
-        if data is not None:
-            return data
-        epoch = self._epoch(path)
-        data = self.base.read_file(path, actor=actor)
-        self._store(key, path, data, epoch)
-        return data
-
-    def read_range(self, path: str, offset: int, length: int, actor: int = -1) -> bytes:
-        path = self._normalize(path)
-        key = ("range", path, int(offset), int(length))
-        data = self._lookup(key, path)
-        if data is not None:
-            return data
-        epoch = self._epoch(path)
-        data = self.base.read_range(path, offset, length, actor=actor)
-        self._store(key, path, data, epoch)
-        return data
-
-    def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
-        """Cache-aware scatter-gather read.
-
-        Routes through :meth:`read_range` so repeated ranged reads hit the
-        cache; the copy into the caller's buffer is the price of a reusable
-        cached entry (a cached range must outlive any one destination).
-        """
-        out = memoryview(view).cast("B")
-        data = self.read_range(path, offset, len(out), actor=actor)
-        out[:] = data
-        return len(out)
+        return self._cached(
+            ("file", path), path, lambda: self.base.read_file(path, actor=actor)
+        )
 
     def readv(self, path: str, segments, actor: int = -1) -> int:
-        """Serve cached segments from memory; fetch the misses in one
+        """Serve cached segments from the cache; fetch the misses in one
         :meth:`FileBackend.readv` on the base (one shared open), then cache
-        copies of what was fetched."""
+        copies of what was fetched (a cached range must outlive any one
+        destination buffer)."""
         path = self._normalize(path)
         total = 0
         missing: list[tuple[int, memoryview]] = []
-        for offset, view in segments:
-            out = memoryview(view).cast("B")
-            key = ("range", path, int(offset), len(out))
-            data = self._lookup(key, path)
+        for offset, out in self._segments(segments):
+            data = self._lookup(("range", path, offset, len(out)), path)
             if data is not None:
                 out[:] = data
                 total += len(out)
             else:
-                missing.append((int(offset), out))
+                missing.append((offset, out))
         if missing:
             epoch = self._epoch(path)
             total += self.base.readv(path, missing, actor=actor)
@@ -197,20 +216,9 @@ class CachingBackend(FileBackend):
         self._invalidate(path)
         self.base.delete(path, missing_ok=missing_ok)
 
-    # -- metadata (uncached) -------------------------------------------------
-
-    def exists(self, path: str) -> bool:
-        return self.base.exists(path)
-
-    def size(self, path: str) -> int:
-        return self.base.size(path)
-
-    def listdir(self, path: str) -> list[str]:
-        return self.base.listdir(path)
-
     def __repr__(self) -> str:
         return (
-            f"CachingBackend({self.base!r}, max_bytes={self.max_bytes}, "
+            f"{type(self).__name__}({self.base!r}, max_bytes={self.max_bytes}, "
             f"cached={self.cached_bytes}, hits={self.hits}, "
             f"misses={self.misses})"
         )

@@ -4,9 +4,10 @@ The RAM LRU (:class:`~repro.io.cache.CachingBackend`) is fast but small and
 dies with the process; the remote tier is durable but slow, metered, and
 occasionally *gone*.  :class:`DiskCacheBackend` is the tier between them: a
 bounded, LRU-evicted cache of read results persisted as one small file per
-entry in a local directory, wrapping any base backend exactly like the RAM
-cache does (same exact-request keys, same per-path invalidation epochs, same
-store-after-invalidate guard), so the two compose into the stack
+entry in a local directory.  It *is* the RAM cache with a different place to
+keep entry bytes — a subclass that inherits the exact-request keys, per-path
+invalidation epochs, store-after-invalidate guard, LRU order, byte budget
+and ``readv`` miss-batching — so the two compose into the stack
 ``RAM → disk → resilient remote`` with identical semantics at every tier.
 
 Crash safety is inherited from the library's one durable-write idiom: every
@@ -31,7 +32,7 @@ rules as data: mutating a path drops its size/exists entries and every
 cached listing of an ancestor directory (and bumps their epochs, so an
 in-flight probe can never re-cache a pre-mutation answer).
 
-Counters mirror the RAM tier under distinct names (``cache.disk_hit`` /
+Counters are the RAM tier's under distinct names (``cache.disk_hit`` /
 ``cache.disk_miss`` / ``cache.disk_evict``, keyed by path) so a trace shows
 exactly which tier served every read.
 """
@@ -42,14 +43,11 @@ import hashlib
 import itertools
 import json
 import os
-import threading
-from collections import OrderedDict
 from pathlib import Path
 
-from repro.errors import ConfigError
 from repro.io.backend import FileBackend
+from repro.io.cache import CachingBackend
 from repro.obs.names import CACHE_DISK_EVICT, CACHE_DISK_HIT, CACHE_DISK_MISS
-from repro.obs.recorder import Recorder
 
 __all__ = ["DiskCacheBackend"]
 
@@ -80,39 +78,25 @@ def _entry_name(key: _Key) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()[:32] + ".entry"
 
 
-class DiskCacheBackend(FileBackend):
+class DiskCacheBackend(CachingBackend):
     """Wraps ``base`` with a bounded, persistent, LRU disk cache."""
 
+    _HIT, _MISS, _EVICT = CACHE_DISK_HIT, CACHE_DISK_MISS, CACHE_DISK_EVICT
+
     def __init__(self, base: FileBackend, cache_dir: str | os.PathLike, max_bytes: int):
-        if max_bytes < 0:
-            raise ConfigError(f"max_bytes must be >= 0, got {max_bytes}")
-        self.base = base
-        self.max_bytes = int(max_bytes)
+        super().__init__(base, max_bytes)
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        #: key -> (entry filename, payload size); insertion order = LRU order.
-        self._entries: OrderedDict[_Key, tuple[str, int]] = OrderedDict()
-        self._epochs: dict[str, int] = {}
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         #: Entries adopted / discarded by the recovery scan (observability
         #: for crash tests).
         self.recovered = 0
         self.discarded = 0
         self._recover()
 
-    def attach_recorder(self, recorder: Recorder | None) -> None:
-        """Disk-cache counters accumulate here; I/O counters on ``base``."""
-        self.recorder = recorder
-        self.base.attach_recorder(recorder)
+    # -- entry files: where this tier's bytes live ---------------------------
 
-    # -- entry files ---------------------------------------------------------
-
-    def _write_entry(self, key: _Key, path: str, data: bytes) -> str:
-        """Atomically persist one entry; returns its filename."""
+    def _save(self, key: _Key, path: str, data: bytes) -> None:
+        """Atomically persist one entry under its key-derived filename."""
         name = _entry_name(key)
         header = json.dumps(
             {
@@ -133,9 +117,15 @@ class DiskCacheBackend(FileBackend):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, full)
-        return name
 
-    def _read_entry(self, name: str) -> tuple[_Key, str, bytes] | None:
+    def _load(self, key: _Key) -> bytes | None:
+        parsed = self._read_entry(_entry_name(key))
+        return parsed[1] if parsed is not None else None
+
+    def _discard(self, key: _Key) -> None:
+        self._unlink(_entry_name(key))
+
+    def _read_entry(self, name: str) -> tuple[_Key, bytes] | None:
         """Parse one entry file; ``None`` (never an exception) if unusable."""
         try:
             raw = (self.cache_dir / name).read_bytes()
@@ -145,7 +135,7 @@ class DiskCacheBackend(FileBackend):
                 return None
             if len(payload) != meta["size"] or _digest(payload) != meta["digest"]:
                 return None
-            return tuple(meta["key"]), meta["path"], payload
+            return tuple(meta["key"]), payload
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
@@ -164,217 +154,66 @@ class DiskCacheBackend(FileBackend):
         byte budget is re-enforced, evicting oldest-first if the directory
         outgrew a smaller configured cap.
         """
-        found: list[tuple[float, str, _Key, str, int]] = []
+        found: list[tuple[float, str, _Key, int]] = []
         for entry in sorted(self.cache_dir.iterdir()):
-            if entry.name.startswith("."):
+            name = entry.name
+            if name.startswith("."):
                 # A temp file is, by construction, an abandoned torn write.
-                self._unlink(entry.name)
+                parsed = None
+            elif name.endswith(".entry"):
+                parsed = self._read_entry(name)
+            else:
+                continue
+            # Entries are found again by their key-derived name, so one
+            # sitting under any other name is as unusable as a torn one.
+            if parsed is None or name != _entry_name(parsed[0]):
+                self._unlink(name)
                 self.discarded += 1
                 continue
-            if not entry.name.endswith(".entry"):
-                continue
-            parsed = self._read_entry(entry.name)
-            if parsed is None:
-                self._unlink(entry.name)
-                self.discarded += 1
-                continue
-            key, path, payload = parsed
             try:
                 mtime = entry.stat().st_mtime
             except OSError:
                 continue
-            found.append((mtime, entry.name, key, path, len(payload)))
-        for _mtime, name, key, _path, size in sorted(found):
-            if key in self._entries:
-                self._unlink(name)
-                continue
-            self._entries[key] = (name, size)
+            found.append((mtime, name, parsed[0], len(parsed[1])))
+        for _mtime, _name, key, size in sorted(found):
+            self._entries[key] = size
             self._bytes += size
             self.recovered += 1
         while self._bytes > self.max_bytes and self._entries:
-            _key, (name, size) = self._entries.popitem(last=False)
-            self._bytes -= size
-            self._unlink(name)
+            self._drop(next(iter(self._entries)))
             self.recovered -= 1
             self.discarded += 1
 
-    # -- cache machinery (mirrors CachingBackend) ----------------------------
+    # -- invalidation reaches ancestor listings ------------------------------
 
-    def _lookup(self, key: _Key, path: str) -> bytes | None:
-        data: bytes | None = None
-        with self._lock:
-            slot = self._entries.get(key)
-            if slot is not None:
-                parsed = self._read_entry(slot[0])
-                if parsed is None:
-                    # Torn/vanished on disk: forget it and fall through to
-                    # a normal miss.
-                    self._bytes -= slot[1]
-                    del self._entries[key]
-                    self._unlink(slot[0])
-                else:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    data = parsed[2]
-        if data is not None and self.recorder is not None:
-            self.recorder.add(CACHE_DISK_HIT, 1, key=(path,))
-        return data
-
-    def _epoch(self, path: str) -> int:
-        with self._lock:
-            return self._epochs.get(path, 0)
-
-    def _store(self, key: _Key, path: str, data: bytes, epoch: int) -> None:
-        evicted: list[str] = []
-        with self._lock:
-            self.misses += 1
-            if (
-                self._epochs.get(path, 0) == epoch
-                and len(data) <= self.max_bytes
-                and key not in self._entries
-            ):
-                name = self._write_entry(key, path, data)
-                self._entries[key] = (name, len(data))
-                self._bytes += len(data)
-                while self._bytes > self.max_bytes:
-                    old_key, (old_name, old_size) = self._entries.popitem(last=False)
-                    self._bytes -= old_size
-                    self.evictions += 1
-                    self._unlink(old_name)
-                    evicted.append(old_key[1])
-        if self.recorder is not None:
-            self.recorder.add(CACHE_DISK_MISS, 1, key=(path,))
-            for old_path in evicted:
-                self.recorder.add(CACHE_DISK_EVICT, 1, key=(old_path,))
-
-    def _invalidate(self, path: str) -> None:
+    def _stale_after_write(self, path: str) -> tuple[tuple[str, ...], list[_Key]]:
         dirs = _ancestor_dirs(path)
-        with self._lock:
-            for p in (path, *dirs):
-                self._epochs[p] = self._epochs.get(p, 0) + 1
-            stale = [
-                k
-                for k in self._entries
-                if k[1] == path or (k[0] == "list" and k[1] in dirs)
-            ]
-            for key in stale:
-                name, size = self._entries.pop(key)
-                self._bytes -= size
-                self._unlink(name)
-
-    @property
-    def cached_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
-
-    def clear(self) -> None:
-        with self._lock:
-            for name, _size in self._entries.values():
-                self._unlink(name)
-            self._entries.clear()
-            self._bytes = 0
-
-    # -- reads (cached) -----------------------------------------------------
-
-    def read_file(self, path: str, actor: int = -1) -> bytes:
-        path = self._normalize(path)
-        key = ("file", path)
-        data = self._lookup(key, path)
-        if data is not None:
-            return data
-        epoch = self._epoch(path)
-        data = self.base.read_file(path, actor=actor)
-        self._store(key, path, data, epoch)
-        return data
-
-    def read_range(self, path: str, offset: int, length: int, actor: int = -1) -> bytes:
-        path = self._normalize(path)
-        key = ("range", path, int(offset), int(length))
-        data = self._lookup(key, path)
-        if data is not None:
-            return data
-        epoch = self._epoch(path)
-        data = self.base.read_range(path, offset, length, actor=actor)
-        self._store(key, path, data, epoch)
-        return data
-
-    def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
-        out = memoryview(view).cast("B")
-        data = self.read_range(path, offset, len(out), actor=actor)
-        out[:] = data
-        return len(out)
-
-    def readv(self, path: str, segments, actor: int = -1) -> int:
-        """Serve cached segments from disk; fetch the misses in one
-        :meth:`FileBackend.readv` on the base, then persist what arrived."""
-        path = self._normalize(path)
-        total = 0
-        missing: list[tuple[int, memoryview]] = []
-        for offset, view in segments:
-            out = memoryview(view).cast("B")
-            key = ("range", path, int(offset), len(out))
-            data = self._lookup(key, path)
-            if data is not None:
-                out[:] = data
-                total += len(out)
-            else:
-                missing.append((int(offset), out))
-        if missing:
-            epoch = self._epoch(path)
-            total += self.base.readv(path, missing, actor=actor)
-            for offset, out in missing:
-                self._store(
-                    ("range", path, offset, len(out)), path, bytes(out), epoch
-                )
-        return total
-
-    # -- mutations (invalidate, then forward) --------------------------------
-
-    def write_file(self, path: str, data: bytes, actor: int = -1) -> None:
-        path = self._normalize(path)
-        self._invalidate(path)
-        self.base.write_file(path, data, actor=actor)
-
-    def delete(self, path: str, missing_ok: bool = False) -> None:
-        path = self._normalize(path)
-        self._invalidate(path)
-        self.base.delete(path, missing_ok=missing_ok)
+        return (path, *dirs), [
+            k
+            for k in self._entries
+            if k[1] == path or (k[0] == "list" and k[1] in dirs)
+        ]
 
     # -- metadata (cached: every probe is a metered remote request) ----------
 
     def exists(self, path: str) -> bool:
         path = self._normalize(path)
-        key = ("exists", path)
-        data = self._lookup(key, path)
-        if data is None:
-            epoch = self._epoch(path)
-            data = b"1" if self.base.exists(path) else b"0"
-            self._store(key, path, data, epoch)
+        data = self._cached(
+            ("exists", path), path, lambda: b"1" if self.base.exists(path) else b"0"
+        )
         return data == b"1"
 
     def size(self, path: str) -> int:
         path = self._normalize(path)
-        key = ("size", path)
-        data = self._lookup(key, path)
-        if data is None:
-            epoch = self._epoch(path)
-            data = str(self.base.size(path)).encode()
-            self._store(key, path, data, epoch)
-        return int(data)
+        return int(
+            self._cached(
+                ("size", path), path, lambda: str(self.base.size(path)).encode()
+            )
+        )
 
     def listdir(self, path: str) -> list[str]:
         path = self._normalize(path)
-        key = ("list", path)
-        data = self._lookup(key, path)
-        if data is None:
-            epoch = self._epoch(path)
-            data = json.dumps(self.base.listdir(path)).encode()
-            self._store(key, path, data, epoch)
-        return list(json.loads(data))
-
-    def __repr__(self) -> str:
-        return (
-            f"DiskCacheBackend({self.base!r}, dir={str(self.cache_dir)!r}, "
-            f"max_bytes={self.max_bytes}, cached={self.cached_bytes}, "
-            f"hits={self.hits}, misses={self.misses})"
+        data = self._cached(
+            ("list", path), path, lambda: json.dumps(self.base.listdir(path)).encode()
         )
+        return list(json.loads(data))

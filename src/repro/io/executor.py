@@ -172,6 +172,75 @@ def _run_one(index: int, task: IoTask, parent: Recorder) -> TaskOutcome:
     return TaskOutcome(index, value=value, recorder=child)
 
 
+def _pool_window(max_workers: int, max_inflight: int | None) -> tuple[int, int]:
+    """Validated ``(max_workers, max_inflight)`` of a pooled executor; the
+    window defaults to twice the workers."""
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    workers = int(max_workers)
+    inflight = int(max_inflight) if max_inflight is not None else 2 * workers
+    if inflight < workers:
+        raise ValueError(
+            f"max_inflight ({inflight}) must be >= max_workers ({workers})"
+        )
+    return workers, inflight
+
+
+def _run_windowed(
+    ntasks: int,
+    max_inflight: int,
+    fail_fast: bool,
+    submit: Callable[[int], Future | TaskOutcome],
+    consume: Callable[[Future, int], TaskOutcome],
+) -> list[TaskOutcome]:
+    """The bounded-window loop both pooled executors run.
+
+    ``submit(index)`` starts task ``index`` and returns its future — or its
+    outcome, if the task had to run inline instead; ``consume(future,
+    index)`` turns a finished future into the task's outcome.  At most
+    ``max_inflight`` futures are pending at once; with ``fail_fast`` no
+    task is submitted after a failure has been observed, and tasks never
+    started keep their ``ran=False`` placeholder.
+    """
+    outcomes = [TaskOutcome(i, ran=False) for i in range(ntasks)]
+    failed = False
+    next_index = 0
+    pending: dict[Future, int] = {}
+    try:
+        while True:
+            while (
+                next_index < ntasks
+                and len(pending) < max_inflight
+                and not (fail_fast and failed)
+            ):
+                started = submit(next_index)
+                if isinstance(started, TaskOutcome):
+                    outcomes[next_index] = started
+                    failed = failed or started.error is not None
+                else:
+                    pending[started] = next_index
+                next_index += 1
+            if not pending:
+                break
+            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
+            for future in done:
+                index = pending.pop(future)
+                outcomes[index] = consume(future, index)
+                failed = failed or outcomes[index].error is not None
+    finally:
+        # Never leave this call's futures running loose on the shared pool
+        # (a BaseException — e.g. KeyboardInterrupt — in the loop above
+        # must not let orphaned tasks race a sibling caller).
+        if pending:
+            for future in pending:
+                future.cancel()
+            done, _ = wait(set(pending))
+            for future in done:
+                if not future.cancelled():
+                    outcomes[pending[future]] = consume(future, pending[future])
+    return outcomes
+
+
 class IoExecutor(ABC):
     """Executes a batch of independent I/O tasks; see the module docstring."""
 
@@ -268,17 +337,7 @@ class ThreadedExecutor(IoExecutor):
     mode = "thread"
 
     def __init__(self, max_workers: int = 4, max_inflight: int | None = None):
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = int(max_workers)
-        self.max_inflight = (
-            int(max_inflight) if max_inflight is not None else 2 * self.max_workers
-        )
-        if self.max_inflight < self.max_workers:
-            raise ValueError(
-                f"max_inflight ({self.max_inflight}) must be >= max_workers "
-                f"({self.max_workers})"
-            )
+        self.max_workers, self.max_inflight = _pool_window(max_workers, max_inflight)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         # Reentrancy marker: set while a pool worker is executing one of
@@ -320,51 +379,14 @@ class ThreadedExecutor(IoExecutor):
             # recorder discipline) without consuming a second slot.
             return SerialExecutor().run(tasks, recorder, fail_fast)
         pool = self._ensure_pool()
-        outcomes: list[TaskOutcome] = [
-            TaskOutcome(i, ran=False) for i in range(len(tasks))
-        ]
-        failed = False
-        next_index = 0
-        pending: dict[Future[TaskOutcome], int] = {}
-        try:
-            with self._run_span(recorder, len(tasks), self.max_inflight):
-                while True:
-                    while (
-                        next_index < len(tasks)
-                        and len(pending) < self.max_inflight
-                        and not (fail_fast and failed)
-                    ):
-                        future = pool.submit(
-                            self._run_in_worker,
-                            next_index,
-                            tasks[next_index],
-                            recorder,
-                        )
-                        pending[future] = next_index
-                        next_index += 1
-                    if not pending:
-                        break
-                    done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                    for future in done:
-                        pending.pop(future)
-                        outcome = future.result()
-                        outcomes[outcome.index] = outcome
-                        if outcome.error is not None:
-                            failed = True
-        finally:
-            # Never leave this call's futures running loose on the shared
-            # pool (a BaseException — e.g. KeyboardInterrupt — in the loop
-            # above must not let orphaned tasks race a sibling caller).
-            if pending:
-                for future in pending:
-                    future.cancel()
-                done, _ = wait(set(pending))
-                for future in done:
-                    if future.cancelled():
-                        continue
-                    outcome = future.result()
-                    outcomes[outcome.index] = outcome
-        return outcomes
+        with self._run_span(recorder, len(tasks), self.max_inflight):
+            return _run_windowed(
+                len(tasks),
+                self.max_inflight,
+                fail_fast,
+                lambda i: pool.submit(self._run_in_worker, i, tasks[i], recorder),
+                lambda future, _i: future.result(),
+            )
 
     def shutdown(self) -> None:
         with self._pool_lock:
@@ -413,17 +435,7 @@ class ProcessExecutor(IoExecutor):
     mode = "process"
 
     def __init__(self, max_workers: int = 4, max_inflight: int | None = None):
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = int(max_workers)
-        self.max_inflight = (
-            int(max_inflight) if max_inflight is not None else 2 * self.max_workers
-        )
-        if self.max_inflight < self.max_workers:
-            raise ValueError(
-                f"max_inflight ({self.max_inflight}) must be >= max_workers "
-                f"({self.max_workers})"
-            )
+        self.max_workers, self.max_inflight = _pool_window(max_workers, max_inflight)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._fallback = ThreadedExecutor(
@@ -489,65 +501,26 @@ class ProcessExecutor(IoExecutor):
         pool = self._ensure_pool()
         if pool is None:
             return self._fallback.run(tasks, recorder, fail_fast)
-        outcomes: list[TaskOutcome] = [
-            TaskOutcome(i, ran=False) for i in range(len(tasks))
-        ]
-        failed = False
-        next_index = 0
-        pending: dict[Future, int] = {}
-        try:
-            with self._run_span(recorder, len(tasks), self.max_inflight):
-                while True:
-                    while (
-                        next_index < len(tasks)
-                        and len(pending) < self.max_inflight
-                        and not (fail_fast and failed)
-                    ):
-                        index = next_index
-                        task = tasks[index]
-                        next_index += 1
-                        try:
-                            future = pool.submit(
-                                _process_child,
-                                task.fn,
-                                task.payload,
-                                recorder.rank,
-                            )
-                        except Exception:  # noqa: BLE001 — unpicklable payload
-                            # Inline degradation: run the local form now, in
-                            # submission-order position.
-                            outcome = _run_one(index, task, recorder)
-                            outcomes[index] = outcome
-                            if outcome.error is not None:
-                                failed = True
-                            continue
-                        pending[future] = index
-                    if not pending:
-                        break
-                    done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = pending.pop(future)
-                        outcome = self._consume(
-                            future, tasks[index], index, recorder
-                        )
-                        outcomes[index] = outcome
-                        if outcome.error is not None:
-                            failed = True
-        finally:
-            # Drain this call's in-flight futures so a BaseException in the
-            # loop above never leaves orphaned work racing a sibling caller.
-            if pending:
-                for future in pending:
-                    future.cancel()
-                done, _ = wait(set(pending))
-                for future in done:
-                    if future.cancelled():
-                        continue
-                    index = pending[future]
-                    outcomes[index] = self._consume(
-                        future, tasks[index], index, recorder
-                    )
-        return outcomes
+
+        def submit(index: int) -> Future | TaskOutcome:
+            task = tasks[index]
+            try:
+                return pool.submit(
+                    _process_child, task.fn, task.payload, recorder.rank
+                )
+            except Exception:  # noqa: BLE001 — unpicklable payload
+                # Inline degradation: run the local form now, in
+                # submission-order position.
+                return _run_one(index, task, recorder)
+
+        with self._run_span(recorder, len(tasks), self.max_inflight):
+            return _run_windowed(
+                len(tasks),
+                self.max_inflight,
+                fail_fast,
+                submit,
+                lambda future, i: self._consume(future, tasks[i], i, recorder),
+            )
 
     def shutdown(self) -> None:
         with self._pool_lock:

@@ -48,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import BackendError, TransientBackendError
-from repro.io.backend import FileBackend, IoOp
+from repro.io.backend import FileBackend, IoOp, WrapperBackend
 from repro.obs.names import EV_FAULT, IO_FAULTS
 
 __all__ = [
@@ -74,7 +74,7 @@ class FaultSpec:
         ``crash``.
     op:
         Which operations the rule applies to: ``"read"`` (read_file and
-        read_range), ``"write"``, or ``"any"``.  ``torn_write`` and
+        readv), ``"write"``, or ``"any"``.  ``torn_write`` and
         ``crash`` always apply to writes regardless of this field.
     path_glob:
         ``fnmatch`` pattern on the backend-relative path (e.g.
@@ -162,11 +162,11 @@ class FaultPlan:
         return cls((FaultSpec("crash", op="any", after_writes=ops),), seed=seed)
 
 
-class FaultInjectingBackend(FileBackend):
+class FaultInjectingBackend(WrapperBackend):
     """Wraps a backend and injects the faults described by a plan."""
 
     def __init__(self, inner: FileBackend, plan: FaultPlan):
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         self.ops: list[IoOp] = []
         self.fault_counts: Counter[str] = Counter()
@@ -266,7 +266,7 @@ class FaultInjectingBackend(FileBackend):
                     if len(data) > 0:
                         cut = self.plan.rng.randrange(len(data))
                         if cut > 0:
-                            self.inner.write_file(path, data[:cut])
+                            self.base.write_file(path, data[:cut])
                     raise InjectedCrashError(
                         f"injected crash on write #{self.writes_completed + 1} "
                         f"({path!r})"
@@ -292,12 +292,19 @@ class FaultInjectingBackend(FileBackend):
 
     # -- FileBackend interface ---------------------------------------------
 
+    def _forward(self, op: str, path: str, *args, **kwargs):
+        # The ops this class does not override (exists/size/listdir) still
+        # refuse to run in a process that already crashed.
+        with self._lock:
+            self._check_dead(path)
+        return super()._forward(op, path, *args, **kwargs)
+
     def write_file(self, path: str, data: bytes, actor: int = -1) -> None:
         path = self._normalize(path)
         with self._lock:
             self._check_dead(path)
             stored = self._check_write(path, data)
-        self.inner.write_file(path, stored, actor=actor)
+        self.base.write_file(path, stored, actor=actor)
         with self._lock:
             self.writes_completed += 1
 
@@ -306,41 +313,20 @@ class FaultInjectingBackend(FileBackend):
         with self._lock:
             self._check_dead(path)
             flips = self._check_read(path)
-        data = self.inner.read_file(path, actor=actor)
+        data = self.base.read_file(path, actor=actor)
         with self._lock:
             return self._apply_flips(path, data, flips)
-
-    def read_range(self, path: str, offset: int, length: int, actor: int = -1) -> bytes:
-        path = self._normalize(path)
-        with self._lock:
-            self._check_dead(path)
-            flips = self._check_read(path)
-        data = self.inner.read_range(path, offset, length, actor=actor)
-        with self._lock:
-            return self._apply_flips(path, data, flips)
-
-    def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
-        path = self._normalize(path)
-        with self._lock:
-            self._check_dead(path)
-            flips = self._check_read(path)
-        n = self.inner.readinto(path, offset, view, actor=actor)
-        if flips:
-            out = memoryview(view).cast("B")
-            with self._lock:
-                out[:] = self._apply_flips(path, bytes(out), flips)
-        return n
 
     def readv(self, path: str, segments, actor: int = -1) -> int:
         # One fault check per readv call, mirroring its one-open semantics
         # (a transient fault fails the whole scatter-gather read, as a real
         # failed open would).
         path = self._normalize(path)
-        segs = [(off, memoryview(v).cast("B")) for off, v in segments]
+        segs = self._segments(segments)
         with self._lock:
             self._check_dead(path)
             flips = self._check_read(path)
-        total = self.inner.readv(path, segs, actor=actor)
+        total = self.base.readv(path, segs, actor=actor)
         if flips:
             # Flip inside the *data* segments: segment 0 of every
             # scatter-gather read is the fixed-size header, and a header
@@ -360,21 +346,6 @@ class FaultInjectingBackend(FileBackend):
                 pos += len(out)
         return total
 
-    def exists(self, path: str) -> bool:
-        with self._lock:
-            self._check_dead(path)
-        return self.inner.exists(path)
-
-    def size(self, path: str) -> int:
-        with self._lock:
-            self._check_dead(path)
-        return self.inner.size(path)
-
-    def listdir(self, path: str) -> list[str]:
-        with self._lock:
-            self._check_dead(path)
-        return self.inner.listdir(path)
-
     def delete(self, path: str, missing_ok: bool = False) -> None:
         with self._lock:
             self._check_dead(path)
@@ -389,12 +360,12 @@ class FaultInjectingBackend(FileBackend):
                     raise InjectedCrashError(
                         f"injected crash on delete ({path!r})"
                     )
-        self.inner.delete(path, missing_ok=missing_ok)
+        self.base.delete(path, missing_ok=missing_ok)
         with self._lock:
             self.deletes_completed += 1
 
     def __repr__(self) -> str:
         return (
-            f"FaultInjectingBackend({self.inner!r}, "
+            f"FaultInjectingBackend({self.base!r}, "
             f"faults={dict(self.fault_counts)})"
         )

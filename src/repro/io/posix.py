@@ -9,10 +9,10 @@ The read side is built for raw speed (the Fig. 7 scaling story):
   ``os.replace`` — ours or anyone else's — is detected and the stale
   handle dropped before a single byte is served.
 * **mmap zero-copy fast path** — files within the mapping budget are
-  served as slices of one shared ``mmap`` view: ``read_range`` returns a
-  copy of the slice, ``readinto``/``readv`` land bytes via vectorized
-  numpy copies (which release the GIL for large transfers), and repeated
-  reads of a warm file never enter the kernel at all.
+  served as slices of one shared ``mmap`` view: ``read_file`` returns a
+  copy of the mapping, ``readv`` lands bytes via vectorized numpy copies
+  (which release the GIL for large transfers), and repeated reads of a
+  warm file never enter the kernel at all.
 * **``os.preadv`` scatter-gather fallback** — files outside the mapping
   budget (or with mmap disabled) batch offset-contiguous segments into
   single ``preadv`` calls on the pooled fd.  ``pread``/``preadv`` release
@@ -399,68 +399,6 @@ class PosixBackend(FileBackend):
         self._note_read(norm, len(data))
         return data
 
-    def read_range(self, path: str, offset: int, length: int, actor: int = -1) -> bytes:
-        if offset < 0 or length < 0:
-            raise BackendError(f"negative offset/length ({offset}, {length})")
-        norm = self._normalize(path)
-        full = self._full(path)
-        try:
-            handle, reused = self._pool.acquire(norm, full)
-        except OSError as exc:
-            raise BackendError(f"reading {full}: {exc}") from exc
-        try:
-            if handle.mm is not None:
-                data = handle.mm[offset : offset + length]
-                self._note_mmap(norm, True)
-            else:
-                parts = []
-                pos = offset
-                want = length
-                while want > 0:
-                    chunk = os.pread(handle.fd, want, pos)
-                    if not chunk:
-                        break
-                    parts.append(chunk)
-                    pos += len(chunk)
-                    want -= len(chunk)
-                data = b"".join(parts)
-                self._note_mmap(norm, False)
-        except OSError as exc:
-            raise BackendError(f"reading {full}: {exc}") from exc
-        finally:
-            self._pool.release(handle)
-        if len(data) != length:
-            raise BackendError(
-                f"short read from {full}: wanted {length} bytes at {offset}, "
-                f"got {len(data)}"
-            )
-        if reused:
-            self._note_reuse(norm)
-        self._note_open(norm)
-        self._note_read(norm, length)
-        return data
-
-    def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
-        out = memoryview(view).cast("B")
-        length = len(out)
-        if offset < 0:
-            raise BackendError(f"negative offset/length ({offset}, {length})")
-        norm = self._normalize(path)
-        full = self._full(path)
-        try:
-            handle, reused = self._pool.acquire(norm, full)
-        except OSError as exc:
-            raise BackendError(f"reading {full}: {exc}") from exc
-        try:
-            self._fill_one(handle, full, offset, out, norm)
-        finally:
-            self._pool.release(handle)
-        if reused:
-            self._note_reuse(norm)
-        self._note_open(norm)
-        self._note_read(norm, length)
-        return length
-
     def readv(self, path: str, segments, actor: int = -1) -> int:
         norm = self._normalize(path)
         full = self._full(path)
@@ -510,29 +448,6 @@ class PosixBackend(FileBackend):
         if reused:
             self._note_reuse(norm)
         return total
-
-    def _fill_one(
-        self, handle: _Handle, full: Path, offset: int, out: memoryview, norm: str
-    ) -> None:
-        """Land ``len(out)`` bytes at ``offset`` into ``out`` from ``handle``."""
-        length = len(out)
-        if handle.mm is not None:
-            got = max(0, min(handle.size - offset, length))
-            if got != length:
-                raise BackendError(
-                    f"short read from {full}: wanted {length} bytes at "
-                    f"{offset}, got {got}"
-                )
-            if length:
-                _numpy_copy(handle.mm, offset, out)
-            self._note_mmap(norm, True)
-            return
-        try:
-            if length:
-                _preadv_fill(handle.fd, full, [(offset, out)])
-        except OSError as exc:
-            raise BackendError(f"reading {full}: {exc}") from exc
-        self._note_mmap(norm, False)
 
     # -- metadata ------------------------------------------------------------
 

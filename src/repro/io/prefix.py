@@ -7,55 +7,22 @@ every dataset-level component keeps using its canonical relative paths
 
 from __future__ import annotations
 
-from repro.io.backend import FileBackend
-from repro.obs.recorder import Recorder
+from repro.io.backend import FileBackend, WrapperBackend
 
 
-class PrefixBackend(FileBackend):
+class PrefixBackend(WrapperBackend):
     """Delegates every operation to ``base`` under ``prefix/``."""
 
     def __init__(self, base: FileBackend, prefix: str):
-        self.base = base
+        super().__init__(base)
         self.prefix = self._normalize(prefix)
         if not self.prefix:
             raise ValueError("prefix must be non-empty; use the base backend directly")
 
-    def attach_recorder(self, recorder: Recorder | None) -> None:
-        """Forward to ``base`` — every actual I/O op runs there, so counters
-        must accumulate on the backend that executes the operations."""
-        self.recorder = recorder
-        self.base.attach_recorder(recorder)
-
-    def _full(self, path: str) -> str:
+    def _forward(self, op: str, path: str, *args, **kwargs):
         path = self._normalize(path)
-        return f"{self.prefix}/{path}" if path else self.prefix
-
-    def write_file(self, path: str, data: bytes, actor: int = -1) -> None:
-        self.base.write_file(self._full(path), data, actor=actor)
-
-    def read_file(self, path: str, actor: int = -1) -> bytes:
-        return self.base.read_file(self._full(path), actor=actor)
-
-    def read_range(self, path: str, offset: int, length: int, actor: int = -1) -> bytes:
-        return self.base.read_range(self._full(path), offset, length, actor=actor)
-
-    def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
-        return self.base.readinto(self._full(path), offset, view, actor=actor)
-
-    def readv(self, path: str, segments, actor: int = -1) -> int:
-        return self.base.readv(self._full(path), segments, actor=actor)
-
-    def exists(self, path: str) -> bool:
-        return self.base.exists(self._full(path))
-
-    def size(self, path: str) -> int:
-        return self.base.size(self._full(path))
-
-    def listdir(self, path: str) -> list[str]:
-        return self.base.listdir(self._full(path))
-
-    def delete(self, path: str, missing_ok: bool = False) -> None:
-        self.base.delete(self._full(path), missing_ok=missing_ok)
+        full = f"{self.prefix}/{path}" if path else self.prefix
+        return super()._forward(op, full, *args, **kwargs)
 
     def __repr__(self) -> str:
         return f"PrefixBackend({self.base!r}, prefix={self.prefix!r})"

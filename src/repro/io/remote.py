@@ -566,60 +566,36 @@ class RemoteBackend(FileBackend):
             return remaining
         return min(self.default_timeout, remaining)
 
+    def _request(self, op: str, send, *args, nbytes: int = 0):
+        """One transport request under the ambient time budget, accounted
+        under ``op`` whether it returns or raises."""
+        before = self.transport.stats.snapshot()
+        try:
+            return send(*args, timeout=self._timeout())
+        finally:
+            self._note_request(op, nbytes, before)
+
     # -- reads ---------------------------------------------------------------
 
     def read_file(self, path: str, actor: int = -1) -> bytes:
         path = self._normalize(path)
-        before = self.transport.stats.snapshot()
-        try:
-            data = self.transport.get(path, timeout=self._timeout())
-        finally:
-            self._note_request("get", 0, before)
+        data = self._request("get", self.transport.get, path)
         self._note_open(path)
         self._note_read(path, len(data))
         return data
 
-    def read_range(self, path: str, offset: int, length: int, actor: int = -1) -> bytes:
-        if offset < 0 or length < 0:
-            raise BackendError(f"negative offset/length ({offset}, {length})")
-        path = self._normalize(path)
-        before = self.transport.stats.snapshot()
-        try:
-            (data,) = self.transport.get_ranges(
-                path, [(int(offset), int(length))], timeout=self._timeout()
-            )
-        finally:
-            self._note_request("get_range", 0, before)
-        if len(data) != length:
-            raise BackendError(
-                f"short remote read from {path!r}: wanted {length} bytes at "
-                f"{offset}, got {len(data)}"
-            )
-        self._note_open(path)
-        self._note_read(path, length)
-        return data
-
-    def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
-        out = memoryview(view).cast("B")
-        data = self.read_range(path, offset, len(out), actor=actor)
-        out[:] = data
-        return len(out)
-
     def readv(self, path: str, segments, actor: int = -1) -> int:
         """One multi-range GET covering every segment (single request)."""
         path = self._normalize(path)
-        segs = [(int(off), memoryview(v).cast("B")) for off, v in segments]
+        segs = self._segments(segments)
         if not segs:
             return 0
-        before = self.transport.stats.snapshot()
-        try:
-            parts = self.transport.get_ranges(
-                path,
-                [(off, len(out)) for off, out in segs],
-                timeout=self._timeout(),
-            )
-        finally:
-            self._note_request("get_ranges", 0, before)
+        parts = self._request(
+            "get_ranges",
+            self.transport.get_ranges,
+            path,
+            [(off, len(out)) for off, out in segs],
+        )
         total = 0
         self._note_open(path)
         for (off, out), data in zip(segs, parts):
@@ -637,51 +613,30 @@ class RemoteBackend(FileBackend):
 
     def write_file(self, path: str, data: bytes, actor: int = -1) -> None:
         path = self._normalize(path)
-        before = self.transport.stats.snapshot()
-        try:
-            self.transport.put(path, data, timeout=self._timeout())
-        finally:
-            self._note_request("put", len(data), before)
+        self._request("put", self.transport.put, path, data, nbytes=len(data))
         self._note_open(path)
         self._note_write(path, len(data))
 
     def exists(self, path: str) -> bool:
         path = self._normalize(path)
-        before = self.transport.stats.snapshot()
-        try:
-            size = self.transport.head(path, timeout=self._timeout())
-        finally:
-            self._note_request("head", 0, before)
-        return size is not None
+        return self._request("head", self.transport.head, path) is not None
 
     def size(self, path: str) -> int:
         path = self._normalize(path)
-        before = self.transport.stats.snapshot()
-        try:
-            size = self.transport.head(path, timeout=self._timeout())
-        finally:
-            self._note_request("head", 0, before)
+        size = self._request("head", self.transport.head, path)
         if size is None:
             raise BackendError(f"stat {path!r}: no such remote object")
         return size
 
     def listdir(self, path: str) -> list[str]:
         path = self._normalize(path)
-        before = self.transport.stats.snapshot()
-        try:
-            return self.transport.list(path, timeout=self._timeout())
-        finally:
-            self._note_request("list", 0, before)
+        return self._request("list", self.transport.list, path)
 
     def delete(self, path: str, missing_ok: bool = False) -> None:
         path = self._normalize(path)
         if not missing_ok and not self.exists(path):
             raise BackendError(f"deleting {path!r}: no such remote object")
-        before = self.transport.stats.snapshot()
-        try:
-            self.transport.delete(path, timeout=self._timeout())
-        finally:
-            self._note_request("delete", 0, before)
+        self._request("delete", self.transport.delete, path)
 
     def __repr__(self) -> str:
         return f"RemoteBackend({self.transport!r})"

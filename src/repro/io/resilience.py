@@ -58,7 +58,7 @@ from repro.errors import (
     DeadlineExceededError,
     TransientBackendError,
 )
-from repro.io.backend import FileBackend
+from repro.io.backend import FileBackend, WrapperBackend
 from repro.obs.names import (
     BREAKER_FAST_FAILS,
     BREAKER_TRANSITIONS,
@@ -328,7 +328,7 @@ class Hedger:
 # -- the resilient wrapper ---------------------------------------------------
 
 
-class ResilientBackend(FileBackend):
+class ResilientBackend(WrapperBackend):
     """Deadline shedding, hedged reads, and circuit breaking over ``base``.
 
     Every operation runs the same guard pipeline: shed if the ambient
@@ -354,7 +354,7 @@ class ResilientBackend(FileBackend):
         hedge_workers: int = 4,
         clock=time.monotonic,
     ):
-        self.base = base
+        super().__init__(base)
         self.breaker = breaker if breaker is not None else CircuitBreaker(clock=clock)
         self.hedger = hedger
         self.retry = retry
@@ -366,16 +366,16 @@ class ResilientBackend(FileBackend):
         self.hedges_launched = 0
 
     def attach_recorder(self, recorder: Recorder | None) -> None:
-        self.recorder = recorder
+        super().attach_recorder(recorder)
         self.breaker.recorder = recorder
-        self.base.attach_recorder(recorder)
 
     def close(self) -> None:
-        """Shut down the hedging pool (idempotent)."""
+        """Shut down the hedging pool (idempotent), then close ``base``."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+        super().close()
 
     def _pool_get(self) -> ThreadPoolExecutor:
         with self._pool_lock:
@@ -467,35 +467,23 @@ class ResilientBackend(FileBackend):
         assert first_error is not None
         raise first_error
 
-    # -- reads (hedged) ------------------------------------------------------
+    # -- operations ----------------------------------------------------------
 
-    def read_file(self, path: str, actor: int = -1) -> bytes:
+    def _forward(self, op: str, path: str, *args, **kwargs):
+        """Every operation is guarded; of the forwarded ones only the
+        idempotent whole-object read is hedged."""
         path = self._normalize(path)
+        forward = super()._forward
         return self._guarded(
             path,
-            "read_file",
-            lambda: self.base.read_file(path, actor=actor),
-            hedge=True,
+            op,
+            lambda: forward(op, path, *args, **kwargs),
+            hedge=op == "read_file",
         )
-
-    def read_range(self, path: str, offset: int, length: int, actor: int = -1) -> bytes:
-        path = self._normalize(path)
-        return self._guarded(
-            path,
-            "read_range",
-            lambda: self.base.read_range(path, offset, length, actor=actor),
-            hedge=True,
-        )
-
-    def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
-        out = memoryview(view).cast("B")
-        data = self.read_range(path, offset, len(out), actor=actor)
-        out[:] = data
-        return len(out)
 
     def readv(self, path: str, segments, actor: int = -1) -> int:
         path = self._normalize(path)
-        segs = [(int(off), memoryview(v).cast("B")) for off, v in segments]
+        segs = self._segments(segments)
         if not segs:
             return 0
 
@@ -516,44 +504,6 @@ class ResilientBackend(FileBackend):
             out[:] = buf
             total += len(out)
         return total
-
-    # -- writes / metadata (guarded, not hedged) -----------------------------
-
-    def write_file(self, path: str, data: bytes, actor: int = -1) -> None:
-        path = self._normalize(path)
-        self._guarded(
-            path,
-            "write_file",
-            lambda: self.base.write_file(path, data, actor=actor),
-            hedge=False,
-        )
-
-    def exists(self, path: str) -> bool:
-        path = self._normalize(path)
-        return self._guarded(
-            path, "exists", lambda: self.base.exists(path), hedge=False
-        )
-
-    def size(self, path: str) -> int:
-        path = self._normalize(path)
-        return self._guarded(
-            path, "size", lambda: self.base.size(path), hedge=False
-        )
-
-    def listdir(self, path: str) -> list[str]:
-        path = self._normalize(path)
-        return self._guarded(
-            path, "listdir", lambda: self.base.listdir(path), hedge=False
-        )
-
-    def delete(self, path: str, missing_ok: bool = False) -> None:
-        path = self._normalize(path)
-        self._guarded(
-            path,
-            "delete",
-            lambda: self.base.delete(path, missing_ok=missing_ok),
-            hedge=False,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -56,57 +56,9 @@ class VirtualBackend(FileBackend):
         self._note_read(path, len(data))
         return data
 
-    def read_range(self, path: str, offset: int, length: int, actor: int = -1) -> bytes:
-        path = self._normalize(path)
-        if offset < 0 or length < 0:
-            raise BackendError(f"negative offset/length ({offset}, {length})")
-        with self._lock:
-            data = self._files.get(path)
-            if data is None:
-                raise BackendError(f"no such virtual file: {path!r}")
-            if offset + length > len(data):
-                raise BackendError(
-                    f"short read from {path!r}: wanted {length} bytes at {offset}, "
-                    f"file has {len(data)}"
-                )
-            self._log(IoOp("open", path, actor=actor))
-            self._log(IoOp("read", path, nbytes=length, offset=offset, actor=actor))
-        self._note_open(path)
-        self._note_read(path, length)
-        return data[offset : offset + length]
-
-    def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
-        path = self._normalize(path)
-        out = memoryview(view).cast("B")
-        length = len(out)
-        if offset < 0:
-            raise BackendError(f"negative offset/length ({offset}, {length})")
-        with self._lock:
-            data = self._files.get(path)
-            if data is None:
-                raise BackendError(f"no such virtual file: {path!r}")
-            if offset + length > len(data):
-                raise BackendError(
-                    f"short read from {path!r}: wanted {length} bytes at {offset}, "
-                    f"file has {len(data)}"
-                )
-            self._log(IoOp("open", path, actor=actor))
-            self._log(IoOp("read", path, nbytes=length, offset=offset, actor=actor))
-        self._note_open(path)
-        self._note_read(path, length)
-        out[:] = data[offset : offset + length]
-        return length
-
     def readv(self, path: str, segments, actor: int = -1) -> int:
         path = self._normalize(path)
-        segs = []
-        for offset, view in segments:
-            out = memoryview(view).cast("B")
-            if offset < 0:
-                raise BackendError(
-                    f"negative offset/length ({offset}, {len(out)})"
-                )
-            segs.append((offset, out))
+        segs = self._segments(segments)
         total = 0
         with self._lock:
             data = self._files.get(path)

@@ -145,7 +145,7 @@ CACHE_DISK_EVICT = "cache.disk_evict"
 # -- remote object store (see repro.io.remote) -------------------------------
 
 #: Requests issued to the remote transport, keyed by (op,):
-#: "get", "get_range", "get_ranges", "put", "head", "list", "delete".
+#: "get", "get_ranges", "put", "head", "list", "delete".
 REMOTE_REQUESTS = "remote.requests"
 #: Payload bytes moved over the transport, keyed by (op,).
 REMOTE_BYTES = "remote.bytes"

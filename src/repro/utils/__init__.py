@@ -1,4 +1,4 @@
-"""Small shared utilities: RNG handling, units, timers, and table printing."""
+"""Small shared utilities: RNG handling, units, phase timing, and table printing."""
 
 from repro.utils.rng import resolve_rng, spawn_rng
 from repro.utils.units import (
@@ -14,7 +14,7 @@ from repro.utils.units import (
     format_seconds,
     format_throughput,
 )
-from repro.utils.timing import Timer, TimeBreakdown
+from repro.utils.timing import TimeBreakdown
 from repro.utils.tables import Table
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "format_count",
     "format_seconds",
     "format_throughput",
-    "Timer",
     "TimeBreakdown",
     "Table",
 ]

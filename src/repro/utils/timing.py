@@ -1,9 +1,9 @@
-"""Wall-clock timers and phase breakdowns.
+"""Phase breakdowns.
 
 The paper's Figure 6 reports the split between "data aggregation" and
-"file I/O" time.  :class:`TimeBreakdown` accumulates named phases measured
-with :class:`Timer` (or recorded directly from the performance model) and can
-render the percentage split.
+"file I/O" time.  :class:`TimeBreakdown` accumulates named phases (measured
+in place or recorded directly from the performance model) and can render
+the percentage split.
 """
 
 from __future__ import annotations
@@ -12,42 +12,6 @@ import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-
-class Timer:
-    """A restartable wall-clock timer.
-
-    >>> t = Timer()
-    >>> with t:
-    ...     pass
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self.elapsed = 0.0
-        self._start: float | None = None
-
-    def start(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        if self._start is None:
-            raise RuntimeError("Timer.stop() called before start()")
-        self.elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self.elapsed
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._start = None
-
-    def __enter__(self) -> "Timer":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
 
 
 @dataclass

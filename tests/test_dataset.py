@@ -242,19 +242,19 @@ class TestCacheEpochGuard:
         inner.write_file("b.bin", b"0123456789")
         cache = CachingBackend(inner, max_bytes=1 << 20)
 
-        real_range = inner.read_range
+        real_readv = inner.readv
         raced = []
 
-        def racing_range(path, offset, length, actor=-1):
-            data = real_range(path, offset, length, actor)
+        def racing_readv(path, segments, actor=-1):
+            total = real_readv(path, segments, actor)
             if path == "b.bin" and not raced:
                 raced.append(True)
                 cache.write_file("b.bin", b"ABCDEFGHIJ")
-            return data
+            return total
 
-        inner.read_range = racing_range
+        inner.readv = racing_readv
         try:
             assert cache.read_range("b.bin", 2, 4) == b"2345"
             assert cache.read_range("b.bin", 2, 4) == b"CDEF"
         finally:
-            inner.read_range = real_range
+            inner.readv = real_readv

@@ -134,25 +134,18 @@ class TestFailingBackend:
             super().__init__()
             self.allowed = allowed_reads
 
-        def read_range(self, path, offset, length, actor=-1):
+        def _spend(self, path):
             if path.startswith("data/"):
                 if self.allowed <= 0:
                     raise BackendError("injected I/O failure")
                 self.allowed -= 1
-            return super().read_range(path, offset, length, actor)
 
         def read_file(self, path, actor=-1):
-            if path.startswith("data/"):
-                if self.allowed <= 0:
-                    raise BackendError("injected I/O failure")
-                self.allowed -= 1
+            self._spend(path)
             return super().read_file(path, actor)
 
         def readv(self, path, segments, actor=-1):
-            if path.startswith("data/"):
-                if self.allowed <= 0:
-                    raise BackendError("injected I/O failure")
-                self.allowed -= 1
+            self._spend(path)
             return super().readv(path, segments, actor)
 
     def test_mid_read_failure_propagates(self):

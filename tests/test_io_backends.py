@@ -1,9 +1,19 @@
-"""Storage backend tests (POSIX and virtual)."""
+"""Storage backend tests: the leaf backends, and the contract every
+backend and wrapper shares.
+
+The fault-plan seed is taken from ``REPRO_FAULT_SEED`` (default 0) so CI can
+sweep the wrapper contract over several deterministic fault schedules.
+"""
+
+import os
 
 import pytest
 
 from repro.errors import BackendError
 from repro.io import PosixBackend, VirtualBackend
+
+
+FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
 @pytest.fixture(params=["posix", "virtual"])
@@ -162,6 +172,212 @@ class TestPrefixRecorderForwarding:
         assert base.recorder is None and view.recorder is None
 
 
+def _full_stack(tmp_path, hedger=None):
+    from repro.io import SimulatedTransport, build_remote_stack
+
+    stack = build_remote_stack(
+        SimulatedTransport(VirtualBackend()),
+        disk_cache_dir=str(tmp_path / "stack-cache"),
+        hedger=hedger,
+    )
+    return stack, stack.base.base.base  # RAM -> disk -> resilient -> remote
+
+
+LEAVES = ("posix", "virtual", "remote")
+WRAPPERS = ("prefix", "fault", "caching", "diskcache", "resilient", "remote-stack")
+
+
+def _build(name, tmp_path):
+    """``(backend, leaf)``: the named backend and the innermost FileBackend
+    of its chain, where the I/O actually runs."""
+    from repro import io
+
+    if name == "remote-stack":
+        return _full_stack(tmp_path)
+    if name == "posix":
+        leaf = io.PosixBackend(tmp_path / "posix")
+    elif name == "remote":
+        leaf = io.RemoteBackend(io.SimulatedTransport(VirtualBackend()))
+    else:
+        leaf = VirtualBackend()
+    if name == "prefix":
+        return io.PrefixBackend(leaf, "step_0001"), leaf
+    if name == "fault":
+        return io.FaultInjectingBackend(leaf, io.FaultPlan(seed=FAULT_SEED)), leaf
+    if name == "caching":
+        return io.CachingBackend(leaf, 1 << 20), leaf
+    if name == "diskcache":
+        return io.DiskCacheBackend(leaf, tmp_path / "dcache", 1 << 20), leaf
+    if name == "resilient":
+        return io.ResilientBackend(leaf), leaf
+    return leaf, leaf
+
+
+SPELLINGS = ("read_range", "readinto", "readv")
+
+
+def _ranged(backend, spelling, path, offset, length):
+    """``length`` bytes at ``offset``, asked for in one of the three ways."""
+    if spelling == "read_range":
+        return backend.read_range(path, offset, length)
+    buf = bytearray(length)
+    if spelling == "readinto":
+        got = backend.readinto(path, offset, buf)
+    else:
+        got = backend.readv(path, [(offset, buf)])
+    assert got == length
+    return bytes(buf)
+
+
+def _clear_caches(backend):
+    """Empty every cache tier of a chain so the next read reaches the leaf."""
+    while backend is not None:
+        if hasattr(backend, "clear"):
+            backend.clear()
+        backend = getattr(backend, "base", None)
+
+
+class TestWrapperForwarding:
+    """What :class:`WrapperBackend` forwards is inherited, so no wrapper can
+    forget it: a recorder attached at the top reaches the leaf, where the
+    I/O runs (hand-forwarding had drifted: the fault injector dropped it),
+    and ``close`` reaches every layer that owns threads or handles."""
+
+    @pytest.mark.parametrize("name", WRAPPERS)
+    def test_recorder_attached_at_the_top_reaches_the_leaf(self, name, tmp_path):
+        from repro.obs.names import IO_BYTES_READ, IO_READS
+        from repro.obs.recorder import Recorder
+
+        backend, leaf = _build(name, tmp_path)
+        backend.write_file("data/f.bin", b"abcdef")
+        recorder = Recorder(rank=-1)
+        backend.attach_recorder(recorder)
+        assert leaf.recorder is recorder
+        assert backend.read_range("data/f.bin", 1, 4) == b"bcde"
+        assert recorder.total(IO_READS) == 1
+        assert recorder.total(IO_BYTES_READ) == 4
+        backend.attach_recorder(None)
+        assert leaf.recorder is None and backend.recorder is None
+
+    def test_closing_the_remote_stack_joins_the_hedging_pool(self, tmp_path):
+        import threading
+
+        from repro.io import Hedger
+
+        def hedge_threads():
+            return [
+                t
+                for t in threading.enumerate()
+                if t.name.startswith("repro-hedge") and t.is_alive()
+            ]
+
+        stack, _remote = _full_stack(tmp_path, Hedger())
+        stack.write_file("f", b"0123456789")
+        assert stack.read_range("f", 2, 3) == b"234"  # a hedged read: pool is up
+        assert hedge_threads()
+        stack.close()
+        assert hedge_threads() == []
+        assert stack.read_range("f", 4, 2) == b"45"  # still usable: pool refills
+        stack.close()
+
+
+class TestRangedReadContract:
+    """One ranged read: ``read_range`` and ``readinto`` are a one-segment
+    ``readv`` on every backend — same bytes, same counters, same op log,
+    same errors — because they are defined once, over it."""
+
+    DATA = bytes(range(256))
+
+    @pytest.fixture(params=LEAVES + WRAPPERS)
+    def pair(self, request, tmp_path):
+        backend, leaf = _build(request.param, tmp_path)
+        backend.write_file("d/f.bin", self.DATA)
+        return backend, leaf
+
+    def _observe(self, backend, leaf, spelling):
+        """(bytes, io.* counter deltas, leaf op log) of one cold ranged read."""
+        from repro.obs.recorder import Recorder
+
+        _clear_caches(backend)
+        if isinstance(leaf, VirtualBackend):
+            leaf.clear_ops()
+        recorder = Recorder(rank=-1)
+        backend.attach_recorder(recorder)
+        try:
+            got = _ranged(backend, spelling, "d/f.bin", 40, 24)
+        finally:
+            backend.attach_recorder(None)
+        counters = {
+            k: v for k, v in recorder.counters().items() if k[0].startswith("io.")
+        }
+        return got, counters, list(getattr(leaf, "ops", ()))
+
+    def test_three_spellings_one_read(self, pair):
+        backend, leaf = pair
+        backend.read_range("d/f.bin", 0, 1)  # pool the handle: equal footing
+        seen = [self._observe(backend, leaf, spelling) for spelling in SPELLINGS]
+        data, counters, _ops = seen[0]
+        assert data == self.DATA[40:64]
+        assert counters  # the read was counted somewhere
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_negative_offset_rejected(self, pair, spelling):
+        backend, _leaf = pair
+        with pytest.raises(BackendError, match=r"negative offset/length \(-1, 2\)"):
+            _ranged(backend, spelling, "d/f.bin", -1, 2)
+
+    def test_negative_length_rejected(self, pair):
+        backend, _leaf = pair
+        with pytest.raises(BackendError, match=r"negative offset/length \(0, -1\)"):
+            backend.read_range("d/f.bin", 0, -1)
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_read_past_eof_is_a_short_read_error(self, pair, spelling):
+        backend, _leaf = pair
+        with pytest.raises(
+            BackendError, match=r"short read from .*: wanted 10 bytes at 250"
+        ):
+            _ranged(backend, spelling, "d/f.bin", 250, 10)
+
+    def test_injected_bit_flip_lands_identically(self):
+        """A fault wrapper perturbs ``readv`` only, so a seeded flip hits the
+        same bit whichever spelling the reader used."""
+        from repro.io import FaultInjectingBackend, FaultPlan, FaultSpec
+
+        def flipped(spelling):
+            leaf = VirtualBackend()
+            leaf.write_file("f", self.DATA)
+            plan = FaultPlan((FaultSpec("bit_flip"),), seed=FAULT_SEED)
+            return _ranged(FaultInjectingBackend(leaf, plan), spelling, "f", 40, 24)
+
+        got = flipped("read_range")
+        assert got == flipped("readinto") == flipped("readv")
+        diff = int.from_bytes(got, "big") ^ int.from_bytes(self.DATA[40:64], "big")
+        assert bin(diff).count("1") == 1
+
+    def test_conveniences_are_defined_on_the_base_class_only(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro.io
+        from repro.io import FileBackend
+
+        offenders = []
+        for info in pkgutil.iter_modules(repro.io.__path__):
+            module = importlib.import_module(f"repro.io.{info.name}")
+            for _name, cls in inspect.getmembers(module, inspect.isclass):
+                if cls is FileBackend or not issubclass(cls, FileBackend):
+                    continue
+                offenders += [
+                    f"{cls.__name__}.{verb}"
+                    for verb in ("read_range", "readinto")
+                    if verb in vars(cls)
+                ]
+        assert offenders == []
+
+
 class TestPosixSpecific:
     def test_root_created(self, tmp_path):
         root = tmp_path / "deep" / "root"
@@ -194,11 +410,11 @@ class TestCachingBackendEpochs:
         class GatedBackend(VirtualBackend):
             """Snapshots the answer, then stalls until the writer lands."""
 
-            def read_range(self, path, offset, length, actor=-1):
-                data = super().read_range(path, offset, length, actor=actor)
+            def readv(self, path, segments, actor=-1):
+                total = super().readv(path, segments, actor=actor)
                 entered.set()
                 gate.wait(5.0)
-                return data
+                return total
 
         base = GatedBackend()
         base.write_file("f", b"old-old-old")

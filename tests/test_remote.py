@@ -201,11 +201,11 @@ class TestRemoteBackend:
         rec = Recorder(rank=-1)
         remote.attach_recorder(rec)
         remote.read_file("f")
-        remote.read_range("f", 0, 8)
-        remote.readv("f", [(0, bytearray(4))])
+        remote.read_range("f", 0, 8)  # a one-range readv: same label
+        remote.readv("f", [(0, bytearray(4)), (8, bytearray(4))])
         assert rec.value(REMOTE_REQUESTS, key=("get",)) == 1
-        assert rec.value(REMOTE_REQUESTS, key=("get_range",)) == 1
-        assert rec.value(REMOTE_REQUESTS, key=("get_ranges",)) == 1
+        assert rec.value(REMOTE_REQUESTS, key=("get_ranges",)) == 2
+        assert rec.total(REMOTE_REQUESTS) == 3
 
     def test_deadline_narrows_request_timeout(self):
         store = VirtualBackend()

@@ -10,7 +10,6 @@ from repro.utils import (
     MB,
     Table,
     TimeBreakdown,
-    Timer,
     format_bytes,
     format_count,
     format_seconds,
@@ -41,28 +40,6 @@ class TestUnits:
         assert format_count(32768) == "32Ki" or format_count(32768) == "32K"
         assert format_count(2_000_000) == "2M"
         assert format_count(3_000_000_000) == "3B"
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        first = t.elapsed
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed > first >= 0.009
-
-    def test_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
 
 
 class TestTimeBreakdown:
