@@ -13,6 +13,11 @@
 with its local particles and the shared domain decomposition.  Output files
 land in the given backend: ``data/file_<aggrank>.pbin`` per aggregator, plus
 ``spatial.meta`` and ``manifest.json`` from rank 0.
+
+Step 8 is a *gather*: only rank 0 reads the per-file records and checksum
+entries, so nothing is fanned back.  Likewise ``SpatialWriter.append`` has
+rank 0 alone resolve, read and parse the base generation; one small ``bcast``
+hands the other ranks the facts they validate against, or the typed error.
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ from repro.core.exchange import exchange_particles
 from repro.core.lod import chunk_cluster_order, order_for_heuristic
 from repro.domain.decomposition import PatchDecomposition
 from repro.domain.grid import CellGrid
-from repro.errors import BackendError, ConfigError, DataFileError
+from repro.errors import (
+    BackendError,
+    ConfigError,
+    DataFileError,
+    MPIError,
+    ReproError,
+)
 from repro.format.chunks import build_chunk_entry
 from repro.format.datafile import (
     compute_file_checksums,
@@ -142,12 +153,14 @@ class GenerationCommit:
 
     generation: int
     parent: int
-    #: The base generation's full table, carried forward verbatim.
+    #: The base generation's full table, carried forward verbatim.  Only
+    #: rank 0 merges, so an append leaves it empty on every other rank.
     base_records: tuple[MetadataRecord, ...]
-    #: The base generation's per-file checksum entries, carried forward.
+    #: The base generation's per-file checksum entries — rank 0 only, too.
     base_checksums: dict[str, dict]
     #: New partition box_ids are offset past every existing one so the
-    #: merged table stays unique.
+    #: merged table stays unique (held by every rank: aggregators number
+    #: their own records).
     box_id_offset: int
 
 
@@ -237,38 +250,65 @@ class SpatialWriter:
         dataset-wide facts the reader takes from one manifest).
         """
         cfg = self.config
-        # Resolution is deterministic (single concurrent writer is the
-        # contract, as with any non-chained write), so every rank resolves
-        # the same base without a collective.
-        resolved = resolve_generation(backend)
-        base_manifest, base_meta = load_generation(backend, resolved.generation)
-        if (base_manifest.lod_base, base_manifest.lod_scale) != (
-            cfg.lod_base,
-            cfg.lod_scale,
-        ):
-            raise ConfigError(
-                f"append LOD parameters ({cfg.lod_base}, {cfg.lod_scale}) do "
-                f"not match the base generation's "
-                f"({base_manifest.lod_base}, {base_manifest.lod_scale})"
-            )
-        if tuple(cfg.attr_index) != base_meta.attr_names:
-            raise ConfigError(
-                f"append attr_index {tuple(cfg.attr_index)} does not match "
-                f"the base generation's {base_meta.attr_names}"
-            )
-        if np.dtype(batch.dtype) != base_manifest.dtype:
-            raise ConfigError(
-                f"append dtype {batch.dtype} does not match the base "
-                f"generation's {base_manifest.dtype}"
-            )
+        # Only rank 0 merges the base forward, so only rank 0 loads it: one
+        # manifest parse per append, whatever the rank count.  The bcast
+        # carries what every rank validates against, or the typed error.
+        facts: tuple | ReproError | None = None
+        base_records: tuple[MetadataRecord, ...] = ()
+        base_checksums: dict[str, dict] = {}
+        if comm.rank == 0:
+            try:
+                resolved = resolve_generation(backend)
+                base_manifest, base_meta = load_generation(
+                    backend, resolved.generation, manifest=resolved.manifest
+                )
+                base_records = tuple(base_meta.records)
+                base_checksums = dict(base_manifest.checksums)
+                facts = (
+                    resolved.generation,
+                    base_manifest.lod_base,
+                    base_manifest.lod_scale,
+                    base_meta.attr_names,
+                    base_manifest.dtype,
+                    max((r.box_id for r in base_records), default=-1) + 1,
+                )
+            except ReproError as exc:
+                facts = exc
+        facts = comm.bcast(facts)
+        try:
+            if isinstance(facts, ReproError):
+                raise facts
+            parent, lod_base, lod_scale, attr_names, base_dtype, next_box_id = facts
+            if (lod_base, lod_scale) != (cfg.lod_base, cfg.lod_scale):
+                raise ConfigError(
+                    f"append LOD parameters ({cfg.lod_base}, {cfg.lod_scale}) do "
+                    f"not match the base generation's ({lod_base}, {lod_scale})"
+                )
+            if tuple(cfg.attr_index) != attr_names:
+                raise ConfigError(
+                    f"append attr_index {tuple(cfg.attr_index)} does not match "
+                    f"the base generation's {attr_names}"
+                )
+            if np.dtype(batch.dtype) != base_dtype:
+                raise ConfigError(
+                    f"append dtype {batch.dtype} does not match the base "
+                    f"generation's {base_dtype}"
+                )
+        except ReproError:
+            # Fail as one: raising poisons the world under peers still
+            # waiting for the bcast, so nobody raises before everybody holds
+            # the verdict — every rank then surfaces the typed error itself.
+            try:
+                comm.barrier()
+            except MPIError:
+                pass  # a faster peer is already out and raising the same
+            raise
         commit = GenerationCommit(
-            generation=resolved.generation + 1,
-            parent=resolved.generation,
-            base_records=tuple(base_meta.records),
-            base_checksums=dict(base_manifest.checksums),
-            box_id_offset=(
-                max((r.box_id for r in base_meta.records), default=-1) + 1
-            ),
+            generation=parent + 1,
+            parent=parent,
+            base_records=base_records,
+            base_checksums=base_checksums,
+            box_id_offset=next_box_id,
         )
         return self._write(comm, batch, decomp, backend, recorder, commit=commit)
 
@@ -492,8 +532,8 @@ class SpatialWriter:
             # Step 8 (commit phases 2+3): gather bounding boxes to rank 0,
             # write the spatial metadata, then the manifest as the marker.
             with rec.span(PHASE_METADATA):
-                gathered = comm.allgather((local_records, local_checksums))
-                if comm.rank == 0:
+                gathered = comm.gather((local_records, local_checksums))
+                if gathered is not None:
                     new_records = [r for recs, _sums in gathered for r in recs]
                     base_records = list(commit.base_records) if commit else []
                     records = sorted(

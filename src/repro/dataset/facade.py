@@ -171,9 +171,13 @@ class Dataset:
             if self._manifest is None or self._metadata is None:
                 with self.recorder.span(PHASE_METADATA, cat="read"):
                     resolved = self.resolution()
-                    self._manifest = Manifest.read(
-                        self.backend, resolved.manifest_path, actor=self.actor
-                    )
+                    # A chained dataset's manifest was parsed to validate
+                    # CURRENT; that parse is the load.
+                    self._manifest = resolved.manifest
+                    if self._manifest is None:
+                        self._manifest = Manifest.read(
+                            self.backend, resolved.manifest_path, actor=self.actor
+                        )
                     self._metadata = SpatialMetadata.read(
                         self.backend, resolved.meta_path, actor=self.actor
                     )

@@ -127,37 +127,49 @@ def build_chunk_entry(
     restarts at each so no chunk straddles a level boundary.  Bounds and
     attribute ranges are tight (computed from the actual particles), so
     pruning against them is exact for closed-box queries.
+
+    Computed on whole arrays — chunk starts from the boundaries, bounds and
+    attribute ranges with one ``reduceat`` each — and returned as plain
+    nested lists of ``int``/``float`` (one ``tolist`` per array), the exact
+    value ``json.loads`` gives back.
     """
     if chunk_size < 1:
         raise DataFileError(f"chunk_size must be >= 1, got {chunk_size}")
-    if not len(batch):
+    if not len(batch) or not len(boundaries):
         return []
-    positions = np.asarray(batch.positions, dtype=np.float64)
-    columns = {
-        name: np.asarray(batch.data[name], dtype=np.float64)
-        for name in attr_names
-    }
-    entry: list = []
-    seg_start = 0
-    for boundary in boundaries:
-        for start in range(seg_start, boundary, chunk_size):
-            end = min(start + chunk_size, boundary)
-            pos = positions[start:end]
-            entry.append(
-                [
-                    int(start),
-                    int(end - start),
-                    [float(v) for v in pos.min(axis=0)],
-                    [float(v) for v in pos.max(axis=0)],
-                    [
-                        [float(columns[n][start:end].min()),
-                         float(columns[n][start:end].max())]
-                        for n in attr_names
-                    ],
-                ]
-            )
-        seg_start = boundary
-    return entry
+    seg_ends = np.asarray(boundaries, dtype=np.int64)
+    seg_starts = np.concatenate(([0], seg_ends[:-1]))
+    per_seg = -(-(seg_ends - seg_starts) // chunk_size)
+    # Chunk k of a segment starts k * chunk_size past the segment's start;
+    # only a segment's last chunk can be short.
+    starts = np.repeat(seg_starts, per_seg) + chunk_size * concat_ranges(
+        np.zeros_like(per_seg), per_seg
+    )
+    counts = np.minimum(starts + chunk_size, np.repeat(seg_ends, per_seg)) - starts
+    total = int(seg_ends[-1])
+
+    def bounds(values) -> tuple[np.ndarray, np.ndarray]:
+        # ``(chunks, width)`` min and max: chunks tile [0, total), so each
+        # reduceat interval [starts[i], starts[i+1]) is exactly chunk i.
+        flat = np.asarray(values, dtype=np.float64)[:total].reshape(total, -1)
+        return (
+            np.minimum.reduceat(flat, starts, axis=0),
+            np.maximum.reduceat(flat, starts, axis=0),
+        )
+
+    lo, hi = bounds(batch.positions)
+    attrs = np.empty((len(starts), len(attr_names), 2), dtype=np.float64)
+    for k, name in enumerate(attr_names):
+        mins, maxs = bounds(batch.data[name])
+        attrs[:, k, 0] = mins.min(axis=1)
+        attrs[:, k, 1] = maxs.max(axis=1)
+    return [
+        list(chunk)
+        for chunk in zip(
+            starts.tolist(), counts.tolist(), lo.tolist(), hi.tolist(),
+            attrs.tolist(),
+        )
+    ]
 
 
 def chunks_from_entry(entry) -> tuple:

@@ -210,7 +210,8 @@ class RecoveryTrailer:
             "prefixes": [[c, crc] for c, crc in self.prefixes],
         }
         if self.chunks:
-            doc["chunks"] = chunks_to_entry(self.chunks)
+            # Canonical int/float tuples encode as chunks_to_entry's lists.
+            doc["chunks"] = self.chunks
         if self.gen:
             doc["gen"] = self.gen
         if self.codec is not None:
@@ -297,8 +298,14 @@ def read_recovery_trailer(
 # -- writing -------------------------------------------------------------------
 
 
+def _payload_view(batch: ParticleBatch) -> memoryview:
+    """``batch``'s records as flat bytes over the array's own buffer (no
+    copy when contiguous, as the writer's LOD-permuted batches are)."""
+    return memoryview(np.ascontiguousarray(batch.data).view(np.uint8))
+
+
 def build_data_blob(
-    payload: bytes,
+    payload: bytes | memoryview,
     itemsize: int,
     count: int,
     trailer: RecoveryTrailer | None = None,
@@ -319,10 +326,8 @@ def build_data_blob(
         raise DataFileError("columnar (v4) files require a recovery trailer")
     header = _HEADER.pack(DATA_MAGIC, version, itemsize, count)
     footer = _FOOTER.pack(FOOTER_MAGIC, zlib.crc32(payload, zlib.crc32(header)))
-    blob = header + payload + footer
-    if trailer is not None:
-        blob += trailer.to_bytes()
-    return blob
+    tail = trailer.to_bytes() if trailer is not None else b""
+    return b"".join((header, payload, footer, tail))  # the payload's one copy
 
 
 def write_data_file(
@@ -338,7 +343,9 @@ def write_data_file(
     (self-describing); without one it stays a plain v2 file, byte-identical
     to what earlier writers produced.
     """
-    blob = build_data_blob(batch.tobytes(), batch.dtype.itemsize, len(batch), trailer)
+    blob = build_data_blob(
+        _payload_view(batch), batch.dtype.itemsize, len(batch), trailer
+    )
     backend.write_file(path, blob, actor=actor)
     return len(blob)
 
@@ -1133,23 +1140,24 @@ def prefix_checksum_boundaries(count: int, base: int, scale: int) -> list[int]:
 
 
 def payload_prefix_checksums(
-    payload: bytes, itemsize: int, boundaries: list[int]
+    payload: bytes | memoryview, itemsize: int, boundaries: list[int]
 ) -> list[tuple[int, int]]:
     """``(count, CRC32 of payload[:count*itemsize])`` per boundary.
 
-    Computed incrementally — one pass over the payload regardless of how
-    many boundaries there are.
+    Computed incrementally over a ``memoryview`` — one pass, no slice
+    copies, regardless of how many boundaries there are.
     """
+    view = memoryview(payload)
     out: list[tuple[int, int]] = []
     crc, pos = 0, 0
     for b in boundaries:
         end = b * itemsize
-        if end > len(payload):
+        if end > view.nbytes:
             raise DataFileError(
                 f"checksum boundary {b} exceeds payload "
-                f"({len(payload) // max(itemsize, 1)} records)"
+                f"({view.nbytes // max(itemsize, 1)} records)"
             )
-        crc = zlib.crc32(payload[pos:end], crc)
+        crc = zlib.crc32(view[pos:end], crc)
         pos = end
         out.append((b, crc))
     return out
@@ -1162,10 +1170,13 @@ def compute_file_checksums(batch: ParticleBatch, base: int, scale: int) -> dict:
     ``prefixes`` holds ``[count, crc32]`` pairs at the per-file LOD
     boundaries of :func:`prefix_checksum_boundaries`.
     """
-    payload = batch.tobytes()
     boundaries = prefix_checksum_boundaries(len(batch), base, scale)
-    prefixes = payload_prefix_checksums(payload, batch.dtype.itemsize, boundaries)
+    prefixes = payload_prefix_checksums(
+        _payload_view(batch), batch.dtype.itemsize, boundaries
+    )
     return {
-        "payload_crc32": zlib.crc32(payload),
+        # The last boundary is the whole payload, so the CRC chain already
+        # ended on payload_crc32 (0 for the empty file: no boundaries).
+        "payload_crc32": prefixes[-1][1] if prefixes else 0,
         "prefixes": [[c, crc] for c, crc in prefixes],
     }

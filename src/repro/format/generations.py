@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import BackendError, FormatError
 from repro.format.manifest import MANIFEST_PATH, Manifest
@@ -170,10 +170,16 @@ def list_generations(backend: FileBackend) -> list[int]:
 
 
 def load_generation(
-    backend: FileBackend, gen: int, actor: int = -1
+    backend: FileBackend,
+    gen: int,
+    actor: int = -1,
+    manifest: Manifest | None = None,
 ) -> tuple[Manifest, SpatialMetadata]:
-    """Read one generation's manifest + table (format validation included)."""
-    manifest = Manifest.read(backend, generation_manifest_path(gen), actor=actor)
+    """Read one generation's manifest + table (format validation included);
+    given the ``manifest`` a :class:`ResolvedGeneration` carries, only the
+    table is read."""
+    if manifest is None:
+        manifest = Manifest.read(backend, generation_manifest_path(gen), actor=actor)
     metadata = SpatialMetadata.read(backend, generation_meta_path(gen), actor=actor)
     return manifest, metadata
 
@@ -219,6 +225,10 @@ class ResolvedGeneration:
     #: to the newest fully-verifiable generation.
     fallback: bool = False
     detail: str = ""
+    #: The manifest, when validating ``CURRENT`` had to parse it anyway —
+    #: :func:`load_generation` / ``Dataset.load`` reuse it instead of parsing
+    #: twice.  None for pins, classic generation-0 datasets and fallbacks.
+    manifest: Manifest | None = field(default=None, compare=False, repr=False)
 
     @property
     def manifest_path(self) -> str:
@@ -266,7 +276,9 @@ def resolve_generation(
             )
         return ResolvedGeneration(0)
     try:
-        Manifest.read(backend, generation_manifest_path(current), actor=actor)
+        manifest = Manifest.read(
+            backend, generation_manifest_path(current), actor=actor
+        )
     except FormatError as exc:
         return _fallback(
             backend,
@@ -274,4 +286,4 @@ def resolve_generation(
             f"unusable: {exc}",
             actor,
         )
-    return ResolvedGeneration(current)
+    return ResolvedGeneration(current, manifest=manifest)

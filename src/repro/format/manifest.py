@@ -6,6 +6,10 @@ scale ``S``, ordering heuristic, shuffle seed), and the writer configuration
 (partition factor, process grid, adaptivity) for provenance.  The spatial
 table lives separately in binary (``spatial.meta``) because readers on many
 ranks parse it on their hot path.
+
+The file is compact JSON with sorted keys.  Whitespace is not significant:
+readers go through ``json.loads``, so the indented manifests earlier
+writers produced parse to the same :class:`Manifest`.
 """
 
 from __future__ import annotations
@@ -123,7 +127,9 @@ class Manifest:
             # (repair's bit-identical rebuild guarantee depends on that).
             doc["generation"] = self.generation
             doc["parent"] = self.parent
-        return json.dumps(doc, indent=2, sort_keys=True)
+        # Compact separators keep json on its C encoder (any ``indent``
+        # forces the pure-Python one) — the manifest is O(chunks) floats.
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
