@@ -4,13 +4,28 @@
     python benchmarks/write_identity.py PARENT_CHECKOUT [CHANGE_CHECKOUT] [--seed N]
 
 Each side writes, with *its own* ``src/repro``, the e2e benchmark's fixtures
-from one seed — W as write + append + append (three generations), R and C at
-``--smoke`` size — and prints one line per file: SHA-256, byte size, path.
-Manifests are hashed after ``json.loads`` → canonical ``json.dumps`` (their
-whitespace is not part of the format; the raw size is still printed); every
-other file (data files, ``spatial*.meta``, ``CURRENT``) is hashed raw.  With
-two checkouts the listings are compared: exit 0 and ``IDENTICAL`` iff every
-hash matches.  CHANGE_CHECKOUT defaults to the checkout this file is in.
+from one seed — W as write + append + append (three generations), W again
+followed by ``compact_dataset`` (``Wc``), R and C at ``--smoke`` size — and
+prints one line per file: SHA-256, byte size, path.  Data files and
+``CURRENT`` are hashed raw.  What is compared for the metadata is its
+content, so the listing holds across the format change that moved the chunk
+index from the manifest into the spatial table:
+
+* a manifest is hashed after ``json.loads``, with any ``chunks`` key of its
+  checksum entries dropped and ``spatial_meta_crc32`` replaced by whether
+  it is the CRC32 of that side's own table (the table's bytes differ
+  between formats, its content is compared below), → canonical
+  ``json.dumps`` (whitespace is not part of the format; the raw size is
+  still printed);
+* a spatial table is hashed as its records' fields (box id, rank,
+  generation, count, bounds, attribute ranges), not its bytes;
+* each data file's chunk index gets its own line (``<table>#<data file>``),
+  hashed as its JSON list form — read from the table's section when the
+  record carries one, else from the committing manifest's ``chunks`` list.
+
+With two checkouts the listings are compared: exit 0 and ``IDENTICAL`` iff
+every hash matches.  CHANGE_CHECKOUT defaults to the checkout this file is
+in.
 """
 
 from __future__ import annotations
@@ -21,6 +36,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -48,22 +64,69 @@ def write_fixture(name: str, seed: int, root: Path) -> None:
     backend.close()
 
 
+def _sha(body: bytes) -> str:
+    return hashlib.sha256(body).hexdigest()
+
+
+def _canonical(value) -> bytes:
+    return json.dumps(value, sort_keys=True).encode()
+
+
+def table_lines(name: str, root: Path, path: Path, raw: bytes) -> list[str]:
+    """The record line and one chunk-index line per data file of a table."""
+    from repro.format.metadata import SpatialMetadata
+
+    manifest_name = path.name.replace("spatial", "manifest").replace(".meta", ".json")
+    manifest = json.loads((root / manifest_name).read_bytes())
+    meta = SpatialMetadata.from_bytes(raw)
+    records = [
+        [r.box_id, r.agg_rank, r.gen, r.particle_count, list(r.bounds.lo),
+         list(r.bounds.hi), sorted(r.attr_ranges.items())]
+        for r in meta.records
+    ]
+    rel = f"{name}/{path.relative_to(root)}"
+    lines = [f"{_sha(_canonical([meta.attr_names, records]))} {len(raw):>9} {rel}"]
+    for rec in meta.records:
+        if getattr(rec, "section", b""):
+            from repro.format.chunks import FileChunkIndex
+
+            chunks = FileChunkIndex.unpack(rec.section).to_entry()
+        else:
+            chunks = manifest["checksums"].get(rec.file_path, {}).get("chunks", [])
+        lines.append(f"{_sha(_canonical(chunks))} {len(chunks):>9} {rel}#{rec.file_path}")
+    return lines
+
+
 def listing(seed: int) -> list[str]:
-    """``sha256 size path`` for every file of W, smoke R and smoke C."""
+    """``sha256 size path`` for every file of W, compacted W, smoke R and C."""
+    from repro.core.compact import compact_dataset
+    from repro.io.posix import PosixBackend
+
     lines = []
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
-        for name in ("W", "R", "C"):
+        for name in ("W", "Wc", "R", "C"):
             root = Path(tmp) / name
-            write_fixture(name, seed, root)
+            write_fixture(name.rstrip("c"), seed, root)
+            if name == "Wc":
+                backend = PosixBackend(str(root))
+                compact_dataset(backend)
+                backend.close()
             for path in sorted(p for p in root.rglob("*") if p.is_file()):
                 raw = path.read_bytes()
                 body = raw
                 if path.suffix == ".json":
-                    body = json.dumps(json.loads(raw), sort_keys=True).encode()
-                lines.append(
-                    f"{hashlib.sha256(body).hexdigest()} {len(raw):>9} "
-                    f"{name}/{path.relative_to(root)}"
-                )
+                    doc = json.loads(raw)
+                    for entry in doc.get("checksums", {}).values():
+                        entry.pop("chunks", None)
+                    table = path.name.replace("manifest", "spatial").replace(".json", ".meta")
+                    doc["spatial_meta_crc32"] = doc.get("spatial_meta_crc32") == zlib.crc32(
+                        (root / table).read_bytes()
+                    )
+                    body = _canonical(doc)
+                elif path.suffix == ".meta":
+                    lines += table_lines(name, root, path, raw)
+                    continue
+                lines.append(f"{_sha(body)} {len(raw):>9} {name}/{path.relative_to(root)}")
     return lines
 
 

@@ -153,8 +153,8 @@ class GenerationCommit:
 
     generation: int
     parent: int
-    #: The base generation's full table, carried forward verbatim.  Only
-    #: rank 0 merges, so an append leaves it empty on every other rank.
+    #: The base generation's full table, chunk sections as read, carried
+    #: forward verbatim.  Only rank 0 merges, so it is empty elsewhere.
     base_records: tuple[MetadataRecord, ...]
     #: The base generation's per-file checksum entries — rank 0 only, too.
     base_checksums: dict[str, dict]
@@ -446,11 +446,12 @@ class SpatialWriter:
                     sums = compute_file_checksums(
                         agg_batch, cfg.lod_base, cfg.lod_scale
                     )
+                    index = None
                     if cfg.chunk_size and len(agg_batch):
                         # Sub-file spatial chunk index: per-chunk byte
                         # ranges + tight bounds, aligned to the same LOD
                         # boundaries the prefix checksums use.
-                        sums["chunks"] = build_chunk_entry(
+                        index = build_chunk_entry(
                             agg_batch,
                             cfg.chunk_size,
                             prefix_checksum_boundaries(
@@ -462,22 +463,15 @@ class SpatialWriter:
                     # payload into encoded per-attribute column segments.
                     # The prefix checksums above stay *logical* (row-payload
                     # CRCs at LOD boundaries) while payload_crc32 switches
-                    # to the stored encoded bytes, and the chunk entries
-                    # grow per-segment [offset, length, crc32] descriptors.
-                    columnar = (
-                        cfg.layout == "columnar"
-                        and bool(cfg.chunk_size)
-                        and len(agg_batch) > 0
-                    )
+                    # to the stored encoded bytes, and the chunk index
+                    # grows per-segment (offset, length, crc32) descriptors.
+                    columnar = cfg.layout == "columnar" and index is not None
                     payload = b""
                     if columnar:
                         payload, seg_lists = encode_columnar_payload(
-                            agg_batch, sums["chunks"], cfg.codec
+                            agg_batch, index, cfg.codec
                         )
-                        sums["chunks"] = [
-                            chunk + [segs]
-                            for chunk, segs in zip(sums["chunks"], seg_lists)
-                        ]
+                        index.segments = np.array(seg_lists, dtype=np.int64)
                         sums["payload_crc32"] = zlib.crc32(payload)
                         sums["codec"] = cfg.codec
                     record = MetadataRecord(
@@ -487,6 +481,7 @@ class SpatialWriter:
                         bounds=grid.partition_box(pid),
                         attr_ranges=self._attr_ranges(agg_batch),
                         gen=gen,
+                        section=index.to_section() if index is not None else b"",
                     )
                     # Format v3/v4: every data file carries a recovery
                     # trailer duplicating its metadata record + manifest
@@ -500,7 +495,7 @@ class SpatialWriter:
                         lod_seed=cfg.lod_seed,
                         payload_crc32=sums["payload_crc32"],
                         prefixes=sums["prefixes"],
-                        chunks=sums.get("chunks", ()),
+                        chunks=index.to_entry() if index is not None else (),
                         codec=cfg.codec if columnar else None,
                     )
                     if columnar:

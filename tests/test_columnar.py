@@ -140,13 +140,19 @@ def data_paths(ds: Dataset) -> list[str]:
     return [rec.file_path for rec in ds.metadata]
 
 
+def recorded_chunks(ds: Dataset, path: str) -> list:
+    """The chunk list ``path``'s spatial-table record carries, in its JSON
+    list form (segment triples included for columnar files)."""
+    rec = next(r for r in ds.metadata if r.file_path == path)
+    return FileChunkIndex.unpack(rec.section, path).to_entry()
+
+
 def corrupt_segment(backend, path, chunk_idx, column):
     """Flip one byte inside chunk ``chunk_idx``'s segment for ``column``;
     returns the particle count of the damaged chunk."""
     ds = Dataset(backend)
-    entry = ds.manifest.checksums[path]
     cols = [c.name for c in columnar_columns(ds.manifest.dtype)]
-    chunk = entry["chunks"][chunk_idx]
+    chunk = recorded_chunks(ds, path)[chunk_idx]
     off, ln, _crc = chunk[5][cols.index(column)]
     raw = bytearray(backend._files[path])
     raw[HEADER_BYTES + int(off) + int(ln) // 2] ^= 0x40
@@ -258,7 +264,7 @@ class TestV4OnDisk:
             assert entry["codec"] == "none"
             raw = col._files[path]
             end = 0
-            for chunk in entry["chunks"]:
+            for chunk in recorded_chunks(ds, path):
                 assert len(chunk) == 6 and len(chunk[5]) == ncols
                 for off, ln, crc in chunk[5]:
                     assert off == end  # ascending, densely packed
@@ -581,7 +587,10 @@ class RunFile:
         self.rec = ds.metadata.records[0]
         self.path = self.rec.file_path
         self.codec = codec
-        self.entry = ds.manifest.checksums[self.path]
+        self.entry = {
+            **ds.manifest.checksums[self.path],
+            "chunks": recorded_chunks(ds, self.path),
+        }
         self.chunks = chunks_from_entry(self.entry["chunks"])
         self.cols = columnar_columns(RUN_DTYPE)
 
