@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -950,7 +950,8 @@ class QueryEngine:
             payload = {
                 "backend": clone,
                 "dtype": self.dtype,
-                "rec": rec,
+                # The landed index travels below; its packed copy need not.
+                "rec": replace(rec, section=b""),
                 "count": count,
                 "runs": runs,
                 "strict": strict,
