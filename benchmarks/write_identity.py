@@ -6,22 +6,13 @@
 Each side writes, with *its own* ``src/repro``, the e2e benchmark's fixtures
 from one seed — W as write + append + append (three generations), W again
 followed by ``compact_dataset`` (``Wc``), R and C at ``--smoke`` size — and
-prints one line per file: SHA-256, byte size, path.  Data files and
-``CURRENT`` are hashed raw.  What is compared for the metadata is its
-content, so the listing holds across the format change that moved the chunk
-index from the manifest into the spatial table:
-
-* a manifest is hashed after ``json.loads``, with any ``chunks`` key of its
-  checksum entries dropped and ``spatial_meta_crc32`` replaced by whether
-  it is the CRC32 of that side's own table (the table's bytes differ
-  between formats, its content is compared below), → canonical
-  ``json.dumps`` (whitespace is not part of the format; the raw size is
-  still printed);
-* a spatial table is hashed as its records' fields (box id, rank,
-  generation, count, bounds, attribute ranges), not its bytes;
-* each data file's chunk index gets its own line (``<table>#<data file>``),
-  hashed as its JSON list form — read from the table's section when the
-  record carries one, else from the committing manifest's ``chunks`` list.
+prints one line per file: SHA-256, byte size, path.  Manifests, spatial
+tables and ``CURRENT`` are hashed raw.  A data file is hashed as header +
+payload + footer, and its recovery trailer gets its own line
+(``<data file>#trailer``), hashed as the facts it decodes to — record
+fields, chunk section, payload and prefix CRCs, codec, dtype descr, LOD
+parameters — so the listing holds across a change of the trailer's
+encoding.
 
 With two checkouts the listings are compared: exit 0 and ``IDENTICAL`` iff
 every hash matches.  CHANGE_CHECKOUT defaults to the checkout this file is
@@ -33,10 +24,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import struct
 import subprocess
 import sys
 import tempfile
-import zlib
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -72,29 +63,33 @@ def _canonical(value) -> bytes:
     return json.dumps(value, sort_keys=True).encode()
 
 
-def table_lines(name: str, root: Path, path: Path, raw: bytes) -> list[str]:
-    """The record line and one chunk-index line per data file of a table."""
-    from repro.format.metadata import SpatialMetadata
+def data_file_lines(rel: str, raw: bytes) -> list[str]:
+    """Header + payload + footer hashed raw, and the recovery trailer hashed
+    as its decoded facts (``RecoveryTrailer.record`` on one side of the
+    binary-trailer change, the same fields on the trailer itself on the
+    other)."""
+    from repro.format.datafile import extract_recovery_trailer
 
-    manifest_name = path.name.replace("spatial", "manifest").replace(".meta", ".json")
-    manifest = json.loads((root / manifest_name).read_bytes())
-    meta = SpatialMetadata.from_bytes(raw)
-    records = [
-        [r.box_id, r.agg_rank, r.gen, r.particle_count, list(r.bounds.lo),
-         list(r.bounds.hi), sorted(r.attr_ranges.items())]
-        for r in meta.records
+    if struct.unpack_from("<I", raw, 8)[0] < 3:
+        return [f"{_sha(raw)} {len(raw):>9} {rel}"]
+    body_len = struct.unpack("<4sII", raw[-12:])[1]
+    image = raw[: len(raw) - 12 - body_len]
+    t = extract_recovery_trailer(raw, rel)
+    rec = getattr(t, "record", t)
+    attrs = rec.attr_ranges
+    if not isinstance(attrs, dict):
+        attrs = {n: (lo, hi) for n, lo, hi in attrs}
+    facts = [
+        rec.box_id, rec.agg_rank, rec.gen, rec.particle_count,
+        list(rec.bounds.lo), list(rec.bounds.hi), list(attrs.items()),
+        hashlib.sha256(rec.section).hexdigest(),
+        t.payload_crc32, [list(p) for p in t.prefixes], t.codec, t.dtype_descr,
+        [t.lod_base, t.lod_scale, t.lod_heuristic, t.lod_seed],
     ]
-    rel = f"{name}/{path.relative_to(root)}"
-    lines = [f"{_sha(_canonical([meta.attr_names, records]))} {len(raw):>9} {rel}"]
-    for rec in meta.records:
-        if getattr(rec, "section", b""):
-            from repro.format.chunks import FileChunkIndex
-
-            chunks = FileChunkIndex.unpack(rec.section).to_entry()
-        else:
-            chunks = manifest["checksums"].get(rec.file_path, {}).get("chunks", [])
-        lines.append(f"{_sha(_canonical(chunks))} {len(chunks):>9} {rel}#{rec.file_path}")
-    return lines
+    return [
+        f"{_sha(image)} {len(image):>9} {rel}",
+        f"{_sha(_canonical(facts))} {len(raw) - len(image):>9} {rel}#trailer",
+    ]
 
 
 def listing(seed: int) -> list[str]:
@@ -112,21 +107,11 @@ def listing(seed: int) -> list[str]:
                 compact_dataset(backend)
                 backend.close()
             for path in sorted(p for p in root.rglob("*") if p.is_file()):
-                raw = path.read_bytes()
-                body = raw
-                if path.suffix == ".json":
-                    doc = json.loads(raw)
-                    for entry in doc.get("checksums", {}).values():
-                        entry.pop("chunks", None)
-                    table = path.name.replace("manifest", "spatial").replace(".json", ".meta")
-                    doc["spatial_meta_crc32"] = doc.get("spatial_meta_crc32") == zlib.crc32(
-                        (root / table).read_bytes()
-                    )
-                    body = _canonical(doc)
-                elif path.suffix == ".meta":
-                    lines += table_lines(name, root, path, raw)
-                    continue
-                lines.append(f"{_sha(body)} {len(raw):>9} {name}/{path.relative_to(root)}")
+                raw, rel = path.read_bytes(), f"{name}/{path.relative_to(root)}"
+                if path.suffix == ".pbin":
+                    lines += data_file_lines(rel, raw)
+                else:
+                    lines.append(f"{_sha(raw)} {len(raw):>9} {rel}")
     return lines
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.format.datafile import data_file_name, write_data_file
+from repro.format.datafile import write_data_file
 from repro.format.manifest import Manifest
+from repro.format.metadata import data_file_name
 from repro.io.backend import FileBackend
 from repro.mpi.comm import SimComm
 from repro.obs.names import PHASE_FILE_IO, PHASE_METADATA

@@ -19,8 +19,9 @@ import numpy as np
 
 from repro.baselines.fpp import BaselineWriteResult
 from repro.errors import ConfigError
-from repro.format.datafile import data_file_name, write_data_file
+from repro.format.datafile import write_data_file
 from repro.format.manifest import Manifest
+from repro.format.metadata import data_file_name
 from repro.io.backend import FileBackend
 from repro.mpi.comm import SimComm
 from repro.obs.names import PHASE_AGGREGATION, PHASE_FILE_IO, PHASE_METADATA

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.scrub import QUARANTINE_DIR, ScrubReport
+from repro.core.scrub import QUARANTINE_DIR, ScrubReport, verify_columnar
 from repro.dataset import Dataset, as_dataset
 from repro.errors import (
     BackendError,
@@ -71,7 +71,7 @@ from repro.format.generations import (
     resolve_generation,
     write_current,
 )
-from repro.format.chunks import FileChunkIndex, build_chunk_entry, pack_chunks
+from repro.format.chunks import FileChunkIndex, build_chunk_entry
 from repro.format.datafile import (
     DATA_VERSION_COLUMNAR,
     FOOTER_BYTES,
@@ -84,7 +84,6 @@ from repro.format.datafile import (
     parse_data_header,
     payload_prefix_checksums,
     prefix_checksum_boundaries,
-    scan_columnar_segments,
     verify_data_footer,
 )
 from repro.format.manifest import (
@@ -97,8 +96,6 @@ from repro.format.metadata import (
     META_PATH,
     MetadataRecord,
     SpatialMetadata,
-    record_from_trailer,
-    trailer_for_record,
 )
 from repro.io.backend import FileBackend
 from repro.obs.names import (
@@ -349,31 +346,15 @@ def _inspect_file(
     st.status = "valid"
 
     if st.version >= 3:
-        try:
-            st.trailer = extract_recovery_trailer(raw, path)
-        except (ChecksumError, DataFileError) as exc:
-            st.trailer_detail = str(exc)
-        else:
-            if st.trailer.particle_count != st.header_count:
-                st.trailer_detail = (
-                    f"trailer says {st.trailer.particle_count} particles, "
-                    f"header says {st.header_count}"
-                )
-                st.trailer = None
+        _load_trailer(st, raw)
 
     if lod is None and st.trailer is not None:
         lod = (st.trailer.lod_base, st.trailer.lod_scale)
-    if dtype is None and st.trailer is not None:
+    if dtype is None:
         # The dtype is a dataset-wide fact the trailer carries too; without
         # it the chunk index below cannot be recomputed and a healthy
         # trailer would spuriously "disagree" with a chunkless entry.
-        try:
-            dtype = descr_to_dtype(st.trailer.dtype_descr)
-        except FormatError:
-            dtype = None
-        else:
-            if dtype.itemsize != st.rec_size:
-                dtype = None
+        dtype = _trailer_dtype(st)
     if lod is not None:
         boundaries = prefix_checksum_boundaries(st.header_count, *lod)
         prefixes = payload_prefix_checksums(payload, st.rec_size, boundaries)
@@ -389,7 +370,7 @@ def _inspect_file(
         chunk_size = _donor_chunk_size(entry, st.trailer) or chunk_size_hint
         if chunk_size and dtype is not None and st.header_count:
             if attr_names is None and st.trailer is not None:
-                attr_names = tuple(n for n, _lo, _hi in st.trailer.attr_ranges)
+                attr_names = st.trailer.attr_names
             from repro.particles.batch import ParticleBatch
 
             st.actual_entry["section"] = build_chunk_entry(
@@ -399,6 +380,35 @@ def _inspect_file(
                 tuple(attr_names or ()),
             ).to_section()
     return st
+
+
+def _load_trailer(st: _FileState, raw: bytes) -> None:
+    """Set ``st.trailer`` from the file image's recovery trailer, or record
+    in ``st.trailer_detail`` why it is unusable."""
+    try:
+        trailer = extract_recovery_trailer(raw, st.path)
+    except (ChecksumError, DataFileError) as exc:
+        st.trailer_detail = str(exc)
+        return
+    if trailer.record.particle_count != st.header_count:
+        st.trailer_detail = (
+            f"trailer says {trailer.record.particle_count} particles, "
+            f"header says {st.header_count}"
+        )
+        return
+    st.trailer = trailer
+
+
+def _trailer_dtype(st: _FileState):
+    """The dataset dtype as ``st``'s trailer records it, when it parses and
+    matches the header's record size; else None."""
+    if st.trailer is None:
+        return None
+    try:
+        dtype = descr_to_dtype(st.trailer.dtype_descr)
+    except FormatError:
+        return None
+    return dtype if dtype.itemsize == st.rec_size else None
 
 
 def _inspect_columnar(
@@ -411,35 +421,22 @@ def _inspect_columnar(
 ) -> _FileState:
     """Classify a columnar (v4) file from its raw bytes.
 
-    Verification runs at *segment* granularity: segment descriptors come
-    from the recovery trailer (or the table section when the trailer is
-    damaged), every segment is CRC-checked, and a file with damaged or
-    missing tail segments is treated as torn — salvage keeps whole leading
-    chunks up to the longest LOD boundary whose decoded logical prefix
-    still verifies.  A valid file gets a recomputed v4 checksum entry
-    (encoded-payload CRC, logical prefix CRCs, segment-bearing chunks,
-    codec).
+    Verification runs at *segment* granularity against the first recorded
+    copy of the chunk index (the trailer's, then the table's) under which
+    the file verifies (:func:`~repro.core.scrub.verify_columnar`), and a
+    file with damaged or missing tail segments is treated as torn — salvage
+    keeps whole leading chunks up to the longest LOD boundary whose decoded
+    logical prefix still verifies.  A valid file gets a recomputed v4
+    checksum entry (encoded-payload CRC, logical prefix CRCs, segment-bearing
+    section, codec).
     """
-    path = st.path
-    try:
-        st.trailer = extract_recovery_trailer(raw, path)
-    except (ChecksumError, DataFileError) as exc:
-        st.trailer_detail = str(exc)
-    else:
-        if st.trailer.particle_count != st.header_count:
-            st.trailer_detail = (
-                f"trailer says {st.trailer.particle_count} particles, "
-                f"header says {st.header_count}"
-            )
-            st.trailer = None
-    chunks: tuple | list = ()
-    codec: str | None = None
-    if st.trailer is not None and st.trailer.chunks:
-        chunks, codec = st.trailer.chunks, st.trailer.codec or "none"
-    elif entry and entry.get("section"):
-        chunks = FileChunkIndex.unpack(entry["section"]).to_entry()
-        codec = str(entry.get("codec") or "none")
-    if not chunks or any(len(c) < 6 for c in chunks):
+    _load_trailer(st, raw)
+    copies = []
+    if st.trailer is not None:
+        copies.append((st.trailer.record.section, st.trailer.codec))
+    if entry and entry.get("section"):
+        copies.append((entry["section"], entry.get("codec")))
+    if not any(section for section, _codec in copies):
         if entry is None:
             # Nothing ever recorded this file (aborted-write orphan cut
             # before its trailer): torn with nothing salvageable, so it
@@ -457,15 +454,8 @@ def _inspect_columnar(
             "(recovery trailer and table section both lost)"
         )
         return st
-    st.codec = codec
-    if dtype is None and st.trailer is not None:
-        try:
-            dtype = descr_to_dtype(st.trailer.dtype_descr)
-        except FormatError:
-            dtype = None
-        else:
-            if dtype.itemsize != st.rec_size:
-                dtype = None
+    if dtype is None:
+        dtype = _trailer_dtype(st)
     if dtype is None:
         st.status = "corrupt"
         st.detail = (
@@ -475,68 +465,47 @@ def _inspect_columnar(
         return st
     if lod is None and st.trailer is not None:
         lod = (st.trailer.lod_base, st.trailer.lod_scale)
-    try:
-        enc_len = columnar_payload_length(chunks)
-    except DataFileError as exc:
-        st.status, st.detail = "corrupt", str(exc)
-        return st
-    expected = HEADER_BYTES + enc_len + FOOTER_BYTES
-    bad = scan_columnar_segments(raw, chunks, dtype)
-    if len(raw) < expected or bad:
-        st.status = "torn"
-        if len(raw) < expected:
-            st.detail = (
-                f"expected {expected} bytes for {st.header_count} "
-                f"particles, found {len(raw)}"
-            )
+    check = verify_columnar(raw, copies, st.header_count, dtype, st.path)
+    st.codec = check.codec
+    if check.rows is None:
+        if check.index is not None and check.code in ("data-truncated", "segment-checksum"):
+            st.status = "torn"
+            st.detail = check.details[0]
+            if check.code == "segment-checksum":
+                st.detail = (
+                    f"{len(check.details)} damaged column segment(s); "
+                    f"first: {check.details[0]}"
+                )
+            _find_columnar_salvage(st, raw, entry, dtype, check.index, check.codec)
         else:
-            st.detail = (
-                f"{len(bad)} damaged column segment(s); first: {bad[0][2]}"
-            )
-        _find_columnar_salvage(st, raw, entry, dtype, chunks, codec)
-        return st
-    try:
-        verify_data_footer(raw[:expected], path)
-    except ChecksumError as exc:
-        st.status, st.detail = "corrupt", str(exc)
-        return st
-    payload = raw[HEADER_BYTES : HEADER_BYTES + enc_len]
-    try:
-        arr = decode_columnar_payload(payload, chunks, codec, dtype, path)
-    except (ChecksumError, DataFileError) as exc:
-        st.status, st.detail = "corrupt", str(exc)
-        return st
-    if len(arr) != st.header_count:
-        st.status = "corrupt"
-        st.detail = (
-            f"chunk index covers {len(arr)} particles, header says "
-            f"{st.header_count}"
-        )
+            st.status, st.detail = "corrupt", check.details[0]
         return st
     st.status = "valid"
-    st.payload_crc32 = zlib.crc32(payload)
+    st.payload_crc32 = zlib.crc32(raw[HEADER_BYTES : HEADER_BYTES + check.enc_len])
     if lod is None:
         return st
     boundaries = prefix_checksum_boundaries(st.header_count, *lod)
     prefixes = payload_prefix_checksums(
-        np.ascontiguousarray(arr).tobytes(), st.rec_size, boundaries
+        np.ascontiguousarray(check.rows).tobytes(), st.rec_size, boundaries
     )
     st.actual_entry = {
         "payload_crc32": st.payload_crc32,
         "prefixes": [[c, crc] for c, crc in prefixes],
-        "codec": codec,
+        "codec": check.codec,
     }
     if attr_names is None and st.trailer is not None:
-        attr_names = tuple(n for n, _lo, _hi in st.trailer.attr_ranges)
+        attr_names = st.trailer.attr_names
     # Regraft the chunk geometry from the decoded payload (the truth) and
     # keep the verified stored segment descriptors — same partition, so
     # they line up one-to-one.  A geometry whose partition no longer
-    # matches keeps the stored entry wholesale (it verified byte-level).
+    # matches keeps the stored index wholesale (it verified byte-level).
     from repro.particles.batch import ParticleBatch
 
-    stored = FileChunkIndex.parse_entry(chunks, path)
+    stored = check.index
+    assert stored is not None  # a verified file verified against an index
     geo = build_chunk_entry(
-        ParticleBatch(arr), int(stored.counts.max()), boundaries, tuple(attr_names or ())
+        ParticleBatch(check.rows), int(stored.counts.max()), boundaries,
+        tuple(attr_names or ()),
     )
     if np.array_equal(geo.starts, stored.starts) and np.array_equal(
         geo.counts, stored.counts
@@ -552,7 +521,7 @@ def _find_columnar_salvage(
     raw: bytes,
     entry: dict | None,
     dtype,
-    chunks: tuple,
+    index: FileChunkIndex,
     codec: str,
 ) -> None:
     """Salvage for a torn/segment-damaged v4 file: keep whole leading
@@ -568,19 +537,14 @@ def _find_columnar_salvage(
         return
     payload = raw[HEADER_BYTES:]
     parts = []
-    good = 0
-    for chunk in chunks:
-        if len(chunk) < 6 or int(chunk[0]) != good:
-            break
-        solo = (0, int(chunk[1])) + tuple(chunk[2:])
+    for k in range(len(index)):
         try:
-            rows = decode_columnar_payload(
-                payload, (solo,), codec, dtype, st.path
+            parts.append(
+                decode_columnar_payload(payload, index[k : k + 1], codec, dtype, st.path)
             )
         except (ChecksumError, DataFileError):
             break
-        parts.append(rows)
-        good += int(chunk[1])
+    good = int(index.counts[: len(parts)].sum())
     if not good:
         return
     logical = np.concatenate(parts).tobytes()
@@ -598,24 +562,14 @@ def _find_columnar_salvage(
             break
         kept = count
         prefixes.append([count, crc])
-    if not kept:
-        return
-    k, covered = 0, 0
-    for chunk in chunks:
-        if covered >= kept:
-            break
-        covered += int(chunk[1])
-        k += 1
-    if covered != kept:
-        return  # boundary not chunk-aligned; refuse to guess
-    kept_chunks = chunks[:k]
-    enc_end = max(
-        int(off) + int(ln) for c in kept_chunks for off, ln, _crc in c[5]
-    )
+    ends = np.cumsum(index.counts)
+    k = int(np.searchsorted(ends, kept)) + 1
+    if not kept or ends[k - 1] != kept:
+        return  # nothing verifies, or a boundary not chunk-aligned
     st.salvage_count = kept
-    st.salvage_crc = zlib.crc32(payload[:enc_end])
+    st.salvage_crc = zlib.crc32(payload[: columnar_payload_length(index[:k])])
     st.salvage_prefixes = prefixes
-    st.keep_section = pack_chunks(kept_chunks)
+    st.keep_section = index[:k].to_section()
 
 
 def _find_salvage_prefix(st: _FileState, raw: bytes, entry: dict | None) -> None:
@@ -715,7 +669,7 @@ def _donor_chunk_size(entry: dict | None, trailer: RecoveryTrailer | None) -> in
     or every recorded copy is damaged."""
     sections = [entry.get("section", b"") if entry else b""]
     if trailer is not None:
-        sections.append(trailer.section)
+        sections.append(trailer.record.section)
     for section in sections:
         try:
             index = FileChunkIndex.unpack(section)
@@ -970,7 +924,7 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
     if second_pass:
         donor_attrs = known_attrs
         if donor_attrs is None and donor is not None:
-            donor_attrs = tuple(n for n, _lo, _hi in donor.attr_ranges)
+            donor_attrs = donor.attr_names
         chunk_hint = 0
         for p in inspect_paths:
             chunk_hint = _donor_chunk_size(
@@ -1008,18 +962,16 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
         records.append(record)
 
     def want_trailer(record: MetadataRecord, entry: dict) -> RecoveryTrailer:
-        section = entry.get("section")
-        return trailer_for_record(
-            record,
+        return RecoveryTrailer(
+            replace(record, section=entry.get("section", b"")),
+            payload_crc32=int(entry["payload_crc32"]),
+            prefixes=tuple((int(c), int(crc)) for c, crc in entry["prefixes"]),
+            codec=entry.get("codec"),
             dtype_descr=descr,
             lod_base=lod_params[0],
             lod_scale=lod_params[1],
             lod_heuristic=lod_params[2],
             lod_seed=lod_params[3],
-            payload_crc32=entry["payload_crc32"],
-            prefixes=entry["prefixes"],
-            chunks=FileChunkIndex.unpack(section).to_entry() if section else (),
-            codec=entry.get("codec"),
         )
 
     for path in ordered_paths:
@@ -1120,20 +1072,20 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
                     lost=st.header_count,
                 )
                 continue
-            record = record_from_trailer(st.trailer)
+            record = st.trailer.record
             if record.file_path != path:
                 add(
                     ACTION_QUARANTINE,
                     path,
-                    f"trailer names aggregator {st.trailer.agg_rank} "
+                    f"trailer names aggregator {record.agg_rank} "
                     f"({record.file_path}), contradicting its own path",
                     lost=st.header_count,
                 )
                 continue
             adopted += 1
         elif st.header_count != ref.particle_count:
-            if st.trailer is not None and st.trailer.agg_rank == ref.agg_rank:
-                record = record_from_trailer(st.trailer)
+            if st.trailer is not None and st.trailer.record.agg_rank == ref.agg_rank:
+                record = st.trailer.record
                 add(
                     ACTION_REBUILD_ENTRY,
                     path,
@@ -1204,7 +1156,7 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
             sorted(records, key=lambda r: r.box_id),
             attr_names=metadata.attr_names
             if metadata is not None
-            else tuple(name for name, _lo, _hi in donor.attr_ranges),
+            else donor.attr_names,
         )
     except MetadataError as exc:
         # Refuse to act on a plan whose end state would not even validate
@@ -1369,8 +1321,10 @@ def _rewrite_file(
     segment descriptors (encoded bytes, not ``count * rec_size``)."""
     raw = bytes(ds.retry.call(ds.backend.read_file, path, recorder=rec))
     if trailer.codec is not None:
+        section = trailer.record.section
         enc_len = (
-            columnar_payload_length(trailer.chunks) if trailer.chunks else 0
+            columnar_payload_length(FileChunkIndex.unpack(section, path))
+            if section else 0
         )
         payload = raw[HEADER_BYTES : HEADER_BYTES + enc_len]
         blob = build_data_blob(

@@ -47,7 +47,9 @@ ran the scrub.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.dataset import Dataset, as_dataset
 from repro.errors import (
@@ -335,19 +337,88 @@ def _scrub_chain(
     return target
 
 
-def _section_index(rec) -> FileChunkIndex | None:
-    """``rec``'s table section, unvalidated; None if it does not frame."""
-    try:
-        return FileChunkIndex.unpack(rec.section)
-    except DataFileError:
-        return None
+@dataclass
+class ColumnarCheck:
+    """What verifying a columnar (v4) file image against its recorded chunk
+    index established (see :func:`verify_columnar`)."""
+
+    #: The index the verdict is against: the copy that verified, else the
+    #: first that validated (salvage works from it); None if none did.
+    index: FileChunkIndex | None = None
+    codec: str = "none"
+    #: The decoded logical rows — set iff the file verified.
+    rows: np.ndarray | None = None
+    #: Stored (encoded) payload byte length under ``index``.
+    enc_len: int = 0
+    #: Scrub issue code and details of the failure (empty when verified).
+    code: str = ""
+    details: list[str] = field(default_factory=list)
+
+
+def verify_columnar(raw: bytes, copies, count: int, dtype, path: str) -> ColumnarCheck:
+    """Verify a v4 file image against the first recorded copy of its chunk
+    index under which it verifies.
+
+    ``copies`` are ``(section, codec)`` pairs, most trusted first — the
+    trailer's and the table's.  Either may lie while CRC-valid, and a lying
+    copy must cost a repairable index issue, not a verdict on the payload;
+    so the payload is condemned (first copy's failure) only when no copy
+    verifies it.  Damage is pinpointed at *segment* granularity.
+    """
+    first: ColumnarCheck | None = None
+    for section, codec in copies:
+        if not section and count:
+            continue
+        check = ColumnarCheck(codec=codec or "none")
+        try:
+            index = FileChunkIndex.empty()
+            if section:
+                index = FileChunkIndex.unpack(section, path).validated(count, path, codec)
+        except DataFileError as exc:
+            check.code, check.details = "data-corrupt", [str(exc)]
+            first = first or check
+            continue
+        check.index = index
+        check.enc_len = columnar_payload_length(index) if len(index) else 0
+        expected = HEADER_BYTES + check.enc_len + FOOTER_BYTES
+        bad = scan_columnar_segments(raw, index, dtype)
+        if len(raw) < expected:
+            check.code = "data-truncated"
+            check.details = [
+                f"expected {expected} bytes for {count} particles, found {len(raw)}"
+            ]
+        elif bad:
+            check.code, check.details = "segment-checksum", [d for _c, _n, d in bad]
+        else:
+            try:
+                verify_data_footer(raw[:expected], path)
+            except ChecksumError as exc:
+                check.code, check.details = "data-checksum", [str(exc)]
+            else:
+                try:
+                    check.rows = decode_columnar_payload(
+                        raw[HEADER_BYTES : HEADER_BYTES + check.enc_len],
+                        index, check.codec, dtype, path,
+                    )
+                    return check
+                except (ChecksumError, DataFileError) as exc:
+                    check.code, check.details = "data-corrupt", [str(exc)]
+        if first is None or first.index is None:
+            first = check
+    return first or ColumnarCheck(
+        code="data-corrupt",
+        details=[
+            "columnar file has no usable segment descriptors "
+            "(recovery trailer and table section both lost)"
+        ],
+    )
 
 
 def _chunk_section_error(
-    section, batch, manifest: Manifest, attr_names, path: str, verified: bytes
+    section, batch, manifest: Manifest, attr_names, path: str, verified=None
 ) -> str | None:
     """Why a table record's chunk section disagrees with the decoded payload
-    (or, columnar, with the ``verified`` section the segment scan used).
+    (or, columnar, with the ``verified`` segment table the scan used).
 
     Structural validation first (framing, tiling, shapes), then an exact
     recompute: the chunk grid is fully determined by the LOD boundaries and the chunk
@@ -376,7 +447,7 @@ def _chunk_section_error(
             "recorded chunk bounds/ranges disagree with the payload "
             f"({len(recorded)} chunks, size {chunk_size})"
         )
-    if verified and section != verified:
+    if verified is not None and not np.array_equal(recorded.segments, verified):
         return "recorded column segments disagree with the file's verified ones"
     return None
 
@@ -417,83 +488,29 @@ def _scrub_data_file(
 
     recorded = manifest.checksums.get(path)
     stored_payload_crc: int | None = None
-    chunks: tuple | list = ()  # columnar: the descriptors the segment scan verified
-    verified = b""  # ... as a packed section
+    verified = None  # columnar: the segment table the scan verified
     if version >= DATA_VERSION_COLUMNAR:
-        # v4: verify at *segment* granularity first, so damage is pinpointed
-        # to one chunk/column instead of "the file's CRC is wrong".  The
-        # segment descriptors come from the recovery trailer (self-describing
-        # path) or, when the trailer is damaged, from the table's section —
-        # the bottom-of-function trailer checks still flag the damage.
         try:
             raw = backend.read_file(path)
         except BackendError as exc:
             report.add(path, "data-unreadable", str(exc))
             return report
-        codec = "none"
+        copies = []
         try:
             trailer = extract_recovery_trailer(raw, path)
-            chunks, codec = trailer.chunks, trailer.codec or "none"
-            verified = trailer.section
+            copies.append((trailer.record.section, trailer.codec))
         except (ChecksumError, DataFileError):
             pass  # reported by the shared trailer checks below
-        index = _section_index(rec) if not chunks and recorded else None
-        if index is not None:
-            chunks, verified = index.to_entry(), rec.section
-            codec = str(recorded.get("codec") or "none")
-        if header_count and not chunks:
-            report.add(
-                path,
-                "data-corrupt",
-                "columnar file has no usable segment descriptors "
-                "(recovery trailer and table section both lost)",
-            )
+        if recorded is not None:
+            copies.append((rec.section, recorded.get("codec")))
+        check = verify_columnar(raw, copies, header_count, manifest.dtype, path)
+        if check.rows is None:
+            for detail in check.details:
+                report.add(path, check.code, detail)
             return report
-        try:
-            enc_len = columnar_payload_length(chunks) if chunks else 0
-        except DataFileError as exc:
-            report.add(path, "data-corrupt", str(exc))
-            return report
-        expected_len = HEADER_BYTES + enc_len + FOOTER_BYTES
-        if len(raw) < expected_len:
-            report.add(
-                path,
-                "data-truncated",
-                f"expected {expected_len} bytes for {header_count} "
-                f"particles, found {len(raw)}",
-            )
-            return report
-        bad = scan_columnar_segments(raw, chunks, manifest.dtype)
-        if bad:
-            for _ci, _col, detail in bad:
-                report.add(path, "segment-checksum", detail)
-            return report
-        try:
-            verify_data_footer(raw[:expected_len], path)
-        except ChecksumError as exc:
-            report.add(path, "data-checksum", str(exc))
-            return report
-        try:
-            arr = decode_columnar_payload(
-                raw[HEADER_BYTES : HEADER_BYTES + enc_len],
-                chunks,
-                codec,
-                manifest.dtype,
-                path,
-            )
-        except (ChecksumError, DataFileError) as exc:
-            report.add(path, "data-corrupt", str(exc))
-            return report
-        if len(arr) != header_count:
-            report.add(
-                path,
-                "data-corrupt",
-                f"chunk index covers {len(arr)} particles, header says "
-                f"{header_count}",
-            )
-            return report
-        batch = ParticleBatch(arr)
-        stored_payload_crc = zlib.crc32(raw[HEADER_BYTES : HEADER_BYTES + enc_len])
+        batch = ParticleBatch(check.rows)
+        verified = check.index.segments
+        stored_payload_crc = zlib.crc32(raw[HEADER_BYTES : HEADER_BYTES + check.enc_len])
     else:
         try:
             batch = read_data_file(backend, path, manifest.dtype)
@@ -556,26 +573,14 @@ def _scrub_data_file(
         except (BackendError, ChecksumError, DataFileError) as exc:
             report.add(path, "trailer-damaged", str(exc), repairable=True)
         else:
-            if (
-                trailer.box_id != rec.box_id
-                or trailer.agg_rank != rec.agg_rank
-                or trailer.particle_count != rec.particle_count
-            ):
+            record = trailer.record
+            if not rec.section:  # a table without sections records no index
+                record = replace(record, section=b"")
+            if record != rec:
                 report.add(
                     path,
                     "trailer-mismatch",
-                    "recovery trailer disagrees with spatial.meta "
-                    f"(box {trailer.box_id}/rank {trailer.agg_rank}/"
-                    f"count {trailer.particle_count} vs box {rec.box_id}/"
-                    f"rank {rec.agg_rank}/count {rec.particle_count})",
-                    repairable=True,
-                )
-            elif _section_index(rec) is not None and rec.section != trailer.section:
-                report.add(
-                    path,
-                    "trailer-mismatch",
-                    "recovery trailer chunk index disagrees with the "
-                    "table's",
+                    "recovery trailer's record disagrees with spatial.meta's",
                     repairable=True,
                 )
             elif recorded is not None and trailer.codec != recorded.get("codec"):

@@ -44,8 +44,8 @@ from repro.errors import (
 )
 from repro.format.chunks import build_chunk_entry
 from repro.format.datafile import (
+    RecoveryTrailer,
     compute_file_checksums,
-    data_file_name,
     encode_columnar_payload,
     prefix_checksum_boundaries,
     write_columnar_data_file,
@@ -65,7 +65,7 @@ from repro.format.metadata import (
     META_PATH,
     MetadataRecord,
     SpatialMetadata,
-    trailer_for_record,
+    data_file_name,
 )
 from repro.io.backend import FileBackend
 from repro.io.retry import RetryPolicy
@@ -468,10 +468,9 @@ class SpatialWriter:
                     columnar = cfg.layout == "columnar" and index is not None
                     payload = b""
                     if columnar:
-                        payload, seg_lists = encode_columnar_payload(
+                        payload, index.segments = encode_columnar_payload(
                             agg_batch, index, cfg.codec
                         )
-                        index.segments = np.array(seg_lists, dtype=np.int64)
                         sums["payload_crc32"] = zlib.crc32(payload)
                         sums["codec"] = cfg.codec
                     record = MetadataRecord(
@@ -484,19 +483,19 @@ class SpatialWriter:
                         section=index.to_section() if index is not None else b"",
                     )
                     # Format v3/v4: every data file carries a recovery
-                    # trailer duplicating its metadata record + manifest
-                    # checksum entry, so the dataset survives losing both.
-                    trailer = trailer_for_record(
+                    # trailer holding its metadata record (the same packed
+                    # section) + manifest checksum entry, so the dataset
+                    # survives losing both.
+                    trailer = RecoveryTrailer(
                         record,
+                        payload_crc32=sums["payload_crc32"],
+                        prefixes=tuple(map(tuple, sums["prefixes"])),
+                        codec=cfg.codec if columnar else None,
                         dtype_descr=dtype_to_descr(agg_batch.dtype),
                         lod_base=cfg.lod_base,
                         lod_scale=cfg.lod_scale,
                         lod_heuristic=cfg.lod_heuristic,
                         lod_seed=cfg.lod_seed,
-                        payload_crc32=sums["payload_crc32"],
-                        prefixes=sums["prefixes"],
-                        chunks=index.to_entry() if index is not None else (),
-                        codec=cfg.codec if columnar else None,
                     )
                     if columnar:
                         result.bytes_written += self.retry.call(

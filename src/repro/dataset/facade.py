@@ -334,19 +334,17 @@ class Dataset:
                 from repro.format.datafile import read_recovery_trailer
 
                 codec = self.manifest.checksums.get(path, {}).get("codec")
-                attrs = tuple(self.metadata.attr_names)
                 index = None
                 try:
-                    if rec.section:
-                        index = FileChunkIndex.unpack(rec.section, path).validated(
-                            rec.particle_count, path, codec, attrs
-                        )
-                    elif codec is not None:
-                        trailer = self.retry.call(
+                    section = rec.section
+                    if not section and codec is not None:
+                        section = self.retry.call(
                             read_recovery_trailer, self.backend, path, actor=self.actor
-                        )
-                        index = FileChunkIndex.from_entry(
-                            trailer.chunks, rec.particle_count, path, codec, attrs
+                        ).record.section
+                    if section:
+                        index = FileChunkIndex.unpack(section, path).validated(
+                            rec.particle_count, path, codec,
+                            tuple(self.metadata.attr_names),
                         )
                 except FormatError:
                     index = None

@@ -20,7 +20,6 @@ from repro.format.datafile import (
     DATA_VERSION,
     RecoveryTrailer,
     compute_file_checksums,
-    data_file_name,
     prefix_checksum_boundaries,
     read_data_file,
     read_data_prefix,
@@ -32,8 +31,7 @@ from repro.format.metadata import (
     META_VERSION,
     MetadataRecord,
     SpatialMetadata,
-    record_from_trailer,
-    trailer_for_record,
+    data_file_name,
 )
 from repro.format.manifest import Manifest
 
@@ -52,7 +50,5 @@ __all__ = [
     "prefix_checksum_boundaries",
     "MetadataRecord",
     "SpatialMetadata",
-    "record_from_trailer",
-    "trailer_for_record",
     "Manifest",
 ]

@@ -11,21 +11,19 @@ never straddle a per-file LOD level boundary (the boundaries of
 :func:`repro.format.datafile.prefix_checksum_boundaries`), so any prefix of
 the chunk list is still a valid description of an LOD prefix.
 
-The index is serialised twice, like every other per-file fact: as a packed
-little-endian section of the file's record in the binary spatial table
-(:meth:`FileChunkIndex.to_section`; the dataset-level copy, committed by the
-manifest's ``spatial_meta_crc32``) and as JSON inside the v3 recovery
-trailer.  The JSON form of one chunk is::
-
-    [start, count, [lo_x, lo_y, lo_z], [hi_x, hi_y, hi_z],
-     [[min, max], ...indexed attrs, in attr_index order]]
-
-with ``start``/``count`` in particles from the head of the payload.  Chunks
-are stored in payload order and must tile the file exactly (``start`` 0,
-contiguous, summing to the particle count) — both constructors,
-:meth:`FileChunkIndex.unpack` and :meth:`FileChunkIndex.parse_entry`, are
-validated by one shared check before a reader prunes against it.  Scrub
-and repair compare the two copies as packed sections (:func:`pack_chunks`).
+The index has one serialised form, a packed little-endian section
+(:meth:`FileChunkIndex.to_section`), stored twice like every other per-file
+fact: in the file's record of the binary spatial table (the dataset-level
+copy, committed by the manifest's ``spatial_meta_crc32``) and, byte for
+byte the same, in the record the file's recovery trailer carries.  Each
+chunk holds ``start``/``count`` in particles from the head of the payload,
+its tight bounds, its (min, max) per indexed attribute, and for columnar
+files one ``(offset, length, crc32)`` descriptor per column segment.
+Chunks are stored in payload order and must tile the file exactly
+(``start`` 0, contiguous, summing to the particle count) — checked by
+:meth:`FileChunkIndex.validated` before a reader prunes against it.  Scrub
+and repair compare the two copies as bytes.  The text chunk lists files
+carried before the packed section are read by :mod:`repro.format.legacy`.
 
 Query-time pruning is a single numpy broadcast: a chunk can contain a
 particle of a *closed* box query (``lo <= p <= hi``, the reader's exact
@@ -47,10 +45,8 @@ from repro.errors import DataFileError
 
 __all__ = [
     "build_chunk_entry",
-    "chunks_from_entry",
     "concat_ranges",
     "FileChunkIndex",
-    "pack_chunks",
     "Runs",
 ]
 
@@ -138,8 +134,7 @@ def build_chunk_entry(
     Computed on whole arrays — chunk starts from the boundaries, bounds and
     attribute ranges with one ``reduceat`` each.  The result is unvalidated
     (it tiles by construction); :meth:`FileChunkIndex.to_section` packs it
-    for the table and :meth:`FileChunkIndex.to_entry` gives the trailer's
-    JSON list form.
+    once, for the table record and the trailer alike.
     """
     if chunk_size < 1:
         raise DataFileError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -177,45 +172,6 @@ def build_chunk_entry(
     )
 
 
-def chunks_from_entry(entry) -> tuple:
-    """Parse the JSON ``chunks`` list into the canonical tuple form the
-    :class:`~repro.format.datafile.RecoveryTrailer` carries (hashable,
-    comparable field-by-field).
-
-    Columnar (format v4) chunks carry a sixth element — the per-column
-    segment descriptors ``[[offset, encoded_length, crc32], ...]`` — which
-    round-trips as a nested tuple; five-element row-format chunks parse to
-    five-element tuples, keeping pre-v4 trailers byte-identical.
-    """
-    out: list[tuple] = []
-    try:
-        for item in entry:
-            start, count, lo, hi, attrs = item[0], item[1], item[2], item[3], item[4]
-            chunk = (
-                int(start),
-                int(count),
-                tuple(float(v) for v in lo),
-                tuple(float(v) for v in hi),
-                tuple((float(mn), float(mx)) for mn, mx in attrs),
-            )
-            if len(item) > 5:
-                chunk = chunk + (
-                    tuple(
-                        (int(off), int(ln), int(crc))
-                        for off, ln, crc in item[5]
-                    ),
-                )
-            out.append(chunk)
-        return tuple(out)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise DataFileError(f"malformed chunk index entry: {exc}") from exc
-
-
-def pack_chunks(chunks) -> bytes:
-    """The table section (the writer's bytes) for a ``chunks`` list."""
-    return FileChunkIndex.parse_entry(chunks).to_section() if chunks else b""
-
-
 #: A packed section: ``u64 chunks | u32 attrs | u32 columns``, then one array
 #: per field: starts, counts, lo, hi, attr (min, max) pairs, segment triples.
 _SECTION_HEADER = struct.Struct("<QII")
@@ -228,10 +184,10 @@ class FileChunkIndex:
     ``starts``/``counts`` are int64 ``(N,)``; ``lo``/``hi`` are float64
     ``(N, 3)`` tight chunk bounds; ``attr_ranges`` float64 ``(N, attrs,
     2)`` or None; ``segments`` int64 ``(N, columns, 3)`` or None.  Landed
-    once per file from the table's packed section (:meth:`unpack`) or a
-    trailer's JSON list (:meth:`parse_entry`), checked by one validator
-    (:meth:`validated`), and memoized on the :class:`~repro.dataset.Dataset`
-    facade, so per-query pruning is pure numpy broadcasting.
+    once per file from a packed section (:meth:`unpack`), checked by one
+    validator (:meth:`validated`), and memoized on the
+    :class:`~repro.dataset.Dataset` facade, so per-query pruning is pure
+    numpy broadcasting.
     """
 
     __slots__ = (
@@ -274,6 +230,16 @@ class FileChunkIndex:
     def __len__(self) -> int:
         return len(self.starts)
 
+    def __getitem__(self, sel: slice) -> "FileChunkIndex":
+        """The chunks ``sel`` selects, as an index of their own."""
+        attrs, segs = self.attr_ranges, self.segments
+        return FileChunkIndex(
+            self.starts[sel], self.counts[sel], self.lo[sel], self.hi[sel],
+            None if attrs is None else attrs[sel],
+            None if segs is None else segs[sel],
+            self.codec, self.attr_names,
+        )
+
     @property
     def segment_table(self) -> np.ndarray:
         """``segments``, or an error for a row-layout index: a run read
@@ -286,7 +252,7 @@ class FileChunkIndex:
     def total_particles(self) -> int:
         return int(self.counts.sum()) if len(self.counts) else 0
 
-    # -- the two serialised forms --------------------------------------------
+    # -- the packed section ---------------------------------------------------
 
     def _widths(self) -> tuple[np.ndarray, np.ndarray]:
         """``attr_ranges``/``segments`` with absent ones as 0-wide arrays."""
@@ -295,16 +261,6 @@ class FileChunkIndex:
             np.empty((n, 0, 2)) if attrs is None else attrs,
             np.empty((n, 0, 3), dtype=np.int64) if segs is None else segs,
         )
-
-    def to_entry(self) -> list:
-        """The JSON ``chunks`` list (the trailer body's form): ``[start,
-        count, lo, hi, [[min, max], ...]]`` plus the segment triples for
-        columnar files, built with one ``tolist`` per array."""
-        attrs, segs = self._widths()
-        cols = [a.tolist() for a in (self.starts, self.counts, self.lo, self.hi, attrs)]
-        if self.segments is not None:
-            cols.append(segs.tolist())
-        return [list(chunk) for chunk in zip(*cols)]
 
     def to_section(self) -> bytes:
         """The packed little-endian section the spatial table stores: the
@@ -349,45 +305,6 @@ class FileChunkIndex:
         )
 
     @classmethod
-    def parse_entry(cls, entry, path: str = "<chunk index>") -> "FileChunkIndex":
-        """The JSON (or canonical tuple) ``chunks`` list as arrays,
-        transposed with one ``zip`` — shapes checked, contents *not*
-        validated (see :meth:`unpack`)."""
-        try:
-            widths = set(map(len, entry))
-        except TypeError as exc:
-            raise DataFileError(f"malformed chunk index entry: {exc}") from exc
-        if len(widths) > 1:
-            raise DataFileError(
-                f"{path}: chunk index mixes segment-bearing and bare chunks"
-            )
-        if not widths:
-            return cls.empty()
-
-        def column(values, dtype) -> np.ndarray:
-            arr = np.array(values)
-            if arr.size and arr.dtype.kind not in "iuf":
-                raise TypeError(f"non-numeric {arr.dtype} values")
-            return arr.astype(dtype)
-
-        try:
-            starts, counts, lo, hi, attrs, *segs = zip(*entry)
-            index = cls(
-                column(starts, np.int64), column(counts, np.int64),
-                column(lo, np.float64), column(hi, np.float64),
-            )
-            attr_ranges = column(attrs, np.float64)
-            segments = column(segs[0] if segs else (), np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataFileError(f"malformed chunk index entry: {exc}") from exc
-        for arr, width in ((attr_ranges, 2), (segments, 3)):
-            if arr.size and (arr.ndim != 3 or arr.shape[::2] != (len(index), width)):
-                raise DataFileError(f"{path}: chunk index per-chunk lists are ragged")
-        index.attr_ranges = attr_ranges if attr_ranges.size else None
-        index.segments = segments if segments.size else None
-        return index
-
-    @classmethod
     def from_entry(
         cls,
         entry,
@@ -396,9 +313,12 @@ class FileChunkIndex:
         codec: str | None = None,
         attr_names: tuple[str, ...] = (),
     ) -> "FileChunkIndex":
-        """Parse and validate one JSON ``chunks`` entry (see
-        :meth:`validated`)."""
-        return cls.parse_entry(entry, path).validated(
+        """Parse and validate one ``chunks`` list of the text form files
+        and manifests carried before table sections (see
+        :mod:`repro.format.legacy`)."""
+        from repro.format.legacy import index_from_chunk_list
+
+        return index_from_chunk_list(entry, path).validated(
             particle_count, path, codec, attr_names
         )
 

@@ -20,18 +20,23 @@ checks (magic, version, record size, byte length).
 **Version 3** appends a self-describing *recovery trailer* after the CRC
 footer (see :class:`RecoveryTrailer`)::
 
-    ...     ...   JSON trailer body (utf-8)
-    -12     4     trailer magic b"RCVT"
+    ...     ...   trailer body (binary, see RecoveryTrailer.to_bytes)
+    -12     4     trailer magic b"RCVB"
     -8      4     trailer body length (u32)
     -4      4     CRC32 of the trailer body (u32)
 
 The trailer redundantly carries everything the dataset-level metadata knows
-about this one file — box id, aggregator rank, bounding box, per-attribute
-ranges, dtype descr, LOD parameters, and the file's payload/prefix
-checksums — so a dataset whose ``spatial.meta``/``manifest.json`` are lost
+about this one file — its ``spatial.meta`` record (box id, aggregator rank,
+bounding box, per-attribute ranges, chunk section), encoded by the table's
+own record encoder so its section equals the table's byte for byte; the
+file's payload/prefix checksums and codec; the dtype descr and LOD
+parameters — so a dataset whose spatial table and manifest are lost
 can be rebuilt purely from surviving data files (:mod:`repro.core.repair`).
 It sits entirely past the footer: the version gate lets v3 length checks
-tolerate the extra tail, and v1/v2 files simply have none.
+tolerate the extra tail, and v1/v2 files simply have none.  The tail magic
+names the body's encoding: files written before the binary trailer end in
+``RCVT`` and a text body, decoded by :mod:`repro.format.legacy` into the
+same :class:`RecoveryTrailer`.
 
 **Version 4** keeps the same header/footer/trailer framing but stores the
 payload *column-oriented*: for each spatial chunk (the sub-file chunk index
@@ -39,13 +44,13 @@ of :mod:`repro.format.chunks`), one contiguous *segment* per attribute
 column — ``x``, ``y``, ``z``, then every other dtype field — each passed
 through a named codec (:mod:`repro.format.codecs`) before storage.  The
 header's record size still records the *logical* row itemsize (the dtype
-guard), while the chunk entries grow a sixth element holding per-segment
-``[offset, encoded_length, crc32]`` descriptors (offsets relative to the
-payload start).  The footer CRC and ``payload_crc32`` cover the *stored*
-(encoded) payload; the per-LOD prefix checksums keep covering the *logical*
-row payload, so LOD salvage semantics carry over unchanged.  A v4 file is
-self-describing through its trailer (chunk geometry + segment table +
-codec name), honouring the same recovery contract as v3.
+guard), while the chunk index grows an ``(offset, encoded_length, crc32)``
+descriptor per segment (offsets relative to the payload start).  The footer
+CRC and ``payload_crc32`` cover the *stored* (encoded) payload; the per-LOD
+prefix checksums keep covering the *logical* row payload, so LOD salvage
+semantics carry over unchanged.  A v4 file is self-describing through its
+trailer (chunk geometry + segment table + codec name), honouring the same
+recovery contract as v3.
 
 The header stores only the record *size*; the full dtype lives in the
 dataset manifest.  Keeping it in both places lets a reader detect a manifest
@@ -60,23 +65,22 @@ scrubber verifies all of them.
 
 from __future__ import annotations
 
-import json
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from repro.domain.box import Box
 from repro.errors import DataChecksumError, DataFileError
-from repro.format.chunks import (
-    Runs,
-    chunks_from_entry,
-    concat_ranges,
-    pack_chunks,
-)
+from repro.format.chunks import FileChunkIndex, Runs, concat_ranges
 from repro.format.codecs import get_codec
+from repro.format.metadata import (
+    MetadataRecord,
+    pack_names,
+    pack_record,
+    unpack_names,
+    unpack_record,
+)
 from repro.io.backend import FileBackend
 from repro.particles.batch import ParticleBatch
 
@@ -94,185 +98,222 @@ FOOTER_MAGIC = b"FCRC"
 _FOOTER = struct.Struct("<4sI")
 FOOTER_BYTES = _FOOTER.size
 
-TRAILER_MAGIC = b"RCVT"
+TRAILER_MAGIC = b"RCVB"
+#: Tail magic of the self-describing text trailers files carried before the
+#: binary one (decoded by :mod:`repro.format.legacy`).
+LEGACY_TRAILER_MAGIC = b"RCVT"
 _TRAILER_FOOTER = struct.Struct("<4sII")
 TRAILER_FOOTER_BYTES = _TRAILER_FOOTER.size
+_U32 = struct.Struct("<I")
+#: ``payload_crc32 | num_prefixes | lod_base | lod_scale``
+_FACTS = struct.Struct("<IIQQ")
+_PREFIX = struct.Struct("<QI")
+#: How deep structured fields may nest in a trailer's dtype descr.
+_MAX_DESCR_DEPTH = 8
 
 #: Versions this reader understands.
 SUPPORTED_DATA_VERSIONS = (1, 2, 3, 4)
 
 
-def data_file_name(agg_rank: int, gen: int = 0) -> str:
-    """Data files are named from the aggregator's rank, as in Fig. 4
-    ("Agg rank is used to derive the name of the data file").
-
-    Generation-chained datasets (append/compaction) namespace the file per
-    generation — ``data/gN_file_R.pbin`` — so no committed byte is ever
-    overwritten in place; generation 0 keeps the classic name.
-    """
-    if agg_rank < 0:
-        raise DataFileError(f"aggregator rank must be >= 0, got {agg_rank}")
-    if gen < 0:
-        raise DataFileError(f"generation must be >= 0, got {gen}")
-    if gen == 0:
-        return f"data/file_{agg_rank}.pbin"
-    return f"data/g{gen}_file_{agg_rank}.pbin"
-
-
-# -- the recovery trailer (format v3) ------------------------------------------
+# -- the recovery trailer --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class RecoveryTrailer:
-    """The self-describing tail of a v3 data file.
+    """The self-describing tail of a v3/v4 data file.
 
     One trailer carries every fact about its file that otherwise lives only
-    in the dataset-level ``spatial.meta`` record and ``manifest.json``
+    in the dataset-level ``spatial.meta`` record and the manifest's
     checksum entry, making the file recoverable without either:
 
-    * spatial facts — ``box_id``, ``agg_rank``, ``particle_count``, the
-      partition bounding box, and the indexed per-attribute ranges (an
-      *ordered* list, so the metadata table's attribute order survives);
+    * ``record`` — the file's table record, chunk section included, encoded
+      by the table's own :func:`~repro.format.metadata.pack_record`;
+    * the manifest entry — ``payload_crc32``, the per-LOD ``prefixes`` and
+      the columnar ``codec`` (None for row files);
     * dataset facts — the particle ``dtype_descr`` and the LOD parameters,
-      identical across all files of one dataset;
-    * integrity facts — the payload CRC32 and the per-LOD prefix checksums
-      (the manifest's per-file entry, verbatim).
+      identical across all files of one dataset.
 
-    Serialised as a compact JSON body followed by a 12-byte checksummed
-    tail (``RCVT`` magic | body length | body CRC32), appended *after* the
-    data footer so it is invisible to plain payload reads.
+    Serialised as a little-endian body followed by a 12-byte checksummed
+    tail (magic | body length | body CRC32), appended *after* the data
+    footer so it is invisible to plain payload reads.
     """
 
-    box_id: int
-    agg_rank: int
-    particle_count: int
-    bounds_lo: tuple[float, float, float]
-    bounds_hi: tuple[float, float, float]
-    #: ``(name, min, max)`` per indexed attribute, in metadata-table order.
-    attr_ranges: tuple[tuple[str, float, float], ...]
+    record: MetadataRecord
+    payload_crc32: int
+    #: ``(count, crc32)`` at each per-file LOD boundary.
+    prefixes: tuple[tuple[int, int], ...]
+    codec: str | None
     dtype_descr: list
     lod_base: int
     lod_scale: int
     lod_heuristic: str
     lod_seed: int | None
-    payload_crc32: int
-    #: ``(count, crc32)`` at each per-file LOD boundary.
-    prefixes: tuple[tuple[int, int], ...]
-    #: Sub-file spatial chunk index in canonical tuple form
-    #: (see :func:`repro.format.chunks.chunks_from_entry`); empty for
-    #: datasets written with chunking disabled, keeping their trailers
-    #: byte-identical to pre-chunk-index files.
-    chunks: tuple = ()
-    #: Generation that wrote this file (0 = classic layout).  Serialised
-    #: only when nonzero so generation-0 trailers stay byte-identical.
-    gen: int = 0
-    #: Codec every column segment of a columnar (v4) file was encoded
-    #: with (see :mod:`repro.format.codecs`); ``None`` for row-oriented
-    #: files, and serialised only when set so v1–v3 trailers stay
-    #: byte-identical.
-    codec: str | None = None
 
     @property
-    def bounds(self) -> Box:
-        return Box(self.bounds_lo, self.bounds_hi)
-
-    @property
-    def attr_ranges_dict(self) -> dict[str, tuple[float, float]]:
-        return {name: (lo, hi) for name, lo, hi in self.attr_ranges}
-
-    @cached_property
-    def section(self) -> bytes:
-        """The chunk index as the packed table section it must equal."""
-        return pack_chunks(self.chunks)
+    def attr_names(self) -> tuple[str, ...]:
+        """The indexed attributes, in metadata-table order."""
+        return tuple(self.record.attr_ranges)
 
     @property
     def checksum_entry(self) -> dict:
         """The manifest ``checksums`` entry this trailer reconstructs, plus
-        its table record's chunk ``section`` — what repair compares."""
+        its record's chunk ``section`` — what repair compares."""
         entry = {
             "payload_crc32": int(self.payload_crc32),
             "prefixes": [[int(c), int(crc)] for c, crc in self.prefixes],
         }
-        if self.chunks:
-            entry["section"] = self.section
+        if self.record.section:
+            entry["section"] = self.record.section
         if self.codec is not None:
             entry["codec"] = str(self.codec)
         return entry
 
     def to_bytes(self) -> bytes:
-        doc = {
-            "box_id": self.box_id,
-            "agg_rank": self.agg_rank,
-            "particle_count": self.particle_count,
-            "bounds": {"lo": list(self.bounds_lo), "hi": list(self.bounds_hi)},
-            "attr_ranges": [[n, lo, hi] for n, lo, hi in self.attr_ranges],
-            "dtype_descr": self.dtype_descr,
-            "lod": {
-                "base": self.lod_base,
-                "scale": self.lod_scale,
-                "heuristic": self.lod_heuristic,
-                "seed": self.lod_seed,
-            },
-            "payload_crc32": self.payload_crc32,
-            "prefixes": [[c, crc] for c, crc in self.prefixes],
-        }
-        if self.chunks:
-            # Canonical int/float tuples encode as the JSON lists they came from.
-            doc["chunks"] = self.chunks
-        if self.gen:
-            doc["gen"] = self.gen
-        if self.codec is not None:
-            doc["codec"] = str(self.codec)
-        body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        """Body + tail::
+
+            u32 num_attrs | num_attrs x (u32 name_len | name utf-8)
+            record (table v5 layout, attribute ranges in that order)
+            u32 payload_crc32 | u32 num_prefixes | u64 lod_base | u64 lod_scale
+            num_prefixes x (u64 count | u32 crc32)
+            codec | lod_heuristic (u32 len | utf-8; empty codec = row file)
+            lod_seed (u32 len | signed little-endian int; empty = None)
+            dtype descr (see _pack_descr)
+        """
+        names = self.attr_names
+        seed = None if self.lod_seed is None else int(self.lod_seed)
+        try:
+            body = b"".join(
+                (
+                    _U32.pack(len(names)),
+                    pack_names(names),
+                    pack_record(self.record, names),
+                    _FACTS.pack(
+                        self.payload_crc32, len(self.prefixes),
+                        self.lod_base, self.lod_scale,
+                    ),
+                    *(_PREFIX.pack(c, crc) for c, crc in self.prefixes),
+                    _blob((self.codec or "").encode("utf-8")),
+                    _blob(self.lod_heuristic.encode("utf-8")),
+                    _blob(
+                        b"" if seed is None
+                        else seed.to_bytes((seed.bit_length() + 8) // 8, "little", signed=True)
+                    ),
+                    _pack_descr(self.dtype_descr),
+                )
+            )
+        except (struct.error, TypeError, ValueError, AttributeError) as exc:
+            raise DataFileError(f"recovery trailer cannot be encoded: {exc}") from exc
         return body + _TRAILER_FOOTER.pack(TRAILER_MAGIC, len(body), zlib.crc32(body))
 
     @classmethod
-    def from_json_bytes(cls, body: bytes, path: str) -> "RecoveryTrailer":
+    def from_bytes(cls, body: bytes, path: str) -> "RecoveryTrailer":
+        """Inverse of :meth:`to_bytes` over the body (tail stripped)."""
+        cur = _Cursor(body)
         try:
-            doc = json.loads(body.decode("utf-8"))
-            lod = doc["lod"]
-            seed = lod["seed"]
-            trailer = cls(
-                box_id=int(doc["box_id"]),
-                agg_rank=int(doc["agg_rank"]),
-                particle_count=int(doc["particle_count"]),
-                bounds_lo=tuple(float(v) for v in doc["bounds"]["lo"]),
-                bounds_hi=tuple(float(v) for v in doc["bounds"]["hi"]),
-                attr_ranges=tuple(
-                    (str(n), float(lo), float(hi))
-                    for n, lo, hi in doc["attr_ranges"]
-                ),
-                dtype_descr=doc["dtype_descr"],
-                lod_base=int(lod["base"]),
-                lod_scale=int(lod["scale"]),
-                lod_heuristic=str(lod["heuristic"]),
-                lod_seed=None if seed is None else int(seed),
-                payload_crc32=int(doc["payload_crc32"]),
-                prefixes=tuple((int(c), int(crc)) for c, crc in doc["prefixes"]),
-                chunks=chunks_from_entry(doc.get("chunks", [])),
-                gen=int(doc.get("gen", 0)),
-                codec=(None if doc.get("codec") is None else str(doc["codec"])),
+            (nattrs,) = cur.unpack(_U32)
+            names, cur.pos = unpack_names(body, cur.pos, nattrs)
+            record, cur.pos = unpack_record(body, cur.pos, names)
+            crc, nprefixes, base, scale = cur.unpack(_FACTS)
+            prefixes = tuple(_PREFIX.iter_unpack(cur.take(_PREFIX.size * nprefixes)))
+            codec, heuristic = cur.take_blob(), cur.take_blob()
+            seed = cur.take_blob()
+            descr = _unpack_descr(cur)
+            if cur.pos != len(body):
+                raise ValueError(f"{len(body) - cur.pos} trailing bytes")
+            return cls(
+                record, crc, prefixes, codec.decode("utf-8") or None, descr,
+                base, scale, heuristic.decode("utf-8"),
+                int.from_bytes(seed, "little", signed=True) if seed else None,
             )
-            # An index that does not pack into a table section is malformed.
-            trailer.section  # noqa: B018
-            return trailer
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, struct.error) as exc:
             raise DataFileError(
                 f"{path}: malformed recovery trailer body: {exc}"
             ) from exc
 
 
-def extract_recovery_trailer(raw: bytes, path: str) -> RecoveryTrailer:
-    """Parse the recovery trailer from a complete v3 file image."""
-    if len(raw) < TRAILER_FOOTER_BYTES:
-        raise DataFileError(f"{path}: no recovery trailer ({len(raw)} bytes)")
-    magic, body_len, stored = _TRAILER_FOOTER.unpack(raw[-TRAILER_FOOTER_BYTES:])
-    if magic != TRAILER_MAGIC:
+def _blob(raw: bytes) -> bytes:
+    return _U32.pack(len(raw)) + raw
+
+
+class _Cursor:
+    """Bounds-checked reads over a trailer body."""
+
+    def __init__(self, raw: bytes):
+        self.raw, self.pos = raw, 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.raw):
+            raise ValueError(f"truncated at byte {self.pos} (needs {n} more)")
+        self.pos += n
+        return self.raw[self.pos - n : self.pos]
+
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
+
+    def take_blob(self) -> bytes:
+        return self.take(*self.unpack(_U32))
+
+
+def _pack_descr(descr, depth: int = 0) -> bytes:
+    """A NumPy descr in list form (:func:`~repro.format.manifest.dtype_to_descr`):
+    ``u32 fields``, then per field ``name | u8 nested | format | u32 ndim |
+    ndim x u64 dims``, where a nested format is itself a descr and a scalar
+    one its typestr (``u32 len | utf-8``)."""
+    if not isinstance(descr, list) or depth > _MAX_DESCR_DEPTH:
+        raise ValueError(f"malformed dtype descr {descr!r}")
+    parts = [_U32.pack(len(descr))]
+    for item in descr:
+        if not isinstance(item, list) or len(item) not in (2, 3):
+            raise ValueError(f"malformed dtype descr field {item!r}")
+        name, fmt, *shape = item
+        dims = shape[0] if shape else []
+        nested = isinstance(fmt, list)
+        parts += [
+            _blob(name.encode("utf-8")),
+            bytes([nested]),
+            _pack_descr(fmt, depth + 1) if nested else _blob(fmt.encode("utf-8")),
+            _U32.pack(len(dims)),
+            struct.pack(f"<{len(dims)}Q", *dims),
+        ]
+    return b"".join(parts)
+
+
+def _unpack_descr(cur: _Cursor, depth: int = 0) -> list:
+    if depth > _MAX_DESCR_DEPTH:
+        raise ValueError("dtype descr nests too deep")
+    descr: list = []
+    for _ in range(*cur.unpack(_U32)):
+        name = cur.take_blob().decode("utf-8")
+        nested = cur.take(1)[0]
+        if nested > 1:
+            raise ValueError(f"bad dtype descr field kind {nested}")
+        fmt = _unpack_descr(cur, depth + 1) if nested else cur.take_blob().decode("utf-8")
+        (ndim,) = cur.unpack(_U32)
+        dims = list(struct.unpack(f"<{ndim}Q", cur.take(8 * ndim)))
+        descr.append([name, fmt, dims] if ndim else [name, fmt])
+    return descr
+
+
+def _trailer_tail(tail: bytes, size: int, path: str) -> tuple[bytes, int, int]:
+    """``(magic, body_len, crc32)`` of a trailer's 12-byte tail, checked
+    against the size of the file it ends."""
+    magic, body_len, stored = _TRAILER_FOOTER.unpack(tail)
+    if magic not in (TRAILER_MAGIC, LEGACY_TRAILER_MAGIC):
         raise DataFileError(f"{path}: bad recovery-trailer magic {magic!r}")
-    if body_len > len(raw) - TRAILER_FOOTER_BYTES:
+    if body_len > size - TRAILER_FOOTER_BYTES:
         raise DataFileError(
             f"{path}: recovery-trailer body length {body_len} exceeds file"
         )
+    return magic, body_len, stored
+
+
+def extract_recovery_trailer(raw: bytes, path: str) -> RecoveryTrailer:
+    """Parse the recovery trailer from a complete v3/v4 file image.  Files
+    written before the binary trailer decode through
+    :mod:`repro.format.legacy` into the same object."""
+    if len(raw) < TRAILER_FOOTER_BYTES:
+        raise DataFileError(f"{path}: no recovery trailer ({len(raw)} bytes)")
+    magic, body_len, stored = _trailer_tail(raw[-TRAILER_FOOTER_BYTES:], len(raw), path)
     body = raw[len(raw) - TRAILER_FOOTER_BYTES - body_len : -TRAILER_FOOTER_BYTES]
     actual = zlib.crc32(body)
     if actual != stored:
@@ -280,7 +321,11 @@ def extract_recovery_trailer(raw: bytes, path: str) -> RecoveryTrailer:
             f"{path}: recovery-trailer CRC32 mismatch — stored {stored:#010x}, "
             f"computed {actual:#010x}"
         )
-    return RecoveryTrailer.from_json_bytes(body, path)
+    if magic == TRAILER_MAGIC:
+        return RecoveryTrailer.from_bytes(bytes(body), path)
+    from repro.format.legacy import decode_legacy_trailer
+
+    return decode_legacy_trailer(bytes(body), path)
 
 
 def read_recovery_trailer(
@@ -292,18 +337,11 @@ def read_recovery_trailer(
         raise DataFileError(f"{path}: no recovery trailer ({size} bytes)")
     tail = backend.read_range(path, size - TRAILER_FOOTER_BYTES,
                               TRAILER_FOOTER_BYTES, actor=actor)
-    magic, body_len, _stored = _TRAILER_FOOTER.unpack(tail)
-    if magic != TRAILER_MAGIC:
-        raise DataFileError(f"{path}: bad recovery-trailer magic {magic!r}")
-    if body_len > size - TRAILER_FOOTER_BYTES:
-        raise DataFileError(
-            f"{path}: recovery-trailer body length {body_len} exceeds file"
-        )
+    _magic, body_len, _stored = _trailer_tail(bytes(tail), size, path)
     body = backend.read_range(
         path, size - TRAILER_FOOTER_BYTES - body_len, body_len, actor=actor
     )
     return extract_recovery_trailer(bytes(body) + bytes(tail), path)
-
 
 # -- writing -------------------------------------------------------------------
 
@@ -373,7 +411,7 @@ def write_columnar_data_file(
 
     ``payload`` comes from :func:`encode_columnar_payload`; ``itemsize`` is
     the *logical* row itemsize (the header's dtype guard) and ``trailer``
-    must carry the segment-bearing chunk list plus the codec name — a v4
+    must carry the segment-bearing chunk section plus the codec name — a v4
     file without them is unreadable.  Returns bytes written.
     """
     blob = build_data_blob(
@@ -766,92 +804,92 @@ def _column_scatter(
 
 
 def encode_columnar_payload(
-    batch: ParticleBatch, index, codec_name: str
-) -> tuple[bytes, list]:
+    batch: ParticleBatch, index: FileChunkIndex, codec_name: str
+) -> tuple[bytes, np.ndarray]:
     """Transpose ``batch`` into the v4 encoded payload.
 
     ``index`` is the file's chunk index from
     :func:`repro.format.chunks.build_chunk_entry`.  Returns the stored
-    payload bytes and, per chunk, the segment descriptor list
-    ``[[offset, encoded_length, crc32], ...]`` in canonical column order
+    payload bytes and the int64 ``(chunks, columns, 3)`` segment table —
+    ``(offset, encoded_length, crc32)`` per chunk and canonical column
     (offsets relative to the payload start).
     """
     codec = get_codec(codec_name)
     cols = columnar_columns(batch.dtype)
     rowsv = batch.data
     parts: list[bytes] = []
-    seg_lists: list[list] = []
+    triples: list[int] = []
     off = 0
     for start, count in zip(index.starts.tolist(), index.counts.tolist()):
         rows = rowsv[start : start + count]
-        segs: list = []
         for col in cols:
             enc = codec.encode(_column_bytes(rows, col), col.itemsize)
-            segs.append([off, len(enc), zlib.crc32(enc)])
+            triples += (off, len(enc), zlib.crc32(enc))
             parts.append(enc)
             off += len(enc)
-        seg_lists.append(segs)
-    return b"".join(parts), seg_lists
+    segments = np.array(triples, dtype=np.int64).reshape(len(index), len(cols), 3)
+    return b"".join(parts), segments
 
 
-def columnar_payload_length(chunks: tuple) -> int:
-    """Stored payload byte length implied by a segment-bearing chunk list."""
-    end = 0
-    for chunk in chunks:
-        if len(chunk) < 6:
-            raise DataFileError("chunk entry carries no column segments")
-        for off, ln, _crc in chunk[5]:
-            end = max(end, int(off) + int(ln))
-    return end
+def _segment_rows(index: FileChunkIndex, cols) -> list | None:
+    """``index``'s segment table as per-chunk ``[[offset, length, crc32],
+    ...]`` lists, or None unless every chunk has one segment per column."""
+    segs = index.segments
+    if segs is None:
+        return None if len(index) else []
+    return segs.tolist() if segs.shape[1] == len(cols) else None
+
+
+def columnar_payload_length(index: FileChunkIndex) -> int:
+    """Stored payload byte length implied by a (validated) segment table."""
+    segs = index.segment_table
+    return int((segs[..., 0] + segs[..., 1]).max(initial=0))
 
 
 def decode_columnar_payload(
     payload: bytes,
-    chunks: tuple,
+    index: FileChunkIndex,
     codec_name: str,
     dtype: np.dtype,
     path: str,
 ) -> np.ndarray:
-    """Decode a full v4 payload back into logical row records.
+    """Decode a v4 payload back into logical row records.
 
-    ``chunks`` is the canonical segment-bearing chunk tuple (from a trailer
-    or manifest entry).  Every segment's CRC32 is verified before decode;
-    a mismatch raises :class:`~repro.errors.DataChecksumError` naming the
-    chunk and column.
+    ``index`` carries the segment table; its chunks land back to back from
+    row 0.  Every segment's CRC32 is verified before decode; a mismatch
+    raises :class:`~repro.errors.DataChecksumError` naming the chunk and
+    column.
     """
     cols = columnar_columns(dtype)
-    total = sum(int(c[1]) for c in chunks)
-    out = np.empty(total, dtype=dtype)
-    for ci, chunk in enumerate(chunks):
-        start, count = int(chunk[0]), int(chunk[1])
-        if len(chunk) < 6 or len(chunk[5]) != len(cols):
-            raise DataFileError(
-                f"{path}: chunk {ci} lacks segment descriptors for "
-                f"{len(cols)} columns"
-            )
-        for col, (off, ln, crc) in zip(cols, chunk[5]):
-            off, ln = int(off), int(ln)
+    rows = _segment_rows(index, cols)
+    if rows is None:
+        raise DataFileError(
+            f"{path}: chunks lack segment descriptors for {len(cols)} columns"
+        )
+    out = np.empty(index.total_particles, dtype=dtype)
+    pos = 0
+    for ci, (count, chunk) in enumerate(zip(index.counts.tolist(), rows)):
+        for col, (off, ln, crc) in zip(cols, chunk):
             enc = payload[off : off + ln]
-            if len(enc) != ln:
+            if off < 0 or len(enc) != ln:
                 raise DataFileError(
                     f"{path}: chunk {ci} column {col.name!r} segment "
                     f"[{off}, {off + ln}) exceeds payload ({len(payload)} bytes)"
                 )
             actual = zlib.crc32(enc)
-            if actual != int(crc):
+            if actual != crc:
                 raise DataChecksumError(
                     f"{path}: chunk {ci} column {col.name!r} segment CRC32 "
-                    f"mismatch — stored {int(crc):#010x}, computed {actual:#010x}"
+                    f"mismatch — stored {crc:#010x}, computed {actual:#010x}"
                 )
-            raw = get_codec(codec_name).decode(
-                enc, col.itemsize, count * col.nbytes
-            )
-            _column_scatter(out, start, count, col, raw)
+            raw = get_codec(codec_name).decode(enc, col.itemsize, count * col.nbytes)
+            _column_scatter(out, pos, count, col, raw)
+        pos += count
     return out
 
 
 def scan_columnar_segments(
-    raw: bytes, chunks: tuple, dtype: np.dtype
+    raw: bytes, index: FileChunkIndex, dtype: np.dtype
 ) -> list[tuple[int, str, str]]:
     """CRC-verify every column segment of a v4 file image.
 
@@ -861,42 +899,23 @@ def scan_columnar_segments(
     a failure, so a scrub can pinpoint *all* damaged segments in one pass.
     """
     cols = columnar_columns(dtype)
+    rows = _segment_rows(index, cols)
+    if rows is None:
+        return [(0, "*", f"chunks lack segment descriptors for {len(cols)} columns")]
     bad: list[tuple[int, str, str]] = []
-    for ci, chunk in enumerate(chunks):
-        if len(chunk) < 6 or len(chunk[5]) != len(cols):
-            bad.append(
-                (
-                    ci,
-                    "*",
-                    f"chunk {ci} lacks segment descriptors for "
-                    f"{len(cols)} columns",
-                )
-            )
-            continue
-        for col, (off, ln, crc) in zip(cols, chunk[5]):
-            off, ln = int(off), int(ln)
+    for ci, chunk in enumerate(rows):
+        for col, (off, ln, crc) in zip(cols, chunk):
             seg = raw[HEADER_BYTES + off : HEADER_BYTES + off + ln]
-            if len(seg) != ln:
-                bad.append(
-                    (
-                        ci,
-                        col.name,
-                        f"chunk {ci} column {col.name!r} segment "
-                        f"[{off}, {off + ln}) exceeds the file",
-                    )
+            if off < 0 or len(seg) != ln:
+                detail = f"[{off}, {off + ln}) exceeds the file"
+            elif zlib.crc32(seg) != crc:
+                detail = (
+                    f"CRC32 mismatch — stored {crc:#010x}, "
+                    f"computed {zlib.crc32(seg):#010x}"
                 )
+            else:
                 continue
-            actual = zlib.crc32(seg)
-            if actual != int(crc):
-                bad.append(
-                    (
-                        ci,
-                        col.name,
-                        f"chunk {ci} column {col.name!r} segment CRC32 "
-                        f"mismatch — stored {int(crc):#010x}, "
-                        f"computed {actual:#010x}",
-                    )
-                )
+            bad.append((ci, col.name, f"chunk {ci} column {col.name!r} segment {detail}"))
     return bad
 
 
@@ -905,11 +924,16 @@ def _read_columnar_image(
 ) -> ParticleBatch:
     """Decode a complete v4 file image (the read_data_file slow path)."""
     trailer = extract_recovery_trailer(raw, path)
-    if count and not trailer.chunks:
+    if count and not trailer.record.section:
         raise DataFileError(
             f"{path}: columnar file trailer carries no chunk index"
         )
-    enc_len = columnar_payload_length(trailer.chunks) if trailer.chunks else 0
+    index = FileChunkIndex.empty(trailer.codec)
+    if trailer.record.section:
+        index = FileChunkIndex.unpack(trailer.record.section, path).validated(
+            count, path, trailer.codec
+        )
+    enc_len = columnar_payload_length(index) if len(index) else 0
     expected = HEADER_BYTES + enc_len + FOOTER_BYTES
     if len(raw) < expected:
         raise DataFileError(
@@ -919,16 +943,11 @@ def _read_columnar_image(
     verify_data_footer(raw[:expected], path)
     arr = decode_columnar_payload(
         raw[HEADER_BYTES : HEADER_BYTES + enc_len],
-        trailer.chunks,
+        index,
         trailer.codec or "none",
         dtype,
         path,
     )
-    if len(arr) != count:
-        raise DataFileError(
-            f"{path}: chunk index covers {len(arr)} particles, "
-            f"header says {count}"
-        )
     return ParticleBatch(arr)
 
 

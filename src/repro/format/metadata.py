@@ -40,6 +40,10 @@ Version 5 gives every record its data file's chunk index as a packed section
 opening the dataset-level copy of the index costs O(files): parsing only
 frames the sections.  It is written only when some record carries one — a
 table without chunk indexes keeps serialising byte-identically as v3/v4.
+
+Every data file's recovery trailer stores its own record with the same
+encoder (:func:`pack_record`, v5 layout, after the attribute names of
+:func:`pack_names`), so the two copies of a record are equal byte for byte.
 """
 
 from __future__ import annotations
@@ -51,9 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.domain.box import Box
-from repro.errors import MetadataChecksumError, MetadataError
-from repro.format.chunks import chunks_from_entry
-from repro.format.datafile import RecoveryTrailer, data_file_name
+from repro.errors import DataFileError, DomainError, MetadataChecksumError, MetadataError
 from repro.io.backend import FileBackend
 
 META_MAGIC = b"SPIOMETA"
@@ -75,6 +77,23 @@ _SECTION_LEN = struct.Struct("<Q")
 META_FOOTER_MAGIC = b"MCRC"
 
 
+def data_file_name(agg_rank: int, gen: int = 0) -> str:
+    """Data files are named from the aggregator's rank, as in Fig. 4
+    ("Agg rank is used to derive the name of the data file").
+
+    Generation-chained datasets (append/compaction) namespace the file per
+    generation — ``data/gN_file_R.pbin`` — so no committed byte is ever
+    overwritten in place; generation 0 keeps the classic name.
+    """
+    if agg_rank < 0:
+        raise DataFileError(f"aggregator rank must be >= 0, got {agg_rank}")
+    if gen < 0:
+        raise DataFileError(f"generation must be >= 0, got {gen}")
+    if gen == 0:
+        return f"data/file_{agg_rank}.pbin"
+    return f"data/g{gen}_file_{agg_rank}.pbin"
+
+
 @dataclass
 class MetadataRecord:
     """One data file's entry in the spatial metadata table."""
@@ -94,67 +113,90 @@ class MetadataRecord:
         return data_file_name(self.agg_rank, self.gen)
 
 
-def record_from_trailer(trailer: RecoveryTrailer) -> MetadataRecord:
-    """Rebuild one table record from a data file's v3 recovery trailer.
+def pack_names(names) -> bytes:
+    """``u32 name_len | name utf-8`` per attribute name."""
+    encoded = [name.encode("utf-8") for name in names]
+    return b"".join(struct.pack("<I", len(e)) + e for e in encoded)
 
-    Exact inverse of :func:`trailer_for_record`: every field (including the
-    f64 bounds and attribute ranges) round-trips bit-identically, so a
-    table rebuilt from trailers serialises to the same bytes the writer
-    originally produced.
-    """
-    return MetadataRecord(
-        box_id=trailer.box_id,
-        agg_rank=trailer.agg_rank,
-        particle_count=trailer.particle_count,
-        bounds=trailer.bounds,
-        attr_ranges=trailer.attr_ranges_dict,
-        gen=trailer.gen,
-        section=trailer.section,
+
+def unpack_names(raw, pos: int, count: int) -> tuple[list[str], int]:
+    """Inverse of :func:`pack_names` at ``raw[pos:]``; returns the names and
+    the position after them."""
+    names: list[str] = []
+    for _ in range(count):
+        if pos + 4 > len(raw):
+            raise MetadataError("metadata truncated in attribute names")
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        pos += 4
+        if pos + name_len > len(raw):
+            raise MetadataError("metadata truncated in attribute names")
+        try:
+            names.append(bytes(raw[pos : pos + name_len]).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise MetadataError(f"metadata attribute name is not utf-8: {exc}") from exc
+        pos += name_len
+    return names, pos
+
+
+def pack_record(
+    rec: MetadataRecord, attr_names, version: int = META_VERSION_CHUNKS
+) -> bytes:
+    """One record in table ``version``'s layout, attribute ranges in
+    ``attr_names`` order.  A data file's recovery trailer stores its record
+    with this same function (always the v5 layout)."""
+    if version >= META_VERSION_GEN:
+        fixed = _RECORD_FIXED_GEN.pack(
+            rec.box_id, rec.agg_rank, rec.gen, rec.particle_count,
+            *rec.bounds.lo, *rec.bounds.hi,
+        )
+    else:
+        fixed = _RECORD_FIXED.pack(
+            rec.box_id, rec.agg_rank, rec.particle_count,
+            *rec.bounds.lo, *rec.bounds.hi,
+        )
+    parts = [fixed]
+    parts += [struct.pack("<2d", *rec.attr_ranges[name]) for name in attr_names]
+    if version >= META_VERSION_CHUNKS:
+        parts += [_SECTION_LEN.pack(len(rec.section)), rec.section]
+    return b"".join(parts)
+
+
+def unpack_record(
+    raw, pos: int, names, version: int = META_VERSION_CHUNKS, i: int = 0
+) -> tuple[MetadataRecord, int]:
+    """Inverse of :func:`pack_record` at ``raw[pos:]`` (record ``i`` of a
+    table); returns the record and the position after it.  The chunk
+    section is framed only: it is landed (and validated) when a query first
+    plans against its file."""
+    rec_struct = _RECORD_FIXED_GEN if version >= META_VERSION_GEN else _RECORD_FIXED
+    if pos + rec_struct.size + 16 * len(names) > len(raw):
+        raise MetadataError(f"metadata truncated at record {i}")
+    vals = rec_struct.unpack_from(raw, pos)
+    pos += rec_struct.size
+    if version >= META_VERSION_GEN:
+        box_id, agg_rank, gen, count = vals[:4]
+    else:
+        (box_id, agg_rank, count), gen = vals[:3], 0
+    try:
+        bounds = Box(vals[-6:-3], vals[-3:])
+    except DomainError as exc:
+        raise MetadataError(f"record {i} has invalid bounds: {exc}") from exc
+    ranges: dict[str, tuple[float, float]] = {}
+    for name in names:
+        ranges[name] = struct.unpack_from("<2d", raw, pos)
+        pos += 16
+    section = b""
+    if version >= META_VERSION_CHUNKS:
+        end = pos + _SECTION_LEN.size
+        size = _SECTION_LEN.unpack_from(raw, pos)[0] if end <= len(raw) else -1
+        if not 0 <= size <= len(raw) - end:
+            raise MetadataError(f"metadata truncated in the chunk section of record {i}")
+        section, pos = bytes(raw[end : end + size]), end + size
+    record = MetadataRecord(
+        int(box_id), int(agg_rank), int(count), bounds, ranges,
+        gen=int(gen), section=section,
     )
-
-
-def trailer_for_record(
-    rec: MetadataRecord,
-    *,
-    dtype_descr: list,
-    lod_base: int,
-    lod_scale: int,
-    lod_heuristic: str,
-    lod_seed: int | None,
-    payload_crc32: int,
-    prefixes: list,
-    chunks: list = (),
-    codec: str | None = None,
-) -> RecoveryTrailer:
-    """Build the recovery trailer describing ``rec``'s data file.
-
-    ``payload_crc32``/``prefixes`` are the manifest checksum entry for the
-    file (``prefixes`` as ``[count, crc]`` pairs) and ``chunks`` its chunk
-    index in JSON list form; the remaining facts are dataset-wide.  Used by
-    the writer for fresh files and by the repair
-    subsystem when it rewrites a file whose trailer was damaged.
-    """
-    return RecoveryTrailer(
-        box_id=rec.box_id,
-        agg_rank=rec.agg_rank,
-        particle_count=rec.particle_count,
-        bounds_lo=tuple(float(v) for v in rec.bounds.lo),
-        bounds_hi=tuple(float(v) for v in rec.bounds.hi),
-        attr_ranges=tuple(
-            (name, float(lo), float(hi))
-            for name, (lo, hi) in rec.attr_ranges.items()
-        ),
-        dtype_descr=dtype_descr,
-        lod_base=lod_base,
-        lod_scale=lod_scale,
-        lod_heuristic=lod_heuristic,
-        lod_seed=lod_seed,
-        payload_crc32=int(payload_crc32),
-        prefixes=tuple((int(c), int(crc)) for c, crc in prefixes),
-        chunks=chunks_from_entry(chunks),
-        gen=rec.gen,
-        codec=codec,
-    )
+    return record, pos
 
 
 class SpatialMetadata:
@@ -274,43 +316,11 @@ class SpatialMetadata:
             else META_VERSION_GEN if any(r.gen for r in self.records)
             else META_VERSION
         )
-        parts = [
-            _HEADER.pack(
-                META_MAGIC, version, len(self.records), len(self.attr_names), 0
-            )
-        ]
-        for name in self.attr_names:
-            encoded = name.encode("utf-8")
-            parts.append(struct.pack("<I", len(encoded)))
-            parts.append(encoded)
-        for rec in self.records:
-            if version >= 4:
-                parts.append(
-                    _RECORD_FIXED_GEN.pack(
-                        rec.box_id,
-                        rec.agg_rank,
-                        rec.gen,
-                        rec.particle_count,
-                        *rec.bounds.lo,
-                        *rec.bounds.hi,
-                    )
-                )
-            else:
-                parts.append(
-                    _RECORD_FIXED.pack(
-                        rec.box_id,
-                        rec.agg_rank,
-                        rec.particle_count,
-                        *rec.bounds.lo,
-                        *rec.bounds.hi,
-                    )
-                )
-            for name in self.attr_names:
-                amin, amax = rec.attr_ranges[name]
-                parts.append(struct.pack("<2d", amin, amax))
-            if version >= META_VERSION_CHUNKS:
-                parts.append(_SECTION_LEN.pack(len(rec.section)))
-                parts.append(rec.section)
+        header = _HEADER.pack(
+            META_MAGIC, version, len(self.records), len(self.attr_names), 0
+        )
+        parts = [header, pack_names(self.attr_names)]
+        parts += [pack_record(rec, self.attr_names, version) for rec in self.records]
         body = b"".join(parts)
         return body + _META_FOOTER.pack(META_FOOTER_MAGIC, zlib.crc32(body))
 
@@ -347,57 +357,11 @@ class SpatialMetadata:
                     f"computed {actual:#010x}"
                 )
             raw = raw[: -_META_FOOTER.size]
-        pos = _HEADER.size
-        names: list[str] = []
-        for _ in range(num_attrs):
-            if pos + 4 > len(raw):
-                raise MetadataError("metadata truncated in attribute names")
-            (name_len,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            if pos + name_len > len(raw):
-                raise MetadataError("metadata truncated in attribute names")
-            try:
-                names.append(raw[pos : pos + name_len].decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise MetadataError(f"metadata attribute name is not utf-8: {exc}") from exc
-            pos += name_len
+        names, pos = unpack_names(raw, _HEADER.size, num_attrs)
         records: list[MetadataRecord] = []
-        rec_struct = _RECORD_FIXED_GEN if version >= 4 else _RECORD_FIXED
-        rec_extra = 16 * num_attrs
         for i in range(num_records):
-            if pos + rec_struct.size + rec_extra > len(raw):
-                raise MetadataError(
-                    f"metadata truncated at record {i}/{num_records}"
-                )
-            vals = rec_struct.unpack_from(raw, pos)
-            pos += rec_struct.size
-            if version >= 4:
-                box_id, agg_rank, gen, count = vals[0], vals[1], vals[2], vals[3]
-                bounds = Box(vals[4:7], vals[7:10])
-            else:
-                box_id, agg_rank, count = vals[0], vals[1], vals[2]
-                gen = 0
-                bounds = Box(vals[3:6], vals[6:9])
-            ranges: dict[str, tuple[float, float]] = {}
-            for name in names:
-                amin, amax = struct.unpack_from("<2d", raw, pos)
-                pos += 16
-                ranges[name] = (amin, amax)
-            section = b""
-            if version >= META_VERSION_CHUNKS:
-                # Framed only: a section is landed (and validated) when a
-                # query first plans against its file.
-                end = pos + _SECTION_LEN.size
-                size = _SECTION_LEN.unpack_from(raw, pos)[0] if end <= len(raw) else -1
-                if not 0 <= size <= len(raw) - end:
-                    raise MetadataError(f"metadata truncated in the chunk section of record {i}")
-                section, pos = raw[end : end + size], end + size
-            records.append(
-                MetadataRecord(
-                    int(box_id), int(agg_rank), int(count), bounds, ranges,
-                    gen=int(gen), section=section,
-                )
-            )
+            rec, pos = unpack_record(raw, pos, names, version, i)
+            records.append(rec)
         if pos != len(raw):
             raise MetadataError(
                 f"{len(raw) - pos} trailing bytes after {num_records} records"

@@ -41,14 +41,20 @@ from repro.core.compact import compact_dataset
 from repro.dataset import Dataset, open_dataset
 from repro.domain import Box, PatchDecomposition
 from repro.errors import DataFileError, FormatError, MetadataError, ReproError
-from repro.format.chunks import FileChunkIndex, pack_chunks
-from repro.format.datafile import TRAILER_FOOTER_BYTES, read_recovery_trailer
+from repro.format.chunks import FileChunkIndex
+from repro.format.datafile import (
+    TRAILER_FOOTER_BYTES,
+    RecoveryTrailer,
+    read_recovery_trailer,
+)
 from repro.format.manifest import Manifest
 from repro.format.metadata import META_PATH, SUPPORTED_META_VERSIONS, SpatialMetadata
 from repro.io import VirtualBackend
 from repro.mpi import run_mpi
 from repro.particles import uniform_particles
 from repro.particles.dtype import UINTAH_DTYPE
+
+from .test_write_path import oracle_section
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from e2e.fixtures import FIXTURES, generate  # noqa: E402
@@ -94,8 +100,8 @@ def fixtures():
 
 def trailer_index(ds: Dataset, rec) -> FileChunkIndex:
     trailer = read_recovery_trailer(ds.backend, rec.file_path)
-    return FileChunkIndex.from_entry(
-        trailer.chunks, rec.particle_count, rec.file_path, trailer.codec,
+    return FileChunkIndex.unpack(trailer.record.section, rec.file_path).validated(
+        rec.particle_count, rec.file_path, trailer.codec,
         tuple(ds.metadata.attr_names),
     )
 
@@ -184,15 +190,73 @@ class TestTraffic:
         assert all(rec.section for rec in ds.metadata)
 
 
+def chunk_list(section: bytes) -> list:
+    """A packed section as the text ``chunks`` list earlier writers stored
+    (``[start, count, lo, hi, [[min, max], ...]]``, plus the segment
+    triples of a columnar file) — the inverse of ``oracle_section``."""
+    index = FileChunkIndex.unpack(section)
+    attrs = index.attr_ranges
+    if attrs is None:
+        attrs = np.empty((len(index), 0, 2))
+    cols = [a.tolist() for a in (index.starts, index.counts, index.lo, index.hi, attrs)]
+    if index.segments is not None:
+        cols.append(index.segments.tolist())
+    return [list(chunk) for chunk in zip(*cols)]
+
+
+def json_trailer(trailer: RecoveryTrailer) -> bytes:
+    """``trailer`` as writers before the binary trailer encoded it: a
+    compact, key-sorted JSON body under the ``RCVT`` tail (the reference
+    encoder of the legacy form)."""
+    rec = trailer.record
+    doc = {
+        "box_id": rec.box_id,
+        "agg_rank": rec.agg_rank,
+        "particle_count": rec.particle_count,
+        "bounds": {"lo": rec.bounds.lo.tolist(), "hi": rec.bounds.hi.tolist()},
+        "attr_ranges": [[n, lo, hi] for n, (lo, hi) in rec.attr_ranges.items()],
+        "dtype_descr": trailer.dtype_descr,
+        "lod": {
+            "base": trailer.lod_base,
+            "scale": trailer.lod_scale,
+            "heuristic": trailer.lod_heuristic,
+            "seed": trailer.lod_seed,
+        },
+        "payload_crc32": trailer.payload_crc32,
+        "prefixes": [[c, crc] for c, crc in trailer.prefixes],
+    }
+    if rec.section:
+        doc["chunks"] = chunk_list(rec.section)
+    if rec.gen:
+        doc["gen"] = rec.gen
+    if trailer.codec is not None:
+        doc["codec"] = trailer.codec
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return body + struct.pack("<4sII", b"RCVT", len(body), zlib.crc32(body))
+
+
+def with_trailer(raw: bytes, trailer_bytes: bytes) -> bytes:
+    """A data-file image with its trailer (body + tail) replaced."""
+    body_len = struct.unpack("<4sII", raw[-TRAILER_FOOTER_BYTES:])[1]
+    return raw[: len(raw) - TRAILER_FOOTER_BYTES - body_len] + trailer_bytes
+
+
+def json_trailers(backend: VirtualBackend) -> None:
+    """Re-encode every data file's trailer in the legacy JSON form."""
+    for path in [p for p in backend._files if p.startswith("data/")]:
+        trailer = read_recovery_trailer(backend, path)
+        backend.write_file(path, with_trailer(backend.read_file(path), json_trailer(trailer)))
+
+
 def make_legacy(backend: VirtualBackend) -> None:
     """Rewrite a classic dataset the way writers before table sections did:
-    a v3 table without sections, the chunk lists in the manifest entries."""
+    JSON trailers, a v3 table without sections, the chunk lists in the
+    manifest entries."""
+    json_trailers(backend)
     meta = SpatialMetadata.read(backend)
     manifest = Manifest.read(backend)
     for rec in meta.records:
-        manifest.checksums[rec.file_path]["chunks"] = FileChunkIndex.unpack(
-            rec.section
-        ).to_entry()
+        manifest.checksums[rec.file_path]["chunks"] = chunk_list(rec.section)
         rec.section = b""
     blob = meta.to_bytes()
     assert struct.unpack_from("<I", blob, 8)[0] == 3
@@ -394,7 +458,7 @@ class TestSectionFuzz:
     def test_non_monotone_and_overlapping_edits(self, columnar):
         backend = SMALL[columnar]
         rec = SpatialMetadata.read(backend).records[1]
-        base = FileChunkIndex.unpack(rec.section).to_entry()
+        base = chunk_list(rec.section)
         edits = [
             lambda e: e[1].__setitem__(0, e[1][0] + 1),  # a gap
             lambda e: e[2].__setitem__(0, e[2][0] - 1),  # an overlap
@@ -411,7 +475,7 @@ class TestSectionFuzz:
             entry = json.loads(json.dumps(base))
             edit(entry)
             damaged = clone(backend)
-            commit_section(damaged, 1, pack_chunks(entry))
+            commit_section(damaged, 1, oracle_section(entry))
             assert_contained(damaged, rec.file_path, backend)
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -438,11 +502,11 @@ class TestSectionFuzz:
     def test_crc_valid_section_that_disagrees_with_the_payload(self, columnar):
         backend = SMALL[columnar]
         rec = SpatialMetadata.read(backend).records[1]
-        entry = FileChunkIndex.unpack(rec.section).to_entry()
+        entry = chunk_list(rec.section)
         entry[0][3][1] += 0.125  # widen one chunk's hi: still valid
-        landed(pack_chunks(entry), rec.particle_count, "shuffle-zlib" if columnar else None)
+        landed(oracle_section(entry), rec.particle_count, "shuffle-zlib" if columnar else None)
         damaged = clone(backend)
-        commit_section(damaged, 1, pack_chunks(entry))
+        commit_section(damaged, 1, oracle_section(entry))
         report = scrub_dataset(Dataset(damaged))
         assert "chunk-index-mismatch" in report.codes
         assert_contained(damaged, rec.file_path, backend)
@@ -498,7 +562,7 @@ class TestOneMessagePerInvariant:
         with pytest.raises(DataFileError) as from_json:
             FileChunkIndex.from_entry(entry, 12, "f", codec, ("density",))
         with pytest.raises(DataFileError) as from_table:
-            FileChunkIndex.unpack(pack_chunks(entry), "f").validated(
+            FileChunkIndex.unpack(oracle_section(entry), "f").validated(
                 12, "f", codec, ("density",)
             )
         assert str(from_json.value) == str(from_table.value)
@@ -506,9 +570,10 @@ class TestOneMessagePerInvariant:
     def test_clean_entry_round_trips(self):
         for segs in (False, True):
             entry = _entry(segs=segs)
-            index = FileChunkIndex.unpack(pack_chunks(entry)).validated(12)
-            assert index.to_entry() == entry
-            assert FileChunkIndex.from_entry(entry, 12).to_entry() == entry
+            index = FileChunkIndex.unpack(oracle_section(entry)).validated(12)
+            assert index.to_section() == oracle_section(entry)
+            assert chunk_list(index.to_section()) == entry
+            assert FileChunkIndex.from_entry(entry, 12).to_section() == oracle_section(entry)
 
     @pytest.mark.parametrize(
         "entry",

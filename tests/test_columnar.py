@@ -49,7 +49,7 @@ from repro.errors import (
     QueryError,
     RankFailedError,
 )
-from repro.format.chunks import FileChunkIndex, chunks_from_entry
+from repro.format.chunks import FileChunkIndex
 from repro.format.codecs import (
     available_codecs,
     byte_shuffle,
@@ -140,11 +140,11 @@ def data_paths(ds: Dataset) -> list[str]:
     return [rec.file_path for rec in ds.metadata]
 
 
-def recorded_chunks(ds: Dataset, path: str) -> list:
-    """The chunk list ``path``'s spatial-table record carries, in its JSON
-    list form (segment triples included for columnar files)."""
+def recorded_index(ds: Dataset, path: str) -> FileChunkIndex:
+    """The chunk index ``path``'s spatial-table record carries (segment
+    table included for columnar files), as recorded."""
     rec = next(r for r in ds.metadata if r.file_path == path)
-    return FileChunkIndex.unpack(rec.section, path).to_entry()
+    return FileChunkIndex.unpack(rec.section, path)
 
 
 def corrupt_segment(backend, path, chunk_idx, column):
@@ -152,12 +152,12 @@ def corrupt_segment(backend, path, chunk_idx, column):
     returns the particle count of the damaged chunk."""
     ds = Dataset(backend)
     cols = [c.name for c in columnar_columns(ds.manifest.dtype)]
-    chunk = recorded_chunks(ds, path)[chunk_idx]
-    off, ln, _crc = chunk[5][cols.index(column)]
+    index = recorded_index(ds, path)
+    off, ln, _crc = index.segments[chunk_idx, cols.index(column)].tolist()
     raw = bytearray(backend._files[path])
-    raw[HEADER_BYTES + int(off) + int(ln) // 2] ^= 0x40
+    raw[HEADER_BYTES + off + ln // 2] ^= 0x40
     backend._files[path] = bytes(raw)
-    return int(chunk[1])
+    return int(index.counts[chunk_idx])
 
 
 # -- codec registry ------------------------------------------------------------
@@ -264,9 +264,10 @@ class TestV4OnDisk:
             assert entry["codec"] == "none"
             raw = col._files[path]
             end = 0
-            for chunk in recorded_chunks(ds, path):
-                assert len(chunk) == 6 and len(chunk[5]) == ncols
-                for off, ln, crc in chunk[5]:
+            segments = recorded_index(ds, path).segments
+            assert segments is not None and segments.shape[1:] == (ncols, 3)
+            for chunk in segments.tolist():
+                for off, ln, crc in chunk:
                     assert off == end  # ascending, densely packed
                     seg = raw[HEADER_BYTES + off : HEADER_BYTES + off + ln]
                     assert zlib.crc32(seg) == crc
@@ -578,8 +579,8 @@ def _run_dataset(codec) -> VirtualBackend:
 class RunFile:
     """One data file of a written v4 dataset (a private copy, free to
     damage), with what the run reader needs (backend, path, chunk index)
-    and what the reference needs (the stored payload and the canonical
-    chunk tuple)."""
+    and what the reference needs (the stored payload, the recorded index
+    and its ``(start, count)`` chunk pairs)."""
 
     def __init__(self, codec):
         self.backend = clone(_run_dataset(codec))
@@ -587,26 +588,25 @@ class RunFile:
         self.rec = ds.metadata.records[0]
         self.path = self.rec.file_path
         self.codec = codec
-        self.entry = {
-            **ds.manifest.checksums[self.path],
-            "chunks": recorded_chunks(ds, self.path),
-        }
-        self.chunks = chunks_from_entry(self.entry["chunks"])
+        self.recorded = recorded_index(ds, self.path)
+        self.chunks = list(
+            zip(self.recorded.starts.tolist(), self.recorded.counts.tolist())
+        )
         self.cols = columnar_columns(RUN_DTYPE)
 
     def index(self):
-        return FileChunkIndex.from_entry(
-            self.entry["chunks"], self.rec.particle_count, self.path, codec=self.codec
+        return FileChunkIndex.unpack(self.recorded.to_section(), self.path).validated(
+            self.rec.particle_count, self.path, codec=self.codec
         )
 
     def reference_rows(self) -> np.ndarray:
         """Every row of the file through ``decode_columnar_payload`` — one
         ``Codec.decode`` per segment."""
         image = self.backend._files[self.path]
-        length = columnar_payload_length(self.chunks)
+        length = columnar_payload_length(self.recorded)
         return decode_columnar_payload(
             image[HEADER_BYTES : HEADER_BYTES + length],
-            self.chunks, self.codec, RUN_DTYPE, self.path,
+            self.recorded, self.codec, RUN_DTYPE, self.path,
         )
 
     def chunk_runs(self, ids) -> list[tuple[int, int]]:
@@ -639,7 +639,7 @@ class RunFile:
         CRC re-stamped, so the CRC passes and the inflate fails.
         """
         j = [c.name for c in self.cols].index(column)
-        off, ln, crc = self.entry["chunks"][ci][5][j]
+        off, ln, crc = self.recorded.segments[ci, j].tolist()
         raw = bytearray(self.backend._files[self.path])
         lo = HEADER_BYTES + off
         if mode == "crc":
@@ -651,7 +651,7 @@ class RunFile:
             )
         else:
             raw[lo : lo + 2] = b"\xff\xff"
-            self.entry["chunks"][ci][5][j][2] = zlib.crc32(bytes(raw[lo : lo + ln]))
+            self.recorded.segments[ci, j, 2] = zlib.crc32(bytes(raw[lo : lo + ln]))
             col = self.cols[j]
             with pytest.raises(DataFileError) as err:
                 get_codec(self.codec).decode(

@@ -9,13 +9,13 @@ from repro.format.chunks import Runs
 from repro.format.datafile import (
     FOOTER_BYTES,
     HEADER_BYTES,
-    data_file_name,
     peek_particle_count,
     read_data_file,
     read_data_prefix,
     read_particle_runs_into,
     write_data_file,
 )
+from repro.format.metadata import data_file_name
 from repro.io import VirtualBackend
 from repro.particles import ParticleBatch, uniform_particles
 from repro.particles.dtype import MINIMAL_DTYPE, UINTAH_DTYPE

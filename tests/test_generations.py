@@ -44,7 +44,7 @@ from repro.errors import (
     FormatError,
     RankFailedError,
 )
-from repro.format.datafile import data_file_name
+from repro.format.metadata import data_file_name
 from repro.format.generations import (
     CURRENT_PATH,
     decode_current,

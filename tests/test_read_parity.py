@@ -18,7 +18,7 @@ from repro.core import SpatialReader, scrub_dataset
 from repro.core.config import WriterConfig
 from repro.dataset import Dataset
 from repro.domain import Box
-from repro.format.chunks import FileChunkIndex, pack_chunks
+from repro.format.chunks import FileChunkIndex
 from repro.format.datafile import TRAILER_FOOTER_BYTES
 from repro.format.manifest import Manifest
 from repro.format.metadata import SpatialMetadata
@@ -268,13 +268,13 @@ class TestPlanningMemoization:
         assert ds.chunk_index(rec) is first
 
 
-def recommit_section(backend, path: str, chunks: list) -> None:
-    """Replace ``path``'s chunk section in ``spatial.meta`` with ``chunks``
-    (JSON list form) and re-commit the table's CRC in the manifest: a
-    CRC-valid table whose index says something else."""
+def recommit_section(backend, path: str, index: FileChunkIndex) -> None:
+    """Replace ``path``'s chunk section in ``spatial.meta`` with ``index``
+    and re-commit the table's CRC in the manifest: a CRC-valid table whose
+    index says something else."""
     meta = SpatialMetadata.read(backend)
     rec = next(r for r in meta.records if r.file_path == path)
-    rec.section = pack_chunks(chunks)
+    rec.section = index.to_section()
     blob = meta.to_bytes()
     backend.write_file("spatial.meta", blob)
     m = Manifest.read(backend)
@@ -282,9 +282,9 @@ def recommit_section(backend, path: str, chunks: list) -> None:
     m.write(backend)
 
 
-def section_chunks(backend, path: str) -> list:
+def section_index(backend, path: str) -> FileChunkIndex:
     rec = next(r for r in SpatialMetadata.read(backend) if r.file_path == path)
-    return FileChunkIndex.unpack(rec.section, path).to_entry()
+    return FileChunkIndex.unpack(rec.section, path)
 
 
 class TestScrubRepairChunkIndex:
@@ -303,9 +303,9 @@ class TestScrubRepairChunkIndex:
         orig_manifest = backend.read_file("manifest.json")
         orig_meta = backend.read_file("spatial.meta")
 
-        chunks = section_chunks(backend, victim)
-        chunks[0][2][0] -= 0.25  # widen one chunk's lo
-        recommit_section(backend, victim, chunks)
+        index = section_index(backend, victim)
+        index.lo[0, 0] -= 0.25  # widen one chunk's lo
+        recommit_section(backend, victim, index)
 
         report = scrub_dataset(Dataset(backend))
         codes = {i.code for i in report.issues}
@@ -387,7 +387,7 @@ class TestScrubRepairChunkIndex:
         recommit_section(
             backend,
             victim,
-            build_chunk_entry(batch, 128, boundaries, ds.metadata.attr_names).to_entry(),
+            build_chunk_entry(batch, 128, boundaries, ds.metadata.attr_names),
         )
 
         report = scrub_dataset(Dataset(backend))

@@ -3,8 +3,8 @@
 A commit should cost what its data costs.  Four families of checks:
 
 * **reference oracles** — the vectorised / single-pass encoders against the
-  naive forms they replaced (kept here as the oracle), value- and
-  text-identical, so every written byte stays what it was;
+  naive forms they replaced and the documented layouts (kept here as the
+  oracle), bit-identical, so every written byte stays what it was;
 * **read-once** — a chained dataset's head manifest is parsed once per
   ``open_dataset`` and once *in total* per 8-rank ``append``;
 * **collective failure** — an append that cannot proceed fails on every
@@ -31,7 +31,7 @@ from repro.core import SpatialReader, SpatialWriter, WriterConfig
 from repro.dataset import Dataset, open_dataset
 from repro.domain import Box, PatchDecomposition
 from repro.errors import ConfigError, FormatError, RankFailedError
-from repro.format.chunks import build_chunk_entry, pack_chunks
+from repro.format.chunks import build_chunk_entry
 from repro.format.datafile import (
     DATA_MAGIC,
     DATA_VERSION,
@@ -40,6 +40,7 @@ from repro.format.datafile import (
     FOOTER_MAGIC,
     HEADER_BYTES,
     TRAILER_FOOTER_BYTES,
+    RecoveryTrailer,
     build_data_blob,
     compute_file_checksums,
     encode_columnar_payload,
@@ -54,7 +55,7 @@ from repro.format.generations import (
     resolve_generation,
 )
 from repro.format.manifest import Manifest, dtype_to_descr
-from repro.format.metadata import MetadataRecord, trailer_for_record
+from repro.format.metadata import MetadataRecord
 from repro.io import VirtualBackend
 from repro.mpi import run_mpi
 from repro.mpi.message import CHANNEL_COLL
@@ -103,10 +104,25 @@ def oracle_chunk_entry(batch, chunk_size, boundaries, attr_names=()):
     return entry
 
 
-def scalar_types(value) -> set[type]:
-    if isinstance(value, list):
-        return set().union(*(scalar_types(v) for v in value)) if value else set()
-    return {type(value)}
+def oracle_section(entry) -> bytes:
+    """A ``chunks`` list (``[start, count, lo, hi, [[min, max], ...]]`` plus
+    segment triples for columnar files) packed field by field as the
+    section layout reads: ``u64 chunks | u32 attrs | u32 columns``, then
+    starts, counts, lo, hi, attribute pairs and segment triples, each one
+    array in chunk order."""
+    nattrs = len(entry[0][4]) if entry else 0
+    ncols = len(entry[0][5]) if entry and len(entry[0]) > 5 else 0
+    fields = (
+        ("q", [c[0] for c in entry]),
+        ("q", [c[1] for c in entry]),
+        ("d", [v for c in entry for v in c[2]]),
+        ("d", [v for c in entry for v in c[3]]),
+        ("d", [v for c in entry for pair in c[4] for v in pair]),
+        ("q", [v for c in entry for seg in c[5:6] for triple in seg for v in triple]),
+    )
+    return struct.pack("<QII", len(entry), nattrs, ncols) + b"".join(
+        struct.pack(f"<{len(vals)}{code}", *vals) for code, vals in fields
+    )
 
 
 ATTRS = ("density", "velocity", "mass")
@@ -153,23 +169,23 @@ class TestChunkEntryOracle:
         batch = random_batch(n, pos_type, seed)
         boundaries = prefix_checksum_boundaries(n, lod_base, lod_scale)
         attrs = ATTRS[:nattrs]
-        got = build_chunk_entry(batch, chunk_size, boundaries, attrs).to_entry()
+        got = build_chunk_entry(batch, chunk_size, boundaries, attrs)
         want = oracle_chunk_entry(batch, chunk_size, boundaries, attrs)
-        assert got == want
-        # Same *types* too: numpy scalars would change the JSON text.
-        assert scalar_types(got) <= {int, float}
-        assert json.dumps(got) == json.dumps(want)
+        # Bit for bit: the section is what the table and trailer store.
+        assert got.to_section() == oracle_section(want)
 
     def test_ragged_last_chunk_of_every_level(self):
         batch = random_batch(100, "<f8", 3)
         boundaries = prefix_checksum_boundaries(100, 5, 2)  # 5 15 35 75 100
-        got = build_chunk_entry(batch, 4, boundaries, ("density",)).to_entry()
-        assert got == oracle_chunk_entry(batch, 4, boundaries, ("density",))
-        ends = {c[0] + c[1] for c in got}
+        got = build_chunk_entry(batch, 4, boundaries, ("density",))
+        want = oracle_chunk_entry(batch, 4, boundaries, ("density",))
+        assert got.to_section() == oracle_section(want)
+        ends = set((got.starts + got.counts).tolist())
         assert set(boundaries) <= ends  # no chunk straddles a level
 
     def test_empty_batch_and_bad_chunk_size(self):
-        assert build_chunk_entry(random_batch(0, "<f8", 0), 8, [], ATTRS).to_entry() == []
+        empty = build_chunk_entry(random_batch(0, "<f8", 0), 8, [], ATTRS)
+        assert len(empty) == 0 and empty.to_section() == oracle_section([])
         with pytest.raises(FormatError):
             build_chunk_entry(random_batch(4, "<f8", 0), 0, [4])
 
@@ -202,7 +218,7 @@ class TestChecksumOracle:
         )
 
 
-def _trailer(batch, chunks, codec=None):
+def _trailer(batch, index, codec=None):
     sums = compute_file_checksums(batch, 8, 2)
     record = MetadataRecord(
         box_id=3,
@@ -211,77 +227,95 @@ def _trailer(batch, chunks, codec=None):
         bounds=Box([0, 0, 0], [1, 1, 1]),
         attr_ranges={"density": (-1.0, 2.5)},
         gen=2,
+        section=index.to_section() if len(index) else b"",
     )
-    return trailer_for_record(
+    return RecoveryTrailer(
         record,
+        payload_crc32=sums["payload_crc32"],
+        prefixes=tuple(map(tuple, sums["prefixes"])),
+        codec=codec,
         dtype_descr=dtype_to_descr(batch.dtype),
         lod_base=8,
         lod_scale=2,
         lod_heuristic="random",
         lod_seed=0,
-        payload_crc32=sums["payload_crc32"],
-        prefixes=sums["prefixes"],
-        chunks=chunks,
-        codec=codec,
     )
 
 
+def oracle_trailer_pieces(trailer) -> list[tuple[str, bytes]]:
+    """The binary trailer body spelled out field by field from the layout
+    docs/FORMAT.md gives — names, the table's v5 record, the manifest entry,
+    then the dataset facts — as named pieces in body order."""
+    rec = trailer.record
+
+    def text(s: str) -> bytes:
+        return struct.pack("<I", len(s.encode())) + s.encode()
+
+    def descr(items) -> bytes:
+        out = struct.pack("<I", len(items))
+        for name, fmt, *shape in items:
+            dims = shape[0] if shape else []
+            out += text(name) + bytes([isinstance(fmt, list)])
+            out += descr(fmt) if isinstance(fmt, list) else text(fmt)
+            out += struct.pack(f"<I{len(dims)}Q", len(dims), *dims)
+        return out
+
+    names = list(rec.attr_ranges)
+    seed = trailer.lod_seed
+    return [
+        ("num_attrs", struct.pack("<I", len(names))),
+        *((f"name:{n}", text(n)) for n in names),
+        ("record", struct.pack("<4Q6d", rec.box_id, rec.agg_rank, rec.gen,
+                               rec.particle_count, *rec.bounds.lo, *rec.bounds.hi)),
+        *((f"range:{n}", struct.pack("<2d", *rec.attr_ranges[n])) for n in names),
+        ("section_len", struct.pack("<Q", len(rec.section))),
+        ("section", rec.section),
+        ("facts", struct.pack("<IIQQ", trailer.payload_crc32, len(trailer.prefixes),
+                              trailer.lod_base, trailer.lod_scale)),
+        *((f"prefix:{c}", struct.pack("<QI", c, crc)) for c, crc in trailer.prefixes),
+        ("codec", text(trailer.codec or "")),
+        ("heuristic", text(trailer.lod_heuristic)),
+        ("seed", struct.pack("<I", 0) if seed is None else struct.pack("<Ib", 1, seed)),
+        ("descr", descr(trailer.dtype_descr)),
+    ]
+
+
 def oracle_trailer_body(trailer) -> bytes:
-    """The trailer body as written before ``to_bytes`` stopped rebuilding
-    the chunk lists from the canonical tuples (a JSON round trip here)."""
-    doc = {
-        "box_id": trailer.box_id,
-        "agg_rank": trailer.agg_rank,
-        "particle_count": trailer.particle_count,
-        "bounds": {"lo": list(trailer.bounds_lo), "hi": list(trailer.bounds_hi)},
-        "attr_ranges": [[n, lo, hi] for n, lo, hi in trailer.attr_ranges],
-        "dtype_descr": trailer.dtype_descr,
-        "lod": {
-            "base": trailer.lod_base,
-            "scale": trailer.lod_scale,
-            "heuristic": trailer.lod_heuristic,
-            "seed": trailer.lod_seed,
-        },
-        "payload_crc32": trailer.payload_crc32,
-        "prefixes": [[c, crc] for c, crc in trailer.prefixes],
-    }
-    if trailer.chunks:
-        doc["chunks"] = json.loads(json.dumps(trailer.chunks))
-    if trailer.gen:
-        doc["gen"] = trailer.gen
-    if trailer.codec is not None:
-        doc["codec"] = str(trailer.codec)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join(piece for _name, piece in oracle_trailer_pieces(trailer))
 
 
 class TestBlobAndTrailerOracle:
-    def _chunks(self, batch, columnar):
+    def _index(self, batch, columnar):
         boundaries = prefix_checksum_boundaries(len(batch), 8, 2)
         index = build_chunk_entry(batch, 16, boundaries, ("density",))
-        chunks = index.to_entry()
         if not columnar:
-            return chunks, batch.tobytes()
-        payload, segs = encode_columnar_payload(batch, index, "shuffle-zlib")
-        return [c + [s] for c, s in zip(chunks, segs)], payload
+            return index, batch.tobytes()
+        payload, index.segments = encode_columnar_payload(batch, index, "shuffle-zlib")
+        return index, payload
 
     @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
     def test_trailer_bytes_equal_the_rebuilt_list_form(self, columnar):
         batch = random_batch(90, "<f8", 5)
-        chunks, _payload = self._chunks(batch, columnar)
-        trailer = _trailer(batch, chunks, "shuffle-zlib" if columnar else None)
+        index, _payload = self._index(batch, columnar)
+        trailer = _trailer(batch, index, "shuffle-zlib" if columnar else None)
         body = oracle_trailer_body(trailer)
         assert trailer.to_bytes()[:-TRAILER_FOOTER_BYTES] == body
-        # checksum_entry hands out the packed section: repair compares it
-        # `==` against the table record's bytes.
-        assert trailer.checksum_entry["section"] == pack_chunks(chunks)
+        assert trailer.to_bytes()[-TRAILER_FOOTER_BYTES:] == struct.pack(
+            "<4sII", b"RCVB", len(body), zlib.crc32(body)
+        )
+        # The record carries the section the table stores, and the entry
+        # repair compares hands it out as is.
+        assert trailer.record.section == index.to_section()
+        assert trailer.checksum_entry["section"] == index.to_section()
+        assert RecoveryTrailer.from_bytes(body, "f") == trailer
 
     @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
     @pytest.mark.parametrize("n", [0, 90])
     def test_blob_is_header_payload_footer_trailer(self, columnar, n):
         batch = random_batch(n, "<f8", 6)
         columnar = columnar and n > 0
-        chunks, payload = self._chunks(batch, columnar)
-        trailer = _trailer(batch, chunks, "shuffle-zlib" if columnar else None)
+        index, payload = self._index(batch, columnar)
+        trailer = _trailer(batch, index, "shuffle-zlib" if columnar else None)
         version = DATA_VERSION_COLUMNAR if columnar else DATA_VERSION
         header = struct.pack("<8sIIQ", DATA_MAGIC, version, batch.dtype.itemsize, n)
         footer = struct.pack("<4sI", FOOTER_MAGIC, zlib.crc32(header + payload))
