@@ -21,7 +21,7 @@ lengths for a cumulative target.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def lod_prefix_counts(
     target = min(total, cumulative_level_count(n_readers, upto_level, base, scale))
     # Largest-remainder apportionment, capped by per-file totals.
     quotas = [target * c / total for c in counts]
-    out = [min(int(q), c) for q, c in zip(quotas, counts)]
+    out = [min(int(q), c) for q, c in zip(quotas, counts, strict=True)]
     shortfall = target - sum(out)
     remainders = sorted(
         range(len(counts)),
@@ -180,39 +180,30 @@ def stratified_lod_order(
     boundaries = np.flatnonzero(np.diff(cell_sorted)) + 1
     starts = np.concatenate(([0], boundaries))
     lengths = np.diff(np.concatenate((starts, [len(batch)])))
-    within = np.concatenate([np.arange(ln) for ln in lengths])
-    order_in_cell[sorted_by_cell] = within
+    order_in_cell[sorted_by_cell] = np.arange(len(batch)) - np.repeat(starts, lengths)
     return np.lexsort((cells, order_in_cell))
 
 
-def _kd_clusters(
-    idx: np.ndarray, pos: np.ndarray, chunk_size: int
-) -> list[np.ndarray]:
-    """Split ``idx`` into spatially tight clusters of ``chunk_size``.
+def _axis_sorters(coords: np.ndarray) -> np.ndarray:
+    """Per axis, the particles in ascending coordinate order, flattened.
 
-    Recursive median splits along the widest axis, with every cut placed at
-    a multiple of ``chunk_size``: all resulting clusters are exactly
-    ``chunk_size`` particles except at most one remainder (returned last).
-    Balanced axis-aligned splits give much tighter cluster bounds than a
-    space-filling-curve sort for the small cluster counts early LOD levels
-    produce.
+    ``coords`` is ``(3, n)``.  Equal coordinates keep input order (the
+    stable order); the unstable sort is used whenever it already gives
+    that order, i.e. whenever the sorted coordinates strictly increase.
     """
-    if len(idx) <= chunk_size:
-        return [idx]
-    p = pos[idx]
-    axis = int((p.max(axis=0) - p.min(axis=0)).argmax())
-    half = len(idx) // 2
-    nleft = max(chunk_size, (half // chunk_size) * chunk_size)
-    part = np.argpartition(p[:, axis], nleft - 1)
-    left = _kd_clusters(idx[part[:nleft]], pos, chunk_size)
-    right = _kd_clusters(idx[part[nleft:]], pos, chunk_size)
-    # nleft is a chunk_size multiple, so only the right side can carry the
-    # remainder cluster — and it is already last there.
-    return left + right
+    n = coords.shape[1]
+    out = np.empty((3, n), dtype=np.int64)
+    for a in range(3):
+        s = coords[a].argsort()
+        v = coords[a].take(s)
+        if not (v[1:] > v[:-1]).all():
+            s = coords[a].argsort(kind="stable")
+        out[a] = s
+    return out.ravel()
 
 
 def chunk_cluster_order(
-    batch: ParticleBatch,
+    positions: np.ndarray,
     boundaries: Sequence[int],
     chunk_size: int,
     seed: int | None = 0,
@@ -223,13 +214,25 @@ def chunk_cluster_order(
     The sub-file chunk index (:mod:`repro.format.chunks`) records the tight
     bounding box of each run of ``chunk_size`` consecutive particles; under
     a plain LOD shuffle every such run samples the whole partition, so no
-    chunk can ever be pruned.  This permutation fixes that while keeping
-    the LOD contract: within each level segment (``boundaries`` are the
-    cumulative level counts) particles are clustered into ``chunk_size``
-    spatial groups by balanced k-d splits — tight bounds — and then the
-    *full* clusters are emitted in seeded-random order (any remainder
-    cluster stays last, so clusters stay aligned with the index's chunk
-    grid).
+    chunk can ever be pruned.  This permutation of ``positions`` (``(n,
+    3)``, in LOD order) fixes that while keeping the LOD contract: within
+    each level segment (``boundaries`` are the cumulative level counts,
+    ending at ``n``) particles are clustered into ``chunk_size`` spatial
+    groups by balanced k-d splits — tight bounds — and then the *full*
+    clusters are emitted in seeded-random order (any remainder cluster
+    stays last, so clusters stay aligned with the index's chunk grid).
+
+    The k-d tree is built level-synchronously: every segment is a root,
+    and each pass splits all live nodes of one depth at once.  A node is
+    live while it holds more than ``chunk_size`` particles; it is sorted
+    along its widest axis and cut after ``max(chunk_size, (len // 2 //
+    chunk_size) * chunk_size)`` particles, a ``chunk_size`` multiple, so
+    only the right-most leaf of a segment can be short.  Leaves come out in
+    depth-first order and keep the order of their parent's split axis; a
+    segment that never splits keeps its input order.  Ties: equal
+    coordinates order by input position, and equal extents pick the lower
+    axis (x, then y, then z), so the result is a pure function of the
+    positions and the seed.
 
     Level *sets* are untouched — only within-level order changes — so every
     level-boundary prefix holds exactly the particles it held before, and a
@@ -239,21 +242,51 @@ def chunk_cluster_order(
     """
     if chunk_size < 1:
         raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-    n = len(batch)
+    coords = np.ascontiguousarray(np.asarray(positions, dtype=np.float64).T)
+    n = coords.shape[1]
+    ends = np.asarray(boundaries, dtype=np.int64)
+    seg_start = np.concatenate(([0], ends[:-1])).astype(np.int64)
+    seg_len = ends - seg_start
+    if (n > 0 and (len(ends) == 0 or ends[-1] != n)) or (seg_len < 0).any():
+        raise ConfigError(
+            f"LOD boundaries must rise to the particle count {n}, got {list(boundaries)}"
+        )
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    pos = np.asarray(batch.positions, dtype=np.float64)
+    # sorter[a * n + r] is the particle of rank r along axis a; rank inverts
+    # it with a * n folded in, so both index the same flat (axis, rank) space.
+    sorter = _axis_sorters(coords)
+    rank = np.empty(3 * n, dtype=np.int64)
+    rank[sorter + np.repeat(np.arange(3) * n, n)] = np.arange(3 * n)
+    perm = np.arange(n, dtype=np.int64)
+    live = seg_len > chunk_size
+    start, length = seg_start[live], seg_len[live]
+    while len(start):
+        # The live nodes' slots of perm, node after node.
+        offs = np.cumsum(length) - length
+        slot = np.arange(int(offs[-1] + length[-1])) - np.repeat(offs - start, length)
+        members = perm.take(slot)
+        p = coords.take(members, axis=1)
+        extent = np.maximum.reduceat(p, offs, axis=1) - np.minimum.reduceat(p, offs, axis=1)
+        axis_base = np.repeat(extent.argmax(axis=0) * n, length)
+        node_base = np.repeat(np.arange(len(start), dtype=np.int64) * (3 * n), length)
+        # One sort orders every node along its own axis: keys are unique and
+        # grouped by node, and each decodes straight to its particle.
+        key = np.sort(node_base + rank.take(axis_base + members))
+        perm[slot] = sorter.take(key - node_base)
+        nleft = np.maximum(chunk_size, (length // 2 // chunk_size) * chunk_size)
+        start = np.stack((start, start + nleft), axis=1).ravel()
+        length = np.stack((nleft, length - nleft), axis=1).ravel()
+        live = length > chunk_size
+        start, length = start[live], length[live]
+    # Full leaves tile each segment from its start; shuffle them per segment.
     rng = spawn_rng(seed, 0xC4C, agg_rank)
-    out = np.empty(n, dtype=np.int64)
-    prev = 0
-    for b in boundaries:
-        seg = np.arange(prev, b, dtype=np.int64)
-        clusters = _kd_clusters(seg, pos, chunk_size)
-        full = [c for c in clusters if len(c) == chunk_size]
-        rest = [c for c in clusters if len(c) != chunk_size]
-        pieces = [full[i] for i in rng.permutation(len(full))] + rest
-        out[prev:b] = np.concatenate(pieces)
-        prev = b
+    out = perm.copy()
+    lane = np.arange(chunk_size)
+    for s, ln in zip(seg_start.tolist(), seg_len.tolist(), strict=True):
+        full = ln // chunk_size
+        shuffled = rng.permutation(full)[:, None] * chunk_size + lane
+        out[s : s + full * chunk_size] = perm.take(s + shuffled.ravel())
     return out
 
 

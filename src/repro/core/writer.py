@@ -392,7 +392,8 @@ class SpatialWriter:
         result.particles_received = exchange.particles_received
         result.aggregators_contacted = exchange.aggregators_contacted
 
-        # Step 6: LOD reordering, per owned partition.
+        # Step 6: LOD reordering, per owned partition: one permutation,
+        # applied to the rows once.
         ordered: dict[int, ParticleBatch] = {}
         with rec.span(PHASE_LOD):
             for pid, agg_batch in exchange.aggregated.items():
@@ -404,24 +405,24 @@ class SpatialWriter:
                         agg_rank=comm.rank,
                         bounds=grid.partition_box(pid),
                     )
-                    lod_batch = agg_batch.permuted(order)
                     if cfg.chunk_size:
                         # Regroup each level into spatially tight chunks so
                         # the sub-file chunk index can actually prune; level
                         # sets (and thus every boundary prefix) are unchanged.
-                        regroup = chunk_cluster_order(
-                            lod_batch,
-                            prefix_checksum_boundaries(
-                                len(lod_batch), cfg.lod_base, cfg.lod_scale
-                            ),
-                            cfg.chunk_size,
-                            seed=cfg.lod_seed,
-                            agg_rank=comm.rank,
-                        )
-                        lod_batch = lod_batch.permuted(regroup)
-                    ordered[pid] = lod_batch
-                else:
-                    ordered[pid] = agg_batch
+                        # Clustering sees the positions in LOD order only.
+                        order = order[
+                            chunk_cluster_order(
+                                agg_batch.positions[order],
+                                prefix_checksum_boundaries(
+                                    len(order), cfg.lod_base, cfg.lod_scale
+                                ),
+                                cfg.chunk_size,
+                                seed=cfg.lod_seed,
+                                agg_rank=comm.rank,
+                            )
+                        ]
+                    agg_batch = agg_batch.permuted(order)
+                ordered[pid] = agg_batch
 
         # Data files are named after the aggregator rank (Fig. 4), so a rank
         # that owns more than one partition would silently overwrite its own

@@ -10,7 +10,7 @@ masks, and partition binning.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -40,13 +40,13 @@ class ParticleBatch:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def empty(cls, dtype: np.dtype) -> "ParticleBatch":
+    def empty(cls, dtype: np.dtype) -> ParticleBatch:
         return cls(np.empty(0, dtype=dtype))
 
     @classmethod
     def from_positions(
         cls, positions: np.ndarray, dtype: np.dtype, rng=None
-    ) -> "ParticleBatch":
+    ) -> ParticleBatch:
         """Build a batch from an (N, 3) position array.
 
         Non-position fields are filled with zeros except ``id`` (sequential)
@@ -67,7 +67,7 @@ class ParticleBatch:
     def __len__(self) -> int:
         return len(self.data)
 
-    def __getitem__(self, key) -> "ParticleBatch":
+    def __getitem__(self, key) -> ParticleBatch:
         return ParticleBatch(np.atleast_1d(self.data[key]))
 
     def __eq__(self, other: object) -> bool:
@@ -119,10 +119,10 @@ class ParticleBatch:
         """
         return box.contains_points(self.positions)
 
-    def select_in_box(self, box: Box) -> "ParticleBatch":
+    def select_in_box(self, box: Box) -> ParticleBatch:
         return ParticleBatch(self.data[self.mask_in_box(box)])
 
-    def bin_by_boxes(self, boxes: Sequence[Box]) -> list["ParticleBatch"]:
+    def bin_by_boxes(self, boxes: Sequence[Box]) -> list[ParticleBatch]:
         """Split the batch into one sub-batch per box (the non-aligned path).
 
         This is the per-particle scan the paper describes for aggregation
@@ -152,21 +152,37 @@ class ParticleBatch:
 
     # -- transforms ----------------------------------------------------------------
 
-    def permuted(self, order: np.ndarray) -> "ParticleBatch":
-        """A new batch with rows reordered by index array ``order``."""
-        order = np.asarray(order)
-        if sorted(order.tolist()) != list(range(len(self))):
-            raise ValueError("order must be a permutation of range(len(batch))")
-        return ParticleBatch(self.data[order])
+    def permuted(self, order: np.ndarray) -> ParticleBatch:
+        """A new batch with rows reordered by index array ``order``.
 
-    def copy(self) -> "ParticleBatch":
+        ``order`` must be a 1-D integer array holding every index of
+        ``range(len(self))`` exactly once.  Anything else — a boolean mask,
+        floats, a wrong length, an out-of-range or repeated index — raises
+        ``ValueError`` instead of dropping or duplicating rows.
+        """
+        order = np.asarray(order)
+        n = len(self)
+        if order.ndim != 1 or order.dtype.kind not in "iu" or len(order) != n:
+            raise ValueError(
+                f"order must be a 1-D integer array of length {n}, "
+                f"got {order.dtype} of shape {order.shape}"
+            )
+        if n and (
+            order.min() < 0
+            or order.max() >= n
+            or not (np.bincount(order.astype(np.intp, copy=False), minlength=n) == 1).all()
+        ):
+            raise ValueError("order must be a permutation of range(len(batch))")
+        return ParticleBatch(self.data.take(order))
+
+    def copy(self) -> ParticleBatch:
         return ParticleBatch(self.data.copy())
 
     def tobytes(self) -> bytes:
         return np.ascontiguousarray(self.data).tobytes()
 
     @classmethod
-    def frombuffer(cls, buf: bytes, dtype: np.dtype) -> "ParticleBatch":
+    def frombuffer(cls, buf: bytes, dtype: np.dtype) -> ParticleBatch:
         return cls(np.frombuffer(buf, dtype=dtype).copy())
 
 

@@ -17,6 +17,25 @@ from repro.domain import Box, CellGrid
 from repro.errors import ConfigError
 from repro.particles import ParticleBatch, clustered_particles, uniform_particles
 from repro.particles.dtype import MINIMAL_DTYPE
+from repro.utils.rng import spawn_rng
+
+
+def _stratified_per_cell_loop(batch, seed, agg_rank, bounds, grid_dims=(8, 8, 8)):
+    """Frozen reference: ``stratified_lod_order`` as it was written with a
+    Python loop building each occupied cell's ``arange``."""
+    if bounds is None:
+        bounds = batch.bounding_box()
+        if bounds.is_empty():
+            bounds = bounds.expanded(1e-9)
+    cells = CellGrid(bounds, grid_dims).flat_cell_of_points(batch.positions)
+    jitter = spawn_rng(seed, 0x57A, agg_rank).permutation(len(batch))
+    order_in_cell = np.zeros(len(batch), dtype=np.int64)
+    sorted_by_cell = np.lexsort((jitter, cells))
+    boundaries = np.flatnonzero(np.diff(cells[sorted_by_cell])) + 1
+    starts = np.concatenate(([0], boundaries))
+    lengths = np.diff(np.concatenate((starts, [len(batch)])))
+    order_in_cell[sorted_by_cell] = np.concatenate([np.arange(ln) for ln in lengths])
+    return np.lexsort((cells, order_in_cell))
 
 
 class TestLevelArithmetic:
@@ -180,6 +199,19 @@ class TestStratifiedOrder:
         prefix = b.permuted(order)[0 : len(occupied)]
         seen = np.unique(grid.flat_cell_of_points(prefix.positions))
         assert np.array_equal(seen, occupied)
+
+    @pytest.mark.parametrize("kind", ["uniform", "clustered"])
+    @pytest.mark.parametrize("n", [1, 7, 1000, 20_000])
+    def test_matches_per_cell_loop_form(self, kind, n):
+        """Vectorised in-cell positions give the old per-cell-loop permutation."""
+        domain = Box([0, 0, 0], [1, 1, 1])
+        make = uniform_particles if kind == "uniform" else clustered_particles
+        b = make(domain, n, dtype=MINIMAL_DTYPE, seed=n)
+        for bounds in (None, domain):
+            new = stratified_lod_order(b, seed=3, agg_rank=2, bounds=bounds)
+            old = _stratified_per_cell_loop(b, seed=3, agg_rank=2, bounds=bounds)
+            assert new.dtype == old.dtype
+            assert np.array_equal(new, old)
 
     def test_dispatch(self):
         b = uniform_particles(Box([0, 0, 0], [1, 1, 1]), 50, dtype=MINIMAL_DTYPE, seed=0)

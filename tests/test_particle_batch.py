@@ -109,6 +109,52 @@ class TestTransforms:
         with pytest.raises(ValueError):
             batch.permuted(np.zeros(len(batch), dtype=int))
 
+    @pytest.mark.parametrize(
+        "order",
+        [
+            np.array([False, True]),  # a mask would silently drop a row
+            np.array([True, True]),
+            np.array([0.0, 1.0]),  # floats used to leak numpy's IndexError
+            np.array([[0, 1]]),  # 2-D
+            np.array([[0], [1]]),
+            np.array([0]),  # short
+            np.array([0, 1, 1]),  # long
+            np.array([0, 2]),  # out of range
+            np.array([-1, 0]),  # negative
+            np.array([1, 1]),  # duplicate
+            np.array([0, 1], dtype=object),
+            np.array(["0", "1"]),
+        ],
+        ids=["bool-mask", "bool-all", "float", "2d-row", "2d-col", "short", "long",
+             "out-of-range", "negative", "duplicate", "object", "str"],
+    )
+    def test_permuted_rejects_non_permutations(self, order):
+        two = ParticleBatch.from_positions(np.zeros((2, 3)), MINIMAL_DTYPE)
+        with pytest.raises(ValueError):
+            two.permuted(order)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64, np.uint16, np.uint64])
+    def test_permuted_accepts_any_integer_dtype(self, batch, dtype):
+        order = np.random.default_rng(1).permutation(len(batch))
+        assert batch.permuted(order.astype(dtype)) == batch.permuted(order)
+
+    def test_permuted_rejects_out_of_range_unsigned(self):
+        two = ParticleBatch.from_positions(np.zeros((2, 3)), MINIMAL_DTYPE)
+        with pytest.raises(ValueError):
+            two.permuted(np.array([0, 2], dtype=np.uint64))
+
+    def test_permuted_gathers_rows(self, batch):
+        order = np.random.default_rng(2).permutation(len(batch))
+        assert np.array_equal(batch.permuted(order).data, batch.data[order])
+
+    def test_permuted_empty_batch(self):
+        empty = ParticleBatch.empty(MINIMAL_DTYPE)
+        assert len(empty.permuted(np.empty(0, dtype=np.int64))) == 0
+        with pytest.raises(ValueError):
+            empty.permuted(np.array([0]))
+        with pytest.raises(ValueError):
+            empty.permuted(np.empty(0, dtype=bool))
+
     def test_bytes_roundtrip(self, batch):
         blob = batch.tobytes()
         again = ParticleBatch.frombuffer(blob, batch.dtype)
