@@ -5,13 +5,22 @@
 cost about the same (file opens dominate) and later levels grow with the
 particle count; on the SSD workstation time tracks particle count much
 earlier.  The functional half measures real prefix reads at simulator
-scale and checks the bytes actually moved per level.
+scale and checks the bytes actually moved per level; the wall-clock half
+times the same reads on this stack's own POSIX backend, where the flat
+region is the read path's per-file fixed cost.
 """
 
+import os
+import platform
+import time
+
+import numpy as np
 import pytest
 
 from repro.core import ProgressiveReader, SpatialReader
 from repro.core.lod import cumulative_level_count, max_level
+from repro.dataset import Dataset
+from repro.io import PosixBackend
 from repro.perf import THETA, WORKSTATION, simulate_lod_read
 from repro.utils import Table
 
@@ -96,3 +105,66 @@ def test_fig08_functional_lod_bytes(report, benchmark):
             p.refine()
 
     benchmark(full_lod_cycle)
+
+
+#: Warm ops timed per level (the median is reported), taken in rounds.
+WALL_OPS = 400
+WALL_ROUNDS = 20
+
+
+def test_fig08_posix_wall(tmp_path, report):
+    """Fig. 8's flat region on the real stack: ``plan_full(max_level=L)`` ->
+    ``run`` over an 8-file dataset on :class:`PosixBackend`, every memo and
+    page warm.  Per-file fixed cost is the level-0 time over the file count.
+    Timings are reported, never asserted: they belong to the host.
+
+    ``benchmarks/out/fig08_posix_wall.txt`` keeps two runs, one from before
+    and one from after the read path's per-file bookkeeping was cut.
+    """
+    write_dataset(
+        nprocs=8,
+        partition_factor=(1, 1, 1),
+        particles_per_rank=16_384,
+        backend=PosixBackend(tmp_path / "ds"),
+    )
+    ds = Dataset.open(PosixBackend(tmp_path / "ds", create=False))
+    engine = ds.engine()
+    files = engine.plan_full().num_files
+    levels = max_level(ds.total_particles, 1, ds.manifest.lod_base, ds.manifest.lod_scale)
+    table = Table(
+        ["level", "particles", "p25 (us)", "median (us)", "p75 (us)", "us / file"],
+        title=(
+            f"Fig. 8 (wall clock) — warm LOD reads, {files} files on PosixBackend; "
+            f"median of {WALL_OPS} ops; nproc {os.cpu_count()}, "
+            f"python {platform.python_version()}, numpy {np.__version__}"
+        ),
+    )
+    plans = [engine.plan_full(max_level=level) for level in range(levels + 1)]
+    for plan in plans:  # warm: handles pooled, pages mapped, memos filled
+        for _ in range(20):
+            engine.run(plan)
+    # Levels take turns in rounds, so drift in the host hits them alike.
+    times: list[list[float]] = [[] for _ in plans]
+    for _ in range(WALL_ROUNDS):
+        for level, plan in enumerate(plans):
+            for _ in range(WALL_OPS // WALL_ROUNDS):
+                start = time.perf_counter_ns()
+                result = engine.run(engine.plan_full(max_level=level))
+                times[level].append((time.perf_counter_ns() - start) / 1e3)
+    medians = {}
+    for level, plan in enumerate(plans):
+        p25, p50, p75 = np.percentile(times[level], [25, 50, 75])
+        medians[level] = p50
+        table.add_row(
+            [
+                level,
+                plan.total_particles,
+                f"{p25:.0f}",
+                f"{p50:.0f}",
+                f"{p75:.0f}",
+                f"{p50 / files:.1f}",
+            ]
+        )
+    report("fig08_posix_wall", table)
+    print(f"per-file fixed cost (level-0 median / files): {medians[0] / files:.1f} us")
+    assert len(result) == plans[-1].total_particles == ds.total_particles

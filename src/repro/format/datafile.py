@@ -71,7 +71,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import DataChecksumError, DataFileError
+from repro.errors import (
+    BackendError,
+    DataChecksumError,
+    DataFileError,
+    TransientBackendError,
+)
 from repro.format.chunks import FileChunkIndex, Runs, concat_ranges
 from repro.format.codecs import get_codec
 from repro.format.metadata import (
@@ -604,6 +609,36 @@ def read_data_file_into(
     return count
 
 
+def _readv_with_header(
+    backend: FileBackend,
+    path: str,
+    header: bytearray,
+    segments: list,
+    end: int,
+    actor: int,
+) -> bool:
+    """Land ``header`` and ``segments``, which end at byte ``end``, in one
+    :meth:`FileBackend.readv` (a single open).
+
+    Returns ``False`` if the request runs past the end of the file.  The
+    backend's own bounds check finds that, and ``size`` is asked only when
+    the readv failed, so a healthy read stats its file once.  Past the
+    end, only the header is read: the caller's checks against its particle
+    count raise then, and a request the header does cover means the file is
+    shorter than its header says.  A read failing inside the file re-raises.
+    """
+    try:
+        backend.readv(path, [(0, header), *segments], actor=actor)
+        return True
+    except TransientBackendError:
+        raise
+    except BackendError:
+        if end <= backend.size(path):
+            raise
+    header[:] = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
+    return False
+
+
 def read_data_prefix_into(
     backend: FileBackend,
     path: str,
@@ -617,8 +652,9 @@ def read_data_prefix_into(
 
     Same validation and error messages as :func:`read_data_prefix`, but
     header and payload arrive via one :meth:`FileBackend.readv` (a single
-    open); like it, carries no whole-file verification.  Returns the
-    particle count read.
+    open); like it, carries no whole-file verification.  A file too short
+    for the particles its header records raises.  Returns the particle
+    count read.
     """
     count = len(out)
     if offset_particles < 0:
@@ -628,12 +664,10 @@ def read_data_prefix_into(
     header = bytearray(HEADER_BYTES)
     start = HEADER_BYTES + offset_particles * dtype.itemsize
     nbytes = count * dtype.itemsize
-    # Header and payload in one readv when the slice fits the on-disk size;
-    # a slice past EOF implies it exceeds the particle count, so the
-    # header-only fallback always ends in the legacy slice error below.
-    if nbytes and start + nbytes <= backend.size(path):
-        backend.readv(
-            path, [(0, header), (start, out.view(np.uint8))], actor=actor
+    landed = True
+    if nbytes:
+        landed = _readv_with_header(
+            backend, path, header, [(start, out.view(np.uint8))], start + nbytes, actor
         )
     else:
         header[:] = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
@@ -643,6 +677,11 @@ def read_data_prefix_into(
         raise DataFileError(
             f"{path}: slice [{offset_particles}, {offset_particles + count}) "
             f"exceeds particle count {total}"
+        )
+    if not landed:
+        raise DataFileError(
+            f"{path}: truncated before particle {offset_particles + count} "
+            f"of the {total} its header records"
         )
     return count
 
@@ -674,18 +713,13 @@ def read_particle_runs_into(
     # Header plus every run in one readv (one open), issued speculatively:
     # the header it fetches is what the plan is validated against below.  A
     # plan that cannot assemble valid segments (negative run, destination
-    # mismatch, past EOF) takes the header-only read and raises from the
-    # same checks.
-    if (
-        not negative.any()
-        and runs.total == len(out)
-        and HEADER_BYTES + int(ends.max(initial=0)) * itemsize
-        <= backend.size(path)
-    ):
+    # mismatch) or that runs past the end of the file takes the header-only
+    # read and raises from the same checks.
+    landed = True
+    if not negative.any() and runs.total == len(out):
         dest = memoryview(out.view(np.uint8))
         begins = runs.offsets * itemsize
-        segments: list = [(0, header)]
-        segments += [
+        segments = [
             (offset, dest[lo:hi])
             for offset, lo, hi in zip(
                 (HEADER_BYTES + starts * itemsize).tolist(),
@@ -693,7 +727,8 @@ def read_particle_runs_into(
                 (begins + counts * itemsize).tolist(),
             )
         ]
-        backend.readv(path, segments, actor=actor)
+        end = HEADER_BYTES + int(ends.max(initial=0)) * itemsize
+        landed = _readv_with_header(backend, path, header, segments, end, actor)
     else:
         header[:] = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
     _version, total = _parse_header(bytes(header), path, dtype)
@@ -713,6 +748,11 @@ def read_particle_runs_into(
         raise DataFileError(
             f"{path}: runs cover {runs.total} particles, destination holds "
             f"{len(out)}"
+        )
+    if not landed:
+        raise DataFileError(
+            f"{path}: truncated before particle {int(ends.max())} of the "
+            f"{total} its header records"
         )
     return runs.total
 

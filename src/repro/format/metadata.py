@@ -51,6 +51,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,8 +109,10 @@ class MetadataRecord:
     #: The data file's packed chunk index (see FileChunkIndex.to_section).
     section: bytes = field(default=b"", repr=False)
 
-    @property
+    @cached_property
     def file_path(self) -> str:
+        """The data file's backend path, named once per record (nothing
+        reassigns ``agg_rank`` or ``gen`` after construction)."""
         return data_file_name(self.agg_rank, self.gen)
 
 

@@ -116,24 +116,37 @@ class _HandlePool:
         self.evictions = 0
         self.invalidations = 0
 
-    def acquire(self, norm: str, full: Path) -> tuple[_Handle, bool]:
+    def acquire(self, norm: str, full: str) -> tuple[_Handle, bool]:
         """An open, identity-validated handle for ``norm``; caller must
-        :meth:`release`.  Returns ``(handle, reused)``."""
-        st = os.stat(full)
-        sig = (st.st_ino, st.st_size, st.st_mtime_ns)
-        with self._lock:
-            handle = self._handles.get(norm)
-            if handle is not None:
-                if handle.sig == sig:
-                    self._handles.move_to_end(norm)
-                    handle.refs += 1
-                    self.reuses += 1
-                    return handle, True
-                # The file was replaced behind our back (atomic rewrite,
-                # external tooling, a test corrupting bytes in place):
-                # drop the stale handle and fall through to a fresh open.
-                self._drop_locked(norm, handle)
+        :meth:`release`.  Returns ``(handle, reused)``.
+
+        A pooled handle costs one ``stat`` to validate.  A fresh handle's
+        identity, size and mapping length come from ``fstat`` of the
+        descriptor itself, so a file replaced between any path lookup and
+        the ``open`` is pooled under its own identity, never another's.
+        """
+        if norm in self._handles:  # a lock-free peek; re-checked below
+            st = os.stat(full)
+            sig = (st.st_ino, st.st_size, st.st_mtime_ns)
+            with self._lock:
+                handle = self._handles.get(norm)
+                if handle is not None:
+                    if handle.sig == sig:
+                        self._handles.move_to_end(norm)
+                        handle.refs += 1
+                        self.reuses += 1
+                        return handle, True
+                    # The file was replaced behind our back (atomic rewrite,
+                    # external tooling, a test corrupting bytes in place):
+                    # drop the stale handle and fall through to a fresh open.
+                    self._drop_locked(norm, handle)
         fd = os.open(full, os.O_RDONLY)
+        try:
+            st = os.fstat(fd)
+        except OSError:
+            os.close(fd)
+            raise
+        sig = (st.st_ino, st.st_size, st.st_mtime_ns)
         mm: mmap.mmap | None = None
         with self._lock:
             if (
@@ -215,7 +228,7 @@ def _numpy_copy(mm: mmap.mmap, offset: int, out: memoryview) -> None:
     )
 
 
-def _preadv_fill(fd: int, full: Path, items: list[tuple[int, memoryview]]) -> None:
+def _preadv_fill(fd: int, full: str, items: list[tuple[int, memoryview]]) -> None:
     """Fill each ``(offset, view)`` from ``fd``, batching contiguous runs.
 
     Offset-contiguous segments are gathered into single ``os.preadv``
@@ -295,23 +308,35 @@ class PosixBackend(FileBackend):
         self.use_mmap = bool(use_mmap)
         self.max_handles = int(max_handles)
         self.max_mapped_bytes = int(max_mapped_bytes)
-        self._pool = _HandlePool(self.max_handles, self.use_mmap, self.max_mapped_bytes)
+        self._init_local()
+
+    def _init_local(self) -> None:
+        """The process-local state: the handle pool and the path map.
+
+        The map takes each path string a caller passes to its normalised
+        pool key and full filesystem path, so a warm read resolves its
+        path with one dict lookup.  It holds at most ``max_handles``
+        strings, and a path containing ``..`` never enters it.
+        """
+        self._pool = _HandlePool(
+            self.max_handles, self.use_mmap, self.max_mapped_bytes
+        )
+        self._paths: dict[str, tuple[str, str]] = {}
+        self._paths_lock = threading.Lock()
 
     # -- pickling (process-executor transport) ------------------------------
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # The handle pool and any attached recorder are process-local.
-        state.pop("_pool", None)
-        state.pop("recorder", None)
+        # The pool, the path map and any attached recorder are process-local.
+        for name in ("_pool", "_paths", "_paths_lock", "recorder"):
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.recorder = None
-        self._pool = _HandlePool(
-            self.max_handles, self.use_mmap, self.max_mapped_bytes
-        )
+        self._init_local()
 
     def process_clone(self):
         """A picklable equivalent of this backend for worker processes.
@@ -323,6 +348,19 @@ class PosixBackend(FileBackend):
 
     def _full(self, path: str) -> Path:
         return self.root / self._normalize(path)
+
+    def _resolve(self, path: str) -> tuple[str, str]:
+        """``(pool key, full path)`` of ``path``, both as ``str``."""
+        hit = self._paths.get(path)
+        if hit is None:
+            norm = self._normalize(path)  # raises on '..', before caching
+            root = str(self.root)
+            hit = (norm, os.path.join(root, norm) if norm else root)
+            with self._paths_lock:
+                if self._paths and len(self._paths) >= self.max_handles:
+                    del self._paths[next(iter(self._paths))]
+                self._paths[path] = hit
+        return hit
 
     # -- instrumentation ----------------------------------------------------
 
@@ -336,8 +374,9 @@ class PosixBackend(FileBackend):
             self.recorder.add(IO_HANDLE_REUSES, 1, key=(path,))
 
     def pool_stats(self) -> dict[str, int]:
-        """Handle-pool counters (opens/reuses/evictions/...; for tests)."""
-        return self._pool.stats()
+        """Handle-pool counters (opens/reuses/evictions/...) and the number
+        of resolved path strings held (``paths``); for tests."""
+        return {**self._pool.stats(), "paths": len(self._paths)}
 
     def close(self) -> None:
         """Drop every pooled handle (idempotent; the pool refills lazily)."""
@@ -368,8 +407,7 @@ class PosixBackend(FileBackend):
     # -- reads --------------------------------------------------------------
 
     def read_file(self, path: str, actor: int = -1) -> bytes:
-        norm = self._normalize(path)
-        full = self._full(path)
+        norm, full = self._resolve(path)
         try:
             handle, reused = self._pool.acquire(norm, full)
         except OSError as exc:
@@ -400,8 +438,7 @@ class PosixBackend(FileBackend):
         return data
 
     def readv(self, path: str, segments, actor: int = -1) -> int:
-        norm = self._normalize(path)
-        full = self._full(path)
+        norm, full = self._resolve(path)
         items: list[tuple[int, memoryview]] = []
         for offset, view in segments:
             out = memoryview(view).cast("B")
@@ -455,8 +492,9 @@ class PosixBackend(FileBackend):
         return self._full(path).exists()
 
     def size(self, path: str) -> int:
+        full = self._resolve(path)[1]
         try:
-            return self._full(path).stat().st_size
+            return os.stat(full).st_size
         except OSError as exc:
             raise BackendError(f"stat {path!r}: {exc}") from exc
 

@@ -166,11 +166,11 @@ class RetryPolicy:
         so a retry loop can never sleep through the very deadline its
         caller is trying to meet.
         """
-        stats = stats if stats is not None else RetryStats()
         requested = 0.0
         previous: float | None = None
         for attempt in range(self.max_attempts):
-            stats.attempts += 1
+            if stats is not None:
+                stats.attempts += 1
             if recorder is not None:
                 recorder.add(IO_ATTEMPTS)
             try:
@@ -180,12 +180,14 @@ class RetryPolicy:
                 if attempt + 1 >= self.max_attempts or self._over_budget(
                     requested + pause
                 ):
-                    stats.giveups += 1
+                    if stats is not None:
+                        stats.giveups += 1
                     if recorder is not None:
                         recorder.add(IO_GIVEUPS)
                         recorder.event(EV_GIVEUP, attempt=attempt, error=str(exc))
                     raise
-                stats.retries += 1
+                if stats is not None:
+                    stats.retries += 1
                 if recorder is not None:
                     recorder.add(IO_RETRIES)
                     recorder.event(EV_RETRY, attempt=attempt, error=str(exc))
@@ -193,7 +195,8 @@ class RetryPolicy:
                     on_retry(attempt, exc)
                 previous = pause
                 requested += pause
-                stats.slept += pause
+                if stats is not None:
+                    stats.slept += pause
                 self.sleep(pause)
         raise AssertionError("unreachable")  # pragma: no cover
 

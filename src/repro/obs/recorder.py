@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Hashable, Iterable, Iterator, Mapping
-from contextlib import contextmanager
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -91,7 +90,9 @@ class Recorder:
         self._clock = clock
         self._counters: dict[tuple[str, Key], float] = {}
         self._lock = threading.RLock()
-        self._stacks = threading.local()
+        #: Per-thread span stacks, allocated by the first span: most child
+        #: recorders only count and log, and never pay for one.
+        self._stacks: threading.local | None = None
 
     def now(self) -> float:
         """The recorder's current clock reading (seconds, arbitrary epoch)."""
@@ -99,37 +100,29 @@ class Recorder:
 
     # -- spans --------------------------------------------------------------
 
-    @contextmanager
     def span(
         self,
         name: str,
         cat: str = "phase",
         rank: int | None = None,
         **args: object,
-    ) -> Iterator[None]:
-        """Measure a named interval; nested spans record their parent."""
-        stack: list[str] = getattr(self._stacks, "names", None) or []
-        self._stacks.names = stack
-        parent = stack[-1] if stack else None
-        stack.append(name)
-        start = self.now()
-        try:
-            yield
-        finally:
-            end = self.now()
-            stack.pop()
+    ) -> "_OpenSpan":
+        """Measure a named interval (``with recorder.span(...):``); nested
+        spans record their parent."""
+        return _OpenSpan(self, name, cat, self.rank if rank is None else rank, args)
+
+    def _span_stack(self) -> list[str]:
+        """The calling thread's stack of open span names."""
+        stacks = self._stacks
+        if stacks is None:
             with self._lock:
-                self.spans.append(
-                    Span(
-                        name=name,
-                        rank=self.rank if rank is None else rank,
-                        start=start,
-                        duration=end - start,
-                        cat=cat,
-                        parent=parent,
-                        args=dict(args),
-                    )
-                )
+                if self._stacks is None:
+                    self._stacks = threading.local()
+                stacks = self._stacks
+        stack = getattr(stacks, "names", None)
+        if stack is None:
+            stack = stacks.names = []
+        return stack
 
     def add_span(
         self,
@@ -156,7 +149,7 @@ class Recorder:
             duration=duration,
             cat=cat,
             parent=parent,
-            args=dict(args),
+            args=args,
         )
         with self._lock:
             self.spans.append(span)
@@ -166,7 +159,8 @@ class Recorder:
 
     def add(self, name: str, value: float = 1.0, key: Key = ()) -> None:
         """Accumulate ``value`` into counter cell ``(name, key)``."""
-        key = tuple(key)
+        if type(key) is not tuple:
+            key = tuple(key)
         with self._lock:
             self._counters[(name, key)] = self._counters.get((name, key), 0.0) + value
 
@@ -209,13 +203,7 @@ class Recorder:
         rank: int | None = None,
         **args: object,
     ) -> Event:
-        ev = Event(
-            name=name,
-            rank=self.rank if rank is None else rank,
-            ts=self.now(),
-            cat=cat,
-            args=dict(args),
-        )
+        ev = Event(name, self.rank if rank is None else rank, self.now(), cat, args)
         with self._lock:
             self.events.append(ev)
         return ev
@@ -298,17 +286,21 @@ class Recorder:
 
         Spans and events concatenate (each carries its own rank); counter
         cells sum.  The canonical use is rank 0 merging every rank's
-        recorder after a collective operation.
+        recorder after a collective operation.  Merging an empty recorder
+        takes no lock.
         """
+        if not (other.spans or other.events or other._counters):
+            return self
         with other._lock:
-            spans = list(other.spans)
-            events = list(other.events)
-            counters = dict(other._counters)
+            spans = other.spans[:]
+            events = other.events[:]
+            counters = list(other._counters.items())
         with self._lock:
-            self.spans.extend(spans)
-            self.events.extend(events)
-            for cell, v in counters.items():
-                self._counters[cell] = self._counters.get(cell, 0.0) + v
+            self.spans += spans
+            self.events += events
+            mine = self._counters
+            for cell, v in counters:
+                mine[cell] = mine.get(cell, 0.0) + v
         return self
 
     @classmethod
@@ -333,3 +325,36 @@ class Recorder:
                 f"Recorder(rank={self.rank}, spans={len(self.spans)}, "
                 f"counters={len(self._counters)}, events={len(self.events)})"
             )
+
+
+class _OpenSpan:
+    """One :meth:`Recorder.span` interval: pushed on the calling thread's
+    span stack on entry, recorded as a :class:`Span` on exit (also when the
+    body raises)."""
+
+    __slots__ = ("recorder", "name", "cat", "rank", "args", "stack", "parent", "start")
+
+    def __init__(
+        self, recorder: Recorder, name: str, cat: str, rank: int, args: Mapping[str, object]
+    ) -> None:
+        self.recorder = recorder
+        self.name = name
+        self.cat = cat
+        self.rank = rank
+        self.args = args
+
+    def __enter__(self) -> None:
+        self.stack = stack = self.recorder._span_stack()
+        self.parent = stack[-1] if stack else None
+        stack.append(self.name)
+        self.start = self.recorder.now()
+
+    def __exit__(self, *exc_info: object) -> None:
+        recorder = self.recorder
+        end = recorder.now()
+        self.stack.pop()
+        span = Span(
+            self.name, self.rank, self.start, end - self.start, self.cat, self.parent, self.args
+        )
+        with recorder._lock:
+            recorder.spans.append(span)

@@ -37,7 +37,10 @@ from __future__ import annotations
 
 import threading
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +62,9 @@ from repro.format.datafile import (
     read_particle_runs_into,
 )
 from repro.format.metadata import MetadataRecord
+from repro.io.backend import FileBackend
+from repro.io.resilience import Deadline, current_deadline, deadline_scope
+from repro.io.retry import RetryPolicy
 from repro.obs.names import (
     DECODE_VECTORIZED_RUNS,
     EV_CHUNK_SKIPPED,
@@ -417,14 +423,18 @@ def verify_prefix(
     Ranged reads never see the v2 file footer, so this is the only
     integrity check they get.  Verification happens when the read count
     lands exactly on a recorded LOD boundary (checksums are prefix CRCs
-    — they cannot verify arbitrary lengths).  ``data`` is the decoded
-    particle array (or a :class:`ParticleBatch`); the CRC streams over
-    its contiguous byte view, so no copy of the payload is made.
+    — they cannot verify arbitrary lengths).  Boundaries are recorded in
+    ascending order, so the scan stops at the first one past the count.
+    ``data`` is the decoded particle array (or a :class:`ParticleBatch`);
+    the CRC streams over its contiguous byte view, so no copy of the
+    payload is made.
     """
     if not checksum_entry:
         return
     arr = data.data if isinstance(data, ParticleBatch) else data
     for rec_count, rec_crc in checksum_entry.get("prefixes", ()):
+        if rec_count > len(arr):
+            return
         if rec_count == len(arr):
             actual = zlib.crc32(np.ascontiguousarray(arr).view(np.uint8))
             if actual != int(rec_crc):
@@ -638,6 +648,56 @@ def _process_entry(payload: dict, recorder: Recorder) -> int:
     finally:
         dest = None  # release the exported buffer before closing the block
         shm.close()
+
+
+class _ReadContext(NamedTuple):
+    """What every entry task of one :meth:`QueryEngine.run` shares."""
+
+    backend: FileBackend
+    dtype: np.dtype
+    strict: bool
+    retry: RetryPolicy
+    actor: int
+    staged: StagedReads | None
+    deadline: Deadline | None
+    chunk_index: Callable[[MetadataRecord], object]
+    checksums: dict[str, dict]
+
+
+class _EntryTask(NamedTuple):
+    """One plan entry of :meth:`QueryEngine.run` as an executor task.
+
+    Called with the task's child recorder, it reads the entry into
+    ``dest`` through :func:`read_entry_into`.  A deadline is re-entered
+    inside the task, because executor threads do not inherit the caller's
+    context, and an entry that starts after expiry is shed before any I/O.
+    """
+
+    ctx: _ReadContext
+    rec: MetadataRecord
+    #: particles wanted from the head of the file (``runs`` overrides it)
+    head: int
+    runs: Runs | None
+    dest: np.ndarray
+
+    def __call__(self, recorder: Recorder) -> int:
+        deadline = self.ctx.deadline
+        if deadline is None:
+            return self._read(recorder)
+        with deadline_scope(deadline):
+            deadline.check(f"read {self.rec.file_path!r}")
+            return self._read(recorder)
+
+    def _read(self, recorder: Recorder) -> int:
+        backend, dtype, strict, retry, actor, staged, _, chunk_index, checksums = (
+            self.ctx
+        )
+        rec = self.rec
+        return read_entry_into(
+            backend, dtype, rec, self.head, self.runs, self.dest, recorder,
+            strict, retry, actor, chunk_index(rec), checksums.get(rec.file_path),
+            staged,
+        )
 
 
 class QueryEngine:
@@ -870,39 +930,6 @@ class QueryEngine:
 
     # -- execution -----------------------------------------------------------
 
-    def _read_entry_into(
-        self,
-        rec: MetadataRecord,
-        count: int,
-        runs: Runs | None,
-        dest: np.ndarray,
-        recorder: Recorder,
-        strict: bool,
-        staged: StagedReads | None = None,
-    ) -> int:
-        """One plan entry into its result slice (see :func:`read_entry_into`)."""
-        return read_entry_into(
-            self.backend,
-            self.dtype,
-            rec,
-            count,
-            runs,
-            dest,
-            recorder,
-            strict,
-            self.retry,
-            self.actor,
-            self.dataset.chunk_index(rec),
-            self.manifest.checksums.get(rec.file_path),
-            staged,
-        )
-
-    def _verify_prefix(
-        self, path: str, data, recorder: Recorder
-    ) -> None:
-        """Prefix-checksum check against the manifest (see :func:`verify_prefix`)."""
-        verify_prefix(path, data, recorder, self.manifest.checksums.get(path))
-
     def _process_clone(self, staged: StagedReads | None, deadline):
         """The backend clone process-shipping would use, or ``None``.
 
@@ -921,12 +948,8 @@ class QueryEngine:
 
     def _process_tasks(
         self,
-        tasks: list,
-        entries: list[tuple[MetadataRecord, int]],
-        runs_for: list[Runs | None],
-        dests: list[np.ndarray],
+        tasks: list[_EntryTask],
         offsets: list[int],
-        strict: bool,
         clone,
         shm_name: str,
     ) -> list:
@@ -944,17 +967,16 @@ class QueryEngine:
 
         note_io = self.backend.recorder is not None
         wrapped: list = []
-        for (rec, count), runs, dest, off, local in zip(
-            entries, runs_for, dests, offsets, tasks
-        ):
+        for task, off in zip(tasks, offsets):
+            rec, dest = task.rec, task.dest
             payload = {
                 "backend": clone,
                 "dtype": self.dtype,
                 # The landed index travels below; its packed copy need not.
                 "rec": replace(rec, section=b""),
-                "count": count,
-                "runs": runs,
-                "strict": strict,
+                "count": task.head,
+                "runs": task.runs,
+                "strict": task.ctx.strict,
                 "retry": self.retry,
                 "actor": self.actor,
                 "index": self.dataset.chunk_index(rec),
@@ -965,7 +987,7 @@ class QueryEngine:
                 "result_dtype": dest.dtype,
                 "note_io": note_io,
             }
-            wrapped.append(ProcessTask(local, _process_entry, payload))
+            wrapped.append(ProcessTask(task, _process_entry, payload))
         return wrapped
 
     def check_generation(self, plan: QueryPlan) -> None:
@@ -1022,23 +1044,17 @@ class QueryEngine:
         shed entry becomes a skipped partition with reason ``"deadline"``;
         breaker fast-fails likewise skip with reason ``"unavailable"``.
         """
-        from repro.io.resilience import current_deadline, deadline_scope
-
         self.check_generation(plan)
         recorder = recorder if recorder is not None else self.recorder
         strict = self.strict if strict is None else strict
         deadline = deadline if deadline is not None else current_deadline()
         demand = plan.demand(exact)
-        entries = [(rec, count) for rec, count, _runs in demand]
-        runs_for = [runs for _rec, _count, runs in demand]
         expected = [
             count if runs is None else runs.total for _rec, count, runs in demand
         ]
-        offsets = [0] * len(entries)
-        pos = 0
-        for i, n in enumerate(expected):
-            offsets[i] = pos
-            pos += n
+        #: entry i fills out[bounds[i]:bounds[i + 1]].
+        bounds = list(accumulate(expected, initial=0))
+        pos = bounds[-1]
         result_dtype = plan.result_dtype(self.dtype)
         # Process-shipped execution decodes every entry directly into one
         # shared-memory block that *is* the result array — workers write
@@ -1059,50 +1075,33 @@ class QueryEngine:
             out = np.ndarray(pos, dtype=result_dtype, buffer=shm_out.buf)
         else:
             out = np.empty(pos, dtype=result_dtype)
+        ctx = _ReadContext(
+            self.backend, self.dtype, strict, self.retry, self.actor, staged,
+            deadline, self.dataset.chunk_index, self.manifest.checksums,
+        )
+        tasks = [
+            _EntryTask(ctx, rec, count, runs, out[bounds[i] : bounds[i + 1]])
+            for i, (rec, count, runs) in enumerate(demand)
+        ]
         #: particles delivered per entry (None = skipped / not run).
-        delivered: list[int | None] = [None] * len(entries)
+        delivered: list[int | None] = [None] * len(tasks)
         mark = recorder.event_mark()
         try:
             with recorder.span(PHASE_FILE_IO, cat="read", files=plan.num_files):
-                def _entry_task(r, rec, count, runs, dest):
-                    if deadline is None:
-                        return self._read_entry_into(
-                            rec, count, runs, dest, r, strict, staged
-                        )
-                    with deadline_scope(deadline):
-                        deadline.check(f"read {rec.file_path!r}")
-                        return self._read_entry_into(
-                            rec, count, runs, dest, r, strict, staged
-                        )
-
-                dests = [
-                    out[offsets[i] : offsets[i] + expected[i]]
-                    for i in range(len(entries))
-                ]
-                tasks: list = [
-                    (
-                        lambda r, rec=rec, count=count, runs=runs, dest=dest:
-                        _entry_task(r, rec, count, runs, dest)
-                    )
-                    for (rec, count), runs, dest in zip(
-                        entries, runs_for, dests
-                    )
-                ]
+                submitted: list = tasks
                 if shm_out is not None:
-                    tasks = self._process_tasks(
-                        tasks, entries, runs_for, dests, offsets,
-                        strict, clone, shm_out.name,
+                    submitted = self._process_tasks(
+                        tasks, bounds, clone, shm_out.name
                     )
                 outcomes = self.executor.run(
-                    tasks, recorder, fail_fast=strict
+                    submitted, recorder, fail_fast=strict
                 )
-                for i, ((rec, _count), outcome) in enumerate(
-                    zip(entries, outcomes)
-                ):
+                for i, (task, outcome) in enumerate(zip(tasks, outcomes)):
                     if not outcome.ran:
                         break  # fail-fast cut the tail; the error already raised
                     if outcome.recorder is not None:
                         recorder.merge(outcome.recorder)
+                    rec = task.rec
                     if outcome.error is not None:
                         exc = outcome.error
                         if strict or not isinstance(
@@ -1133,8 +1132,8 @@ class QueryEngine:
         finally:
             report = ReadReport.from_events(recorder.events_since(mark))
             if shm_out is not None:
-                # Unlink only: the entry slices (`dests`, task closures)
-                # still reference the mapping, so the munmap happens via
+                # Unlink only: the entry slices (the tasks' `dest`s) still
+                # reference the mapping, so the munmap happens via
                 # GC when this frame's locals die.  The kernel keeps the
                 # memory alive until then; the name is gone immediately.
                 try:
@@ -1150,7 +1149,7 @@ class QueryEngine:
             # than its slice (survivors packed at the slice head), so any
             # short delivery also routes through the compacting branch.
             kept = [
-                out[offsets[i] : offsets[i] + d]
+                out[bounds[i] : bounds[i] + d]
                 for i, d in enumerate(delivered)
                 if d is not None
             ]

@@ -22,7 +22,6 @@ import pytest
 
 from repro.core import SpatialReader, WriterConfig
 from repro.dataset import Dataset
-from repro.domain import Box
 from repro.errors import BackendError
 from repro.format.datafile import HEADER_BYTES
 from repro.io import PosixBackend, posix
@@ -244,6 +243,38 @@ class TestHandlePool:
         tmp.write_bytes(swapped)
         os.replace(tmp, tmp_path / "ds" / path)
         assert backend.read_file(path) == swapped
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "stale"])
+    @pytest.mark.parametrize("grow", [-7, 9], ids=["shorter", "longer"])
+    def test_replace_between_lookup_and_open(self, tmp_path, monkeypatch, pooled, grow):
+        """A file swapped after the path lookup but before ``os.open`` is
+        pooled under the identity and size of what was opened."""
+        root = tmp_path / "ds"
+        backend = PosixBackend(root)
+        backend.write_file("data/f.bin", bytes(range(100)))
+        if pooled:
+            backend.read_file("data/f.bin")  # pool the handle ...
+            (root / "swap").write_bytes(b"\x01" * 100)
+            os.replace(root / "swap", root / "data" / "f.bin")  # ... then stale it
+        new = b"\x07" * (100 + grow)
+        real_open = os.open
+
+        def swapping_open(path, flags, *args):
+            if str(path).endswith("f.bin"):
+                (root / "swap").write_bytes(new)
+                os.replace(root / "swap", root / "data" / "f.bin")
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", swapping_open)
+        assert backend.read_file("data/f.bin") == new
+        monkeypatch.setattr(os, "open", real_open)
+        handle = backend._pool._handles["data/f.bin"]
+        st = os.stat(root / "data" / "f.bin")
+        assert handle.sig == (st.st_ino, st.st_size, st.st_mtime_ns)
+        assert handle.size == len(new)
+        out = bytearray(len(new))
+        backend.readinto("data/f.bin", 0, out)
+        assert bytes(out) == new
 
     def test_delete_invalidates(self, tmp_path):
         backend = write_posix(tmp_path / "ds")
