@@ -10,6 +10,13 @@ given a scrubbed dataset it classifies every issue into a typed
 writer uses (two-phase commit, :class:`~repro.io.retry.RetryPolicy`,
 per-file fan-out on the dataset's :class:`~repro.io.executor.IoExecutor`).
 
+Planning settles the dataset-wide facts (dtype, LOD parameters, attribute
+order, chunk size) once — from the manifest and table, else from the first
+readable recovery trailer — then inspects each file once through the
+scrubber's own :func:`~repro.core.scrub.inspect_file`, and rewrites a
+trailer exactly when it differs from
+:func:`~repro.core.scrub.want_trailer`, the comparison scrub makes.
+
 Strategy per issue, keyed off :attr:`ScrubIssue.repairable`:
 
 * **lossless rebuild** (``repairable=True``) — ``spatial.meta`` and
@@ -48,16 +55,25 @@ import zlib
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from repro.core.scrub import QUARANTINE_DIR, ScrubReport, verify_columnar
+from repro.core.scrub import (
+    QUARANTINE_DIR,
+    FileState,
+    ScrubReport,
+    committed_entry,
+    inspect_file,
+    settle_facts,
+    want_trailer,
+)
 from repro.dataset import Dataset, as_dataset
-from repro.errors import (
-    BackendError,
-    ChecksumError,
-    DataFileError,
-    FormatError,
-    MetadataError,
+from repro.errors import BackendError, DataFileError, FormatError, MetadataError
+from repro.format.chunks import FileChunkIndex
+from repro.format.datafile import (
+    DATA_VERSION_COLUMNAR,
+    HEADER_BYTES,
+    RecoveryTrailer,
+    build_data_blob,
+    columnar_payload_length,
+    read_recovery_trailer,
 )
 from repro.format.generations import (
     CURRENT_PATH,
@@ -71,32 +87,8 @@ from repro.format.generations import (
     resolve_generation,
     write_current,
 )
-from repro.format.chunks import FileChunkIndex, build_chunk_entry
-from repro.format.datafile import (
-    DATA_VERSION_COLUMNAR,
-    FOOTER_BYTES,
-    HEADER_BYTES,
-    RecoveryTrailer,
-    build_data_blob,
-    columnar_payload_length,
-    decode_columnar_payload,
-    extract_recovery_trailer,
-    parse_data_header,
-    payload_prefix_checksums,
-    prefix_checksum_boundaries,
-    verify_data_footer,
-)
-from repro.format.manifest import (
-    MANIFEST_PATH,
-    Manifest,
-    descr_to_dtype,
-    dtype_to_descr,
-)
-from repro.format.metadata import (
-    META_PATH,
-    MetadataRecord,
-    SpatialMetadata,
-)
+from repro.format.manifest import MANIFEST_PATH, Manifest
+from repro.format.metadata import MetadataRecord, SpatialMetadata
 from repro.io.backend import FileBackend
 from repro.obs.names import (
     EV_REPAIR_ACTION,
@@ -240,361 +232,6 @@ class RepairReport:
         return lines
 
 
-# -- per-file inspection -------------------------------------------------------
-
-
-@dataclass
-class _FileState:
-    """What one pass over a data file's bytes established."""
-
-    path: str
-    #: One of ``missing``, ``unreadable``, ``corrupt``, ``torn``, ``valid``.
-    status: str = "missing"
-    detail: str = ""
-    version: int = 0
-    rec_size: int = 0
-    header_count: int = 0
-    payload_crc32: int = 0
-    trailer: RecoveryTrailer | None = None
-    trailer_detail: str = ""
-    #: Checksum entry recomputed from the payload (valid files, LOD known).
-    actual_entry: dict | None = None
-    #: Longest prefix (in particles) verifying against the manifest entry.
-    salvage_count: int = 0
-    salvage_crc: int = 0
-    salvage_prefixes: list = field(default_factory=list)
-    #: Columnar (v4) facts: the segment codec (None marks a row file) and,
-    #: after salvage, the kept segment-bearing chunks as a table section.
-    codec: str | None = None
-    keep_section: bytes = b""
-
-
-def _inspect_file(
-    ds: Dataset,
-    path: str,
-    entry: dict | None,
-    dtype,
-    lod: tuple[int, int] | None,
-    rec: Recorder,
-    attr_names: tuple[str, ...] | None = None,
-    chunk_size_hint: int = 0,
-) -> _FileState:
-    """Classify one data file from its raw bytes; never raises.
-
-    ``entry`` is the :func:`_committed_entry` (drives torn-file salvage),
-    ``dtype`` the dataset record dtype (guards dtype mismatches and lets a
-    chunk index be recomputed from the payload), ``lod`` the (base, scale)
-    pair for recomputing prefix checksums, ``attr_names`` the indexed
-    attribute order — each ``None`` when the dataset-level state carrying
-    it did not survive.  ``chunk_size_hint`` is a dataset-wide fallback
-    (the writer's chunk size is identical across files) applied when
-    neither the entry nor the file's own trailer records an index.
-    """
-    itemsize = dtype.itemsize if dtype is not None else None
-    st = _FileState(path)
-    try:
-        if not ds.backend.exists(path):
-            st.detail = "referenced by spatial.meta but absent"
-            return st
-        raw = bytes(ds.retry.call(ds.backend.read_file, path, recorder=rec))
-    except BackendError as exc:
-        st.status, st.detail = "unreadable", str(exc)
-        return st
-
-    try:
-        st.version, st.rec_size, st.header_count = parse_data_header(raw, path)
-    except DataFileError as exc:
-        st.status, st.detail = "corrupt", str(exc)
-        return st
-    if itemsize is not None and st.rec_size != itemsize:
-        st.status = "corrupt"
-        st.detail = (
-            f"record size {st.rec_size} does not match dataset itemsize "
-            f"{itemsize}"
-        )
-        return st
-    if st.rec_size <= 0:
-        st.status, st.detail = "corrupt", f"record size {st.rec_size}"
-        return st
-
-    if st.version >= DATA_VERSION_COLUMNAR:
-        return _inspect_columnar(st, raw, entry, dtype, lod, attr_names)
-
-    footer = FOOTER_BYTES if st.version >= 2 else 0
-    expected = HEADER_BYTES + st.header_count * st.rec_size + footer
-    torn = (
-        len(raw) < expected if st.version >= 3 else len(raw) != expected
-    )
-    if torn:
-        st.status = "torn"
-        st.detail = (
-            f"expected {expected} bytes for {st.header_count} particles, "
-            f"found {len(raw)}"
-        )
-        _find_salvage_prefix(st, raw, entry)
-        return st
-
-    body = raw[:expected]
-    payload = body[HEADER_BYTES : expected - footer]
-    st.payload_crc32 = zlib.crc32(payload)
-    if st.version >= 2:
-        try:
-            verify_data_footer(body, path)
-        except ChecksumError as exc:
-            st.status, st.detail = "corrupt", str(exc)
-            return st
-    st.status = "valid"
-
-    if st.version >= 3:
-        _load_trailer(st, raw)
-
-    if lod is None and st.trailer is not None:
-        lod = (st.trailer.lod_base, st.trailer.lod_scale)
-    if dtype is None:
-        # The dtype is a dataset-wide fact the trailer carries too; without
-        # it the chunk index below cannot be recomputed and a healthy
-        # trailer would spuriously "disagree" with a chunkless entry.
-        dtype = _trailer_dtype(st)
-    if lod is not None:
-        boundaries = prefix_checksum_boundaries(st.header_count, *lod)
-        prefixes = payload_prefix_checksums(payload, st.rec_size, boundaries)
-        st.actual_entry = {
-            "payload_crc32": st.payload_crc32,
-            "prefixes": [[c, crc] for c, crc in prefixes],
-        }
-        # Chunk index: the grid is fully determined by the payload, the LOD
-        # boundaries, and the chunk size (recovered from whichever recorded
-        # index survives), so a clean one rebuilds bit-identically and a
-        # damaged one is replaced by the truth.  Unchunked datasets have no
-        # donor and stay unchunked.
-        chunk_size = _donor_chunk_size(entry, st.trailer) or chunk_size_hint
-        if chunk_size and dtype is not None and st.header_count:
-            if attr_names is None and st.trailer is not None:
-                attr_names = st.trailer.attr_names
-            from repro.particles.batch import ParticleBatch
-
-            st.actual_entry["section"] = build_chunk_entry(
-                ParticleBatch.frombuffer(payload, dtype),
-                chunk_size,
-                boundaries,
-                tuple(attr_names or ()),
-            ).to_section()
-    return st
-
-
-def _load_trailer(st: _FileState, raw: bytes) -> None:
-    """Set ``st.trailer`` from the file image's recovery trailer, or record
-    in ``st.trailer_detail`` why it is unusable."""
-    try:
-        trailer = extract_recovery_trailer(raw, st.path)
-    except (ChecksumError, DataFileError) as exc:
-        st.trailer_detail = str(exc)
-        return
-    if trailer.record.particle_count != st.header_count:
-        st.trailer_detail = (
-            f"trailer says {trailer.record.particle_count} particles, "
-            f"header says {st.header_count}"
-        )
-        return
-    st.trailer = trailer
-
-
-def _trailer_dtype(st: _FileState):
-    """The dataset dtype as ``st``'s trailer records it, when it parses and
-    matches the header's record size; else None."""
-    if st.trailer is None:
-        return None
-    try:
-        dtype = descr_to_dtype(st.trailer.dtype_descr)
-    except FormatError:
-        return None
-    return dtype if dtype.itemsize == st.rec_size else None
-
-
-def _inspect_columnar(
-    st: _FileState,
-    raw: bytes,
-    entry: dict | None,
-    dtype,
-    lod: tuple[int, int] | None,
-    attr_names: tuple[str, ...] | None,
-) -> _FileState:
-    """Classify a columnar (v4) file from its raw bytes.
-
-    Verification runs at *segment* granularity against the first recorded
-    copy of the chunk index (the trailer's, then the table's) under which
-    the file verifies (:func:`~repro.core.scrub.verify_columnar`), and a
-    file with damaged or missing tail segments is treated as torn — salvage
-    keeps whole leading chunks up to the longest LOD boundary whose decoded
-    logical prefix still verifies.  A valid file gets a recomputed v4
-    checksum entry (encoded-payload CRC, logical prefix CRCs, segment-bearing
-    section, codec).
-    """
-    _load_trailer(st, raw)
-    copies = []
-    if st.trailer is not None:
-        copies.append((st.trailer.record.section, st.trailer.codec))
-    if entry and entry.get("section"):
-        copies.append((entry["section"], entry.get("codec")))
-    if not any(section for section, _codec in copies):
-        if entry is None:
-            # Nothing ever recorded this file (aborted-write orphan cut
-            # before its trailer): torn with nothing salvageable, so it
-            # quarantines without billing the header count as data loss —
-            # same accounting as a row orphan.
-            st.status = "torn"
-            st.detail = (
-                "columnar file has no usable segment descriptors "
-                "(torn before its recovery trailer)"
-            )
-            return st
-        st.status = "corrupt"
-        st.detail = (
-            "columnar file has no usable segment descriptors "
-            "(recovery trailer and table section both lost)"
-        )
-        return st
-    if dtype is None:
-        dtype = _trailer_dtype(st)
-    if dtype is None:
-        st.status = "corrupt"
-        st.detail = (
-            "columnar file cannot be verified without a dtype and none "
-            "survives (manifest and trailer both lost)"
-        )
-        return st
-    if lod is None and st.trailer is not None:
-        lod = (st.trailer.lod_base, st.trailer.lod_scale)
-    check = verify_columnar(raw, copies, st.header_count, dtype, st.path)
-    st.codec = check.codec
-    if check.rows is None:
-        if check.index is not None and check.code in ("data-truncated", "segment-checksum"):
-            st.status = "torn"
-            st.detail = check.details[0]
-            if check.code == "segment-checksum":
-                st.detail = (
-                    f"{len(check.details)} damaged column segment(s); "
-                    f"first: {check.details[0]}"
-                )
-            _find_columnar_salvage(st, raw, entry, dtype, check.index, check.codec)
-        else:
-            st.status, st.detail = "corrupt", check.details[0]
-        return st
-    st.status = "valid"
-    st.payload_crc32 = zlib.crc32(raw[HEADER_BYTES : HEADER_BYTES + check.enc_len])
-    if lod is None:
-        return st
-    boundaries = prefix_checksum_boundaries(st.header_count, *lod)
-    prefixes = payload_prefix_checksums(
-        np.ascontiguousarray(check.rows).tobytes(), st.rec_size, boundaries
-    )
-    st.actual_entry = {
-        "payload_crc32": st.payload_crc32,
-        "prefixes": [[c, crc] for c, crc in prefixes],
-        "codec": check.codec,
-    }
-    if attr_names is None and st.trailer is not None:
-        attr_names = st.trailer.attr_names
-    # Regraft the chunk geometry from the decoded payload (the truth) and
-    # keep the verified stored segment descriptors — same partition, so
-    # they line up one-to-one.  A geometry whose partition no longer
-    # matches keeps the stored index wholesale (it verified byte-level).
-    from repro.particles.batch import ParticleBatch
-
-    stored = check.index
-    assert stored is not None  # a verified file verified against an index
-    geo = build_chunk_entry(
-        ParticleBatch(check.rows), int(stored.counts.max()), boundaries,
-        tuple(attr_names or ()),
-    )
-    if np.array_equal(geo.starts, stored.starts) and np.array_equal(
-        geo.counts, stored.counts
-    ):
-        geo.segments = stored.segments
-        stored = geo
-    st.actual_entry["section"] = stored.to_section()
-    return st
-
-
-def _find_columnar_salvage(
-    st: _FileState,
-    raw: bytes,
-    entry: dict | None,
-    dtype,
-    index: FileChunkIndex,
-    codec: str,
-) -> None:
-    """Salvage for a torn/segment-damaged v4 file: keep whole leading
-    chunks whose segments all verify and decode, up to the longest
-    recorded LOD boundary whose decoded logical prefix CRC matches.
-    Chunks never straddle LOD boundaries, so every recorded boundary is
-    chunk-aligned and the kept encoded bytes are a payload prefix whose
-    segment offsets stay valid."""
-    eff = entry
-    if eff is None and st.trailer is not None:
-        eff = st.trailer.checksum_entry
-    if eff is None:
-        return
-    payload = raw[HEADER_BYTES:]
-    parts = []
-    for k in range(len(index)):
-        try:
-            parts.append(
-                decode_columnar_payload(payload, index[k : k + 1], codec, dtype, st.path)
-            )
-        except (ChecksumError, DataFileError):
-            break
-    good = int(index.counts[: len(parts)].sum())
-    if not good:
-        return
-    logical = np.concatenate(parts).tobytes()
-    crc, pos, kept = 0, 0, 0
-    prefixes = []
-    for count, stored in eff.get("prefixes", []):
-        count, stored = int(count), int(stored)
-        if count > good:
-            break
-        crc = zlib.crc32(
-            logical[pos * st.rec_size : count * st.rec_size], crc
-        )
-        pos = count
-        if crc != stored:
-            break
-        kept = count
-        prefixes.append([count, crc])
-    ends = np.cumsum(index.counts)
-    k = int(np.searchsorted(ends, kept)) + 1
-    if not kept or ends[k - 1] != kept:
-        return  # nothing verifies, or a boundary not chunk-aligned
-    st.salvage_count = kept
-    st.salvage_crc = zlib.crc32(payload[: columnar_payload_length(index[:k])])
-    st.salvage_prefixes = prefixes
-    st.keep_section = index[:k].to_section()
-
-
-def _find_salvage_prefix(st: _FileState, raw: bytes, entry: dict | None) -> None:
-    """Longest prefix of a torn file that verifies against the manifest's
-    per-LOD prefix checksums.  Levels-are-subsets makes that prefix a valid
-    coarse representation — exactly what truncation keeps."""
-    if entry is None:
-        return
-    avail = max(0, len(raw) - HEADER_BYTES) // st.rec_size
-    crc, pos = 0, 0
-    for count, stored in entry.get("prefixes", []):
-        count, stored = int(count), int(stored)
-        if count > avail:
-            break
-        crc = zlib.crc32(
-            raw[HEADER_BYTES + pos * st.rec_size : HEADER_BYTES + count * st.rec_size],
-            crc,
-        )
-        pos = count
-        if crc != stored:
-            break
-        st.salvage_count, st.salvage_crc = count, crc
-        st.salvage_prefixes.append([count, crc])
-
-
 # -- planning ------------------------------------------------------------------
 
 
@@ -623,29 +260,9 @@ class _RepairPlan:
     #: stray chain state deleted outright (dropped gen manifests/meta,
     #: residue meta without a manifest, stray CURRENT on a gen-0 dataset).
     delete_paths: list[str] = field(default_factory=list)
-    #: path -> (salvage_count, rec_size) for truncations.
-    truncate: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: path -> (count, rec_size) for full-payload trailer rewrites.
-    rewrite: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: path -> fresh trailer for truncate/rewrite targets.
-    trailers: dict[str, RecoveryTrailer] = field(default_factory=dict)
-
-
-def _committed_entry(
-    manifest: Manifest | None, ref: MetadataRecord | None, path: str
-) -> dict | None:
-    """One file's manifest checksum entry plus, as ``section``, the chunk
-    index its table record carries (when that section frames; an
-    unframeable one is regrafted from the payload)."""
-    entry = manifest.checksums.get(path) if manifest is not None else None
-    if entry is None:
-        return None
-    entry = dict(entry)
-    with suppress(DataFileError):
-        if ref is not None:
-            FileChunkIndex.unpack(ref.section, path)
-            entry["section"] = ref.section
-    return entry
+    #: path -> (records kept, rec_size, fresh trailer) for truncations
+    #: (the salvaged prefix) and trailer rewrites (the whole payload).
+    rewrite: dict[str, tuple[int, int, RecoveryTrailer]] = field(default_factory=dict)
 
 
 def _norm_entry(entry: dict | None) -> dict | None:
@@ -662,23 +279,16 @@ def _norm_entry(entry: dict | None) -> dict | None:
     return out
 
 
-def _donor_chunk_size(entry: dict | None, trailer: RecoveryTrailer | None) -> int:
-    """Recover the writer's chunk size from whichever recorded index
-    survives and still tiles (the grid is regular, so the largest chunk IS
-    the chunk size); 0 when none does — the dataset was written unchunked,
-    or every recorded copy is damaged."""
-    sections = [entry.get("section", b"") if entry else b""]
-    if trailer is not None:
-        sections.append(trailer.record.section)
-    for section in sections:
-        try:
-            index = FileChunkIndex.unpack(section)
-            index.validated(index.total_particles)
-        except DataFileError:
-            continue
-        if len(index):
-            return int(index.counts.max())
-    return 0
+def _donor_trailer(ds: Dataset, paths: list[str]) -> RecoveryTrailer | None:
+    """The first recovery trailer among ``paths`` that reads and checksums
+    (ranged reads of the file's tail only): where dataset-wide facts come
+    from when the manifest or the table is lost."""
+    for path in paths:
+        with suppress(BackendError, DataFileError):
+            return ds.retry.call(
+                read_recovery_trailer, ds.backend, path, recorder=ds.recorder
+            )
+    return None
 
 
 def _natural_key(path: str) -> tuple:
@@ -819,9 +429,29 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
     )
     ordered_paths = sorted(paths, key=_natural_key)
 
-    known_dtype = manifest.dtype if manifest is not None else None
-    lod = (manifest.lod_base, manifest.lod_scale) if manifest is not None else None
-    known_attrs = metadata.attr_names if metadata is not None else None
+    # Dataset-wide facts, settled once before any file is inspected: from
+    # the manifest and the table when they survived, else from the first
+    # readable recovery trailer (identical across one dataset's files).
+    donor = None
+    if manifest is None or metadata is None:
+        donor = _donor_trailer(ds, ordered_paths)
+        if donor is None:
+            lost = "spatial.meta" if metadata is None else "manifest.json"
+            plan.unresolved.append(
+                f"{lost} is lost and no data file carries a readable "
+                "recovery trailer (pre-v3 dataset?) — cannot rebuild"
+            )
+            return plan
+    try:
+        facts = settle_facts(manifest, metadata, donor)
+    except FormatError as exc:
+        plan.unresolved.append(f"recovery trailer has a bad dtype: {exc}")
+        return plan
+    writer_prov = (
+        manifest.writer
+        if manifest is not None
+        else {"provenance": "rebuilt by repro repair"}
+    )
 
     # Scope the inspection from the scrub report: with both dataset-level
     # pieces intact and no cross-check complaints, only flagged files need
@@ -843,107 +473,19 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
     # children merge back in submission order (executor-independent).
     tasks = [
         (
-            lambda child, p=path: _inspect_file(
-                ds,
-                p,
-                _committed_entry(manifest, ref_records.get(p), p),
-                known_dtype,
-                lod,
-                child,
-                attr_names=known_attrs,
+            lambda child, p=path: inspect_file(
+                ds, p, committed_entry(manifest, ref_records.get(p), p), facts, child
             )
         )
         for path in inspect_paths
     ]
-    states: dict[str, _FileState] = {}
+    states: dict[str, FileState] = {}
     for outcome in ds.executor.run(tasks, ds.recorder):
         if outcome.recorder is not None:
             ds.recorder.merge(outcome.recorder)
         if outcome.error is not None:
             raise outcome.error
         states[outcome.value.path] = outcome.value
-
-    trailers = [
-        states[p].trailer
-        for p in inspect_paths
-        if states[p].trailer is not None
-    ]
-    if metadata is None and not trailers:
-        plan.unresolved.append(
-            "spatial.meta is lost and no data file carries a readable "
-            "recovery trailer (pre-v3 dataset?) — cannot rebuild"
-        )
-        return plan
-    if manifest is None and not trailers:
-        plan.unresolved.append(
-            "manifest.json is lost and no data file carries a readable "
-            "recovery trailer (pre-v3 dataset?) — cannot rebuild"
-        )
-        return plan
-
-    # Dataset-wide facts: from the manifest when it survived, else from the
-    # trailers (identical across all files of one dataset by construction).
-    donor = trailers[0] if trailers else None
-    if manifest is not None:
-        dtype = manifest.dtype
-        lod_params = (
-            manifest.lod_base,
-            manifest.lod_scale,
-            manifest.lod_heuristic,
-            manifest.lod_seed,
-        )
-        writer_prov = manifest.writer
-    else:
-        assert donor is not None
-        try:
-            dtype = descr_to_dtype(donor.dtype_descr)
-        except FormatError as exc:
-            plan.unresolved.append(f"recovery trailer has a bad dtype: {exc}")
-            return plan
-        lod_params = (
-            donor.lod_base,
-            donor.lod_scale,
-            donor.lod_heuristic,
-            donor.lod_seed,
-        )
-        writer_prov = {"provenance": "rebuilt by repro repair"}
-    descr = dtype_to_descr(dtype)
-
-    # Second pass: a structurally valid file whose own trailer is
-    # unreadable while the manifest is also lost could not recompute its
-    # checksum entry above — the first inspection had no LOD parameters to
-    # derive prefix boundaries from.  Those facts are dataset-wide, so once
-    # a donor trailer establishes them the intact payload derives the entry
-    # after all; re-inspect with the recovered dtype, LOD pair, attribute
-    # order and chunk size.
-    second_pass = [
-        p
-        for p in inspect_paths
-        if states[p].status == "valid" and states[p].actual_entry is None
-    ]
-    if second_pass:
-        donor_attrs = known_attrs
-        if donor_attrs is None and donor is not None:
-            donor_attrs = donor.attr_names
-        chunk_hint = 0
-        for p in inspect_paths:
-            chunk_hint = _donor_chunk_size(
-                _committed_entry(manifest, ref_records.get(p), p),
-                states[p].trailer,
-            )
-            if chunk_hint:
-                break
-        for p in second_pass:
-            states[p] = _inspect_file(
-                ds,
-                p,
-                _committed_entry(manifest, ref_records.get(p), p),
-                dtype,
-                (lod_params[0], lod_params[1]),
-                ds.recorder,
-                attr_names=donor_attrs,
-                chunk_size_hint=chunk_hint,
-            )
 
     records: list[MetadataRecord] = []
     checksums: dict[str, dict] = {}
@@ -961,26 +503,13 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
             checksums[record.file_path] = entry
         records.append(record)
 
-    def want_trailer(record: MetadataRecord, entry: dict) -> RecoveryTrailer:
-        return RecoveryTrailer(
-            replace(record, section=entry.get("section", b"")),
-            payload_crc32=int(entry["payload_crc32"]),
-            prefixes=tuple((int(c), int(crc)) for c, crc in entry["prefixes"]),
-            codec=entry.get("codec"),
-            dtype_descr=descr,
-            lod_base=lod_params[0],
-            lod_scale=lod_params[1],
-            lod_heuristic=lod_params[2],
-            lod_seed=lod_params[3],
-        )
-
     for path in ordered_paths:
         ref = ref_records.get(path)
         if path not in states:
             # Scrub found nothing wrong with this file; carry its committed
             # record and checksum entry over untouched.
             assert ref is not None and manifest is not None
-            keep(ref, _norm_entry(_committed_entry(manifest, ref, path)))
+            keep(ref, _norm_entry(committed_entry(manifest, ref, path)))
             continue
         st = states[path]
 
@@ -998,7 +527,7 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
             # Cannot even copy it aside; leave it in place and report.
             plan.unresolved.append(f"{path}: unreadable ({st.detail})")
             if ref is not None:
-                keep(ref, _norm_entry(_committed_entry(manifest, ref, path)))
+                keep(ref, _norm_entry(committed_entry(manifest, ref, path)))
             continue
 
         if st.status == "corrupt":
@@ -1031,8 +560,9 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
                     # file at reduced fidelity.
                     entry["section"] = st.keep_section
                     entry["codec"] = st.codec
-                plan.truncate[path] = (st.salvage_count, st.rec_size)
-                plan.trailers[path] = want_trailer(record, entry)
+                plan.rewrite[path] = (
+                    st.salvage_count, st.rec_size, want_trailer(record, entry, facts)
+                )
                 keep(record, entry)
                 add(
                     ACTION_TRUNCATE,
@@ -1061,9 +591,12 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
             )
             continue
 
+        # The file's own account of itself: a trailer that parses and
+        # agrees with the header's count.
+        own = st.trailer if st.trailer is not None and not st.trailer_detail else None
         if ref is None:
             # Metadata is being rebuilt; adopt the record from the trailer.
-            if st.trailer is None:
+            if own is None:
                 add(
                     ACTION_QUARANTINE,
                     path,
@@ -1072,7 +605,7 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
                     lost=st.header_count,
                 )
                 continue
-            record = st.trailer.record
+            record = own.record
             if record.file_path != path:
                 add(
                     ACTION_QUARANTINE,
@@ -1084,8 +617,8 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
                 continue
             adopted += 1
         elif st.header_count != ref.particle_count:
-            if st.trailer is not None and st.trailer.record.agg_rank == ref.agg_rank:
-                record = st.trailer.record
+            if own is not None and own.record.agg_rank == ref.agg_rank:
+                record = own.record
                 add(
                     ACTION_REBUILD_ENTRY,
                     path,
@@ -1104,23 +637,10 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
         else:
             record = ref
 
-        # Checksum entry: keep the manifest's when it matches the bytes,
-        # else take the recomputed one (or the trailer's, matching payload).
-        old_entry = _norm_entry(_committed_entry(manifest, ref, path))
+        # Checksum entry: the one recomputed from the verified payload.
         entry = st.actual_entry
-        if entry is None and st.trailer is not None:
-            t_entry = _norm_entry(st.trailer.checksum_entry)
-            if int(t_entry["payload_crc32"]) == st.payload_crc32:
-                entry = t_entry
-        if entry is None:
-            entry = old_entry
-        if entry is None:
-            plan.unresolved.append(
-                f"{path}: no way to derive checksum entry (manifest and "
-                "trailer both lost)"
-            )
-            keep(record, None)
-            continue
+        assert entry is not None  # every valid file has one
+        old_entry = _norm_entry(committed_entry(manifest, ref, path))
         already_noted = any(
             a.path == path and a.kind == ACTION_REBUILD_ENTRY
             for a in plan.actions
@@ -1136,13 +656,12 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
             )
         keep(record, entry)
 
-        # Trailer health: v3 files must carry a trailer agreeing with the
-        # committed state; rewrite it from that state when they don't.
+        # Trailer health: v3 files must carry the trailer the repaired state
+        # determines — the same comparison scrub makes; rewrite it if not.
         if st.version >= 3:
-            wanted = want_trailer(record, entry)
+            wanted = want_trailer(record, entry, facts)
             if st.trailer != wanted:
-                plan.rewrite[path] = (st.header_count, st.rec_size)
-                plan.trailers[path] = wanted
+                plan.rewrite[path] = (st.header_count, st.rec_size, wanted)
                 add(
                     ACTION_REWRITE_TRAILER,
                     path,
@@ -1154,18 +673,14 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
     try:
         table = SpatialMetadata(
             sorted(records, key=lambda r: r.box_id),
-            attr_names=metadata.attr_names
-            if metadata is not None
-            else donor.attr_names,
+            attr_names=facts.attr_names,
         )
     except MetadataError as exc:
         # Refuse to act on a plan whose end state would not even validate
         # (e.g. two adopted trailers claiming the same box) — report instead.
         plan.unresolved.append(f"rebuilt table is inconsistent: {exc}")
         plan.actions = []
-        plan.truncate.clear()
         plan.rewrite.clear()
-        plan.trailers.clear()
         plan.drop_files.clear()
         plan.delete_paths.clear()
         plan.write_current_gen = None
@@ -1181,13 +696,13 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
         )
 
     new_manifest = Manifest(
-        dtype=dtype,
+        dtype=facts.dtype,
         num_files=len(table),
         total_particles=table.total_particles,
-        lod_base=lod_params[0],
-        lod_scale=lod_params[1],
-        lod_heuristic=lod_params[2],
-        lod_seed=lod_params[3],
+        lod_base=facts.lod_base,
+        lod_scale=facts.lod_scale,
+        lod_heuristic=facts.lod_heuristic,
+        lod_seed=facts.lod_seed,
         writer=writer_prov,
         checksums={p: checksums[p] for p in sorted(checksums, key=_natural_key)},
         spatial_meta_crc32=zlib.crc32(plan.meta_blob),
@@ -1362,16 +877,8 @@ def _execute(ds: Dataset, plan: _RepairPlan, report: RepairReport) -> None:
     def apply(action: RepairAction, child: Recorder) -> RepairAction:
         if action.kind == ACTION_QUARANTINE:
             _quarantine_path(ds, action.path, child)
-        elif action.kind == ACTION_TRUNCATE:
-            count, rec_size = plan.truncate[action.path]
-            _rewrite_file(
-                ds, action.path, count, rec_size, plan.trailers[action.path], child
-            )
         else:
-            count, rec_size = plan.rewrite[action.path]
-            _rewrite_file(
-                ds, action.path, count, rec_size, plan.trailers[action.path], child
-            )
+            _rewrite_file(ds, action.path, *plan.rewrite[action.path], child)
         return action
 
     tasks = [

@@ -8,8 +8,10 @@ guarantees:
   manifest's recorded ``spatial_meta_crc32`` agrees with the bytes on disk;
 * every data file the table references exists, has a valid header, the
   header's particle count matches the table's, the byte length is exact,
-  the v2 footer CRC matches, and the manifest's per-LOD prefix checksums
-  recompute correctly;
+  the v2 footer CRC (v4: every segment CRC) matches, the manifest's
+  payload and per-LOD prefix checksums and the table's chunk index
+  recompute from the payload, and a v3+ recovery trailer equals — every
+  field of it — the one repair would write (:func:`want_trailer`);
 * no orphan data files sit in ``data/`` (leftovers of an aborted write);
 * the generation chain is structurally sound: the checksummed ``CURRENT``
   pointer parses and names an existing generation, every chained manifest
@@ -35,6 +37,13 @@ writer's two-phase protocol: ``manifest.json`` is written last, so a
 dataset without a parseable manifest (or with manifest-referenced pieces
 missing) is an aborted write, never a valid dataset.
 
+The per-file work is one inspection shared with repair:
+:func:`inspect_file` reads a data file once (under the dataset's retry
+policy), classifies it and recomputes its checksum entry and chunk index
+from the payload.  Scrub compares that with the committed record and entry
+to name issues; repair uses the same state to decide its actions, so a
+trailer scrub passes is one repair would leave alone, and vice versa.
+
 Both entry points accept a :class:`~repro.dataset.Dataset` (or anything
 :func:`~repro.dataset.as_dataset` coerces) and run the per-file
 verification work — the expensive part of a scrub — on the dataset's
@@ -47,6 +56,7 @@ ran the scrub.
 from __future__ import annotations
 
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,17 +71,17 @@ from repro.errors import (
 )
 from repro.format.chunks import FileChunkIndex, build_chunk_entry
 from repro.format.datafile import (
+    DATA_MAGIC,
     DATA_VERSION_COLUMNAR,
     FOOTER_BYTES,
     HEADER_BYTES,
+    RecoveryTrailer,
     columnar_payload_length,
-    compute_file_checksums,
     decode_columnar_payload,
     extract_recovery_trailer,
-    peek_data_header,
+    parse_data_header,
+    payload_prefix_checksums,
     prefix_checksum_boundaries,
-    read_data_file,
-    read_recovery_trailer,
     scan_columnar_segments,
     verify_data_footer,
 )
@@ -86,9 +96,10 @@ from repro.format.generations import (
     resolve_generation,
     verify_generation,
 )
-from repro.format.manifest import MANIFEST_PATH, Manifest
-from repro.format.metadata import META_PATH, SpatialMetadata
+from repro.format.manifest import MANIFEST_PATH, Manifest, descr_to_dtype, dtype_to_descr
+from repro.format.metadata import META_PATH, MetadataRecord, SpatialMetadata
 from repro.io.backend import FileBackend
+from repro.obs.recorder import Recorder
 from repro.particles.batch import ParticleBatch
 
 #: Where repair parks unrecoverable bytes instead of deleting them (defined
@@ -337,10 +348,315 @@ def _scrub_chain(
     return target
 
 
+# -- one inspection per data file ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class DatasetFacts:
+    """The dataset-wide facts every data file is verified against and every
+    recovery trailer repeats (identical across one dataset's files)."""
+
+    dtype: np.dtype
+    lod_base: int
+    lod_scale: int
+    lod_heuristic: str
+    lod_seed: int | None
+    #: The indexed attributes, in metadata-table order.
+    attr_names: tuple[str, ...]
+    #: The writer's chunk size (0: written unchunked), for regridding a file
+    #: whose own recorded indexes are all lost.
+    chunk_size: int
+
+
+def settle_facts(
+    manifest: Manifest | None,
+    metadata: SpatialMetadata | None,
+    donor: RecoveryTrailer | None,
+) -> DatasetFacts:
+    """The dataset-wide facts from the manifest and the table, taking what
+    either lost from ``donor`` (a readable recovery trailer).  Raises
+    :class:`~repro.errors.FormatError` when a needed donor dtype does not
+    parse."""
+    lod: Manifest | RecoveryTrailer
+    if manifest is not None:
+        dtype, lod = manifest.dtype, manifest
+    else:
+        assert donor is not None
+        dtype, lod = descr_to_dtype(donor.dtype_descr), donor
+    if metadata is not None:
+        names, records = metadata.attr_names, metadata.records
+    else:
+        assert donor is not None
+        names, records = donor.attr_names, [donor.record]
+    return DatasetFacts(
+        dtype, lod.lod_base, lod.lod_scale, lod.lod_heuristic, lod.lod_seed,
+        tuple(names), chunk_size_of((r.section, r.particle_count) for r in records),
+    )
+
+
+def chunk_size_of(copies) -> int:
+    """The writer's chunk size from the first ``(section, particle_count)``
+    of ``copies`` whose section tiles that many particles (the grid is
+    regular, so its largest chunk IS the chunk size); 0 when none does —
+    the dataset was written unchunked, or every recorded copy is damaged."""
+    for section, count in copies:
+        try:
+            index = FileChunkIndex.unpack(section).validated(count)
+        except DataFileError:
+            continue
+        if len(index):
+            return int(index.counts.max())
+    return 0
+
+
+def committed_entry(
+    manifest: Manifest | None, ref: MetadataRecord | None, path: str
+) -> dict | None:
+    """One file's manifest checksum entry plus, as ``section``, the chunk
+    index its table record carries (when that section frames; an
+    unframeable one is regrafted from the payload)."""
+    entry = manifest.checksums.get(path) if manifest is not None else None
+    if entry is None:
+        return None
+    entry = dict(entry)
+    with suppress(DataFileError):
+        if ref is not None:
+            FileChunkIndex.unpack(ref.section, path)
+            entry["section"] = ref.section
+    return entry
+
+
+def want_trailer(record: MetadataRecord, entry: dict, facts: DatasetFacts) -> RecoveryTrailer:
+    """The recovery trailer of a file with table ``record`` and checksum
+    ``entry`` (its ``section`` replacing the record's): what repair writes,
+    and what scrub compares every trailer against."""
+    return RecoveryTrailer(
+        replace(record, section=entry.get("section", b"")),
+        payload_crc32=int(entry["payload_crc32"]),
+        prefixes=tuple((int(c), int(crc)) for c, crc in entry["prefixes"]),
+        codec=entry.get("codec"),
+        dtype_descr=dtype_to_descr(facts.dtype),
+        lod_base=facts.lod_base,
+        lod_scale=facts.lod_scale,
+        lod_heuristic=facts.lod_heuristic,
+        lod_seed=facts.lod_seed,
+    )
+
+
 @dataclass
-class ColumnarCheck:
+class FileState:
+    """What one pass over a data file's bytes established."""
+
+    path: str
+    #: One of ``missing``, ``unreadable``, ``corrupt``, ``torn``, ``valid``.
+    status: str = "missing"
+    #: The scrub issue code of a damaged file, and one detail per finding.
+    code: str = ""
+    details: list[str] = field(default_factory=list)
+    size: int = 0
+    version: int = 0
+    rec_size: int = 0
+    header_count: int = 0
+    #: The parsed recovery trailer (v3+); ``trailer_detail`` says why it is
+    #: unusable — it does not parse, or disagrees with the header's count.
+    trailer: RecoveryTrailer | None = None
+    trailer_detail: str = ""
+    #: A valid file's checksum entry recomputed from its payload, chunk
+    #: ``section`` (and columnar ``codec``) included.
+    actual_entry: dict | None = None
+    #: Longest prefix (in particles) verifying against the committed entry.
+    salvage_count: int = 0
+    salvage_crc: int = 0
+    salvage_prefixes: list = field(default_factory=list)
+    #: Columnar (v4) facts: the segment codec (None marks a row file) and,
+    #: after salvage, the kept segment-bearing chunks as a table section.
+    codec: str | None = None
+    keep_section: bytes = b""
+
+    @property
+    def detail(self) -> str:
+        """The whole verdict in one line."""
+        if self.code == "segment-checksum":
+            return (
+                f"{len(self.details)} damaged column segment(s); "
+                f"first: {self.details[0]}"
+            )
+        return self.details[0] if self.details else ""
+
+    def fail(self, status: str, code: str, *details: str) -> FileState:
+        self.status, self.code, self.details = status, code, list(details)
+        return self
+
+
+def inspect_file(
+    ds: Dataset, path: str, entry: dict | None, facts: DatasetFacts, rec: Recorder
+) -> FileState:
+    """Classify one data file (v1–v4, row or columnar) from a single read
+    of its bytes under the dataset's retry policy; never raises.
+
+    ``entry`` is the file's :func:`committed_entry` — a copy of its chunk
+    index to verify segments against, and the prefix checksums a torn file
+    is salvaged against — or None when nothing committed records the file.
+    A valid file gets its checksum entry recomputed from the payload;
+    comparing it and the trailer with committed state is the caller's job:
+    scrub reports the differences, repair rewrites them.
+    """
+    st = FileState(path)
+    try:
+        if not ds.backend.exists(path):
+            return st.fail("missing", "data-missing", "referenced by spatial.meta but absent")
+        raw = bytes(ds.retry.call(ds.backend.read_file, path, recorder=rec))
+    except BackendError as exc:
+        return st.fail("unreadable", "data-unreadable", str(exc))
+    st.size = len(raw)
+    try:
+        st.version, st.rec_size, st.header_count = parse_data_header(raw, path)
+    except DataFileError as exc:
+        # A data file of a version this reader lacks, or none at all.
+        known = len(raw) >= HEADER_BYTES and raw[:8] == DATA_MAGIC
+        return st.fail("corrupt", "data-corrupt" if known else "data-header", str(exc))
+    if st.rec_size != facts.dtype.itemsize:
+        return st.fail(
+            "corrupt",
+            "dtype-mismatch",
+            f"record size {st.rec_size} does not match the dataset dtype's "
+            f"itemsize {facts.dtype.itemsize}",
+        )
+    if st.version >= 3:
+        try:
+            st.trailer = extract_recovery_trailer(raw, path)
+        except DataFileError as exc:
+            st.trailer_detail = str(exc)
+        else:
+            if st.trailer.record.particle_count != st.header_count:
+                st.trailer_detail = (
+                    f"trailer says {st.trailer.record.particle_count} "
+                    f"particles, header says {st.header_count}"
+                )
+    if st.version >= DATA_VERSION_COLUMNAR:
+        return _inspect_columnar(st, raw, entry, facts)
+
+    footer = FOOTER_BYTES if st.version >= 2 else 0
+    expected = HEADER_BYTES + st.header_count * st.rec_size + footer
+    if len(raw) < expected if st.version >= 3 else len(raw) != expected:
+        st.fail(
+            "torn",
+            "data-truncated",
+            f"expected {expected} bytes for {st.header_count} particles, "
+            f"found {len(raw)}",
+        )
+        _find_salvage_prefix(st, raw, entry)
+        return st
+    if st.version >= 2:
+        try:
+            verify_data_footer(raw[:expected], path)
+        except ChecksumError as exc:
+            return st.fail("corrupt", "data-checksum", str(exc))
+    payload = raw[HEADER_BYTES : expected - footer]
+    actual, boundaries = _recompute_entry(st, payload, zlib.crc32(payload), facts)
+    # The chunk grid is fully determined by the payload, the LOD boundaries
+    # and the chunk size — recovered from whichever of the file's recorded
+    # indexes survives, or the dataset's when no copy is left at all — so a
+    # clean index rebuilds bit-identically and a damaged one is replaced by
+    # the truth.  Unchunked files (and datasets) stay unchunked.
+    recorded = [st.trailer.record.section] if st.trailer is not None else []
+    if entry is not None and "section" in entry:
+        recorded.insert(0, entry["section"])
+    chunk_size = (
+        chunk_size_of((section, st.header_count) for section in recorded)
+        if recorded
+        else facts.chunk_size
+    )
+    if chunk_size and st.header_count:
+        actual["section"] = build_chunk_entry(
+            ParticleBatch.frombuffer(payload, facts.dtype),
+            chunk_size,
+            boundaries,
+            facts.attr_names,
+        ).to_section()
+    return st
+
+
+def _recompute_entry(
+    st: FileState, logical, payload_crc: int, facts: DatasetFacts
+) -> tuple[dict, list[int]]:
+    """Mark ``st`` valid with the checksum entry of its ``logical`` rows
+    (``payload_crc`` covers the stored payload); returns that entry and the
+    per-file LOD boundaries its prefixes sit at."""
+    boundaries = prefix_checksum_boundaries(st.header_count, facts.lod_base, facts.lod_scale)
+    prefixes = payload_prefix_checksums(logical, st.rec_size, boundaries)
+    actual = {"payload_crc32": payload_crc, "prefixes": [[c, crc] for c, crc in prefixes]}
+    st.status, st.actual_entry = "valid", actual
+    return actual, boundaries
+
+
+def _inspect_columnar(
+    st: FileState, raw: bytes, entry: dict | None, facts: DatasetFacts
+) -> FileState:
+    """Classify a columnar (v4) file from its raw bytes.
+
+    Verification runs at *segment* granularity against the first recorded
+    copy of the chunk index (the trailer's, then the table's) under which
+    the file verifies (:func:`_verify_columnar`), and a file with damaged or
+    missing tail segments is treated as torn — salvage keeps whole leading
+    chunks up to the longest LOD boundary whose decoded logical prefix still
+    verifies.  A valid file's recomputed v4 entry carries the encoded-payload
+    CRC, logical prefix CRCs, segment-bearing section and codec.
+    """
+    copies = []
+    if st.trailer is not None:
+        copies.append((st.trailer.record.section, st.trailer.codec))
+    if entry and entry.get("section"):
+        copies.append((entry["section"], entry.get("codec")))
+    if entry is None and not any(section for section, _codec in copies):
+        # Nothing ever recorded this file (aborted-write orphan cut before
+        # its trailer): torn with nothing salvageable, so it quarantines
+        # without billing the header count as data loss — same accounting
+        # as a row orphan.
+        return st.fail(
+            "torn",
+            "data-corrupt",
+            "columnar file has no usable segment descriptors "
+            "(torn before its recovery trailer)",
+        )
+    check = _verify_columnar(raw, copies, st.header_count, facts.dtype, st.path)
+    st.codec = check.codec
+    if check.rows is None:
+        if check.index is not None and check.code in ("data-truncated", "segment-checksum"):
+            st.fail("torn", check.code, *check.details)
+            _find_columnar_salvage(st, raw, entry, facts.dtype, check.index, check.codec)
+        else:
+            st.fail("corrupt", check.code, *check.details)
+        return st
+    stored = check.index
+    assert stored is not None  # a verified file verified against an index
+    actual, boundaries = _recompute_entry(
+        st,
+        np.ascontiguousarray(check.rows).tobytes(),
+        zlib.crc32(raw[HEADER_BYTES : HEADER_BYTES + check.enc_len]),
+        facts,
+    )
+    actual["codec"] = check.codec
+    # Regraft the chunk geometry from the decoded payload (the truth) and
+    # keep the verified stored segment descriptors — same partition, so
+    # they line up one-to-one.  A geometry whose partition no longer
+    # matches keeps the stored index wholesale (it verified byte-level).
+    geo = build_chunk_entry(
+        ParticleBatch(check.rows), int(stored.counts.max()), boundaries, facts.attr_names
+    )
+    if np.array_equal(geo.starts, stored.starts) and np.array_equal(
+        geo.counts, stored.counts
+    ):
+        geo.segments = stored.segments
+        stored = geo
+    actual["section"] = stored.to_section()
+    return st
+
+
+@dataclass
+class _ColumnarCheck:
     """What verifying a columnar (v4) file image against its recorded chunk
-    index established (see :func:`verify_columnar`)."""
+    index established (see :func:`_verify_columnar`)."""
 
     #: The index the verdict is against: the copy that verified, else the
     #: first that validated (salvage works from it); None if none did.
@@ -355,7 +671,7 @@ class ColumnarCheck:
     details: list[str] = field(default_factory=list)
 
 
-def verify_columnar(raw: bytes, copies, count: int, dtype, path: str) -> ColumnarCheck:
+def _verify_columnar(raw: bytes, copies, count: int, dtype, path: str) -> _ColumnarCheck:
     """Verify a v4 file image against the first recorded copy of its chunk
     index under which it verifies.
 
@@ -365,11 +681,11 @@ def verify_columnar(raw: bytes, copies, count: int, dtype, path: str) -> Columna
     so the payload is condemned (first copy's failure) only when no copy
     verifies it.  Damage is pinpointed at *segment* granularity.
     """
-    first: ColumnarCheck | None = None
+    first: _ColumnarCheck | None = None
     for section, codec in copies:
         if not section and count:
             continue
-        check = ColumnarCheck(codec=codec or "none")
+        check = _ColumnarCheck(codec=codec or "none")
         try:
             index = FileChunkIndex.empty()
             if section:
@@ -405,7 +721,7 @@ def verify_columnar(raw: bytes, copies, count: int, dtype, path: str) -> Columna
                     check.code, check.details = "data-corrupt", [str(exc)]
         if first is None or first.index is None:
             first = check
-    return first or ColumnarCheck(
+    return first or _ColumnarCheck(
         code="data-corrupt",
         details=[
             "columnar file has no usable segment descriptors "
@@ -414,48 +730,92 @@ def verify_columnar(raw: bytes, copies, count: int, dtype, path: str) -> Columna
     )
 
 
-def _chunk_section_error(
-    section, batch, manifest: Manifest, attr_names, path: str, verified=None
-) -> str | None:
-    """Why a table record's chunk section disagrees with the decoded payload
-    (or, columnar, with the ``verified`` segment table the scan used).
-
-    Structural validation first (framing, tiling, shapes), then an exact
-    recompute: the chunk grid is fully determined by the LOD boundaries and the chunk
-    size (recoverable as the largest recorded chunk), and bounds/attr
-    ranges are float64 min/max of the actual particles, so a clean index
-    must pack to the rebuilt one's bytes.
-    """
-    try:
-        recorded = FileChunkIndex.unpack(section, path).validated(len(batch), path)
-    except DataFileError as exc:
-        return str(exc)
-    chunk_size = int(recorded.counts.max()) if len(recorded) else 1
-    expected = build_chunk_entry(
-        batch,
-        chunk_size,
-        prefix_checksum_boundaries(
-            len(batch), manifest.lod_base, manifest.lod_scale
-        ),
-        tuple(attr_names),
+def _find_columnar_salvage(
+    st: FileState,
+    raw: bytes,
+    entry: dict | None,
+    dtype,
+    index: FileChunkIndex,
+    codec: str,
+) -> None:
+    """Salvage for a torn/segment-damaged v4 file: keep whole leading
+    chunks whose segments all verify and decode, up to the longest
+    recorded LOD boundary whose decoded logical prefix CRC matches.
+    Chunks never straddle LOD boundaries, so every recorded boundary is
+    chunk-aligned and the kept encoded bytes are a payload prefix whose
+    segment offsets stay valid."""
+    eff = entry
+    if eff is None and st.trailer is not None:
+        eff = st.trailer.checksum_entry
+    if eff is None:
+        return
+    payload = raw[HEADER_BYTES:]
+    parts = []
+    for k in range(len(index)):
+        try:
+            parts.append(
+                decode_columnar_payload(payload, index[k : k + 1], codec, dtype, st.path)
+            )
+        except (ChecksumError, DataFileError):
+            break
+    good = int(index.counts[: len(parts)].sum())
+    if not good:
+        return
+    prefixes = _verified_prefixes(
+        np.concatenate(parts).tobytes(), st.rec_size, eff.get("prefixes", [])
     )
-    # The payload cannot reproduce columnar segments (they describe
-    # *encoded* bytes): those must equal the descriptors the CRC scan used.
-    expected.segments = recorded.segments
-    if expected.to_section() != section:
-        return (
-            "recorded chunk bounds/ranges disagree with the payload "
-            f"({len(recorded)} chunks, size {chunk_size})"
-        )
-    if verified is not None and not np.array_equal(recorded.segments, verified):
-        return "recorded column segments disagree with the file's verified ones"
-    return None
+    kept = prefixes[-1][0] if prefixes else 0
+    ends = np.cumsum(index.counts)
+    k = int(np.searchsorted(ends, kept)) + 1
+    if not kept or ends[k - 1] != kept:
+        return  # nothing verifies, or a boundary not chunk-aligned
+    st.salvage_count = kept
+    st.salvage_crc = zlib.crc32(payload[: columnar_payload_length(index[:k])])
+    st.salvage_prefixes = prefixes
+    st.keep_section = index[:k].to_section()
+
+
+def _find_salvage_prefix(st: FileState, raw: bytes, entry: dict | None) -> None:
+    """Longest prefix of a torn file that verifies against the manifest's
+    per-LOD prefix checksums.  Levels-are-subsets makes that prefix a valid
+    coarse representation — exactly what truncation keeps."""
+    if entry is None:
+        return
+    prefixes = _verified_prefixes(
+        memoryview(raw)[HEADER_BYTES:], st.rec_size, entry.get("prefixes", [])
+    )
+    if prefixes:
+        st.salvage_count, st.salvage_crc = prefixes[-1]
+        st.salvage_prefixes = prefixes
+
+
+def _verified_prefixes(logical, rec_size: int, recorded) -> list[list[int]]:
+    """The leading ``[count, crc32]`` pairs of the ``recorded`` per-LOD
+    prefix checksums that the ``logical`` row bytes (possibly cut short)
+    still reproduce."""
+    out: list[list[int]] = []
+    crc, pos = 0, 0
+    for count, stored in recorded:
+        count, stored = int(count), int(stored)
+        if count * rec_size > len(logical):
+            break
+        crc = zlib.crc32(logical[pos * rec_size : count * rec_size], crc)
+        pos = count
+        if crc != stored:
+            break
+        out.append([count, crc])
+    return out
 
 
 def _scrub_data_file(
-    backend: FileBackend, manifest: Manifest, rec, attr_names=()
+    ds: Dataset,
+    manifest: Manifest,
+    rec: MetadataRecord,
+    facts: DatasetFacts,
+    recorder: Recorder,
 ) -> ScrubReport:
-    """Verify one referenced data file; returns a partial report.
+    """Verify one referenced data file: :func:`inspect_file`, then compare
+    what it found with the committed record and checksum entry.
 
     Pure with respect to shared state (nothing is mutated), which is what
     lets :func:`scrub_dataset` fan the per-file checks out on an executor
@@ -463,143 +823,70 @@ def _scrub_data_file(
     """
     report = ScrubReport()
     path = rec.file_path
-    try:
-        size = backend.size(path) if backend.exists(path) else None
-    except BackendError:
-        size = None
-    if size is None:
-        report.add(path, "data-missing", "referenced by spatial.meta but absent")
-        return report
-    report.files_checked += 1
-
-    try:
-        version, header_count = peek_data_header(backend, path)
-    except (BackendError, DataFileError) as exc:
-        report.add(path, "data-header", str(exc))
-        return report
-    if header_count != rec.particle_count:
+    entry = committed_entry(manifest, rec, path)
+    st = inspect_file(ds, path, entry, facts, recorder)
+    if st.status != "missing":
+        report.files_checked += 1
+    if st.version and st.header_count != rec.particle_count:
         report.add(
             path,
             "count-mismatch",
-            f"header says {header_count} particles, "
+            f"header says {st.header_count} particles, "
             f"spatial.meta says {rec.particle_count}",
         )
         return report
+    actual = st.actual_entry
+    if actual is None:  # not valid: the inspection's own verdict
+        for detail in st.details:
+            report.add(path, st.code, detail)
+        return report
+    report.bytes_verified += st.size
 
-    recorded = manifest.checksums.get(path)
-    stored_payload_crc: int | None = None
-    verified = None  # columnar: the segment table the scan verified
-    if version >= DATA_VERSION_COLUMNAR:
-        try:
-            raw = backend.read_file(path)
-        except BackendError as exc:
-            report.add(path, "data-unreadable", str(exc))
-            return report
-        copies = []
-        try:
-            trailer = extract_recovery_trailer(raw, path)
-            copies.append((trailer.record.section, trailer.codec))
-        except (ChecksumError, DataFileError):
-            pass  # reported by the shared trailer checks below
-        if recorded is not None:
-            copies.append((rec.section, recorded.get("codec")))
-        check = verify_columnar(raw, copies, header_count, manifest.dtype, path)
-        if check.rows is None:
-            for detail in check.details:
-                report.add(path, check.code, detail)
-            return report
-        batch = ParticleBatch(check.rows)
-        verified = check.index.segments
-        stored_payload_crc = zlib.crc32(raw[HEADER_BYTES : HEADER_BYTES + check.enc_len])
-    else:
-        try:
-            batch = read_data_file(backend, path, manifest.dtype)
-        except ChecksumError as exc:
-            report.add(path, "data-checksum", str(exc))
-            return report
-        except DataFileError as exc:
-            msg = str(exc)
-            if "expected" in msg and "bytes" in msg:
-                code = "data-truncated"
-            elif "record size" in msg:
-                code = "dtype-mismatch"
-            else:
-                code = "data-corrupt"
-            report.add(path, code, msg)
-            return report
-        except BackendError as exc:
-            report.add(path, "data-unreadable", str(exc))
-            return report
-    report.bytes_verified += size
-
-    if recorded is not None:
-        actual = compute_file_checksums(
-            batch, manifest.lod_base, manifest.lod_scale
-        )
-        if stored_payload_crc is not None:
-            # v4 manifests record the CRC of the *encoded* payload bytes.
-            actual["payload_crc32"] = stored_payload_crc
-        if int(recorded.get("payload_crc32", -1)) != actual["payload_crc32"]:
+    # Derived state disagreeing with verified bytes is lossless to rebuild.
+    if entry is not None:
+        if int(entry.get("payload_crc32", -1)) != actual["payload_crc32"]:
             report.add(
                 path,
                 "manifest-checksum-mismatch",
                 "manifest payload_crc32 disagrees with the data file",
                 repairable=True,
             )
-        elif [list(p) for p in recorded.get("prefixes", [])] != actual["prefixes"]:
+        elif [list(p) for p in entry.get("prefixes", [])] != actual["prefixes"]:
             report.add(
                 path,
                 "prefix-checksum-mismatch",
                 "per-LOD prefix checksums disagree with the data file",
                 repairable=True,
             )
-        elif rec.section:
-            # A bad chunk index silently turns pruned reads wrong, so it is
-            # verified against the decoded payload whenever recorded.
-            # Rebuilding it from the (already CRC-verified) payload is
-            # lossless.
-            detail = _chunk_section_error(
-                rec.section, batch, manifest, attr_names, path, verified
+        elif rec.section and rec.section != actual.get("section", b""):
+            # A bad chunk index silently turns pruned reads wrong.
+            report.add(
+                path,
+                "chunk-index-mismatch",
+                "recorded chunk index disagrees with the one the payload rebuilds",
+                repairable=True,
             )
-            if detail is not None:
-                report.add(path, "chunk-index-mismatch", detail, repairable=True)
-
-    # v3 self-description: the recovery trailer must parse, checksum, and
-    # agree with the table record.  Rebuilding one from committed state is
-    # lossless, so trailer issues are always tagged repairable.
-    if version >= 3:
-        try:
-            trailer = read_recovery_trailer(backend, path)
-        except (BackendError, ChecksumError, DataFileError) as exc:
-            report.add(path, "trailer-damaged", str(exc), repairable=True)
-        else:
-            record = trailer.record
-            if not rec.section:  # a table without sections records no index
-                record = replace(record, section=b"")
-            if record != rec:
-                report.add(
-                    path,
-                    "trailer-mismatch",
-                    "recovery trailer's record disagrees with spatial.meta's",
-                    repairable=True,
-                )
-            elif recorded is not None and trailer.codec != recorded.get("codec"):
-                report.add(
-                    path,
-                    "trailer-mismatch",
-                    f"recovery trailer codec {trailer.codec!r} disagrees "
-                    f"with the manifest's {recorded.get('codec')!r}",
-                    repairable=True,
-                )
+    if st.version >= 3:
+        if st.trailer is None:
+            report.add(path, "trailer-damaged", st.trailer_detail, repairable=True)
+        elif st.trailer != want_trailer(rec, actual, facts):
+            report.add(
+                path,
+                "trailer-mismatch",
+                "recovery trailer disagrees with the one repair would write "
+                "from spatial.meta, the manifest and the payload",
+                repairable=True,
+            )
     return report
 
 
 def scrub_dataset(source: Dataset | FileBackend) -> ScrubReport:
     """Verify every checksum/header/count invariant of one dataset.
 
-    Per-file verification (existence, header, full-read CRC, manifest
-    checksum recomputation) runs on the dataset's executor; partial
-    reports merge back in metadata order so the result is deterministic.
+    Per-file verification (one :func:`inspect_file` per data file, then
+    the comparison with committed state) runs on the dataset's executor;
+    partial reports merge back in metadata order so the result is
+    deterministic.
     """
     ds = as_dataset(source)
     backend = ds.backend
@@ -685,9 +972,9 @@ def scrub_dataset(source: Dataset | FileBackend) -> ScrubReport:
     #    dataset's executor; partials merge back in metadata order.
     if manifest is not None and metadata is not None:
         mf = manifest
-        names = metadata.attr_names
+        facts = settle_facts(manifest, metadata, None)
         tasks = [
-            (lambda _recorder, rec=rec: _scrub_data_file(backend, mf, rec, names))
+            (lambda child, rec=rec: _scrub_data_file(ds, mf, rec, facts, child))
             for rec in metadata.records
         ]
         for outcome in ds.executor.run(tasks, ds.recorder):

@@ -430,8 +430,8 @@ def parse_data_header(raw: bytes, path: str) -> tuple[int, int, int]:
     """Validate the fixed header without a dtype in hand.
 
     Returns ``(version, record_size, particle_count)`` — the lenient parse
-    the repair subsystem uses on files whose manifest (and therefore dtype)
-    may be lost.
+    scrub and repair's shared file inspection starts from (it checks the
+    record size against the dataset dtype itself).
     """
     if len(raw) < HEADER_BYTES:
         raise DataFileError(f"{path}: truncated header ({len(raw)} bytes)")
@@ -755,22 +755,6 @@ def read_particle_runs_into(
             f"{total} its header records"
         )
     return runs.total
-
-
-def peek_data_header(
-    backend: FileBackend, path: str, actor: int = -1
-) -> tuple[int, int]:
-    """``(version, particle_count)`` from the header alone (no payload read)."""
-    header = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
-    if len(header) < HEADER_BYTES or header[:8] != DATA_MAGIC:
-        raise DataFileError(f"{path}: not a particle data file")
-    _, version, _, count = _HEADER.unpack_from(header)
-    return int(version), int(count)
-
-
-def peek_particle_count(backend: FileBackend, path: str, actor: int = -1) -> int:
-    """Particle count from the header alone (no payload read)."""
-    return peek_data_header(backend, path, actor=actor)[1]
 
 
 # -- columnar payloads (format v4) ---------------------------------------------

@@ -499,6 +499,18 @@ class TestSectionFuzz:
         assert_contained(damaged, rec.file_path, backend)
 
     @pytest.mark.parametrize("columnar", [False, True])
+    def test_section_tiling_the_wrong_count_donates_no_chunk_size(self, columnar):
+        """A last chunk grown past the chunk size still tiles — its own
+        total, not the file's — so it must not set the grid repair rebuilds."""
+        backend = SMALL[columnar]
+        rec = SpatialMetadata.read(backend).records[0]
+        index = FileChunkIndex.unpack(rec.section)
+        index.counts[-1] = index.counts.max() + 1
+        damaged = clone(backend)
+        commit_section(damaged, 0, index.to_section())
+        assert_contained(damaged, rec.file_path, backend)
+
+    @pytest.mark.parametrize("columnar", [False, True])
     def test_crc_valid_section_that_disagrees_with_the_payload(self, columnar):
         backend = SMALL[columnar]
         rec = SpatialMetadata.read(backend).records[1]

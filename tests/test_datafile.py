@@ -9,7 +9,7 @@ from repro.format.chunks import Runs
 from repro.format.datafile import (
     FOOTER_BYTES,
     HEADER_BYTES,
-    peek_particle_count,
+    parse_data_header,
     read_data_file,
     read_data_prefix,
     read_particle_runs_into,
@@ -61,7 +61,7 @@ class TestRoundTrip:
 
     def test_peek_count(self, backend, batch):
         write_data_file(backend, "data/f.pbin", batch)
-        assert peek_particle_count(backend, "data/f.pbin") == 100
+        assert parse_data_header(backend.read_file("data/f.pbin"), "data/f.pbin")[2] == 100
 
 
 class TestPrefixReads:
@@ -176,4 +176,4 @@ class TestCorruption:
     def test_peek_on_non_datafile(self, backend):
         backend.write_file("data/x.pbin", b"garbage-garbage-garbage-")
         with pytest.raises(DataFileError):
-            peek_particle_count(backend, "data/x.pbin")
+            parse_data_header(backend.read_file("data/x.pbin"), "data/x.pbin")

@@ -210,6 +210,31 @@ class TestScrubDetection:
         dataset.write_file(victim, bytes(raw))
         assert "count-mismatch" in scrub_dataset(dataset).codes
 
+    def test_detects_dtype_mismatch(self, dataset8):
+        """A CRC-valid file whose header record size disagrees with the
+        manifest dtype: scrub names it, repair quarantines it."""
+        import struct
+        import zlib
+
+        victim = SpatialReader(dataset8).metadata.records[0]
+        itemsize = Dataset(dataset8).manifest.dtype.itemsize
+        raw = bytearray(dataset8.read_file(victim.file_path))
+        struct.pack_into("<I", raw, 12, itemsize + 8)
+        end = HEADER_BYTES + victim.particle_count * itemsize
+        struct.pack_into("<I", raw, end + 4, zlib.crc32(raw[:end]))  # re-commit the footer
+        dataset8.write_file(victim.file_path, bytes(raw))
+        report = scrub_dataset(dataset8)
+        assert report.codes == {"dtype-mismatch"}
+        assert not any(i.repairable for i in report.issues)
+        result = Dataset(dataset8).repair(report)
+        assert [a.path for a in result.actions if a.kind == "quarantine-unrecoverable"] == [
+            victim.file_path
+        ]
+        assert result.particles_lost == victim.particle_count
+        assert dataset8.exists(f"quarantine/{victim.file_path}")
+        assert not dataset8.exists(victim.file_path)
+        assert scrub_dataset(dataset8).ok
+
     def test_detects_payload_bit_flip(self, dataset):
         victim = SpatialReader(dataset).metadata.records[0].file_path
         raw = bytearray(dataset.read_file(victim))

@@ -9,6 +9,7 @@ randomized corruption, and crash-recovery for multi-timestep series.
 
 import os
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -488,6 +489,16 @@ class TestScrubRepairWiring:
         kinds = {a.kind for a in report.actions}
         assert ACTION_REBUILD_MANIFEST in kinds
         assert ACTION_QUARANTINE not in kinds and ACTION_TRUNCATE not in kinds
+
+    def test_clean_scrub_reads_each_data_file_once(self):
+        """Scrub's one inspection per file: a single whole-file read."""
+        backend, _, _ = write_dataset(nprocs=8, partition_factor=(2, 2, 1))
+        mark = len(backend.ops_of_kind("read"))
+        assert scrub_dataset(Dataset(backend)).ok
+        reads = Counter(op.path for op in backend.ops_of_kind("read")[mark:])
+        assert {p: reads[p] for p in data_paths(backend)} == dict.fromkeys(
+            data_paths(backend), 1
+        )
 
     def test_targeted_inspection_reads_only_flagged_files(self):
         """With dataset-level state intact, unflagged files are not re-read."""

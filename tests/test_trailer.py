@@ -7,9 +7,11 @@ Four families of checks:
   raises :class:`~repro.errors.DataFileError`, and in a dataset is scrubbed
   as a repairable ``trailer-damaged`` that repair restores byte for byte;
 * **CRC-valid lies** — a trailer whose record (bounds off by one ulp, an
-  attribute range, ``gen``, box, count) or section disagrees with the table
-  and the payload is a repairable ``trailer-mismatch``, and repair rewrites
-  exactly that trailer (variants drawn from ``REPRO_FAULT_SEED``);
+  attribute range, ``gen``, box, count), section, checksum entry
+  (``payload_crc32``, ``prefixes``) or dataset facts (dtype, LOD base,
+  scale, heuristic, seed) disagree with the table, the manifest and the
+  payload is a repairable ``trailer-mismatch``, and repair rewrites exactly
+  that trailer (variants drawn from ``REPRO_FAULT_SEED``);
 * **legacy matrix** — on fixtures R and C whose trailers come from the
   reference JSON encoder (``json_trailer``, the form earlier writers
   produced, under v5 and pre-section v3 tables): scrub is clean, answers
@@ -213,7 +215,28 @@ def lies(trailer: RecoveryTrailer, columnar: bool) -> dict[str, RecoveryTrailer]
         segs = tcs.FileChunkIndex.unpack(rec.section)
         segs.segments[1:, :, 0] += 1  # every later segment shifted by a byte
         out["section-segment-offsets"] = dataclasses.replace(rec, section=segs.to_section())
-    return {k: dataclasses.replace(trailer, record=v) for k, v in out.items()}
+    prefixes = list(trailer.prefixes)
+    i = FAULT_SEED % len(prefixes)
+    prefixes[i] = (prefixes[i][0], prefixes[i][1] ^ 1)
+    descr = trailer.dtype_descr
+    return {
+        **{k: dataclasses.replace(trailer, record=v) for k, v in out.items()},
+        # The trailer's own facts: its copy of the manifest entry and of the
+        # dataset-wide dtype and LOD parameters.
+        "payload-crc32": dataclasses.replace(
+            trailer, payload_crc32=trailer.payload_crc32 ^ 1 << (FAULT_SEED % 32)
+        ),
+        "prefixes": dataclasses.replace(trailer, prefixes=tuple(prefixes)),
+        "dtype-descr": dataclasses.replace(
+            trailer, dtype_descr=[[descr[0][0] + "_", *descr[0][1:]], *descr[1:]]
+        ),
+        "lod-base": dataclasses.replace(trailer, lod_base=trailer.lod_base + 1),
+        "lod-scale": dataclasses.replace(trailer, lod_scale=trailer.lod_scale + 1),
+        "lod-heuristic": dataclasses.replace(
+            trailer, lod_heuristic=trailer.lod_heuristic + "-x"
+        ),
+        "lod-seed": dataclasses.replace(trailer, lod_seed=(trailer.lod_seed or 0) + 7),
+    }
 
 
 @pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
