@@ -10,29 +10,30 @@ given a scrubbed dataset it classifies every issue into a typed
 writer uses (two-phase commit, :class:`~repro.io.retry.RetryPolicy`,
 per-file fan-out on the dataset's :class:`~repro.io.executor.IoExecutor`).
 
-Planning settles the dataset-wide facts (dtype, LOD parameters, attribute
-order, chunk size) once — from the manifest and table, else from the first
-readable recovery trailer — then inspects each file once through the
-scrubber's own :func:`~repro.core.scrub.inspect_file`, and rewrites a
-trailer exactly when it differs from
-:func:`~repro.core.scrub.want_trailer`, the comparison scrub makes.
+Planning is a pure function of the scrub's :class:`~repro.core.scrub.Survey`
+(target generation, surviving manifest and table, dataset-wide facts, and
+one :func:`~repro.core.scrub.inspect_file` state per inventory file) and
+its issues: it does no I/O.  The issue table
+(:data:`~repro.core.scrub.ISSUES`) says what each issue asks for:
 
-Strategy per issue, keyed off :attr:`ScrubIssue.repairable`:
-
-* **lossless rebuild** (``repairable=True``) — ``spatial.meta`` and
+* **lossless rebuild** (repairable codes) — ``spatial.meta`` and
   ``manifest.json`` are derived state; when lost, corrupt, or disagreeing
   with the data files they are rebuilt from the recovery trailers (the
   rebuild is bit-identical to what the writer produced, so a surviving
   manifest's ``spatial_meta_crc32`` still matches).  A damaged trailer is
-  itself rewritten from the surviving committed state.
-* **salvage** (``repairable=False``) — a torn data file is truncated to its
-  longest prefix that still verifies against the manifest's per-LOD prefix
-  checksums; because files are LOD-ordered, that prefix *is* a valid coarse
-  level, so strict reads keep working at reduced fidelity.
+  rewritten to :func:`~repro.core.scrub.want_trailer`, the one scrub
+  compares against.
+* **salvage** — a torn data file is truncated to its longest prefix that
+  still verifies against the manifest's per-LOD prefix checksums; because
+  files are LOD-ordered, that prefix *is* a valid coarse level, so strict
+  reads keep working at reduced fidelity.
 * **quarantine** — anything unrecoverable (bad payload CRC, dtype mismatch,
   torn beyond the first prefix boundary, orphans of an aborted overwrite)
   is moved into ``quarantine/`` rather than deleted, and dropped from the
   rebuilt metadata.
+
+A lost or quarantined file the table or the manifest names is billed its
+committed particle count; a file nothing names is billed nothing.
 
 Every repair records ``repair.*`` spans (scrub / plan / execute / verify),
 one ``repair.action`` event per executed action, and salvaged/lost
@@ -52,20 +53,19 @@ from __future__ import annotations
 
 import re
 import zlib
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 from repro.core.scrub import (
+    ISSUES,
     QUARANTINE_DIR,
-    FileState,
+    ScrubIssue,
     ScrubReport,
-    committed_entry,
-    inspect_file,
-    settle_facts,
+    Survey,
+    natural_key,
     want_trailer,
 )
 from repro.dataset import Dataset, as_dataset
-from repro.errors import BackendError, DataFileError, FormatError, MetadataError
+from repro.errors import BackendError, FormatError, MetadataError
 from repro.format.chunks import FileChunkIndex
 from repro.format.datafile import (
     DATA_VERSION_COLUMNAR,
@@ -73,18 +73,12 @@ from repro.format.datafile import (
     RecoveryTrailer,
     build_data_blob,
     columnar_payload_length,
-    read_recovery_trailer,
 )
 from repro.format.generations import (
     CURRENT_PATH,
     ResolvedGeneration,
     generation_manifest_path,
     generation_meta_path,
-    list_generations,
-    load_generation,
-    parse_generation_path,
-    read_current,
-    resolve_generation,
     write_current,
 )
 from repro.format.manifest import MANIFEST_PATH, Manifest
@@ -239,6 +233,9 @@ class RepairReport:
 class _RepairPlan:
     """What the execute phase will do, fully decided before any write."""
 
+    #: the generation this repair converges the dataset to; decides which
+    #: manifest/meta paths are rewritten and what the commit marker is.
+    target: ResolvedGeneration
     actions: list[RepairAction] = field(default_factory=list)
     unresolved: list[str] = field(default_factory=list)
     rebuild_metadata: bool = False
@@ -246,17 +243,9 @@ class _RepairPlan:
     invalidate_marker: bool = False
     meta_blob: bytes | None = None
     manifest: Manifest | None = None
-    #: the generation this repair converges the dataset to; decides which
-    #: manifest/meta paths are rewritten and what the commit marker is.
-    target: ResolvedGeneration = field(
-        default_factory=lambda: ResolvedGeneration(0)
-    )
     #: rewrite CURRENT to this generation after everything else landed
     #: (None = classic single-manifest dataset, no pointer).
     write_current_gen: int | None = None
-    #: dropped generation -> its unique data files (quarantined, never
-    #: shared with a retained generation).
-    drop_files: dict[int, list[str]] = field(default_factory=dict)
     #: stray chain state deleted outright (dropped gen manifests/meta,
     #: residue meta without a manifest, stray CURRENT on a gen-0 dataset).
     delete_paths: list[str] = field(default_factory=list)
@@ -265,227 +254,30 @@ class _RepairPlan:
     rewrite: dict[str, tuple[int, int, RecoveryTrailer]] = field(default_factory=dict)
 
 
-def _norm_entry(entry: dict | None) -> dict | None:
-    if entry is None:
-        return None
-    out = {
-        "payload_crc32": int(entry.get("payload_crc32", -1)),
-        "prefixes": [[int(c), int(crc)] for c, crc in entry.get("prefixes", [])],
-    }
-    if entry.get("section"):
-        out["section"] = entry["section"]
-    if entry.get("codec") is not None:
-        out["codec"] = str(entry["codec"])
-    return out
+def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
+    """Decide every action from the scrub's survey and issues; no I/O.
 
-
-def _donor_trailer(ds: Dataset, paths: list[str]) -> RecoveryTrailer | None:
-    """The first recovery trailer among ``paths`` that reads and checksums
-    (ranged reads of the file's tail only): where dataset-wide facts come
-    from when the manifest or the table is lost."""
-    for path in paths:
-        with suppress(BackendError, DataFileError):
-            return ds.retry.call(
-                read_recovery_trailer, ds.backend, path, recorder=ds.recorder
-            )
-    return None
-
-
-def _natural_key(path: str) -> tuple:
-    return tuple(
-        int(part) if part.isdigit() else part
-        for part in re.split(r"(\d+)", path)
-    )
-
-
-def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
-    """Decide every action from surviving state; performs reads only.
-
-    The scrub report drives the plan twice over: its issue list scopes the
-    per-file inspection (when the dataset-level state survived intact, only
-    files the scrub flagged are re-read — a clean file's record and
-    checksum entry carry over untouched), and its ``repairable`` tags pick
-    the strategy — tagged issues resolve through lossless rebuilds from
-    trailers or committed state, untagged ones through salvage truncation
-    or quarantine.  Every decision is still re-verified against the actual
-    bytes here — the plan trusts what it inspected, not what the scrub
-    remembered.
+    Each file is decided from its one inspection: missing, corrupt or torn
+    files are dropped, salvage-truncated or quarantined, each billed the
+    particles committed for it (nothing, when nothing named it); a valid
+    file keeps the record :meth:`Survey.placed` gives it — the table's, or
+    its trailer's when the table is lost or miscounts it — with the entry
+    recomputed from its payload, unless scrub passed the file as committed.
+    The issue table says what else the scrub's issues ask for: a rebuilt
+    manifest entry, a rewritten trailer, a dropped generation, a rewritten
+    ``CURRENT`` pointer.
     """
-    plan = _RepairPlan()
-    backend = ds.backend
-
-    # Which generation does this repair converge to?  The resolver's own
-    # discipline picks it (valid CURRENT first, else the newest fully
-    # verifiable generation); when nothing verifies at all, fall back to
-    # the newest generation present and rebuild it from trailers.
-    try:
-        target = resolve_generation(backend, actor=ds.actor)
-    except FormatError:
-        target = ResolvedGeneration(
-            max(list_generations(backend), default=0),
-            fallback=True,
-            detail="no generation fully verifies; rebuilding the newest",
-        )
-    # The resolver only falls back to generations it can READ — but repair
-    # can do better: when a valid CURRENT names a newer generation whose
-    # spatial table still parses, the committed data survives even though
-    # the manifest is damaged.  Rebuild that generation in place instead of
-    # abandoning the committed append.
-    if target.fallback:
-        try:
-            pointed = read_current(backend, actor=ds.actor)
-        except FormatError:
-            pointed = None
-        if pointed is not None and pointed > target.generation:
-            try:
-                SpatialMetadata.read(
-                    backend, generation_meta_path(pointed), actor=ds.actor
-                )
-            except (BackendError, FormatError):
-                pass
-            else:
-                target = ResolvedGeneration(
-                    pointed,
-                    fallback=True,
-                    detail=(
-                        f"CURRENT names generation {pointed}; its table "
-                        "survives, rebuilding the manifest in place"
-                    ),
-                )
-    plan.target = target
-    manifest_path, meta_path = target.manifest_path, target.meta_path
-
-    # Generations the scrub condemned (crashed appends that never flipped
-    # CURRENT, chained state that fails verification, lying filenames) are
-    # dropped: their manifest/meta deleted, their unique files quarantined.
-    _DROP_REASONS = {
-        "generation-ahead": "crashed before its CURRENT flip (never committed)",
-        "generation-damaged": "fails verification and is not the repair target",
-        "generation-mismatch": "embedded generation contradicts its filename",
-    }
-    drop_reasons: dict[int, str] = {}
-    for issue in report.issues:
-        reason = _DROP_REASONS.get(issue.code)
-        parsed = parse_generation_path(issue.path)
-        if reason is None or parsed is None:
-            continue
-        gen = parsed[1]
-        if gen != target.generation:
-            drop_reasons.setdefault(gen, reason)
-    drop_gens = sorted(drop_reasons)
-    dropped_ns = tuple(f"g{g}_" for g in drop_gens)
-    current_damaged = any(
-        issue.code in ("current-corrupt", "current-missing", "current-dangling")
-        for issue in report.issues
-    )
-
-    # Surviving dataset-level state, each piece probed independently.
-    manifest: Manifest | None = None
-    if backend.exists(manifest_path):
-        try:
-            manifest = Manifest.read(backend, manifest_path, actor=ds.actor)
-        except FormatError:
-            manifest = None
-    metadata: SpatialMetadata | None = None
-    raw_meta: bytes | None = None
-    if backend.exists(meta_path):
-        try:
-            raw_meta = bytes(backend.read_file(meta_path))
-            metadata = SpatialMetadata.from_bytes(raw_meta)
-        except (BackendError, FormatError):
-            metadata = None
-
-    ref_records = (
-        {r.file_path: r for r in metadata.records} if metadata is not None else {}
-    )
-
-    # Files referenced only by OTHER retained generations (e.g. the
-    # pre-compaction inputs an old generation still serves to pinned
-    # readers) are foreign to this target: not inventory, not orphans.
-    foreign: set[str] = set()
-    for gen in list_generations(backend):
-        if gen == target.generation or gen in drop_reasons:
-            continue
-        try:
-            _m, other_meta = load_generation(backend, gen)
-        except FormatError:
-            continue
-        foreign.update(r.file_path for r in other_meta.records)
-    if manifest is not None:
-        foreign -= set(manifest.checksums)
-    foreign -= set(ref_records)
-
-    paths = set(ref_records)
-    try:
-        names = backend.listdir("data")
-    except BackendError:
-        names = []
-    paths.update(
-        f"data/{n}"
-        for n in names
-        if not n.startswith(".")
-        and f"data/{n}" not in foreign
-        and not (dropped_ns and n.startswith(dropped_ns))
-    )
-    ordered_paths = sorted(paths, key=_natural_key)
-
-    # Dataset-wide facts, settled once before any file is inspected: from
-    # the manifest and the table when they survived, else from the first
-    # readable recovery trailer (identical across one dataset's files).
-    donor = None
-    if manifest is None or metadata is None:
-        donor = _donor_trailer(ds, ordered_paths)
-        if donor is None:
-            lost = "spatial.meta" if metadata is None else "manifest.json"
-            plan.unresolved.append(
-                f"{lost} is lost and no data file carries a readable "
-                "recovery trailer (pre-v3 dataset?) — cannot rebuild"
-            )
-            return plan
-    try:
-        facts = settle_facts(manifest, metadata, donor)
-    except FormatError as exc:
-        plan.unresolved.append(f"recovery trailer has a bad dtype: {exc}")
+    plan = _RepairPlan(target=sv.target)
+    target = sv.target
+    if sv.facts is None:
+        plan.unresolved.append(sv.unsettled)
         return plan
-    writer_prov = (
-        manifest.writer
-        if manifest is not None
-        else {"provenance": "rebuilt by repro repair"}
-    )
-
-    # Scope the inspection from the scrub report: with both dataset-level
-    # pieces intact and no cross-check complaints, only flagged files need
-    # their bytes re-read — everything else carries over verbatim.
-    issue_paths = {issue.path for issue in report.issues}
-    dataset_level_damage = (
-        manifest is None
-        or metadata is None
-        or manifest_path in issue_paths
-        or meta_path in issue_paths
-    )
-    inspect_paths = (
-        ordered_paths
-        if dataset_level_damage
-        else [p for p in ordered_paths if p in issue_paths]
-    )
-
-    # Fan the per-file byte inspection out on the dataset's executor;
-    # children merge back in submission order (executor-independent).
-    tasks = [
-        (
-            lambda child, p=path: inspect_file(
-                ds, p, committed_entry(manifest, ref_records.get(p), p), facts, child
-            )
-        )
-        for path in inspect_paths
-    ]
-    states: dict[str, FileState] = {}
-    for outcome in ds.executor.run(tasks, ds.recorder):
-        if outcome.recorder is not None:
-            ds.recorder.merge(outcome.recorder)
-        if outcome.error is not None:
-            raise outcome.error
-        states[outcome.value.path] = outcome.value
+    facts, manifest = sv.facts, sv.manifest
+    fixes: dict[str, set[str]] = {}
+    details: dict[str, str] = {}
+    for issue in issues:
+        fixes.setdefault(issue.path, set()).add(ISSUES[issue.code].fix)
+        details.setdefault(issue.path, issue.detail)
 
     records: list[MetadataRecord] = []
     checksums: dict[str, dict] = {}
@@ -503,23 +295,16 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
             checksums[record.file_path] = entry
         records.append(record)
 
-    for path in ordered_paths:
-        ref = ref_records.get(path)
-        if path not in states:
-            # Scrub found nothing wrong with this file; carry its committed
-            # record and checksum entry over untouched.
-            assert ref is not None and manifest is not None
-            keep(ref, _norm_entry(committed_entry(manifest, ref, path)))
-            continue
-        st = states[path]
+    for path, st in sv.files.items():
+        ref = sv.records.get(path)
+        committed = sv.committed(path) or 0
 
         if st.status == "missing":
-            assert ref is not None  # inventory only adds existing files
             add(
                 ACTION_DROP_MISSING,
                 path,
                 "referenced data file is gone; dropping its record",
-                lost=ref.particle_count,
+                lost=committed,
             )
             continue
 
@@ -527,28 +312,16 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
             # Cannot even copy it aside; leave it in place and report.
             plan.unresolved.append(f"{path}: unreadable ({st.detail})")
             if ref is not None:
-                keep(ref, _norm_entry(committed_entry(manifest, ref, path)))
+                keep(ref, sv.entry(path))
             continue
 
         if st.status == "corrupt":
-            add(
-                ACTION_QUARANTINE,
-                path,
-                st.detail,
-                lost=ref.particle_count if ref is not None else st.header_count,
-            )
+            add(ACTION_QUARANTINE, path, st.detail, lost=committed)
             continue
 
         if st.status == "torn":
             if ref is not None and st.salvage_count > 0:
-                record = MetadataRecord(
-                    box_id=ref.box_id,
-                    agg_rank=ref.agg_rank,
-                    particle_count=st.salvage_count,
-                    bounds=ref.bounds,
-                    attr_ranges=dict(ref.attr_ranges),
-                    gen=ref.gen,
-                )
+                cut = replace(ref, particle_count=st.salvage_count, section=b"")
                 entry = {
                     "payload_crc32": st.salvage_crc,
                     "prefixes": list(st.salvage_prefixes),
@@ -561,9 +334,9 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
                     entry["section"] = st.keep_section
                     entry["codec"] = st.codec
                 plan.rewrite[path] = (
-                    st.salvage_count, st.rec_size, want_trailer(record, entry, facts)
+                    st.salvage_count, st.rec_size, want_trailer(cut, entry, facts)
                 )
-                keep(record, entry)
+                keep(cut, entry)
                 add(
                     ACTION_TRUNCATE,
                     path,
@@ -578,96 +351,49 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
                     path,
                     st.detail
                     + ("; no prefix verifies" if ref is not None else "; no record"),
-                    lost=ref.particle_count if ref is not None else 0,
+                    lost=committed,
                 )
             continue
 
         # -- structurally valid file ---------------------------------------
-        if ref is None and metadata is not None:
-            add(
-                ACTION_QUARANTINE,
-                path,
-                "not referenced by spatial.meta (aborted-write orphan)",
-            )
+        record = sv.placed(st)
+        if record is None:
+            add(ACTION_QUARANTINE, path, details[path], lost=committed)
             continue
-
-        # The file's own account of itself: a trailer that parses and
-        # agrees with the header's count.
-        own = st.trailer if st.trailer is not None and not st.trailer_detail else None
-        if ref is None:
-            # Metadata is being rebuilt; adopt the record from the trailer.
-            if own is None:
-                add(
-                    ACTION_QUARANTINE,
-                    path,
-                    f"spatial.meta lost and no usable trailer "
-                    f"({st.trailer_detail or 'none present'})",
-                    lost=st.header_count,
-                )
-                continue
-            record = own.record
-            if record.file_path != path:
-                add(
-                    ACTION_QUARANTINE,
-                    path,
-                    f"trailer names aggregator {record.agg_rank} "
-                    f"({record.file_path}), contradicting its own path",
-                    lost=st.header_count,
-                )
-                continue
-            adopted += 1
-        elif st.header_count != ref.particle_count:
-            if own is not None and own.record.agg_rank == ref.agg_rank:
-                record = own.record
-                add(
-                    ACTION_REBUILD_ENTRY,
-                    path,
-                    f"spatial.meta says {ref.particle_count} particles, file "
-                    f"holds {st.header_count}; trusting the file's trailer",
-                )
-            else:
-                add(
-                    ACTION_QUARANTINE,
-                    path,
-                    f"spatial.meta says {ref.particle_count} particles, file "
-                    f"holds {st.header_count}, and no trailer arbitrates",
-                    lost=ref.particle_count,
-                )
-                continue
-        else:
-            record = ref
-
-        # Checksum entry: the one recomputed from the verified payload.
         entry = st.actual_entry
+        if record is ref and path not in fixes:
+            # Scrub passed the file: its committed record and entry stand.
+            entry = sv.entry(path) or entry
         assert entry is not None  # every valid file has one
-        old_entry = _norm_entry(committed_entry(manifest, ref, path))
-        already_noted = any(
-            a.path == path and a.kind == ACTION_REBUILD_ENTRY
-            for a in plan.actions
-        )
-        if manifest is not None and old_entry != entry and not already_noted:
+        adopted += ref is None
+        if ref is not None and record is not ref:
+            add(
+                ACTION_REBUILD_ENTRY,
+                path,
+                f"spatial.meta says {ref.particle_count} particles, file "
+                f"holds {st.header_count}; trusting the file's trailer",
+            )
+        elif manifest is not None and path not in manifest.checksums:
+            add(ACTION_REBUILD_ENTRY, path, "manifest entry missing; recomputed from the payload")
+        # With the table lost, the entry's chunk section is re-derived from
+        # the payload too.
+        elif manifest is not None and (
+            "entry" in fixes.get(path, ()) or ref is None and "section" in entry
+        ):
             add(
                 ACTION_REBUILD_ENTRY,
                 path,
                 "manifest checksum entry disagrees with the data file; "
-                "recomputed from the payload"
-                if old_entry is not None
-                else "manifest entry missing; recomputed from the payload",
+                "recomputed from the payload",
             )
         keep(record, entry)
-
-        # Trailer health: v3 files must carry the trailer the repaired state
-        # determines — the same comparison scrub makes; rewrite it if not.
-        if st.version >= 3:
-            wanted = want_trailer(record, entry, facts)
-            if st.trailer != wanted:
-                plan.rewrite[path] = (st.header_count, st.rec_size, wanted)
-                add(
-                    ACTION_REWRITE_TRAILER,
-                    path,
-                    st.trailer_detail
-                    or "recovery trailer disagrees with committed state",
-                )
+        if "trailer" in fixes.get(path, ()):
+            plan.rewrite[path] = (st.header_count, st.rec_size, want_trailer(record, entry, facts))
+            add(
+                ACTION_REWRITE_TRAILER,
+                path,
+                st.trailer_detail or "recovery trailer disagrees with committed state",
+            )
 
     # -- assemble the target dataset-level state ---------------------------
     try:
@@ -681,18 +407,15 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
         plan.unresolved.append(f"rebuilt table is inconsistent: {exc}")
         plan.actions = []
         plan.rewrite.clear()
-        plan.drop_files.clear()
-        plan.delete_paths.clear()
-        plan.write_current_gen = None
         return plan
     plan.meta_blob = table.to_bytes()
-    plan.rebuild_metadata = raw_meta is None or plan.meta_blob != raw_meta
+    plan.rebuild_metadata = plan.meta_blob != sv.raw_meta
     if plan.rebuild_metadata:
         detail = f"{len(table)} records"
         if adopted:
             detail += f" ({adopted} adopted from recovery trailers)"
         plan.actions.insert(
-            0, RepairAction(ACTION_REBUILD_METADATA, meta_path, detail)
+            0, RepairAction(ACTION_REBUILD_METADATA, target.meta_path, detail)
         )
 
     new_manifest = Manifest(
@@ -703,8 +426,12 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
         lod_scale=facts.lod_scale,
         lod_heuristic=facts.lod_heuristic,
         lod_seed=facts.lod_seed,
-        writer=writer_prov,
-        checksums={p: checksums[p] for p in sorted(checksums, key=_natural_key)},
+        writer=(
+            manifest.writer
+            if manifest is not None
+            else {"provenance": "rebuilt by repro repair"}
+        ),
+        checksums={p: checksums[p] for p in sorted(checksums, key=natural_key)},
         spatial_meta_crc32=zlib.crc32(plan.meta_blob),
         generation=target.generation,
         parent=(
@@ -722,7 +449,7 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
             0 if not plan.rebuild_metadata else 1,
             RepairAction(
                 ACTION_REBUILD_MANIFEST,
-                manifest_path,
+                target.manifest_path,
                 "committed state rewritten from repaired files"
                 if manifest is not None
                 else "committed state rebuilt from recovery trailers",
@@ -730,77 +457,47 @@ def _plan(ds: Dataset, report: ScrubReport) -> _RepairPlan:
         )
 
     # -- chain hygiene: drops, residue, and the CURRENT pointer -------------
-    target_refs = set(checksums) | set(ref_records) | foreign
-    for gen in drop_gens:
-        prefix = f"g{gen}_"
-        unique = sorted(
-            (
-                f"data/{n}"
-                for n in names
-                if n.startswith(prefix) and f"data/{n}" not in target_refs
-            ),
-            key=_natural_key,
+    for gen in sorted(sv.dropped):
+        plan.delete_paths += [generation_manifest_path(gen), generation_meta_path(gen)]
+        add(
+            ACTION_DROP_GENERATION,
+            generation_manifest_path(gen),
+            f"generation {gen} {sv.dropped[gen]}",
         )
-        plan.drop_files[gen] = unique
-        plan.delete_paths.append(generation_manifest_path(gen))
-        plan.delete_paths.append(generation_meta_path(gen))
-        plan.actions.append(
-            RepairAction(
-                ACTION_DROP_GENERATION,
-                generation_manifest_path(gen),
-                f"generation {gen} {drop_reasons[gen]}",
-            )
-        )
-        plan.actions.extend(
-            RepairAction(
-                ACTION_QUARANTINE,
-                path,
-                f"belongs to dropped generation {gen}",
-            )
-            for path in unique
-        )
-    for issue in report.issues:
-        if issue.code == "generation-residue":
+        for path in sv.stray:
+            if path.startswith(f"data/g{gen}_"):
+                add(ACTION_QUARANTINE, path, f"belongs to dropped generation {gen}")
+    for issue in issues:
+        if ISSUES[issue.code].fix == "delete":
             plan.delete_paths.append(issue.path)
-            plan.actions.append(
-                RepairAction(
-                    ACTION_DROP_GENERATION,
-                    issue.path,
-                    "spatial table without its manifest (aborted commit "
-                    "residue)",
-                )
+            add(
+                ACTION_DROP_GENERATION,
+                issue.path,
+                "spatial table without its manifest (aborted commit residue)",
             )
+    current_damaged = any(ISSUES[i.code].fix == "pointer" for i in issues)
     if target.generation > 0:
         # Chained datasets always finish by (re)pointing CURRENT at the
         # converged generation — this is the repair's own commit flip.
         plan.write_current_gen = target.generation
         if current_damaged:
-            plan.actions.append(
-                RepairAction(
-                    ACTION_REWRITE_CURRENT,
-                    CURRENT_PATH,
-                    f"pointer rewritten to committed generation "
-                    f"{target.generation}",
-                )
-            )
-    elif backend.exists(CURRENT_PATH) and (current_damaged or drop_gens):
-        plan.delete_paths.append(CURRENT_PATH)
-        plan.actions.append(
-            RepairAction(
+            add(
                 ACTION_REWRITE_CURRENT,
                 CURRENT_PATH,
-                "stray pointer removed (classic single-manifest dataset)",
+                f"pointer rewritten to committed generation {target.generation}",
             )
+    elif sv.has_current and (current_damaged or sv.dropped):
+        plan.delete_paths.append(CURRENT_PATH)
+        add(
+            ACTION_REWRITE_CURRENT,
+            CURRENT_PATH,
+            "stray pointer removed (classic single-manifest dataset)",
         )
 
-    if target.generation == 0:
-        plan.invalidate_marker = (
-            backend.exists(MANIFEST_PATH) and plan.rebuild_manifest
-        )
-    else:
-        plan.invalidate_marker = backend.exists(CURRENT_PATH) and (
-            plan.rebuild_manifest or plan.rebuild_metadata
-        )
+    # The commit marker goes first (deleting an absent one is a no-op).
+    plan.invalidate_marker = plan.rebuild_manifest or (
+        target.generation > 0 and plan.rebuild_metadata
+    )
     return plan
 
 
@@ -949,6 +646,9 @@ def repair_dataset(
 ) -> RepairReport:
     """Scrub (unless given a report), plan, execute, and verify one dataset.
 
+    The plan comes from the report's survey alone, so planning reads
+    nothing; the verification scrub catches any file that changed since.
+
     With ``dry_run=True`` the plan is returned unexecuted — no write, delete
     or quarantine happens.  Otherwise the plan runs under the dataset's
     retry policy and executor, and a verification scrub confirms the result
@@ -964,8 +664,9 @@ def repair_dataset(
         out.clean = True
         return out
 
+    assert report.survey is not None  # every scrub report carries one
     with ds.recorder.span(PHASE_REPAIR_PLAN, cat="repair"):
-        plan = _plan(ds, report)
+        plan = _plan(report.survey, report.issues)
     out.actions = plan.actions
     out.unresolved.extend(plan.unresolved)
     out.rebuilt_metadata = plan.rebuild_metadata

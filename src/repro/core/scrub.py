@@ -6,12 +6,12 @@ guarantees:
 * the manifest parses and its version is supported;
 * the spatial metadata table parses, its whole-table CRC matches, and the
   manifest's recorded ``spatial_meta_crc32`` agrees with the bytes on disk;
-* every data file the table references exists, has a valid header, the
-  header's particle count matches the table's, the byte length is exact,
-  the v2 footer CRC (v4: every segment CRC) matches, the manifest's
-  payload and per-LOD prefix checksums and the table's chunk index
-  recompute from the payload, and a v3+ recovery trailer equals — every
-  field of it — the one repair would write (:func:`want_trailer`);
+* every data file the table or the manifest names exists, has a valid
+  header, the header's particle count matches the table's, the byte length
+  is exact, the v2 footer CRC (v4: every segment CRC) matches, the
+  manifest's payload and per-LOD prefix checksums and the table's chunk
+  index recompute from the payload, and a v3+ recovery trailer equals —
+  every field of it — the one repair would write (:func:`want_trailer`);
 * no orphan data files sit in ``data/`` (leftovers of an aborted write);
 * the generation chain is structurally sound: the checksummed ``CURRENT``
   pointer parses and names an existing generation, every chained manifest
@@ -25,39 +25,43 @@ Quarantined files are prior, already-accounted losses, not live damage, so
 they are reported informationally and never fail the scrub.
 
 The outcome is a :class:`ScrubReport` of typed :class:`ScrubIssue` entries.
-Each issue is tagged **repairable** when :mod:`repro.core.repair` can fix it
-*losslessly* — rebuilding metadata/manifest state from the v3 recovery
-trailers, or rewriting a damaged trailer from committed state.  Issues left
-untagged cost data to resolve: repair salvages what it can (truncating a
-torn file to its longest valid LOD prefix) and quarantines the rest.  The
-repair planner consumes these tags to pick its strategy per issue.
+Every issue code has one row in :data:`ISSUES`, which says whether
+:mod:`repro.core.repair` resolves it *losslessly* — rebuilding
+metadata/manifest state from the v3 recovery trailers, or rewriting a
+damaged trailer from committed state — and what repair does about it.
+Codes that are not repairable cost data to resolve: repair salvages what it
+can (truncating a torn file to its longest valid LOD prefix) and
+quarantines the rest.
 
 :func:`dataset_is_complete` is the cheap commit-marker probe used by the
 writer's two-phase protocol: ``manifest.json`` is written last, so a
 dataset without a parseable manifest (or with manifest-referenced pieces
 missing) is an aborted write, never a valid dataset.
 
-The per-file work is one inspection shared with repair:
-:func:`inspect_file` reads a data file once (under the dataset's retry
-policy), classifies it and recomputes its checksum entry and chunk index
-from the payload.  Scrub compares that with the committed record and entry
-to name issues; repair uses the same state to decide its actions, so a
-trailer scrub passes is one repair would leave alone, and vice versa.
+Scrub and repair share one :class:`Survey` of the dataset, which the scrub
+builds once and hands over as :attr:`ScrubReport.survey`: the target
+generation, the manifest and table that survived, the dataset-wide facts,
+the file inventory, and one :func:`inspect_file` state per inventory file
+(a single read of its bytes under the dataset's retry policy).  Scrub
+compares those states with the committed record and entry to name issues;
+repair plans from the same survey and issues without reading the dataset
+again, so a file scrub passes is one repair leaves alone, and vice versa.
 
 Both entry points accept a :class:`~repro.dataset.Dataset` (or anything
 :func:`~repro.dataset.as_dataset` coerces) and run the per-file
-verification work — the expensive part of a scrub — on the dataset's
-:class:`~repro.io.executor.IoExecutor`.  Each file's checks are
-independent and produce a partial report; partials merge back in metadata
+inspections — the expensive part of a scrub — on the dataset's
+:class:`~repro.io.executor.IoExecutor`.  States merge back in inventory
 order, so the final :class:`ScrubReport` is identical whichever executor
 ran the scrub.
 """
 
 from __future__ import annotations
 
+import re
 import zlib
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,6 +86,7 @@ from repro.format.datafile import (
     parse_data_header,
     payload_prefix_checksums,
     prefix_checksum_boundaries,
+    read_recovery_trailer,
     scan_columnar_segments,
     verify_data_footer,
 )
@@ -89,6 +94,7 @@ from repro.format.generations import (
     CURRENT_PATH,
     ResolvedGeneration,
     generation_manifest_path,
+    generation_meta_path,
     list_generations,
     load_generation,
     parse_generation_path,
@@ -96,8 +102,8 @@ from repro.format.generations import (
     resolve_generation,
     verify_generation,
 )
-from repro.format.manifest import MANIFEST_PATH, Manifest, descr_to_dtype, dtype_to_descr
-from repro.format.metadata import META_PATH, MetadataRecord, SpatialMetadata
+from repro.format.manifest import Manifest, descr_to_dtype, dtype_to_descr
+from repro.format.metadata import MetadataRecord, SpatialMetadata
 from repro.io.backend import FileBackend
 from repro.obs.recorder import Recorder
 from repro.particles.batch import ParticleBatch
@@ -107,12 +113,74 @@ from repro.particles.batch import ParticleBatch
 QUARANTINE_DIR = "quarantine"
 
 __all__ = [
+    "ISSUES",
     "QUARANTINE_DIR",
     "ScrubIssue",
     "ScrubReport",
     "scrub_dataset",
     "dataset_is_complete",
 ]
+
+
+class IssueKind(NamedTuple):
+    """How repair resolves one issue code."""
+
+    #: Repair fixes it without losing a particle.
+    repairable: bool
+    #: What repair does beyond rebuilding committed state: ``pointer``
+    #: (rewrite CURRENT), ``drop`` (the named generation, for ``why``),
+    #: ``delete`` (the named path), ``entry`` (recompute the file's manifest
+    #: entry) or ``trailer`` (rewrite the file's trailer).
+    fix: str = ""
+    why: str = ""
+
+
+#: Every code a scrub emits, once.
+ISSUES: dict[str, IssueKind] = {
+    "current-corrupt": IssueKind(True, "pointer"),
+    "current-missing": IssueKind(True, "pointer"),
+    "current-dangling": IssueKind(True, "pointer"),
+    "chain-unresolvable": IssueKind(False),
+    "generation-damaged": IssueKind(
+        True, "drop", "fails verification and is not the repair target"
+    ),
+    "generation-mismatch": IssueKind(
+        True, "drop", "embedded generation contradicts its filename"
+    ),
+    "generation-ahead": IssueKind(
+        True, "drop", "crashed before its CURRENT flip (never committed)"
+    ),
+    "generation-residue": IssueKind(True, "delete"),
+    "manifest-missing": IssueKind(True),
+    "manifest-corrupt": IssueKind(True),
+    "metadata-missing": IssueKind(True),
+    "metadata-unreadable": IssueKind(True),
+    # Lossless to rebuild: every record survives in its file's trailer.
+    "metadata-checksum": IssueKind(True),
+    "metadata-corrupt": IssueKind(True),
+    "file-count-mismatch": IssueKind(True),
+    "particle-count-mismatch": IssueKind(True),
+    "metadata-crc-mismatch": IssueKind(True),
+    "data-missing": IssueKind(False),
+    "data-unreadable": IssueKind(False),
+    "data-header": IssueKind(False),
+    "data-corrupt": IssueKind(False),
+    "dtype-mismatch": IssueKind(False),
+    "data-truncated": IssueKind(False),
+    "data-checksum": IssueKind(False),
+    "segment-checksum": IssueKind(False),
+    "count-mismatch": IssueKind(False),
+    # Derived state disagreeing with verified bytes is lossless to rebuild.
+    "manifest-checksum-mismatch": IssueKind(True, "entry"),
+    "prefix-checksum-mismatch": IssueKind(True, "entry"),
+    "chunk-index-mismatch": IssueKind(True, "entry"),
+    "trailer-damaged": IssueKind(True, "trailer"),
+    "trailer-mismatch": IssueKind(True, "trailer"),
+    # Nothing names the file: quarantining it costs no committed particle.
+    "data-orphan": IssueKind(True),
+    # Committed, but neither the table nor the file's trailer places it.
+    "data-unrecorded": IssueKind(False),
+}
 
 
 @dataclass(frozen=True)
@@ -122,9 +190,8 @@ class ScrubIssue:
     path: str
     code: str
     detail: str
-    #: True when ``repro repair`` can fix this losslessly (rebuild from
-    #: recovery trailers / committed state); False when resolving it costs
-    #: data (salvage-truncate or quarantine).
+    #: ``ISSUES[code].repairable``: True when ``repro repair`` can fix this
+    #: losslessly; False when resolving it costs data.
     repairable: bool = False
 
 
@@ -143,6 +210,8 @@ class ScrubReport:
     #: Files a previous repair moved to ``quarantine/`` — prior losses,
     #: surfaced informationally (they never make the scrub fail).
     quarantined: list[str] = field(default_factory=list)
+    #: What the scrub read, for repair to plan from.
+    survey: Survey | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -152,8 +221,8 @@ class ScrubReport:
     def codes(self) -> set[str]:
         return {issue.code for issue in self.issues}
 
-    def add(self, path: str, code: str, detail: str, repairable: bool = False) -> None:
-        self.issues.append(ScrubIssue(path, code, detail, repairable))
+    def add(self, path: str, code: str, detail: str) -> None:
+        self.issues.append(ScrubIssue(path, code, detail, ISSUES[code].repairable))
 
     def summary_lines(self) -> list[str]:
         """Human-readable report (the ``repro scrub`` output body)."""
@@ -246,89 +315,179 @@ def _quarantine_inventory(backend: FileBackend) -> list[str]:
     return sorted(out)
 
 
-def _scrub_chain(
-    backend: FileBackend, report: ScrubReport
-) -> ResolvedGeneration | None:
-    """Verify the generation chain's structure; returns the scrub target.
+# -- the survey scrub and repair share -----------------------------------------
 
-    Adds the typed pointer/chain issues (all repairable — the repair
-    subsystem rewrites ``CURRENT`` and drops uncommitted or damaged
-    generations) and decides which generation the deep per-file checks run
-    against.  ``None`` means nothing on disk resolves at all.
-    """
+
+@dataclass
+class Survey:
+    """What one scrub read of a dataset: everything repair plans from."""
+
+    #: The generation scrub verifies and repair converges to.
+    target: ResolvedGeneration
+    #: Whether ``CURRENT`` exists on disk.
+    has_current: bool = False
+    #: Generations repair drops, each with why, and the files in ``data/``
+    #: only they hold (in their namespace, named by no retained generation).
+    dropped: dict[int, str] = field(default_factory=dict)
+    stray: list[str] = field(default_factory=list)
+    manifest: Manifest | None = None
+    metadata: SpatialMetadata | None = None
+    raw_meta: bytes | None = None
+    #: The table's records by file path (empty when the table is lost).
+    records: dict[str, MetadataRecord] = field(default_factory=dict)
+    #: None when the facts cannot be settled; ``unsettled`` then says why.
+    facts: DatasetFacts | None = None
+    unsettled: str = ""
+    #: One inspection per inventory file, in natural path order.
+    files: dict[str, FileState] = field(default_factory=dict)
+
+    def entry(self, path: str) -> dict | None:
+        """``path``'s manifest checksum entry plus, as ``section``, the chunk
+        index its table record carries (when that section frames; an
+        unframeable one is regrafted from the payload)."""
+        entry = self.manifest.checksums.get(path) if self.manifest is not None else None
+        if entry is None:
+            return None
+        entry, ref = dict(entry), self.records.get(path)
+        with suppress(DataFileError):
+            if ref is not None:
+                FileChunkIndex.unpack(ref.section, path)
+                entry["section"] = ref.section
+        return entry
+
+    def committed(self, path: str) -> int | None:
+        """The particle count committed for ``path``: the table's, else the
+        last of its manifest prefixes; None when nothing names the file."""
+        if path in self.records:
+            return self.records[path].particle_count
+        entry = self.manifest.checksums.get(path) if self.manifest is not None else None
+        if entry is None:
+            return None
+        return int(entry["prefixes"][-1][0]) if entry.get("prefixes") else 0
+
+    def placed(self, st: FileState) -> MetadataRecord | None:
+        """The record a valid file is committed under: the table's; its own
+        trailer's when the table is lost (the trailer naming this path) or
+        miscounts the file (the trailer naming the same aggregator)."""
+        own = st.trailer if not st.trailer_detail else None
+        ref = self.records.get(st.path)
+        if self.metadata is None:
+            return own.record if own is not None and own.record.file_path == st.path else None
+        if ref is None or st.header_count == ref.particle_count:
+            return ref
+        return own.record if own is not None and own.record.agg_rank == ref.agg_rank else None
+
+
+def natural_key(path: str) -> tuple:
+    return tuple(int(part) if part.isdigit() else part for part in re.split(r"(\d+)", path))
+
+
+def _target(backend: FileBackend, report: ScrubReport) -> ResolvedGeneration:
+    """The generation to verify and converge to.  The resolver's own
+    discipline picks it (valid CURRENT first, else the newest fully
+    verifiable generation); when nothing verifies, the newest generation
+    present.  A valid CURRENT naming a newer generation whose table still
+    parses wins over a fallback: its committed data survives even though
+    its manifest is damaged, so it is rebuilt in place, not abandoned."""
+    try:
+        target = resolve_generation(backend)
+    except FormatError as exc:
+        report.add(CURRENT_PATH, "chain-unresolvable", str(exc))
+        target = ResolvedGeneration(
+            max(list_generations(backend), default=0),
+            fallback=True,
+            detail="no generation fully verifies; rebuilding the newest",
+        )
+    if not target.fallback:
+        return target
+    try:
+        pointed = read_current(backend)
+        if pointed is None or pointed <= target.generation:
+            return target
+        SpatialMetadata.read(backend, generation_meta_path(pointed))
+    except (BackendError, FormatError):
+        return target
+    return ResolvedGeneration(
+        pointed,
+        fallback=True,
+        detail=(
+            f"CURRENT names generation {pointed}; its table survives, "
+            "rebuilding the manifest in place"
+        ),
+    )
+
+
+def _scrub_chain(backend: FileBackend, report: ScrubReport) -> tuple[Survey, set[str]]:
+    """Verify the generation chain's structure: adds the typed pointer and
+    chain issues, and returns the survey's target, drops and pointer state
+    plus every file another retained generation references."""
     gens = list_generations(backend)
     chained = [g for g in gens if g > 0]
     current: int | None = None
     current_valid = False
-    if backend.exists(CURRENT_PATH):
+    has_current = backend.exists(CURRENT_PATH)
+    if has_current:
         try:
             current = read_current(backend)
             current_valid = True
         except FormatError as exc:
-            report.add(CURRENT_PATH, "current-corrupt", str(exc), repairable=True)
+            report.add(CURRENT_PATH, "current-corrupt", str(exc))
     elif chained:
         report.add(
             CURRENT_PATH,
             "current-missing",
             "generation manifests exist but the CURRENT pointer is absent",
-            repairable=True,
         )
     if current_valid and current not in gens:
         report.add(
             CURRENT_PATH,
             "current-dangling",
             f"CURRENT names generation {current} but no such manifest exists",
-            repairable=True,
         )
         current_valid = False
 
-    try:
-        target = resolve_generation(backend)
-    except FormatError as exc:
-        report.add(CURRENT_PATH, "chain-unresolvable", str(exc))
-        return None
+    sv = Survey(_target(backend, report), has_current=has_current)
+    target = sv.target.generation
+
+    def flag(g: int, code: str, detail: str) -> None:
+        report.add(generation_manifest_path(g), code, detail)
+        if g > 0:
+            sv.dropped[g] = ISSUES[code].why
 
     # The committed baseline: what CURRENT says when it is trustworthy,
-    # else what resolution fell back to.  Generations past it were never
-    # committed (an append that crashed before its CURRENT flip).
-    baseline = current if current_valid else target.generation
+    # else the target.  Generations past it were never committed (an
+    # append that crashed before its CURRENT flip).
+    baseline = current if current_valid else target
+    referenced: set[str] = set()
     for g in gens:
-        if g == target.generation:
+        if g == target:
             continue
-        path = generation_manifest_path(g)
         try:
-            m = Manifest.read(backend, path)
+            m = Manifest.read(backend, generation_manifest_path(g))
         except FormatError as exc:
-            report.add(
-                path,
-                "generation-damaged",
-                f"generation {g} manifest unusable: {exc}",
-                repairable=True,
-            )
+            flag(g, "generation-damaged", f"generation {g} manifest unusable: {exc}")
             continue
         if m.generation != g:
-            report.add(
-                path,
+            flag(
+                g,
                 "generation-mismatch",
-                f"file is named generation {g} but records generation "
-                f"{m.generation}",
-                repairable=True,
+                f"file is named generation {g} but records generation {m.generation}",
             )
         elif g > baseline:
-            report.add(
-                path,
+            flag(
+                g,
                 "generation-ahead",
                 f"generation {g} was never committed "
                 f"(the committed generation is {baseline})",
-                repairable=True,
             )
         elif not verify_generation(backend, g):
-            report.add(
-                path,
-                "generation-damaged",
-                f"generation {g} no longer fully verifies",
-                repairable=True,
-            )
+            flag(g, "generation-damaged", f"generation {g} no longer fully verifies")
+        else:
+            # Retained: files only it references are not this target's.
+            with suppress(FormatError):
+                referenced |= {
+                    r.file_path for r in load_generation(backend, g, manifest=m)[1].records
+                }
 
     # GC/append crash residue: a spatial table whose manifest is gone.
     try:
@@ -343,9 +502,8 @@ def _scrub_chain(
                 "generation-residue",
                 f"spatial table for generation {parsed[1]} has no manifest "
                 "(append or GC crash residue)",
-                repairable=True,
             )
-    return target
+    return sv, referenced
 
 
 # -- one inspection per data file ----------------------------------------------
@@ -407,23 +565,6 @@ def chunk_size_of(copies) -> int:
         if len(index):
             return int(index.counts.max())
     return 0
-
-
-def committed_entry(
-    manifest: Manifest | None, ref: MetadataRecord | None, path: str
-) -> dict | None:
-    """One file's manifest checksum entry plus, as ``section``, the chunk
-    index its table record carries (when that section frames; an
-    unframeable one is regrafted from the payload)."""
-    entry = manifest.checksums.get(path) if manifest is not None else None
-    if entry is None:
-        return None
-    entry = dict(entry)
-    with suppress(DataFileError):
-        if ref is not None:
-            FileChunkIndex.unpack(ref.section, path)
-            entry["section"] = ref.section
-    return entry
 
 
 def want_trailer(record: MetadataRecord, entry: dict, facts: DatasetFacts) -> RecoveryTrailer:
@@ -494,7 +635,7 @@ def inspect_file(
     """Classify one data file (v1–v4, row or columnar) from a single read
     of its bytes under the dataset's retry policy; never raises.
 
-    ``entry`` is the file's :func:`committed_entry` — a copy of its chunk
+    ``entry`` is the file's :meth:`Survey.entry` — a copy of its chunk
     index to verify segments against, and the prefix checksums a torn file
     is salvaged against — or None when nothing committed records the file.
     A valid file gets its checksum entry recomputed from the payload;
@@ -504,7 +645,7 @@ def inspect_file(
     st = FileState(path)
     try:
         if not ds.backend.exists(path):
-            return st.fail("missing", "data-missing", "referenced by spatial.meta but absent")
+            return st.fail("missing", "data-missing", "committed but absent")
         raw = bytes(ds.retry.call(ds.backend.read_file, path, recorder=rec))
     except BackendError as exc:
         return st.fail("unreadable", "data-unreadable", str(exc))
@@ -608,17 +749,6 @@ def _inspect_columnar(
         copies.append((st.trailer.record.section, st.trailer.codec))
     if entry and entry.get("section"):
         copies.append((entry["section"], entry.get("codec")))
-    if entry is None and not any(section for section, _codec in copies):
-        # Nothing ever recorded this file (aborted-write orphan cut before
-        # its trailer): torn with nothing salvageable, so it quarantines
-        # without billing the header count as data loss — same accounting
-        # as a row orphan.
-        return st.fail(
-            "torn",
-            "data-corrupt",
-            "columnar file has no usable segment descriptors "
-            "(torn before its recovery trailer)",
-        )
     check = _verify_columnar(raw, copies, st.header_count, facts.dtype, st.path)
     st.codec = check.codec
     if check.rows is None:
@@ -807,135 +937,53 @@ def _verified_prefixes(logical, rec_size: int, recorded) -> list[list[int]]:
     return out
 
 
-def _scrub_data_file(
-    ds: Dataset,
-    manifest: Manifest,
-    rec: MetadataRecord,
-    facts: DatasetFacts,
-    recorder: Recorder,
-) -> ScrubReport:
-    """Verify one referenced data file: :func:`inspect_file`, then compare
-    what it found with the committed record and checksum entry.
-
-    Pure with respect to shared state (nothing is mutated), which is what
-    lets :func:`scrub_dataset` fan the per-file checks out on an executor
-    and merge the partials back in metadata order.
-    """
-    report = ScrubReport()
-    path = rec.file_path
-    entry = committed_entry(manifest, rec, path)
-    st = inspect_file(ds, path, entry, facts, recorder)
-    if st.status != "missing":
-        report.files_checked += 1
-    if st.version and st.header_count != rec.particle_count:
-        report.add(
-            path,
-            "count-mismatch",
-            f"header says {st.header_count} particles, "
-            f"spatial.meta says {rec.particle_count}",
-        )
-        return report
-    actual = st.actual_entry
-    if actual is None:  # not valid: the inspection's own verdict
-        for detail in st.details:
-            report.add(path, st.code, detail)
-        return report
-    report.bytes_verified += st.size
-
-    # Derived state disagreeing with verified bytes is lossless to rebuild.
-    if entry is not None:
-        if int(entry.get("payload_crc32", -1)) != actual["payload_crc32"]:
-            report.add(
-                path,
-                "manifest-checksum-mismatch",
-                "manifest payload_crc32 disagrees with the data file",
-                repairable=True,
-            )
-        elif [list(p) for p in entry.get("prefixes", [])] != actual["prefixes"]:
-            report.add(
-                path,
-                "prefix-checksum-mismatch",
-                "per-LOD prefix checksums disagree with the data file",
-                repairable=True,
-            )
-        elif rec.section and rec.section != actual.get("section", b""):
-            # A bad chunk index silently turns pruned reads wrong.
-            report.add(
-                path,
-                "chunk-index-mismatch",
-                "recorded chunk index disagrees with the one the payload rebuilds",
-                repairable=True,
-            )
-    if st.version >= 3:
-        if st.trailer is None:
-            report.add(path, "trailer-damaged", st.trailer_detail, repairable=True)
-        elif st.trailer != want_trailer(rec, actual, facts):
-            report.add(
-                path,
-                "trailer-mismatch",
-                "recovery trailer disagrees with the one repair would write "
-                "from spatial.meta, the manifest and the payload",
-                repairable=True,
-            )
-    return report
+def _donor_trailer(ds: Dataset, paths) -> RecoveryTrailer | None:
+    """The first recovery trailer among ``paths`` that reads and checksums
+    (ranged reads of the file's tail only): where dataset-wide facts come
+    from when the manifest or the table is lost."""
+    for path in paths:
+        with suppress(BackendError, DataFileError):
+            return ds.retry.call(read_recovery_trailer, ds.backend, path, recorder=ds.recorder)
+    return None
 
 
-def scrub_dataset(source: Dataset | FileBackend) -> ScrubReport:
-    """Verify every checksum/header/count invariant of one dataset.
-
-    Per-file verification (one :func:`inspect_file` per data file, then
-    the comparison with committed state) runs on the dataset's executor;
-    partial reports merge back in metadata order so the result is
-    deterministic.
-    """
-    ds = as_dataset(source)
+def _survey(ds: Dataset, report: ScrubReport) -> Survey:
+    """Read the dataset once for scrub and repair alike: chain, manifest,
+    table, inventory, facts and one inspection per inventory file (fanned
+    out on the dataset's executor); adds the dataset-level issues."""
     backend = ds.backend
-    report = ScrubReport()
-    report.complete = dataset_is_complete(ds)
-    report.quarantined = _quarantine_inventory(backend)
+    sv, referenced = _scrub_chain(backend, report)
+    manifest_path, meta_path = sv.target.manifest_path, sv.target.meta_path
 
-    # 0. Generation-chain structure: CURRENT pointer, uncommitted/damaged
-    #    generations, GC residue.  Decides which generation the deep checks
-    #    below run against.
-    target = _scrub_chain(backend, report)
-    manifest_path = target.manifest_path if target is not None else MANIFEST_PATH
-    meta_path = target.meta_path if target is not None else META_PATH
-    if target is not None:
-        report.generation = target.generation
-
-    # 1. Manifest — without it there is no committed dataset and no dtype.
-    manifest = None
+    # 1. Manifest — the commit marker; the dtype and LOD facts.
     if not backend.exists(manifest_path):
-        report.add(manifest_path, "manifest-missing",
-                   "no commit marker: write never completed", repairable=True)
+        report.add(manifest_path, "manifest-missing", "no commit marker: write never completed")
     else:
         try:
-            manifest = Manifest.read(backend, manifest_path, actor=ds.actor)
+            sv.manifest = sv.target.manifest or Manifest.read(
+                backend, manifest_path, actor=ds.actor
+            )
         except FormatError as exc:
-            report.add(manifest_path, "manifest-corrupt", str(exc), repairable=True)
+            report.add(manifest_path, "manifest-corrupt", str(exc))
 
     # 2. Spatial metadata table.
-    metadata = None
-    raw_meta = None
     if not backend.exists(meta_path):
-        report.add(meta_path, "metadata-missing",
-                   "spatial metadata table absent", repairable=True)
+        report.add(meta_path, "metadata-missing", "spatial metadata table absent")
     else:
         try:
-            raw_meta = backend.read_file(meta_path)
+            sv.raw_meta = bytes(backend.read_file(meta_path))
         except BackendError as exc:
-            report.add(meta_path, "metadata-unreadable", str(exc), repairable=True)
-        if raw_meta is not None:
+            report.add(meta_path, "metadata-unreadable", str(exc))
+        if sv.raw_meta is not None:
             try:
-                metadata = SpatialMetadata.from_bytes(raw_meta)
-                report.bytes_verified += len(raw_meta)
+                sv.metadata = SpatialMetadata.from_bytes(sv.raw_meta)
+                sv.records = {r.file_path: r for r in sv.metadata.records}
+                report.bytes_verified += len(sv.raw_meta)
             except ChecksumError as exc:
-                # Lossless to rebuild: every record survives in its data
-                # file's recovery trailer.
-                report.add(meta_path, "metadata-checksum", str(exc),
-                           repairable=True)
+                report.add(meta_path, "metadata-checksum", str(exc))
             except MetadataError as exc:
-                report.add(meta_path, "metadata-corrupt", str(exc), repairable=True)
+                report.add(meta_path, "metadata-corrupt", str(exc))
+    manifest, metadata = sv.manifest, sv.metadata
 
     # 3. Manifest <-> metadata cross-checks.
     if manifest is not None and metadata is not None:
@@ -945,7 +993,6 @@ def scrub_dataset(source: Dataset | FileBackend) -> ScrubReport:
                 "file-count-mismatch",
                 f"manifest says {manifest.num_files} files, "
                 f"table has {len(metadata.records)}",
-                repairable=True,
             )
         if manifest.total_particles != metadata.total_particles:
             report.add(
@@ -953,63 +1000,157 @@ def scrub_dataset(source: Dataset | FileBackend) -> ScrubReport:
                 "particle-count-mismatch",
                 f"manifest says {manifest.total_particles} particles, "
                 f"table sums to {metadata.total_particles}",
-                repairable=True,
             )
         if (
             manifest.spatial_meta_crc32 is not None
-            and raw_meta is not None
-            and zlib.crc32(raw_meta) != manifest.spatial_meta_crc32
+            and zlib.crc32(sv.raw_meta) != manifest.spatial_meta_crc32
         ):
             report.add(
                 meta_path,
                 "metadata-crc-mismatch",
                 "manifest's spatial_meta_crc32 disagrees with the spatial "
                 "table on disk",
-                repairable=True,
             )
 
-    # 4. Every referenced data file — independent checks, fanned out on the
-    #    dataset's executor; partials merge back in metadata order.
-    if manifest is not None and metadata is not None:
-        mf = manifest
-        facts = settle_facts(manifest, metadata, None)
-        tasks = [
-            (lambda child, rec=rec: _scrub_data_file(ds, mf, rec, facts, child))
-            for rec in metadata.records
-        ]
-        for outcome in ds.executor.run(tasks, ds.recorder):
-            if outcome.recorder is not None:
-                ds.recorder.merge(outcome.recorder)
-            if outcome.error is not None:
-                raise outcome.error
-            part = outcome.value
-            report.issues.extend(part.issues)
-            report.files_checked += part.files_checked
-            report.bytes_verified += part.bytes_verified
+    # 4. The inventory: every file the target names, plus every file in
+    #    data/ that neither another retained generation references nor a
+    #    dropped generation's namespace holds.
+    named = set(sv.records) | set(manifest.checksums if manifest is not None else ())
+    try:
+        listed = {f"data/{n}" for n in backend.listdir("data")} - referenced - named
+    except BackendError:
+        listed = set()
+    dropped_ns = tuple(f"data/g{g}_" for g in sv.dropped)
+    sv.stray = sorted((p for p in listed if p.startswith(dropped_ns)), key=natural_key)
+    inventory = sorted(named | listed.difference(sv.stray), key=natural_key)
 
-        # 5. Orphans: files in data/ no generation's table references.
-        #    The live set is the union over every generation whose pieces
-        #    still parse — a file only an *older* retained generation
-        #    references is not an orphan, while the data of an aborted
-        #    append (no manifest ever committed) is.
-        referenced = {rec.file_path for rec in metadata.records}
-        for g in list_generations(backend):
-            if target is not None and g == target.generation:
-                continue
-            try:
-                _m, md = load_generation(backend, g, actor=ds.actor)
-            except FormatError:
-                continue
-            referenced |= {rec.file_path for rec in md.records}
-        try:
-            names = backend.listdir("data")
-        except BackendError:
-            names = []
-        for name in names:
-            path = f"data/{name}"
-            if path not in referenced:
-                report.add(path, "data-orphan",
-                           "not referenced by any generation's spatial table",
-                           repairable=True)
+    # 5. Dataset-wide facts, settled once before any file is inspected:
+    #    from the manifest and the table when they survived, else from the
+    #    first readable recovery trailer (identical across the files).
+    donor = None
+    if manifest is None or metadata is None:
+        donor = _donor_trailer(ds, inventory)
+        if donor is None:
+            lost = "spatial.meta" if metadata is None else "manifest.json"
+            sv.unsettled = (
+                f"{lost} is lost and no data file carries a readable "
+                "recovery trailer (pre-v3 dataset?) — cannot rebuild"
+            )
+            return sv
+    try:
+        facts = sv.facts = settle_facts(manifest, metadata, donor)
+    except FormatError as exc:
+        sv.unsettled = f"recovery trailer has a bad dtype: {exc}"
+        return sv
 
+    # 6. One inspection per inventory file; states merge back in order.
+    tasks = [
+        (lambda child, p=path: inspect_file(ds, p, sv.entry(p), facts, child))
+        for path in inventory
+    ]
+    for outcome in ds.executor.run(tasks, ds.recorder):
+        if outcome.recorder is not None:
+            ds.recorder.merge(outcome.recorder)
+        if outcome.error is not None:
+            raise outcome.error
+        sv.files[outcome.value.path] = outcome.value
+    return sv
+
+
+def _check_file(sv: Survey, st: FileState, report: ScrubReport) -> None:
+    """Compare one inspected file with the committed record and checksum
+    entry, adding what disagrees to ``report``."""
+    path = st.path
+    if st.status == "missing":
+        report.add(path, st.code, st.detail)
+        return
+    report.files_checked += 1
+    unplaced = "data-orphan" if sv.committed(path) is None else "data-unrecorded"
+    ref = sv.records.get(path)
+    if sv.metadata is not None and ref is None:
+        report.add(
+            path,
+            unplaced,
+            "not referenced by any generation's spatial table"
+            if unplaced == "data-orphan"
+            else "the manifest names it but spatial.meta does not",
+        )
+        return
+    if ref is not None and st.version and st.header_count != ref.particle_count:
+        report.add(
+            path,
+            "count-mismatch",
+            f"header says {st.header_count} particles, "
+            f"spatial.meta says {ref.particle_count}",
+        )
+    elif st.actual_entry is None:  # not valid: the inspection's own verdict
+        for detail in st.details:
+            report.add(path, st.code, detail)
+        return
+    actual = st.actual_entry
+    rec = sv.placed(st)
+    if rec is None or actual is None:
+        if ref is None:  # the table is lost and the trailer cannot stand in
+            own = st.trailer if not st.trailer_detail else None
+            report.add(
+                path,
+                unplaced,
+                f"spatial.meta lost and no usable trailer ({st.trailer_detail or 'none present'})"
+                if own is None
+                else f"trailer names aggregator {own.record.agg_rank} "
+                f"({own.record.file_path}), contradicting its own path",
+            )
+        return
+    report.bytes_verified += st.size
+
+    entry = sv.entry(path)
+    if entry is not None:
+        if int(entry.get("payload_crc32", -1)) != actual["payload_crc32"]:
+            report.add(
+                path,
+                "manifest-checksum-mismatch",
+                "manifest payload_crc32 disagrees with the data file",
+            )
+        elif [list(p) for p in entry.get("prefixes", [])] != actual["prefixes"]:
+            report.add(
+                path,
+                "prefix-checksum-mismatch",
+                "per-LOD prefix checksums disagree with the data file",
+            )
+        elif rec.section and rec.section != actual.get("section", b""):
+            # A bad chunk index silently turns pruned reads wrong.
+            report.add(
+                path,
+                "chunk-index-mismatch",
+                "recorded chunk index disagrees with the one the payload rebuilds",
+            )
+    if st.version >= 3:
+        assert sv.facts is not None  # files are inspected only under facts
+        if st.trailer is None:
+            report.add(path, "trailer-damaged", st.trailer_detail)
+        elif st.trailer != want_trailer(rec, actual, sv.facts):
+            report.add(
+                path,
+                "trailer-mismatch",
+                "recovery trailer disagrees with the one repair would write "
+                "from spatial.meta, the manifest and the payload",
+            )
+
+
+def scrub_dataset(source: Dataset | FileBackend) -> ScrubReport:
+    """Verify every checksum/header/count invariant of one dataset.
+
+    The survey reads the dataset once (the per-file inspections on the
+    dataset's executor); the per-file comparisons then run in inventory
+    order, so the result is deterministic.  The survey rides along on the
+    report for :func:`~repro.core.repair.repair_dataset`.
+    """
+    ds = as_dataset(source)
+    report = ScrubReport()
+    report.complete = dataset_is_complete(ds)
+    report.quarantined = _quarantine_inventory(ds.backend)
+    sv = report.survey = _survey(ds, report)
+    report.generation = sv.target.generation
+    for st in sv.files.values():
+        _check_file(sv, st, report)
     return report

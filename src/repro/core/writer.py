@@ -268,6 +268,7 @@ class SpatialWriter:
                     resolved.generation,
                     base_manifest.lod_base,
                     base_manifest.lod_scale,
+                    (base_manifest.lod_heuristic, base_manifest.lod_seed),
                     base_meta.attr_names,
                     base_manifest.dtype,
                     max((r.box_id for r in base_records), default=-1) + 1,
@@ -278,11 +279,16 @@ class SpatialWriter:
         try:
             if isinstance(facts, ReproError):
                 raise facts
-            parent, lod_base, lod_scale, attr_names, base_dtype, next_box_id = facts
+            parent, lod_base, lod_scale, lod_order, attr_names, base_dtype, next_box_id = facts
             if (lod_base, lod_scale) != (cfg.lod_base, cfg.lod_scale):
                 raise ConfigError(
                     f"append LOD parameters ({cfg.lod_base}, {cfg.lod_scale}) do "
                     f"not match the base generation's ({lod_base}, {lod_scale})"
+                )
+            if lod_order != (cfg.lod_heuristic, cfg.lod_seed):
+                raise ConfigError(
+                    f"append LOD heuristic and seed {(cfg.lod_heuristic, cfg.lod_seed)} "
+                    f"do not match the base generation's {lod_order}"
                 )
             if tuple(cfg.attr_index) != attr_names:
                 raise ConfigError(

@@ -9,6 +9,7 @@ randomized corruption, and crash-recovery for multi-timestep series.
 
 import os
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -333,7 +334,8 @@ class TestRepairProperties:
         applied = _corrupt_randomly(backend, rng)
 
         before = snapshot(backend)
-        first = repair_dataset(Dataset(backend))
+        pre = scrub_dataset(Dataset(backend))
+        first = repair_dataset(Dataset(backend), pre)
 
         if first.unresolved:
             # Some corruption combinations are legitimately unrecoverable
@@ -347,6 +349,14 @@ class TestRepairProperties:
             return
 
         assert first.ok, (applied, first.issues_remaining)
+
+        # Loss accounting: scrub's promise holds, and what repair bills is
+        # what the committed dataset lost.
+        if all(i.repairable for i in pre.issues):
+            assert first.particles_lost == 0, applied
+        if pre.survey.manifest is not None or pre.survey.metadata is not None:
+            total = Dataset.open(backend).manifest.total_particles
+            assert first.particles_lost == 4000 - total, applied
 
         # Convergence: the dataset verifies clean and opens strictly.
         verify = scrub_dataset(Dataset(backend))
@@ -500,19 +510,76 @@ class TestScrubRepairWiring:
             data_paths(backend), 1
         )
 
-    def test_targeted_inspection_reads_only_flagged_files(self):
-        """With dataset-level state intact, unflagged files are not re-read."""
+    def test_planning_reads_nothing(self):
+        """Given a scrub report, planning works from the scrub's survey:
+        a dry run opens and reads no file at all."""
         backend, _, _ = write_dataset(nprocs=8, partition_factor=(2, 2, 1))
         victim = data_paths(backend)[1]
         raw = bytearray(backend.read_file(victim))
         raw[HEADER_BYTES + 4] ^= 0x01
         backend.write_file(victim, bytes(raw))
         scrub = scrub_dataset(Dataset(backend))
-        mark = len(backend.ops_of_kind("read"))
-        repair_dataset(Dataset(backend), scrub, dry_run=True)
-        touched = {
-            op.path for op in backend.ops_of_kind("read")[mark:]
+        mark = len(backend.ops)
+        report = repair_dataset(Dataset(backend), scrub, dry_run=True)
+        assert [a.path for a in report.actions if a.kind == ACTION_QUARANTINE] == [victim]
+        assert not [op for op in backend.ops[mark:] if op.kind in ("read", "open")]
+
+    def test_trailer_repair_reads_the_file_three_times(self):
+        """Scrub, the rewrite and the verification scrub: one read each."""
+        backend, _, _ = write_dataset(nprocs=8, partition_factor=(2, 2, 1))
+        victim = data_paths(backend)[0]
+        raw = bytearray(backend.read_file(victim))
+        raw[-30] ^= 0x01
+        backend.write_file(victim, bytes(raw))
+        mark = len(backend.ops)
+        assert Dataset(backend).repair().exit_code == 0
+        reads = [op for op in backend.ops[mark:] if op.kind == "read" and op.path == victim]
+        assert len(reads) <= 3
+
+    def test_lost_manifest_keeps_per_file_checks(self):
+        """Without the manifest, scrub still checks every file the table
+        names: a torn one is not promised as lossless."""
+        backend, _, _ = write_dataset(nprocs=8, partition_factor=(2, 2, 1))
+        backend.delete("manifest.json")
+        victim = data_paths(backend)[0]
+        backend.write_file(victim, backend.read_file(victim)[: HEADER_BYTES + 4000])
+        report = scrub_dataset(Dataset(backend))
+        assert report.files_checked == 2
+        torn = [i for i in report.issues if i.code == "data-truncated"]
+        assert [i.path for i in torn] == [victim] and not torn[0].repairable
+        assert "salvage" in report.summary_lines()[-1]
+
+    @pytest.mark.parametrize("damage", ["delete", "tear"])
+    def test_lost_table_bills_committed_files(self, damage):
+        """With spatial.meta lost, the manifest still names every committed
+        file: losing one is billed its committed count, not 0."""
+        backend, _, _ = write_dataset(nprocs=8, partition_factor=(2, 2, 1))
+        backend.delete("spatial.meta")
+        victim = data_paths(backend)[0]
+        if damage == "delete":
+            backend.delete(victim)
+        else:
+            backend.write_file(victim, backend.read_file(victim)[: HEADER_BYTES + 4000])
+        report = repair_dataset(Dataset(backend))
+        assert report.ok
+        assert report.particles_lost == 2000
+        assert report.exit_code == 1
+        assert Dataset.open(backend).manifest.total_particles == 2000
+
+    def test_every_emitted_code_has_a_table_row(self):
+        """Each code string scrub can emit (an argument or assignment in
+        its source) is a row of the issue table, and every row is one."""
+        import ast
+        import inspect
+
+        from repro.core import scrub
+
+        tree = ast.parse(inspect.getsource(scrub))
+        emitted = {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and re.fullmatch(r"[a-z]+(-[a-z]+)+", node.value)
         }
-        untouched = set(data_paths(backend)) - {victim}
-        assert victim in touched
-        assert not (untouched & touched)
+        assert emitted == set(scrub.ISSUES)

@@ -547,6 +547,27 @@ class TestAppendFailsCollectively:
         )
         self._assert_base_intact(backend, before, full)
 
+    @pytest.mark.parametrize(
+        "override, order",
+        [
+            ({"lod_seed": 7}, "('random', 7)"),
+            ({"lod_heuristic": "stratified"}, "('stratified', 0)"),
+        ],
+    )
+    def test_mismatched_lod_order(self, override, order):
+        """The heuristic and seed decide which particles each level holds and
+        every base file's trailer repeats them, so an append must match."""
+        backend, before, full = self._base()
+        err, outcome = failing_append(
+            backend, config=WriterConfig(partition_factor=PF, **override)
+        )
+        assert_collective(
+            err, outcome, ConfigError,
+            f"append LOD heuristic and seed {order} do not match the base "
+            "generation's ('random', 0)",
+        )
+        self._assert_base_intact(backend, before, full)
+
     def test_mismatched_attr_index(self):
         backend, before, full = self._base()
         err, outcome = failing_append(
