@@ -233,20 +233,31 @@ class SpatialMetadata:
                 raise MetadataError(
                     f"record {rec.box_id} missing attr ranges for {sorted(missing)}"
                 )
-        # Pairwise overlap validation is quadratic; skip it for very large
-        # tables (functional datasets have at most a few hundred files).
-        # Disjointness only holds within one generation — appended
-        # generations legitimately cover the same spatial region again.
-        if len(self.records) > 2048:
+        # Pairwise overlap validation is quadratic in memory (one N x N
+        # mask); skip it for very large tables (functional datasets have at
+        # most a few hundred files).  Disjointness only holds within one
+        # generation — appended generations legitimately cover the same
+        # spatial region again.
+        n = len(self.records)
+        if n > 2048:
             return
-        for i, a in enumerate(self.records):
-            for b in self.records[i + 1 :]:
-                if a.gen == b.gen and a.bounds.intersects(b.bounds):
-                    raise MetadataError(
-                        f"bounding boxes of files {a.agg_rank} and {b.agg_rank} "
-                        f"overlap ({a.bounds} vs {b.bounds}) — the aggregation "
-                        "grid guarantees disjoint regions"
-                    )
+        lo, hi = self.bounds_soa()
+        gens = np.fromiter((rec.gen for rec in self.records), np.int64, n)
+        # overlap[i, j] for i < j: same generation, and Box.intersects'
+        # open-interval test on every axis.
+        overlap = np.triu(gens[:, None] == gens[None, :], k=1)
+        for axis in range(3):
+            overlap &= lo[:, None, axis] < hi[None, :, axis]
+            overlap &= lo[None, :, axis] < hi[:, None, axis]
+        if overlap.any():
+            # argmax finds the first pair in row-major order: lowest i, then j.
+            i, j = divmod(int(np.argmax(overlap)), n)
+            a, b = self.records[i], self.records[j]
+            raise MetadataError(
+                f"bounding boxes of files {a.agg_rank} and {b.agg_rank} "
+                f"overlap ({a.bounds} vs {b.bounds}) — the aggregation "
+                "grid guarantees disjoint regions"
+            )
 
     def __len__(self) -> int:
         return len(self.records)

@@ -13,9 +13,12 @@ Two executors implement one tiny contract (:class:`IoExecutor.run`):
   thread.  The default everywhere; behaviour is identical to the historic
   inline loops.
 * :class:`ThreadedExecutor` — a ``concurrent.futures`` thread pool with a
-  **bounded in-flight window**: at most ``max_inflight`` tasks are
-  submitted at any moment, so a million-entry plan never materialises a
-  million queued futures.
+  **bounded in-flight window**: at most ``max_inflight`` tasks are live
+  at any moment, so a million-entry plan never materialises a million
+  queued futures.  The **caller runs the last task of each call** itself,
+  in the window slot a pool hand-off would have taken: it would otherwise
+  only block in ``wait``.  A one-task call never touches the pool, and a
+  two-task call makes one hand-off instead of two.
 
 Determinism contract (what makes the two executors interchangeable):
 
@@ -51,6 +54,9 @@ futures, and a worker that captured one call's failure moves straight on
 to whatever task — anyone's — is queued next).  Calls from *inside* a
 worker thread (nested per-file fan-out) run inline serially instead of
 submitting, so recursion can never deadlock the pool waiting on itself.
+A nested call from the caller's own inline task is an ordinary call from
+a non-worker thread: it submits to the pool, whose workers never block
+on it.
 """
 
 from __future__ import annotations
@@ -196,7 +202,7 @@ def _run_windowed(
     """The bounded-window loop both pooled executors run.
 
     ``submit(index)`` starts task ``index`` and returns its future — or its
-    outcome, if the task had to run inline instead; ``consume(future,
+    outcome, if the task ran inline on the calling thread; ``consume(future,
     index)`` turns a finished future into the task's outcome.  At most
     ``max_inflight`` futures are pending at once; with ``fail_fast`` no
     task is submitted after a failure has been observed, and tasks never
@@ -321,13 +327,15 @@ class SerialExecutor(IoExecutor):
 class ThreadedExecutor(IoExecutor):
     """A shared thread pool with a per-call bounded submission window.
 
-    ``max_workers`` threads execute tasks; each :meth:`run` call submits
-    at most ``max_inflight`` (default ``2 * max_workers``) tasks at once,
-    so plans of any length run in constant executor memory.  The pool is
-    created lazily on first use and **persists across runs** — concurrent
-    :meth:`run` calls (many queries of a serving layer) share the same
-    ``max_workers`` threads instead of spawning a pool each, which bounds
-    total thread count no matter how many callers are in flight.  All
+    ``max_workers`` threads execute tasks; each :meth:`run` call keeps at
+    most ``max_inflight`` (default ``2 * max_workers``) tasks live at
+    once, so plans of any length run in constant executor memory.  The
+    last task of a call runs on the calling thread, inside that window.
+    The pool is created lazily by the first call with two or more tasks
+    and **persists across runs** — concurrent :meth:`run` calls (many
+    queries of a serving layer) share the same ``max_workers`` threads
+    instead of spawning a pool each, which bounds total thread count no
+    matter how many callers are in flight.  All
     per-call state (window, outcome slots, fail-fast flag) is local to
     the call: one caller's failed task never wedges or fails a sibling
     caller's window.  :meth:`shutdown` joins the pool; the next run
@@ -378,13 +386,22 @@ class ThreadedExecutor(IoExecutor):
             # execution preserves the contract (same outcomes, same child-
             # recorder discipline) without consuming a second slot.
             return SerialExecutor().run(tasks, recorder, fail_fast)
-        pool = self._ensure_pool()
+        last = len(tasks) - 1
+        pool = self._ensure_pool() if last else None
+
+        def submit(index: int) -> Future | TaskOutcome:
+            if index == last:
+                # The caller would only block in wait(); it runs its own
+                # last task instead, in the window slot a hop would take.
+                return _run_one(index, tasks[index], recorder)
+            return pool.submit(self._run_in_worker, index, tasks[index], recorder)
+
         with self._run_span(recorder, len(tasks), self.max_inflight):
             return _run_windowed(
                 len(tasks),
                 self.max_inflight,
                 fail_fast,
-                lambda i: pool.submit(self._run_in_worker, i, tasks[i], recorder),
+                submit,
                 lambda future, _i: future.result(),
             )
 

@@ -102,7 +102,10 @@ class QueryService:
     dispatching (``0`` dispatches immediately — no cross-query batching
     unless queries are already queued).  ``max_batch`` caps batch width,
     ``max_pending`` the admission queue.  ``max_workers`` service worker
-    threads execute batches concurrently.
+    threads execute batches concurrently.  :meth:`submit` wakes the
+    dispatcher only on the two transitions it waits for (queue non-empty,
+    queue at ``max_batch``), so a burst costs one or two wake-ups, not one
+    per query; :meth:`close` wakes it to drain.
 
     With ``autostart=False`` the service admits queries but dispatches
     nothing until :meth:`start` — tests and benchmarks use this to build
@@ -292,6 +295,9 @@ class QueryService:
         Admission is all-or-nothing and synchronous: on return the query
         is queued for the batching window, or an
         :class:`~repro.errors.AdmissionError` was raised (and counted).
+        The dispatcher is woken only when this query makes the queue
+        non-empty or fills it to ``max_batch``; any other admission joins
+        the open window without a thread switch.
 
         ``deadline_s`` gives the query an end-to-end budget: a budget the
         service knows it cannot meet (it does not even cover the batching
@@ -368,7 +374,11 @@ class QueryService:
             self._inflight[client] = self._inflight.get(client, 0) + 1
             self.recorder.add(SERVER_QUERIES, 1, key=(client,))
             self._queue.append(pending)
-            self._cond.notify_all()
+            # The dispatcher waits for exactly two transitions: an empty
+            # queue turning non-empty, and a window filling to max_batch.
+            # Waking it on any other submit hands it the GIL for nothing.
+            if len(self._queue) in (1, self.max_batch):
+                self._cond.notify_all()
         return pending.future
 
     def query(self, box, **kwargs: Any) -> QueryResult:

@@ -183,6 +183,105 @@ class TestThreaded:
         assert all(not o.ran for o in outcomes[1:])
 
 
+class TestThreadedCallerRuns:
+    """The caller runs the last task of each call itself, in the window
+    slot a pool hand-off would have taken."""
+
+    def test_one_task_runs_on_caller_without_a_pool(self):
+        executor = ThreadedExecutor(max_workers=2)
+        outcomes = executor.run([lambda _r: threading.get_ident()], Recorder())
+        assert outcomes[0].value == threading.get_ident()
+        assert executor._pool is None
+
+    def test_two_tasks_first_on_pool_last_on_caller(self):
+        executor = ThreadedExecutor(max_workers=2)
+
+        def name(_r):
+            return threading.current_thread().name
+
+        try:
+            outcomes = executor.run([name, name], Recorder())
+            first, last = (o.value for o in outcomes)
+            assert first.startswith("repro-io")
+            assert last == threading.current_thread().name
+        finally:
+            executor.shutdown()
+
+    def test_fail_fast_when_inline_task_raises(self):
+        """The inline task fails while an earlier task is still running on
+        the pool: the call waits for it and returns both outcomes."""
+        executor = ThreadedExecutor(max_workers=1, max_inflight=2)
+        failed = threading.Event()
+
+        def first(_r):
+            assert failed.wait(timeout=10)
+            return "first"
+
+        def boom(_r):
+            failed.set()
+            raise BackendError("inline")
+
+        try:
+            outcomes = executor.run([first, boom], Recorder(), fail_fast=True)
+        finally:
+            executor.shutdown()
+        assert outcomes[0].ok and outcomes[0].value == "first"
+        assert outcomes[1].ran and isinstance(outcomes[1].error, BackendError)
+        # A failing one-task call captures its error the same way.
+        (alone,) = ThreadedExecutor(max_workers=1).run(
+            [boom], Recorder(), fail_fast=True
+        )
+        assert alone.ran and isinstance(alone.error, BackendError)
+
+    def test_nested_run_from_inline_task_completes(self):
+        """The inline task's nested run() submits to a one-worker pool that
+        may still be busy with the outer call's first task."""
+        executor = ThreadedExecutor(max_workers=1)
+
+        def outer(_r):
+            inner = executor.run(
+                [(lambda _r, i=i: i * 10) for i in range(3)], Recorder()
+            )
+            return [o.value for o in inner]
+
+        try:
+            outcomes = executor.run([outer, outer], Recorder())
+        finally:
+            executor.shutdown()
+        assert [o.value for o in outcomes] == [[0, 10, 20], [0, 10, 20]]
+
+    def test_mixed_plan_matches_serial(self):
+        """Outcomes and the merged child-recorder stream of a mixed
+        ok/failing plan equal SerialExecutor's, whoever ran each task."""
+
+        def make(i):
+            def task(recorder):
+                recorder.event("task-ran", i=i)
+                recorder.add("touched", i)
+                if i % 3 == 1:
+                    raise BackendError(f"task {i}")
+                return i * i
+
+            return task
+
+        def observe(executor):
+            parent = Recorder(rank=2)
+            outcomes = executor.run([make(i) for i in range(7)], parent)
+            for outcome in outcomes:
+                parent.merge(outcome.recorder)
+            return (
+                [(o.index, o.ran, o.value, repr(o.error)) for o in outcomes],
+                [(e.name, dict(e.args)) for e in parent.events],
+                parent.total("touched"),
+            )
+
+        threaded = ThreadedExecutor(max_workers=2, max_inflight=3)
+        try:
+            assert observe(threaded) == observe(SerialExecutor())
+        finally:
+            threaded.shutdown()
+
+
 class TestThreadedShared:
     """One ThreadedExecutor shared by concurrent submitters (the serving
     layer's shape: every service worker runs queries through one dataset

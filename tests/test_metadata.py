@@ -1,5 +1,6 @@
 """Spatial metadata table tests (the Fig. 4 structure)."""
 
+import numpy as np
 import pytest
 
 from repro.domain import Box
@@ -67,6 +68,62 @@ class TestValidation:
 
     def test_face_touching_bounds_allowed(self):
         SpatialMetadata(quad_records())  # shared faces everywhere
+
+    def test_large_disjoint_table_checked_in_one_broadcast(self, monkeypatch):
+        """1 024 face-touching cells validate without a per-pair call."""
+
+        def no_pairwise(self, other):
+            raise AssertionError("per-pair Box.intersects call")
+
+        monkeypatch.setattr(Box, "intersects", no_pairwise)
+        recs = [
+            MetadataRecord(
+                i, i, 1, Box([i % 32, i // 32, 0], [i % 32 + 1, i // 32 + 1, 1]), {}
+            )
+            for i in range(1024)
+        ]
+        assert len(SpatialMetadata(recs)) == 1024
+
+    def test_first_overlapping_pair_is_reported(self):
+        """The lowest i, then the lowest j, names the overlap."""
+        recs = quad_records()
+        recs[2].bounds = Box([0.0, 0.25, 0.0], [1.0, 1.0, 1.0])  # hits 0, 1, 3
+        recs[3].bounds = Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])  # hits all
+        with pytest.raises(MetadataError) as exc:
+            SpatialMetadata(recs)
+        assert str(exc.value) == (
+            f"bounding boxes of files 0 and 8 overlap ({recs[0].bounds} vs "
+            f"{recs[2].bounds}) — the aggregation grid guarantees disjoint regions"
+        )
+
+    def test_matches_the_pairwise_loop(self):
+        """The broadcast check names the same first pair as the per-pair
+        Box.intersects loop it replaced, over random small tables that mix
+        two generations (which may overlap each other)."""
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            lo = rng.integers(0, 4, size=(n, 3))
+            hi = lo + rng.integers(1, 3, size=(n, 3))
+            gens = rng.integers(0, 2, size=n)
+            recs = [
+                MetadataRecord(i, i, 1, Box(lo[i], hi[i]), {}, gen=int(gens[i]))
+                for i in range(n)
+            ]
+            want = next(
+                (
+                    f"files {a.agg_rank} and {b.agg_rank} overlap"
+                    for i, a in enumerate(recs)
+                    for b in recs[i + 1 :]
+                    if a.gen == b.gen and a.bounds.intersects(b.bounds)
+                ),
+                None,
+            )
+            if want is None:
+                SpatialMetadata(recs)
+            else:
+                with pytest.raises(MetadataError, match=want):
+                    SpatialMetadata(recs)
 
     def test_missing_attr_range_rejected(self):
         recs = quad_records(with_attrs=True)

@@ -407,6 +407,96 @@ class TestQueryService:
         assert stats["pending"] == 0
 
 
+class _GatedExecutor(SerialExecutor):
+    """Holds every run() until ``release`` is set; ``entered`` marks the
+    first batch reaching the executor."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def run(self, tasks, recorder, fail_fast=False):
+        self.entered.set()
+        assert self.release.wait(timeout=60)
+        return super().run(tasks, recorder, fail_fast)
+
+
+class TestServiceWakeups:
+    """submit() wakes the dispatcher only when the queue turns non-empty
+    or fills to max_batch; no admitted query may wait on a lost wake-up."""
+
+    def test_short_burst_dispatches_after_the_window(self):
+        window = 0.2
+        with QueryService(
+            Dataset.open(_row_backend()), batch_window=window, max_batch=16
+        ) as service:
+            time.sleep(0.05)  # the dispatcher is now idle on an empty queue
+            t0 = time.monotonic()
+            futures = [service.submit(box) for box in BOXES[:3]]
+            for f in futures:
+                assert f.result(timeout=10).batch.data is not None
+            elapsed = time.monotonic() - t0
+            stats = service.stats()
+        assert elapsed >= window
+        assert stats["batches"] == 1
+        assert stats["mean_batch_width"] == 3
+
+    def test_burst_before_start_is_one_full_batch(self):
+        with QueryService(
+            Dataset.open(_row_backend()),
+            batch_window=30.0,
+            max_batch=16,
+            autostart=False,
+        ) as service:
+            futures = [service.submit(BOXES[i % 4]) for i in range(16)]
+            t0 = time.monotonic()
+            service.start()
+            for f in futures:
+                assert f.result(timeout=60).batch.data is not None
+            elapsed = time.monotonic() - t0
+            stats = service.stats()
+        assert elapsed < 30.0  # a full queue never waits out the window
+        assert stats["batches"] == 1
+        assert stats["mean_batch_width"] == 16
+
+    def test_filling_the_window_wakes_the_dispatcher(self):
+        with QueryService(
+            Dataset.open(_row_backend()), batch_window=30.0, max_batch=4
+        ) as service:
+            futures = [service.submit(BOXES[0])]
+            time.sleep(0.05)  # the dispatcher is now waiting out the window
+            futures += [service.submit(box) for box in BOXES[1:]]
+            for f in futures:
+                assert f.result(timeout=10).batch.data is not None
+            stats = service.stats()
+        assert stats["batches"] == 1
+        assert stats["mean_batch_width"] == 4
+
+    def test_queries_submitted_during_a_running_batch_complete(self):
+        executor = _GatedExecutor()
+        with QueryService(
+            Dataset.open(_row_backend(), executor=executor),
+            max_workers=1,
+            batch_window=0.01,
+            max_batch=16,
+        ) as service:
+            first = service.submit(BOXES[0])
+            assert executor.entered.wait(timeout=10)
+            # The first batch is running.  Each wave arrives while the
+            # dispatcher is idle on an empty queue and stays below
+            # max_batch, so only the non-empty wake-up dispatches it.
+            later = []
+            for wave in range(3):
+                time.sleep(0.05)
+                later += [service.submit(BOXES[(wave + i) % 4]) for i in range(2)]
+            executor.release.set()
+            for f in [first, *later]:
+                assert f.result(timeout=10).batch.data is not None
+            stats = service.stats()
+        assert stats["queries"] == 7
+        assert stats["batches"] >= 2
+
+
 class TestServiceDegraded:
     def test_degraded_batch_parity_with_permanent_fault(self):
         """A permanently unreadable file is skipped identically whether the
