@@ -14,7 +14,7 @@ through three execution modes over one chunk-indexed columnar dataset:
 * **unbatched concurrent** — the service with a zero batching window and
   width-1 batches: admission + threading, no cross-query coalescing;
 * **batched** — the service collecting the same burst into full batching
-  windows: shared files staged once, queries scattered from the stage.
+  windows: shared files staged once, queries answered from the stage.
 
 Asserted shape:
 

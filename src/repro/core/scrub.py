@@ -141,6 +141,8 @@ ISSUES: dict[str, IssueKind] = {
     "current-missing": IssueKind(True, "pointer"),
     "current-dangling": IssueKind(True, "pointer"),
     "chain-unresolvable": IssueKind(False),
+    # Without the dataset-wide facts no file can be inspected or rebuilt.
+    "facts-unsettled": IssueKind(False),
     "generation-damaged": IssueKind(
         True, "drop", "fails verification and is not the repair target"
     ),
@@ -1151,6 +1153,9 @@ def scrub_dataset(source: Dataset | FileBackend) -> ScrubReport:
     report.quarantined = _quarantine_inventory(ds.backend)
     sv = report.survey = _survey(ds, report)
     report.generation = sv.target.generation
+    if sv.unsettled:
+        lost = sv.target.meta_path if sv.metadata is None else sv.target.manifest_path
+        report.add(lost, "facts-unsettled", sv.unsettled)
     for st in sv.files.values():
         _check_file(sv, st, report)
     return report

@@ -79,9 +79,11 @@ class Box:
         # array's ``position`` field) are gathered per axis once rather
         # than streamed through the cache six times.  The corners stay
         # 1-element arrays so a float32 column still compares in float64,
-        # whichever scalar-promotion rule numpy applies.
+        # whichever scalar-promotion rule numpy applies.  Positions already
+        # held one contiguous column per axis (a staged span) are compared
+        # in place.
         columns = points.T
-        if not points.flags.c_contiguous:
+        if not points.flags.c_contiguous and columns.strides[-1] != columns.itemsize:
             columns = np.ascontiguousarray(columns)
         below = np.less_equal if closed else np.less
         mask = np.ones(len(points), dtype=bool)

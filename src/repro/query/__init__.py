@@ -6,8 +6,8 @@ Two layers live here:
   :class:`QueryPlan` (first-class plans: files, coalesced chunk runs,
   projection, pushdown, generation pin), :class:`QueryEngine` (stateless
   plan/run over one :class:`~repro.dataset.Dataset`), and
-  :class:`StagedReads` (the scatter buffers cross-query batching fills —
-  see :mod:`repro.serve`).  Every read-side consumer — the
+  :class:`StagedReads` (the shared buffers cross-query batching fills
+  and answers queries from — see :mod:`repro.serve`).  Every read-side consumer — the
   :class:`~repro.core.reader.SpatialReader` facade, series reads, the
   CLI, and the serving layer — executes the same plan objects.
 * analysis-level helpers, mirroring the paper's §3 motivating tasks:

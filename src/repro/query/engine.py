@@ -21,10 +21,12 @@ the *same* plan objects instead of re-deriving state:
 Cross-query batching hooks in through :class:`StagedReads`: a batch
 planner (see :mod:`repro.serve.batch`) merges the chunk runs of many
 in-flight plans per file, performs one coalesced ``readv`` pass, and
-parks the decoded particles here; execution then *scatters* each query's
-slices out of the staged buffers instead of touching the backend.  The
-staged copy is taken from the same decode path a direct read would run,
-so batched results are bit-identical to serial execution by construction.
+parks the decoded particles here; execution then *answers* each staged
+entry on the calling thread — one masked span of the stage per entry —
+instead of touching the backend.  The stage is filled by the same decode
+path a direct read would run, and the span is masked by the entry's own
+runs and the same predicate the direct path applies, so batched results
+are bit-identical to serial execution by construction.
 
 Generation pinning: plans record the generation the dataset resolved at
 plan time.  Executing a plan against a facade that has since re-resolved
@@ -39,6 +41,7 @@ import threading
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -54,7 +57,7 @@ from repro.errors import (
     QueryError,
     TransientBackendError,
 )
-from repro.format.chunks import Runs, concat_ranges
+from repro.format.chunks import Runs
 from repro.format.datafile import (
     read_columnar_runs_into,
     read_data_file_into,
@@ -297,6 +300,37 @@ def _skip_reason(exc: Exception) -> str:
     return "corrupt"
 
 
+def _keep_mask(plan: QueryPlan, exact: bool, rows) -> np.ndarray | None:
+    """The plan's predicate over ``rows``, or ``None`` when it keeps all.
+
+    The closed box (exact reads only) and every ``where`` range, fused
+    into one mask.  The predicate is re-applied exactly: chunk and file
+    pruning only discard provably-disjoint data, so filtering here makes
+    the pushdown result equal post-hoc filtering by construction.
+    ``rows`` has a length and yields a column per field name: a result
+    array, or a staged span (:class:`_Span`).
+    """
+    box = plan.box if exact else None
+    if not len(rows) or (box is None and not plan.where):
+        return None
+    mask = (
+        box.contains_points(rows["position"], closed=True)
+        if box is not None
+        else np.ones(len(rows), dtype=bool)
+    )
+    for name, (lo, hi) in plan.where.items():
+        vals = rows[name].astype(np.float64, copy=False)
+        mask &= vals >= lo
+        mask &= vals <= hi
+    return mask
+
+
+def _filtered(plan: QueryPlan, exact: bool, rows: np.ndarray) -> np.ndarray:
+    """``rows`` compressed to the particles the plan's predicate keeps."""
+    mask = _keep_mask(plan, exact, rows)
+    return rows if mask is None else rows.compress(mask)
+
+
 @dataclass
 class _StagedFile:
     """One file's pre-read, decoded particles (merged across queries)."""
@@ -309,21 +343,42 @@ class _StagedFile:
     #: the union of every demanding query's result dtype (full dtype for
     #: row files), so any one query's fields are a subset.
     buf: np.ndarray
+    #: ``buf["position"]`` as one contiguous column per axis, shape
+    #: ``(3, len(buf))``: a span's box test streams each axis in place.
+    position: np.ndarray
+
+
+class _Span:
+    """Rows ``lo:hi`` of one staged file, one column per field name."""
+
+    __slots__ = ("file", "lo", "hi")
+
+    def __init__(self, file: _StagedFile, lo: int, hi: int) -> None:
+        self.file, self.lo, self.hi = file, lo, hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name == "position":
+            return self.file.position[:, self.lo : self.hi].T
+        return self.file.buf[name][self.lo : self.hi]
 
 
 class StagedReads:
     """Decoded per-file buffers a batch planner pre-read for many queries.
 
-    Execution consults :meth:`fetch` before touching the backend: a hit
-    copies the entry's runs out of the staged buffer (field-by-field when
-    the query projects a dtype subset) and costs zero backend I/O.  A
-    miss — file not staged, runs not covered, fields not decoded, or an
-    LOD-prefix entry (never staged; prefix reads carry their own
-    verification) — returns ``None`` and the caller reads normally, so a
-    partially applicable stage degrades to exactly serial behaviour.
+    :meth:`QueryEngine.run` asks :meth:`select` for each plan entry before
+    any executor work.  A hit answers the entry from the stage in one
+    step — the contiguous staged span covering its runs, masked by those
+    runs and the plan's predicate, compressed once into the result dtype
+    — and costs zero backend I/O.  A miss — file not staged, runs not
+    covered, fields not decoded, or an LOD-prefix entry (never staged;
+    prefix reads carry their own verification) — returns ``None`` and the
+    entry reads normally, so a partially applicable stage degrades to
+    exactly serial behaviour.
 
-    Thread-safe: one stage is shared by every query of a batch, and each
-    query's entries may themselves run on a threaded executor.
+    Thread-safe: one stage is shared by every query of a batch.
     """
 
     def __init__(self) -> None:
@@ -340,7 +395,11 @@ class StagedReads:
         return len(self._files)
 
     def stage(self, path: str, runs, buf: np.ndarray) -> None:
-        """Park ``buf`` (the decoded particles of ``runs``, in order)."""
+        """Park ``buf`` (the decoded particles of ``runs``, in order).
+
+        ``buf`` must carry a ``position`` field; its per-axis columns are
+        built here, once per file, for every query the stage answers.
+        """
         runs = Runs.of(runs)
         if runs.total != len(buf):
             raise ValueError(
@@ -349,60 +408,80 @@ class StagedReads:
             )
         if not len(runs):
             return
-        staged = _StagedFile(runs, runs.offsets, np.ascontiguousarray(buf))
+        buf = np.ascontiguousarray(buf)
+        staged = _StagedFile(
+            runs, runs.offsets, buf, np.ascontiguousarray(buf["position"].T)
+        )
         with self._lock:
             self._files[path] = staged
 
-    def fetch(
+    def select(
         self,
         rec: MetadataRecord,
         count: int,
         runs,
-        dest: np.ndarray,
-    ) -> int | None:
-        """Copy one plan entry out of the stage, or ``None`` on a miss."""
+        dtype: np.dtype,
+        keep: Callable[[_Span], np.ndarray | None],
+    ) -> np.ndarray | None:
+        """Answer one plan entry from the stage, or ``None`` on a miss.
+
+        The answer is the entry's particles — ``runs``, or the first
+        ``count`` of the file — that ``keep`` (the plan's predicate, see
+        :func:`_keep_mask`) accepts, in file order, as a new array of
+        ``dtype``.  Masking by the entry's own runs keeps the answer equal
+        to a direct read's even where a chunk index's bounds are loose.
+        """
         staged = self._files.get(rec.file_path)
-        if staged is None:
-            self._miss()
-            return None
-        if runs is None and count < rec.particle_count:
+        names = dtype.names or ()
+        if (
+            staged is None
             # LOD prefix entry: never staged (prefix checksum verification
             # and columnar boundary rounding belong to the direct path).
+            or (runs is None and count < rec.particle_count)
+            or not set(names) <= set(staged.buf.dtype.names or ())
+        ):
             self._miss()
             return None
         want = Runs.of(runs if runs is not None else ((0, count),))
-        names = dest.dtype.names or ()
-        buf = staged.buf
-        if want.total != len(dest) or not set(names) <= set(buf.dtype.names or ()):
-            self._miss()
-            return None
         # Every wanted run must lie inside ONE merged run: the last one
         # starting at or before it (merged runs are disjoint and ascending).
+        # Ascending, disjoint wanted runs then map to ascending, disjoint
+        # stage rows, so one span from the first to the last covers them.
         at = np.searchsorted(staged.runs.starts, want.starts, side="right") - 1
         inside = want.starts - staged.runs.starts[at]
-        if ((at < 0) | (inside + want.counts > staged.runs.counts[at])).any():
+        src = staged.offsets[at] + inside
+        ends = src + want.counts
+        gaps = src[1:] - ends[:-1]
+        if (
+            (at < 0) | (inside + want.counts > staged.runs.counts[at])
+        ).any() or (gaps < 0).any():
             self._miss()
             return None
-        src = staged.offsets[at] + inside
-        if dest.dtype == buf.dtype and dest.flags.c_contiguous:
-            # Whole records: one byte-slice copy per run.  (A per-particle
-            # index gather moves 100+-byte records several times slower.)
-            size = buf.dtype.itemsize
-            src_bytes = memoryview(buf.view(np.uint8))
-            dest_bytes = memoryview(dest.view(np.uint8))
-            for lo, start, nbytes in zip(
-                (want.offsets * size).tolist(),
-                (src * size).tolist(),
-                (want.counts * size).tolist(),
-            ):
-                dest_bytes[lo : lo + nbytes] = src_bytes[start : start + nbytes]
-        else:
-            rows = concat_ranges(src, want.counts)
+        lo, hi = int(src[0]), int(ends[-1])
+        mask = keep(_Span(staged, lo, hi))
+        if hi - lo != want.total:
+            # Rows of other queries' runs sit between this entry's runs.
+            pattern = np.zeros(2 * len(want) - 1, dtype=bool)
+            pattern[::2] = True
+            lengths = np.empty(len(pattern), dtype=np.int64)
+            lengths[::2], lengths[1::2] = want.counts, gaps
+            own = np.repeat(pattern, lengths)
+            mask = own if mask is None else mask & own
+        rows = staged.buf[lo:hi]
+        if dtype != rows.dtype:
+            n = len(rows) if mask is None else int(np.count_nonzero(mask))
+            answer = np.empty(n, dtype=dtype)
             for name in names:
-                dest[name] = buf[name][rows]
+                answer[name] = rows[name] if mask is None else rows[name][mask]
+        elif mask is None:
+            answer = rows.copy()
+        else:
+            # Whole records as opaque bytes: a boolean index over a void
+            # view copies each kept record with one memcpy.
+            answer = rows.view(np.dtype((np.void, dtype.itemsize)))[mask].view(dtype)
         with self._lock:
             self.hits += 1
-        return want.total
+        return answer
 
     def _miss(self) -> None:
         with self._lock:
@@ -460,7 +539,6 @@ def read_entry_into(
     actor: int,
     index,
     checksum_entry: dict | None,
-    staged: StagedReads | None = None,
 ) -> int:
     """Read one plan entry directly into its slice of the result.
 
@@ -489,19 +567,12 @@ def read_entry_into(
     head of ``dest``, each lost chunk is logged as an
     ``EV_CHUNK_SKIPPED`` event, and the packed count is returned.
 
-    With ``staged`` (cross-query batching), the stage is consulted
-    first: a hit scatters the decoded particles out of the shared
-    batch buffer and performs zero backend I/O.  Vectorized decode
-    accounting lands on ``recorder`` as ``decode.vectorized_runs``
-    (coalesced extents for columnar files, gathered runs for row files),
-    keyed by path.
+    Vectorized decode accounting lands on ``recorder`` as
+    ``decode.vectorized_runs`` (coalesced extents for columnar files,
+    gathered runs for row files), keyed by path.
     """
     if runs is not None and not len(runs):
         return 0  # file intersects the box, but no chunk does
-    if staged is not None:
-        got = staged.fetch(rec, count, runs, dest)
-        if got is not None:
-            return got
     if index is not None and index.codec is not None:
         # Columnar file: runs and whole-file reads are chunk-aligned by
         # construction.  LOD prefix counts are apportioned globally and
@@ -658,7 +729,6 @@ class _ReadContext(NamedTuple):
     strict: bool
     retry: RetryPolicy
     actor: int
-    staged: StagedReads | None
     deadline: Deadline | None
     chunk_index: Callable[[MetadataRecord], object]
     checksums: dict[str, dict]
@@ -689,14 +759,11 @@ class _EntryTask(NamedTuple):
             return self._read(recorder)
 
     def _read(self, recorder: Recorder) -> int:
-        backend, dtype, strict, retry, actor, staged, _, chunk_index, checksums = (
-            self.ctx
-        )
+        backend, dtype, strict, retry, actor, _, chunk_index, checksums = self.ctx
         rec = self.rec
         return read_entry_into(
             backend, dtype, rec, self.head, self.runs, self.dest, recorder,
             strict, retry, actor, chunk_index(rec), checksums.get(rec.file_path),
-            staged,
         )
 
 
@@ -930,19 +997,18 @@ class QueryEngine:
 
     # -- execution -----------------------------------------------------------
 
-    def _process_clone(self, staged: StagedReads | None, deadline):
+    def _process_clone(self, deadline):
         """The backend clone process-shipping would use, or ``None``.
 
         Shipping is declined — and the process executor degrades to its
         internal thread pool — when the work cannot cross a process
-        boundary: staged buffers and ambient deadlines are in-memory
-        parent state, and the backend must volunteer a picklable
-        read-equivalent via
+        boundary: an ambient deadline is in-memory parent state, and the
+        backend must volunteer a picklable read-equivalent via
         :meth:`~repro.io.backend.FileBackend.process_clone`.
         """
         if getattr(self.executor, "mode", "serial") != "process":
             return None
-        if staged is not None or deadline is not None:
+        if deadline is not None:
             return None
         return self.backend.process_clone()
 
@@ -1030,37 +1096,63 @@ class QueryEngine:
 
         ``recorder`` defaults to the dataset's; a service passes each
         query its own child so concurrent queries never interleave.
-        ``staged`` supplies cross-query pre-read buffers (see
-        :class:`StagedReads`).  Strict execution raises on the first (in
-        plan order) unrecoverable error; non-strict skips the partition
-        and logs it in the returned report.
+        ``staged`` supplies cross-query pre-read buffers: every entry the
+        stage serves is answered on the calling thread before the
+        executor starts — one masked span each, already filtered (see
+        :meth:`StagedReads.select`) — and emits the partition event a
+        direct read would.  Only entries that need backend I/O become
+        executor tasks, so a fully stage-served plan never reaches the
+        executor.  Strict execution raises on the first (in plan order)
+        unrecoverable error; non-strict skips the partition and logs it
+        in the returned report.
 
         ``deadline`` (a :class:`~repro.io.resilience.Deadline`, defaulting
         to the caller's ambient one) bounds the whole execution: it is
         re-entered *inside* each entry's task body — executor worker
         threads do not inherit the caller's context — so the remote tier's
         per-request budgets and retry loops see it, and an entry that
-        starts after expiry is shed before any I/O.  In non-strict mode a
-        shed entry becomes a skipped partition with reason ``"deadline"``;
-        breaker fast-fails likewise skip with reason ``"unavailable"``.
+        starts after expiry (stage-served or not) is shed before any work.
+        In non-strict mode a shed entry becomes a skipped partition with
+        reason ``"deadline"``; breaker fast-fails likewise skip with
+        reason ``"unavailable"``.
         """
         self.check_generation(plan)
         recorder = recorder if recorder is not None else self.recorder
         strict = self.strict if strict is None else strict
         deadline = deadline if deadline is not None else current_deadline()
         demand = plan.demand(exact)
+        result_dtype = plan.result_dtype(self.dtype)
+        #: per entry: its answer from the stage, the error that shed it
+        #: before the stage was asked, or None when it reads directly.
+        served: list[np.ndarray | Exception | None] = [None] * len(demand)
+        if staged is not None:
+            keep = partial(_keep_mask, plan, exact)
+            for i, (rec, count, runs) in enumerate(demand):
+                if runs is not None and not len(runs):
+                    continue  # reads nothing: the direct path returns at once
+                if deadline is not None:
+                    try:
+                        deadline.check(f"read {rec.file_path!r}")
+                    except DeadlineExceededError as exc:
+                        served[i] = exc
+                        continue
+                served[i] = staged.select(rec, count, runs, result_dtype, keep)
         expected = [
             count if runs is None else runs.total for _rec, count, runs in demand
         ]
-        #: entry i fills out[bounds[i]:bounds[i + 1]].
-        bounds = list(accumulate(expected, initial=0))
+        #: entry i reads into out[bounds[i]:bounds[i + 1]] (empty if served).
+        bounds = list(
+            accumulate(
+                (e if s is None else 0 for e, s in zip(expected, served)),
+                initial=0,
+            )
+        )
         pos = bounds[-1]
-        result_dtype = plan.result_dtype(self.dtype)
         # Process-shipped execution decodes every entry directly into one
         # shared-memory block that *is* the result array — workers write
         # their slices in place, so bulk bytes never cross the result pipe
         # and the parent copies nothing per entry.
-        clone = self._process_clone(staged, deadline)
+        clone = self._process_clone(deadline)
         shm_out = None
         if clone is not None:
             try:
@@ -1076,34 +1168,44 @@ class QueryEngine:
         else:
             out = np.empty(pos, dtype=result_dtype)
         ctx = _ReadContext(
-            self.backend, self.dtype, strict, self.retry, self.actor, staged,
+            self.backend, self.dtype, strict, self.retry, self.actor,
             deadline, self.dataset.chunk_index, self.manifest.checksums,
         )
+        direct = [i for i, answer in enumerate(served) if answer is None]
         tasks = [
-            _EntryTask(ctx, rec, count, runs, out[bounds[i] : bounds[i + 1]])
-            for i, (rec, count, runs) in enumerate(demand)
+            _EntryTask(ctx, *demand[i], out[bounds[i] : bounds[i + 1]])
+            for i in direct
         ]
-        #: particles delivered per entry (None = skipped / not run).
-        delivered: list[int | None] = [None] * len(tasks)
+        #: particles delivered per entry (None = skipped, not run or served).
+        delivered: list[int | None] = [None] * len(demand)
         mark = recorder.event_mark()
         try:
             with recorder.span(PHASE_FILE_IO, cat="read", files=plan.num_files):
                 submitted: list = tasks
                 if shm_out is not None:
                     submitted = self._process_tasks(
-                        tasks, bounds, clone, shm_out.name
+                        tasks, [bounds[i] for i in direct], clone, shm_out.name
                     )
-                outcomes = self.executor.run(
-                    submitted, recorder, fail_fast=strict
+                outcomes = iter(
+                    self.executor.run(submitted, recorder, fail_fast=strict)
                 )
-                for i, (task, outcome) in enumerate(zip(tasks, outcomes)):
-                    if not outcome.ran:
-                        break  # fail-fast cut the tail; the error already raised
-                    if outcome.recorder is not None:
-                        recorder.merge(outcome.recorder)
-                    rec = task.rec
-                    if outcome.error is not None:
+                for i, ((rec, _count, _runs), answer) in enumerate(
+                    zip(demand, served)
+                ):
+                    if answer is None:
+                        outcome = next(outcomes)
+                        if not outcome.ran:
+                            break  # fail-fast cut the tail; the error already raised
+                        if outcome.recorder is not None:
+                            recorder.merge(outcome.recorder)
                         exc = outcome.error
+                        if exc is None:
+                            delivered[i] = particles = int(outcome.value)
+                    elif isinstance(answer, Exception):
+                        exc = answer
+                    else:
+                        exc, particles = None, expected[i]
+                    if exc is not None:
                         if strict or not isinstance(
                             exc, (BackendError, FormatError)
                         ):
@@ -1116,12 +1218,11 @@ class QueryEngine:
                             error=str(exc),
                         )
                         continue
-                    delivered[i] = int(outcome.value)
                     recorder.event(
                         EV_PARTITION_READ,
                         path=rec.file_path,
                         box_id=rec.box_id,
-                        particles=delivered[i],
+                        particles=particles,
                     )
             if shm_out is not None:
                 # Land the result in private memory with one bulk copy so
@@ -1140,6 +1241,21 @@ class QueryEngine:
                     shm_out.unlink()
                 except OSError:
                     pass
+        if any(isinstance(answer, np.ndarray) for answer in served):
+            # Stage answers arrive filtered; direct entries are filtered
+            # here, and the pieces join in plan order.
+            pieces = []
+            for i, (answer, d) in enumerate(zip(served, delivered)):
+                if isinstance(answer, np.ndarray):
+                    pieces.append(answer)
+                elif d is not None:
+                    pieces.append(_filtered(plan, exact, out[bounds[i] : bounds[i] + d]))
+            if len(pieces) == 1:
+                result = pieces[0]
+            else:  # joined as opaque records: no per-field dtype promotion
+                void = np.dtype((np.void, result_dtype.itemsize))
+                result = np.concatenate([p.view(void) for p in pieces]).view(result_dtype)
+            return QueryResult(ParticleBatch(result), report, plan)
         if all(
             d is not None and d == e for d, e in zip(delivered, expected)
         ):
@@ -1158,22 +1274,8 @@ class QueryEngine:
                 if kept
                 else np.empty(0, dtype=out.dtype)
             )
-        if len(result) and (plan.where or (exact and plan.box is not None)):
-            # One fused mask, one compaction.  The predicate is re-applied
-            # exactly: chunk/file pruning only discards provably-disjoint
-            # data, so filtering here makes the pushdown result equal
-            # post-hoc filtering by construction.
-            mask = (
-                plan.box.contains_points(result["position"], closed=True)
-                if exact and plan.box is not None
-                else np.ones(len(result), dtype=bool)
-            )
-            for name, (lo, hi) in plan.where.items():
-                vals = result[name].astype(np.float64, copy=False)
-                mask &= vals >= lo
-                mask &= vals <= hi
-            result = result.compress(mask)
-        return QueryResult(ParticleBatch(result), report, plan)
+        # One fused mask, one compaction.
+        return QueryResult(ParticleBatch(_filtered(plan, exact, result)), report, plan)
 
     def __repr__(self) -> str:
         return f"QueryEngine({self.dataset!r})"

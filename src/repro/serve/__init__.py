@@ -5,8 +5,8 @@ The "millions of users" layer: many concurrent clients, shared open
 quotas — and the paper's aggregate-before-storage idea applied *across*
 queries: plans that arrive within a small batching window have their
 per-file chunk runs merged into one coalesced read pass per shared file,
-and each query's result is scattered back out of the shared buffers,
-bit-identical to running it alone.
+and each query is answered from the shared buffers, bit-identical to
+running it alone.
 
 * :class:`~repro.serve.service.QueryService` — admission control,
   batching windows, worker dispatch, ``server.*`` observability;

@@ -7,16 +7,17 @@ requests into few large well-placed I/O operations.  PR 5 applied it
 the :class:`~repro.query.engine.QueryPlan`\\ s that are in flight during a
 small batching window, and :func:`stage_plans` merges their per-file
 demand into one coalesced scatter-gather read per file.  Execution then
-*scatters* each query's slices back out of the shared decoded buffers
-(:meth:`repro.query.engine.StagedReads.fetch`) instead of re-reading the
-backend — N overlapping queries cost one backend pass per shared file
-instead of N.
+*answers* each query's staged entries from the shared decoded buffers
+(:meth:`repro.query.engine.StagedReads.select`) on the calling thread,
+instead of re-reading the backend — N overlapping queries cost one
+backend pass per shared file instead of N, and an entry the stage serves
+never becomes an executor task.
 
 Bit-identical by construction
 -----------------------------
 
 Parity with serial execution is not checked after the fact; it falls out
-of how the stage is built:
+of how the stage is built and read:
 
 * the staged read uses the **same decode path** a direct read would
   (``read_columnar_runs_into`` for v4, ``read_data_file_into`` /
@@ -25,8 +26,13 @@ of how the stage is built:
   bytes a serial read would have produced, or the file is not staged;
 * each query run is provably contained in exactly one merged run (a
   merged run is a connected component of the union of intervals, and any
-  single query run is itself one interval), so a fetch is a contiguous
-  copy, never a re-decode;
+  single query run is itself one interval), so an entry's runs lie in
+  one contiguous span of the stage, in file order;
+* the answer is **the same predicate over the query's own runs**: the
+  span is masked by the entry's runs — rows other queries brought in are
+  dropped whatever the chunk index claims about them — and by the plan's
+  closed box and ``where`` ranges, the one predicate function the direct
+  path filters with too;
 * anything not stageable — LOD-prefix entries (their checksum
   verification belongs to the direct path), files that fail the staged
   read, plans whose fields are missing — simply **misses** and falls back

@@ -554,10 +554,10 @@ class QueryService:
     # -- introspection -------------------------------------------------------
 
     @staticmethod
-    def _percentile(values: list[float], q: float) -> float:
-        if not values:
+    def _percentile(ordered: list[float], q: float) -> float:
+        """The nearest-rank ``q`` quantile of an ascending list."""
+        if not ordered:
             return 0.0
-        ordered = sorted(values)
         pos = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
         return ordered[int(pos)]
 
@@ -567,19 +567,25 @@ class QueryService:
             latencies = list(self._latencies)
             batches = self._batches
             widths = self._batch_width_sum
-            return {
+            stats = {
                 "queries": self._queries_done,
                 "pending": len(self._queue),
                 "batches": batches,
                 "mean_batch_width": (widths / batches) if batches else 0.0,
                 "ops_saved": self._ops_saved,
                 "staged_files": self._staged_files,
-                "p50_latency_s": self._percentile(latencies, 0.50),
-                "p99_latency_s": self._percentile(latencies, 0.99),
+                "p50_latency_s": 0.0,
+                "p99_latency_s": 0.0,
                 "client_bytes": dict(self._client_bytes),
                 "drained": self._drained,
                 "cancelled": self._cancelled,
             }
+        # One sort of the snapshot, outside the lock every submit takes: a
+        # lifetime of latencies takes tens of milliseconds to sort.
+        latencies.sort()
+        stats["p50_latency_s"] = self._percentile(latencies, 0.50)
+        stats["p99_latency_s"] = self._percentile(latencies, 0.99)
+        return stats
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

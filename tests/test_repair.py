@@ -136,6 +136,28 @@ class TestRebuildFromTrailers:
         assert not report.ok and report.unresolved
         assert snapshot(backend) == before  # nothing was touched
 
+    def test_unsettled_facts_are_not_called_repairable(self):
+        """Lost table and no readable trailer: scrub names the reason as
+        CORRUPT, the same reason repair leaves unresolved."""
+        backend, _, _ = write_dataset(nprocs=8, partition_factor=(1, 1, 1))
+        paths = data_paths(backend)
+        assert len(paths) == 8
+        backend.delete("spatial.meta")
+        for path in paths:  # break each trailer's tail magic
+            raw = bytearray(backend.read_file(path))
+            raw[-TRAILER_FOOTER_BYTES] ^= 0xFF
+            backend.write_file(path, bytes(raw))
+        report = scrub_dataset(Dataset(backend))
+        assert report.files_checked == 0
+        assert report.codes == {"metadata-missing", "facts-unsettled"}
+        assert not all(issue.repairable for issue in report.issues)
+        (unsettled,) = [i for i in report.issues if i.code == "facts-unsettled"]
+        assert unsettled.path == "spatial.meta" and not unsettled.repairable
+        assert "damage needing salvage" in report.summary_lines()[-1]
+        result = repair_dataset(Dataset(backend), dry_run=True)
+        assert not result.actions
+        assert result.unresolved == [unsettled.detail]
+
 
 class TestTornFileTruncation:
     @pytest.fixture

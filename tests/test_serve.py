@@ -8,8 +8,12 @@ serial :meth:`QueryEngine.run` produces — including under projection, LOD,
 fault injection, degraded mode, and a warm cache.
 """
 
+import functools
+import os
+import random
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -19,15 +23,28 @@ from hypothesis import strategies as st
 from repro.core.config import WriterConfig
 from repro.dataset import Dataset
 from repro.domain import Box
-from repro.errors import AdmissionError, ServiceError
-from repro.io.executor import SerialExecutor
+from repro.errors import AdmissionError, DeadlineExceededError, ServiceError
+from repro.format.chunks import FileChunkIndex, Runs
+from repro.format.manifest import Manifest
+from repro.format.metadata import META_PATH, SpatialMetadata
+from repro.io.executor import SerialExecutor, ThreadedExecutor
 from repro.io.faults import FaultInjectingBackend, FaultPlan, FaultSpec
+from repro.io.resilience import Deadline
 from repro.io.retry import RetryPolicy
-from repro.obs.names import SERVER_BATCHES, SERVER_QUERIES, SERVER_REJECTED
+from repro.obs.names import (
+    SERVER_BATCHES,
+    SERVER_QUERIES,
+    SERVER_REJECTED,
+    SPAN_EXECUTOR_RUN,
+)
 from repro.obs.recorder import Recorder
+from repro.query.engine import QueryPlan, StagedReads
 from repro.serve import ClientQuota, QueryService, execute_batch, merge_runs, stage_plans
 
 from .conftest import write_dataset
+
+#: Same knob the CI fault matrix turns for test_failure_injection.py.
+FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 BOXES = [
     Box([0.05, 0.05, 0.05], [0.55, 0.60, 0.50]),
@@ -144,23 +161,52 @@ class TestBatchParity:
 
     def test_parity_under_transient_faults(self):
         """A transient read fault during staging is retried (or degrades to
-        direct reads); either way results match the serial fault-free run."""
+        direct reads); either way results match the serial fault-free run.
+        ``REPRO_FAULT_SEED`` picks the faulted file and how many reads of
+        it fail before it heals."""
+        rng = random.Random(FAULT_SEED)
         clean = _columnar_backend()
         expected = _serial_results(clean, [(box, True, {}) for box in BOXES])
 
+        victim, heal_after = rng.choice(_data_paths(clean)), rng.randint(1, 3)
         faulty = FaultInjectingBackend(
             clean,
             FaultPlan(
-                (FaultSpec("transient", op="read", path_glob="data/*.pbin", heal_after=1),)
+                (FaultSpec("transient", op="read", path_glob=victim, heal_after=heal_after),)
             ),
         )
         engine = Dataset.open(
             faulty, retry=RetryPolicy(max_attempts=4, backoff_base=0.0)
         ).engine()
         plans = [(engine.plan_box(box), True) for box in BOXES]
-        results, _staged = execute_batch(engine, plans)
-        assert faulty.faults_injected > 0
+        results, staged = execute_batch(engine, plans)
+        assert faulty.faults_injected == heal_after
+        assert staged.hits > 0
         for s, b in zip(expected, results):
+            assert np.array_equal(s.batch.data, b.batch.data)
+            assert s.report.equivalent(b.report)
+
+    def test_parity_with_a_permanently_faulted_shared_file(self):
+        """Non-strict: the seed's victim file fails its staged read, so its
+        entries fall back to direct reads — and skip, as serially — beside
+        the stage-served entries of the other files."""
+        rng = random.Random(FAULT_SEED)
+        clean = _columnar_backend()
+        victim = rng.choice(_data_paths(clean))
+        faulty = FaultInjectingBackend(
+            clean, FaultPlan((FaultSpec("permanent", op="read", path_glob=victim),))
+        )
+        ds_kw = dict(strict=False, retry=RetryPolicy(max_attempts=2, backoff_base=0.0))
+        items = [(box, True, {}) for box in BOXES]
+        serial = _serial_results(faulty, items, **ds_kw)
+
+        engine = Dataset.open(faulty, **ds_kw).engine()
+        plans = [(engine.plan_box(box), exact) for box, exact, _kw in items]
+        results, staged = execute_batch(engine, plans)
+        assert len(staged) == len(_data_paths(clean)) - 1
+        assert staged.hits > 0 and staged.misses == len(BOXES)
+        for s, b in zip(serial, results):
+            assert [p.path for p in b.report.skipped] == [victim]
             assert np.array_equal(s.batch.data, b.batch.data)
             assert s.report.equivalent(b.report)
 
@@ -178,30 +224,160 @@ class TestBatchParity:
             assert np.array_equal(s.batch.data, b.batch.data)
             assert s.report.equivalent(b.report)
 
-    def test_staged_fetch_miss_on_uncovered_run(self):
-        """A run outside the staged union misses instead of mis-copying."""
-        from repro.query.engine import StagedReads
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_batch_equals_serial_property(self, data):
+        """Any batch of 2-8 queries answers each exactly as a serial run:
+        same bytes, same dtype, delivery-equivalent report."""
+        layout = data.draw(st.sampled_from(["row", "columnar"]), label="layout")
+        backend, positions = _fixture(layout)
+        items = data.draw(
+            st.lists(_query(positions), min_size=2, max_size=8), label="queries"
+        )
+        serial = _serial_results(backend, items)
+        engine = Dataset.open(backend).engine()
+        plans = [(engine.plan_box(box, **kw), exact) for box, exact, kw in items]
+        results, _staged = execute_batch(engine, plans)
+        for s, b in zip(serial, results):
+            assert s.batch.data.dtype == b.batch.data.dtype
+            assert s.batch.data.tobytes() == b.batch.data.tobytes()
+            assert s.report.equivalent(b.report)
 
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    def test_mixed_plan_shared_and_unshared_file(self, layout):
+        """One query reads a shared file from the stage and an unshared one
+        directly; the pieces join in plan order."""
+        backend = _columnar_backend() if layout == "columnar" else _row_backend()
+        both = Box([0.1, 0.1, 0.1], [0.4, 0.9, 0.9])  # two files
+        one = Box([0.1, 0.1, 0.1], [0.4, 0.4, 0.9])  # the first of them
+        items = [(both, True, {}), (one, True, {"attrs": ()})]
+        serial = _serial_results(backend, items)
+
+        engine = Dataset.open(backend).engine()
+        plans = [(engine.plan_box(box, **kw), exact) for box, exact, kw in items]
+        assert [p.num_files for p, _ in plans] == [2, 1]
+        results, staged = execute_batch(engine, plans)
+        assert len(staged) == 1 and staged.hits == 2 and staged.misses == 1
+        for s, b in zip(serial, results):
+            assert s.batch.data.dtype == b.batch.data.dtype
+            assert np.array_equal(s.batch.data, b.batch.data)
+            assert s.report.equivalent(b.report)
+
+    def test_fully_staged_batch_never_starts_the_pool(self):
+        """Stage-served entries are answered on the calling thread: a batch
+        whose every entry is staged makes no executor call at all."""
+        backend = _row_backend()
+        items = [(box, True, {}) for box in (BOXES[0], BOXES[0], BOXES[3], BOXES[3])]
+        serial = _serial_results(backend, items)
+
+        executor = ThreadedExecutor(max_workers=2)
+        engine = Dataset.open(backend, executor=executor).engine()
+        plans = [(engine.plan_box(box), exact) for box, exact, _kw in items]
+        assert all(p.num_files > 1 for p, _ in plans)
+        rec = Recorder(rank=-1)
+        results, staged = execute_batch(engine, plans, recorder=rec)
+        try:
+            assert staged.misses == 0
+            assert staged.hits == sum(p.num_files for p, _ in plans)
+            assert executor._pool is None
+            assert not [sp for sp in rec.spans if sp.name == SPAN_EXECUTOR_RUN]
+            for s, b in zip(serial, results):
+                assert np.array_equal(s.batch.data, b.batch.data)
+                assert s.report.equivalent(b.report)
+        finally:
+            executor.shutdown()
+
+    def test_tightened_chunk_index_misses_the_same_particle(self):
+        """A CRC-valid index whose chunk bounds are tighter than its
+        particles makes the direct read miss them; the staged answer,
+        masked by the query's own runs, misses exactly the same ones even
+        though another query staged the chunk that holds them."""
+        backend = _row_backend()
+        ds = Dataset.open(backend)
+        rec = ds.metadata.records[0]
+        index = ds.chunk_index(rec)
+        rows = ds.engine().run(QueryPlan([(rec, rec.particle_count)])).batch.data
+        j = len(index) // 2
+        chunk = rows[index.starts[j] : index.starts[j] + index.counts[j]]
+        point = chunk["position"][np.argmax(chunk["position"][:, 0])]
+        lo, hi = index.lo.copy(), index.hi.copy()
+        lo[j] = hi[j] = point  # the chunk claims to hold one point
+        lying = FileChunkIndex(
+            index.starts, index.counts, lo, hi, index.attr_ranges,
+            index.segments, index.codec, index.attr_names,
+        )
+        _commit_section(backend, 0, lying.to_section())
+
+        below = rec.bounds.hi.copy()
+        below[0] = np.nextafter(point[0], -np.inf)
+        short = Box(rec.bounds.lo, below)  # every chunk but j intersects it
+        at_point = Box(point - 1e-9, point + 1e-9)  # selects chunk j
+        items = [(short, True, {}), (at_point, True, {})]
+        serial = _serial_results(backend, items)
+        truth = short.contains_points(rows["position"], closed=True)
+        missed = np.setdiff1d(rows["id"][truth], serial[0].batch.data["id"])
+        assert len(missed) and np.isin(missed, chunk["id"]).all()
+
+        engine = Dataset.open(backend).engine()
+        plans = [(engine.plan_box(box), exact) for box, exact, _kw in items]
+        read = np.concatenate([np.arange(s, s + c) for s, c in plans[0][0].chunk_runs[0]])
+        assert index.starts[j] not in read and index.starts[j] - 1 in read
+        results, staged = execute_batch(engine, plans)
+        assert staged.hits >= 2 and staged.misses == 0
+        for s, b in zip(serial, results):
+            assert np.array_equal(s.batch.data, b.batch.data)
+            assert s.report.equivalent(b.report)
+
+    def test_expired_deadline_sheds_stage_served_entries(self):
+        """An entry the stage would serve is shed before the stage is asked,
+        with the skip (or, strict, the error) a direct read gives."""
+        clock = [0.0]
+        deadline = Deadline.after(1.0, clock=lambda: clock[0])
+        engine = Dataset.open(_row_backend(), strict=False).engine()
+        plans = [(engine.plan_box(box), True) for box in BOXES[:2]]
+        staged = stage_plans(engine, plans)
+        assert len(staged) > 0
+        clock[0] = 2.0
+        for plan, exact in plans:
+            direct = engine.run(plan, exact, deadline=deadline)
+            batched = engine.run(plan, exact, staged=staged, deadline=deadline)
+            assert len(batched) == 0
+            assert {s.reason for s in batched.report.skipped} == {"deadline"}
+            assert direct.report.equivalent(batched.report)
+            assert [s.error for s in direct.report.skipped] == [
+                s.error for s in batched.report.skipped
+            ]
+        assert staged.hits == 0 and staged.misses == 0
+        plan = plans[0][0]
+        with pytest.raises(DeadlineExceededError) as direct_exc:
+            engine.run(plan, True, strict=True, deadline=deadline)
+        with pytest.raises(DeadlineExceededError) as batched_exc:
+            engine.run(plan, True, strict=True, staged=staged, deadline=deadline)
+        assert str(direct_exc.value) == str(batched_exc.value)
+
+    def test_staged_select_miss_on_uncovered_run(self):
+        """A run outside the staged union, or reaching past its merged run,
+        misses instead of answering from the wrong rows."""
         staged = StagedReads()
-        buf = np.arange(10, dtype=np.float64).view([("x", np.float64)])
+        buf = np.zeros(10, dtype=[("position", "<f8", (3,))])
+        buf["position"][:, 0] = np.arange(10.0)
         staged.stage("data/file_0.pbin", ((0, 10),), buf)
 
-        class Rec:
-            file_path = "data/file_0.pbin"
-            particle_count = 100
+        def select(runs):
+            return staged.select(_Rec(), 5, Runs.of(runs), buf.dtype, _keep_all)
 
-        dest = np.empty(5, dtype=buf.dtype)
-        assert staged.fetch(Rec(), 5, ((50, 5),), dest) is None
-        got = staged.fetch(Rec(), 5, ((2, 5),), dest)
+        assert select(((50, 5),)) is None
+        assert select(((8, 5),)) is None
+        got = select(((2, 5),))
         assert got is not None
-        assert np.array_equal(dest["x"], np.arange(2.0, 7.0))
+        assert np.array_equal(got["position"][:, 0], np.arange(2.0, 7.0))
+        assert staged.hits == 1 and staged.misses == 2
 
-
-    def test_staged_fetch_gathers_many_runs(self):
-        """Runs resolve against the merged runs in one pass and land in
-        order — whole records and projected fields alike."""
-        from repro.query.engine import StagedReads
-
+    def test_staged_select_answers_many_runs(self):
+        """Runs resolve against the merged runs in one pass; the span they
+        cover is masked down to exactly their rows, in order — whole
+        records and projected fields alike — and the predicate filters
+        those rows only."""
         full = np.dtype([("position", "<f8", (3,)), ("a", "<f8"), ("b", "<i4")])
         merged = ((10, 20), (50, 5), (70, 30))
         ids = np.concatenate([np.arange(s, s + c) for s, c in merged])
@@ -211,24 +387,87 @@ class TestBatchParity:
         staged = StagedReads()
         staged.stage("data/file_0.pbin", merged, buf)
 
-        class Rec:
-            file_path = "data/file_0.pbin"
-            particle_count = 100
-
-        want = ((12, 3), (29, 1), (50, 5), (75, 10))
+        want = Runs.of(((12, 3), (29, 1), (50, 5), (75, 10)))
         expect = np.concatenate([np.arange(s, s + c) for s, c in want])
         projected = np.dtype([("position", "<f8", (3,)), ("b", "<i4")])
         for dtype in (full, projected):
-            dest = np.empty(len(expect), dtype=dtype)
-            assert staged.fetch(Rec(), 0, want, dest) == len(expect)
-            assert np.array_equal(dest["b"], expect * 2)
-            assert np.array_equal(dest["position"][:, 1], expect + 0.25)
-        # One run reaching past its merged run, a run before every merged
-        # run, and a destination of the wrong size all miss.
-        assert staged.fetch(Rec(), 0, ((28, 3),), np.empty(3, dtype=full)) is None
-        assert staged.fetch(Rec(), 0, ((5, 3),), np.empty(3, dtype=full)) is None
-        assert staged.fetch(Rec(), 0, want, np.empty(7, dtype=full)) is None
-        assert staged.hits == 2 and staged.misses == 3
+            got = staged.select(_Rec(), 0, want, dtype, _keep_all)
+            assert got.dtype == dtype
+            assert np.array_equal(got["b"], expect * 2)
+            assert np.array_equal(got["position"][:, 1], expect + 0.25)
+            assert not np.shares_memory(got, buf)  # an answer, not a view
+
+        # The predicate sees the span (own-run rows and the rows between
+        # them) and keeps only own-run rows it accepts.
+        def even(rows):
+            return rows["b"] % 4 == 0
+
+        got = staged.select(_Rec(), 0, want, projected, even)
+        assert np.array_equal(got["b"], expect[expect % 2 == 0] * 2)
+
+        # A run reaching past its merged run, a run before every merged
+        # run, runs out of order, a field the stage did not decode and an
+        # LOD prefix all miss.
+        for runs, dtype, count in (
+            (((28, 3),), full, 0),
+            (((5, 3),), full, 0),
+            (((50, 5), (12, 3)), full, 0),
+            (want, np.dtype([("position", "<f8", (3,)), ("c", "<f8")]), 0),
+            (None, full, 50),
+        ):
+            runs = None if runs is None else Runs.of(runs)
+            assert staged.select(_Rec(), count, runs, dtype, _keep_all) is None
+        assert staged.hits == 3 and staged.misses == 5
+
+
+class _Rec:
+    file_path = "data/file_0.pbin"
+    particle_count = 100
+
+
+def _keep_all(rows):
+    return None
+
+
+def _data_paths(backend):
+    return sorted(f"data/{n}" for n in backend.listdir("data") if n.endswith(".pbin"))
+
+
+@functools.cache
+def _fixture(layout):
+    """The row or columnar fixture, and every particle position in it."""
+    backend = _columnar_backend() if layout == "columnar" else _row_backend()
+    engine = Dataset.open(backend).engine()
+    return backend, engine.run(engine.plan_full()).batch.data["position"]
+
+
+@st.composite
+def _query(draw, positions):
+    """One ``(box, exact, plan kwargs)``: a random box, or one whose faces
+    sit on particle coordinates; exact or not; projected and/or filtered."""
+    if draw(st.booleans()):
+        a, b = (positions[draw(st.integers(0, len(positions) - 1))] for _ in "ab")
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    else:
+        corners = np.array(draw(st.lists(st.floats(0, 1), min_size=6, max_size=6)))
+        lo, hi = np.minimum(corners[:3], corners[3:]), np.maximum(corners[:3], corners[3:])
+    kw: dict = {"attrs": draw(st.sampled_from([None, (), ("id",)]))}
+    if draw(st.booleans()):
+        ids = sorted(draw(st.integers(0, 7000)) for _ in "ab")
+        kw["where"] = {"id": (float(ids[0]), float(ids[1]))}
+    return Box(lo, hi), draw(st.booleans()), kw
+
+
+def _commit_section(backend, index, section):
+    """Swap record ``index``'s chunk section and re-commit the table's CRC
+    in the manifest: a CRC-valid table carrying ``section``."""
+    meta = SpatialMetadata.read(backend)
+    meta.records[index].section = section
+    blob = meta.to_bytes()
+    backend.write_file(META_PATH, blob)
+    manifest = Manifest.read(backend)
+    manifest.spatial_meta_crc32 = zlib.crc32(blob)
+    manifest.write(backend)
 
 
 class TestQueryService:
@@ -262,6 +501,37 @@ class TestQueryService:
         assert stats["p99_latency_s"] >= stats["p50_latency_s"] > 0.0
         assert rec.value(SERVER_QUERIES, ("anon",)) == len(items)
         assert rec.value(SERVER_BATCHES) == stats["batches"]
+
+    def test_stats_percentiles_match_the_sort_per_call_helper(self, monkeypatch):
+        """stats() sorts one snapshot outside the lock submit() takes and
+        reads both percentiles from it; the values are the old helper's."""
+
+        def old_percentile(values, q):  # sorted its input on every call
+            if not values:
+                return 0.0
+            ordered = sorted(values)
+            pos = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+            return ordered[int(pos)]
+
+        service = QueryService(Dataset.open(_row_backend()), autostart=False)
+        held = []
+        percentile = QueryService._percentile
+
+        def probe(ordered, q):
+            held.append(service._cond._is_owned())
+            return percentile(ordered, q)
+
+        monkeypatch.setattr(QueryService, "_percentile", staticmethod(probe))
+        rng = np.random.default_rng(5)
+        for n in (0, 1, 2, 7, 100, 1001):
+            latencies = rng.exponential(size=n).tolist()
+            service._latencies[:] = latencies
+            stats = service.stats()
+            assert stats["p50_latency_s"] == old_percentile(latencies, 0.50)
+            assert stats["p99_latency_s"] == old_percentile(latencies, 0.99)
+            assert service._latencies == latencies  # the snapshot was sorted
+        assert held and not any(held)
+        service.close()
 
     def test_multi_dataset_routing_and_unknown_rejection(self):
         a, b = _columnar_backend(seed=7), _row_backend(seed=11)
