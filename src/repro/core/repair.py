@@ -20,7 +20,8 @@ its issues: it does no I/O.  The issue table
   ``manifest.json`` are derived state; when lost, corrupt, or disagreeing
   with the data files they are rebuilt from the recovery trailers (the
   rebuild is bit-identical to what the writer produced, so a surviving
-  manifest's ``spatial_meta_crc32`` still matches).  A damaged trailer is
+  manifest's ``spatial_meta_crc32`` still matches; a healthy table of an
+  earlier version keeps its bytes).  A damaged trailer is
   rewritten to :func:`~repro.core.scrub.want_trailer`, the one scrub
   compares against.
 * **salvage** — a torn data file is truncated to its longest prefix that
@@ -52,7 +53,6 @@ than guessed at.
 from __future__ import annotations
 
 import re
-import zlib
 from dataclasses import dataclass, field, replace
 
 from repro.core.scrub import (
@@ -82,7 +82,7 @@ from repro.format.generations import (
     write_current,
 )
 from repro.format.manifest import MANIFEST_PATH, Manifest
-from repro.format.metadata import MetadataRecord, SpatialMetadata
+from repro.format.metadata import MetadataRecord, SpatialMetadata, table_crc32
 from repro.io.backend import FileBackend
 from repro.obs.names import (
     EV_REPAIR_ACTION,
@@ -409,6 +409,12 @@ def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
         plan.rewrite.clear()
         return plan
     plan.meta_blob = table.to_bytes()
+    if sv.metadata is not None and (sv.metadata.attr_names, sv.metadata.records) == (
+        table.attr_names, table.records
+    ):
+        # The table on disk already holds this, maybe in an earlier version
+        # that still reads: its bytes stay.
+        plan.meta_blob = sv.raw_meta
     plan.rebuild_metadata = plan.meta_blob != sv.raw_meta
     if plan.rebuild_metadata:
         detail = f"{len(table)} records"
@@ -432,7 +438,7 @@ def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
             else {"provenance": "rebuilt by repro repair"}
         ),
         checksums={p: checksums[p] for p in sorted(checksums, key=natural_key)},
-        spatial_meta_crc32=zlib.crc32(plan.meta_blob),
+        spatial_meta_crc32=table_crc32(plan.meta_blob),
         generation=target.generation,
         parent=(
             manifest.parent

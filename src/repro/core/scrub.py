@@ -4,8 +4,9 @@ A scrub walks one dataset bottom-up and checks everything the format
 guarantees:
 
 * the manifest parses and its version is supported;
-* the spatial metadata table parses, its whole-table CRC matches, and the
-  manifest's recorded ``spatial_meta_crc32`` agrees with the bytes on disk;
+* the spatial metadata table parses whole, every CRC it carries matches
+  (a version-6 table's head and each chunk section), and the manifest's
+  recorded ``spatial_meta_crc32`` agrees with the bytes on disk;
 * every data file the table or the manifest names exists, has a valid
   header, the header's particle count matches the table's, the byte length
   is exact, the v2 footer CRC (v4: every segment CRC) matches, the
@@ -71,6 +72,7 @@ from repro.errors import (
     ChecksumError,
     DataFileError,
     FormatError,
+    MetadataChecksumError,
     MetadataError,
 )
 from repro.format.chunks import FileChunkIndex, build_chunk_entry
@@ -103,7 +105,7 @@ from repro.format.generations import (
     verify_generation,
 )
 from repro.format.manifest import Manifest, descr_to_dtype, dtype_to_descr
-from repro.format.metadata import MetadataRecord, SpatialMetadata
+from repro.format.metadata import MetadataRecord, SpatialMetadata, check_table_crc
 from repro.io.backend import FileBackend
 from repro.obs.recorder import Recorder
 from repro.particles.batch import ParticleBatch
@@ -1003,16 +1005,10 @@ def _survey(ds: Dataset, report: ScrubReport) -> Survey:
                 f"manifest says {manifest.total_particles} particles, "
                 f"table sums to {metadata.total_particles}",
             )
-        if (
-            manifest.spatial_meta_crc32 is not None
-            and zlib.crc32(sv.raw_meta) != manifest.spatial_meta_crc32
-        ):
-            report.add(
-                meta_path,
-                "metadata-crc-mismatch",
-                "manifest's spatial_meta_crc32 disagrees with the spatial "
-                "table on disk",
-            )
+        try:
+            check_table_crc(manifest.spatial_meta_crc32, metadata, meta_path)
+        except MetadataChecksumError as exc:
+            report.add(meta_path, "metadata-crc-mismatch", str(exc))
 
     # 4. The inventory: every file the target names, plus every file in
     #    data/ that neither another retained generation references nor a

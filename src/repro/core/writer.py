@@ -66,6 +66,7 @@ from repro.format.metadata import (
     MetadataRecord,
     SpatialMetadata,
     data_file_name,
+    table_crc32,
 )
 from repro.io.backend import FileBackend
 from repro.io.retry import RetryPolicy
@@ -572,7 +573,7 @@ class SpatialWriter:
                             },
                         },
                         checksums=checksums,
-                        spatial_meta_crc32=zlib.crc32(meta_blob),
+                        spatial_meta_crc32=table_crc32(meta_blob),
                         generation=gen,
                         parent=commit.parent if commit else None,
                     )

@@ -3,10 +3,12 @@
 A dataset on disk is three things — ``manifest.json`` (the commit marker
 and dtype/LOD/provenance record), ``spatial.meta`` (the binary per-file
 table, chunk indexes included), and ``data/*`` (the particle files).
-Opening one correctly means reading the first two in order, validating
-their format versions and checksums, and then carrying a consistent policy
+Opening one correctly means reading the manifest and the table's O(files)
+head in order, validating their format versions and checksums (the
+manifest commits the table's CRC), and then carrying a consistent policy
 bundle (strict vs. degraded, retry, instrumentation, execution) into every
-per-file operation that follows.
+per-file operation that follows.  A file's chunk section is fetched from
+the table the first time a plan touches that file (:meth:`chunk_index`).
 
 :class:`Dataset` owns exactly that bundle:
 
@@ -43,11 +45,12 @@ from __future__ import annotations
 
 import os
 import threading
+from contextlib import suppress
 from typing import TYPE_CHECKING
 
 from repro.format.generations import ResolvedGeneration, resolve_generation
 from repro.format.manifest import Manifest
-from repro.format.metadata import SpatialMetadata
+from repro.format.metadata import SpatialMetadata, check_table_crc, read_section
 from repro.io.backend import FileBackend
 from repro.io.executor import IoExecutor, SerialExecutor
 from repro.io.retry import RetryPolicy
@@ -159,13 +162,15 @@ class Dataset:
             return self._resolved
 
     def load(self) -> "Dataset":
-        """Read + validate manifest and spatial metadata (idempotent).
+        """Read + validate the manifest and the spatial table's head
+        (idempotent).
 
         Both reads happen under one ``metadata`` span on the dataset's
         recorder, against the pinned generation's paths (see
         :meth:`resolution`); format-version and checksum validation happens
         inside the format layer and surfaces as
-        :class:`~repro.errors.FormatError` subclasses.
+        :class:`~repro.errors.FormatError` subclasses.  The table must be
+        the one the manifest commits (``spatial_meta_crc32``).
         """
         with self._memo_lock:
             if self._manifest is None or self._metadata is None:
@@ -178,9 +183,13 @@ class Dataset:
                         self._manifest = Manifest.read(
                             self.backend, resolved.manifest_path, actor=self.actor
                         )
-                    self._metadata = SpatialMetadata.read(
+                    metadata = SpatialMetadata.read(
                         self.backend, resolved.meta_path, actor=self.actor
                     )
+                    check_table_crc(
+                        self._manifest.spatial_meta_crc32, metadata, resolved.meta_path
+                    )
+                    self._metadata = metadata
         return self
 
     @property
@@ -318,13 +327,19 @@ class Dataset:
         """The validated :class:`~repro.format.chunks.FileChunkIndex` for
         ``rec``'s data file, or ``None``.
 
-        Landed from ``rec``'s table section into owned, aligned arrays.
-        ``None`` means no index was recorded (chunking disabled, empty file)
-        *or* the recorded one fails validation — planning silently falls
-        back to whole-file reads either way and leaves flagging a damaged
-        index to the scrubber.  A columnar file of a pre-section table has
-        no whole-file read without its segment descriptors, so its index is
-        landed from the file's recovery trailer instead.  Memoized per file.
+        Landed from ``rec``'s chunk section into owned, aligned arrays; a
+        table opened by its head leaves the section in the table file, so
+        the first call per file fetches it with one ranged read.  A section
+        whose bytes fail the CRC32 the head records raises
+        :class:`~repro.errors.MetadataChecksumError`, in strict and degraded
+        mode alike.  ``None`` means no index was recorded (chunking
+        disabled, empty file) *or* the recorded one fails validation —
+        planning silently falls back to whole-file reads either way and
+        leaves flagging a damaged index to the scrubber.  A columnar file of
+        a pre-section table has no whole-file read without its segment
+        descriptors, so its index is landed from the file's recovery trailer
+        instead.  Memoized per file; a fetch that fails with a
+        :class:`~repro.errors.BackendError` is not, so the next plan retries.
         """
         path = rec.file_path
         with self._memo_lock:
@@ -334,22 +349,27 @@ class Dataset:
                 from repro.format.datafile import read_recovery_trailer
 
                 codec = self.manifest.checksums.get(path, {}).get("codec")
-                index = None
+                section, index = rec.section, None
                 try:
-                    section = rec.section
-                    if not section and codec is not None:
+                    if not section and rec.section_ref is not None:
                         section = self.retry.call(
-                            read_recovery_trailer, self.backend, path, actor=self.actor
-                        ).record.section
-                    if section:
+                            read_section, self.backend, self.resolution().meta_path,
+                            rec, self.actor,
+                        )
+                    elif not section and codec is not None:
+                        with suppress(FormatError):
+                            section = self.retry.call(
+                                read_recovery_trailer, self.backend, path,
+                                actor=self.actor,
+                            ).record.section
+                except BackendError:
+                    return None  # not memoized: the next plan retries the fetch
+                if section:
+                    with suppress(FormatError):
                         index = FileChunkIndex.unpack(section, path).validated(
                             rec.particle_count, path, codec,
                             tuple(self.metadata.attr_names),
                         )
-                except FormatError:
-                    index = None
-                except BackendError:
-                    return None  # not memoized: the next plan retries the trailer
                 self._chunk_indexes[path] = index
             return self._chunk_indexes[path]
 

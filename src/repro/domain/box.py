@@ -43,6 +43,16 @@ class Box:
         self.lo = lo_arr
         self.hi = hi_arr
 
+    @classmethod
+    def trusted(cls, lo: np.ndarray, hi: np.ndarray) -> "Box":
+        """A box over read-only float64 3-vectors the caller has already
+        checked in bulk (finite, ``hi >= lo``), as the spatial table's head
+        parse does for every record at once; skips the per-box checks."""
+        box = object.__new__(cls)
+        box.lo = lo
+        box.hi = hi
+        return box
+
     # -- basic properties -----------------------------------------------------
 
     @property

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import BackendError, FormatError
 from repro.format.manifest import MANIFEST_PATH, Manifest
-from repro.format.metadata import META_PATH, SpatialMetadata
+from repro.format.metadata import META_PATH, SpatialMetadata, check_table_crc
 from repro.io.backend import FileBackend
 
 __all__ = [
@@ -175,12 +175,12 @@ def load_generation(
     actor: int = -1,
     manifest: Manifest | None = None,
 ) -> tuple[Manifest, SpatialMetadata]:
-    """Read one generation's manifest + table (format validation included);
-    given the ``manifest`` a :class:`ResolvedGeneration` carries, only the
-    table is read."""
+    """Read one generation's manifest + whole table, every chunk section
+    included (format validation included); given the ``manifest`` a
+    :class:`ResolvedGeneration` carries, only the table is read."""
     if manifest is None:
         manifest = Manifest.read(backend, generation_manifest_path(gen), actor=actor)
-    metadata = SpatialMetadata.read(backend, generation_meta_path(gen), actor=actor)
+    metadata = SpatialMetadata.read_whole(backend, generation_meta_path(gen), actor=actor)
     return manifest, metadata
 
 
@@ -192,16 +192,12 @@ def verify_generation(backend: FileBackend, gen: int, actor: int = -1) -> bool:
     so recovery after a torn ``CURRENT`` stays cheap; deep verification is
     the scrubber's job.
     """
+    meta_path = generation_meta_path(gen)
     try:
         manifest = Manifest.read(backend, generation_manifest_path(gen), actor=actor)
-        raw = bytes(backend.read_file(generation_meta_path(gen), actor=actor))
-        metadata = SpatialMetadata.from_bytes(raw)
+        metadata = SpatialMetadata.read_whole(backend, meta_path, actor=actor)
+        check_table_crc(manifest.spatial_meta_crc32, metadata, meta_path)
     except (FormatError, BackendError):
-        return False
-    if (
-        manifest.spatial_meta_crc32 is not None
-        and zlib.crc32(raw) != manifest.spatial_meta_crc32
-    ):
         return False
     if manifest.num_files != len(metadata.records):
         return False

@@ -297,14 +297,16 @@ class PosixBackend(FileBackend):
         max_handles: int = 64,
         max_mapped_bytes: int = 1 << 30,
     ):
-        self.root = Path(root)
+        # Kept as a string, checked with one stat: a cold open constructs a
+        # backend per dataset, and a pathlib.Path costs more than the stat.
+        self._root = os.fspath(root)
         if create:
             try:
-                self.root.mkdir(parents=True, exist_ok=True)
+                os.makedirs(self._root, exist_ok=True)
             except OSError as exc:
-                raise BackendError(f"cannot create root {self.root}: {exc}") from exc
-        elif self.root.exists() and not self.root.is_dir():
-            raise BackendError(f"backend root {self.root} is not a directory")
+                raise BackendError(f"cannot create root {self._root}: {exc}") from exc
+        elif not os.path.isdir(self._root) and os.path.exists(self._root):
+            raise BackendError(f"backend root {self._root} is not a directory")
         self.use_mmap = bool(use_mmap)
         self.max_handles = int(max_handles)
         self.max_mapped_bytes = int(max_mapped_bytes)
@@ -346,15 +348,19 @@ class PosixBackend(FileBackend):
         """
         return self
 
+    @property
+    def root(self) -> Path:
+        return Path(self._root)
+
     def _full(self, path: str) -> Path:
-        return self.root / self._normalize(path)
+        return Path(self._root, self._normalize(path))
 
     def _resolve(self, path: str) -> tuple[str, str]:
         """``(pool key, full path)`` of ``path``, both as ``str``."""
         hit = self._paths.get(path)
         if hit is None:
             norm = self._normalize(path)  # raises on '..', before caching
-            root = str(self.root)
+            root = self._root
             hit = (norm, os.path.join(root, norm) if norm else root)
             with self._paths_lock:
                 if self._paths and len(self._paths) >= self.max_handles:
@@ -489,7 +495,7 @@ class PosixBackend(FileBackend):
     # -- metadata ------------------------------------------------------------
 
     def exists(self, path: str) -> bool:
-        return self._full(path).exists()
+        return os.path.exists(self._resolve(path)[1])
 
     def size(self, path: str) -> int:
         full = self._resolve(path)[1]
@@ -499,7 +505,7 @@ class PosixBackend(FileBackend):
             raise BackendError(f"stat {path!r}: {exc}") from exc
 
     def listdir(self, path: str) -> list[str]:
-        full = self._full(path)
+        full = self._resolve(path)[1]
         try:
             return sorted(os.listdir(full))
         except OSError as exc:
@@ -513,4 +519,4 @@ class PosixBackend(FileBackend):
         self._pool.invalidate(self._normalize(path))
 
     def __repr__(self) -> str:
-        return f"PosixBackend({str(self.root)!r})"
+        return f"PosixBackend({self._root!r})"

@@ -54,6 +54,7 @@ from repro.errors import (
     DataChecksumError,
     DeadlineExceededError,
     FormatError,
+    MetadataChecksumError,
     QueryError,
     TransientBackendError,
 )
@@ -1206,8 +1207,13 @@ class QueryEngine:
                     else:
                         exc, particles = None, expected[i]
                     if exc is not None:
-                        if strict or not isinstance(
-                            exc, (BackendError, FormatError)
+                        # A chunk section failing its table CRC is a damaged
+                        # table, not a damaged partition: it fails the read
+                        # in degraded mode too, as a damaged head fails the open.
+                        if (
+                            strict
+                            or isinstance(exc, MetadataChecksumError)
+                            or not isinstance(exc, (BackendError, FormatError))
                         ):
                             raise exc
                         recorder.event(

@@ -48,7 +48,15 @@ from repro.format.datafile import (
     read_recovery_trailer,
 )
 from repro.format.manifest import Manifest
-from repro.format.metadata import META_PATH, SUPPORTED_META_VERSIONS, SpatialMetadata
+from repro.format.metadata import (
+    META_PATH,
+    META_VERSION_CHUNKS,
+    SUPPORTED_META_VERSIONS,
+    SpatialMetadata,
+    pack_names,
+    pack_record,
+    table_crc32,
+)
 from repro.io import VirtualBackend
 from repro.mpi import run_mpi
 from repro.particles import uniform_particles
@@ -173,8 +181,13 @@ class TestTraffic:
         reader.execute(plan, exact=True)
         reads = backend.ops_of_kind("read")
         resolved = ds.resolution()
-        for path in (resolved.manifest_path, resolved.meta_path):
-            assert sum(op.path == path for op in reads) == 1, path
+        assert sum(op.path == resolved.manifest_path for op in reads) == 1
+        # The table: its header, its head, then one ranged read of each
+        # section the plan touched — never the whole table.
+        table = [(op.offset, op.nbytes) for op in reads if op.path == resolved.meta_path]
+        touched = {rec.section_ref[:2] for rec, _count in plan.entries}
+        assert len(table) == 2 + len(touched) and set(table[2:]) == touched
+        assert sum(n for _off, n in table) < len(backend._files[resolved.meta_path])
         data_reads = [op for op in reads if op.path.startswith("data/")]
         assert not [op for op in data_reads if op.offset + op.nbytes > tails[op.path]]
         selected = {rec.file_path for rec, _count in plan.entries}
@@ -187,7 +200,7 @@ class TestTraffic:
         raw = json.loads(ds.backend.read_file(ds.resolution().manifest_path))
         for entry in raw["checksums"].values():
             assert set(entry) <= {"payload_crc32", "prefixes", "codec"}
-        assert all(rec.section for rec in ds.metadata)
+        assert all(rec.section_ref for rec in ds.metadata)
 
 
 def chunk_list(section: bytes) -> list:
@@ -248,12 +261,23 @@ def json_trailers(backend: VirtualBackend) -> None:
         backend.write_file(path, with_trailer(backend.read_file(path), json_trailer(trailer)))
 
 
+def v5_table(table: SpatialMetadata) -> bytes:
+    """``table`` as writers before the table head encoded it: version 5,
+    every section inline after its record (the reference encoder of the
+    legacy form)."""
+    names = table.attr_names
+    body = struct.pack("<8sIIII", b"SPIOMETA", 5, len(table), len(names), 0)
+    body += pack_names(names)
+    body += b"".join(pack_record(rec, names, META_VERSION_CHUNKS) for rec in table)
+    return body + struct.pack("<4sI", b"MCRC", zlib.crc32(body))
+
+
 def make_legacy(backend: VirtualBackend) -> None:
     """Rewrite a classic dataset the way writers before table sections did:
     JSON trailers, a v3 table without sections, the chunk lists in the
     manifest entries."""
     json_trailers(backend)
-    meta = SpatialMetadata.read(backend)
+    meta = SpatialMetadata.read_whole(backend)
     manifest = Manifest.read(backend)
     for rec in meta.records:
         manifest.checksums[rec.file_path]["chunks"] = chunk_list(rec.section)
@@ -261,7 +285,7 @@ def make_legacy(backend: VirtualBackend) -> None:
     blob = meta.to_bytes()
     assert struct.unpack_from("<I", blob, 8)[0] == 3
     backend.write_file(META_PATH, blob)
-    manifest.spatial_meta_crc32 = zlib.crc32(blob)
+    manifest.spatial_meta_crc32 = table_crc32(blob)
     manifest.write(backend)
 
 
@@ -287,7 +311,7 @@ class TestLegacyDataset:
         compact_dataset(backend)
         ds = open_dataset(backend)
         assert ds.generation == 1
-        assert struct.unpack_from("<I", backend.read_file(ds.resolution().meta_path), 8)[0] == 5
+        assert struct.unpack_from("<I", backend.read_file(ds.resolution().meta_path), 8)[0] == 6
         assert all(ds.chunk_index(rec) is not None for rec in ds.metadata)
         assert scrub_dataset(Dataset(backend)).ok
         self.assert_answers(ds.reader(), oracle, pruned=True)
@@ -302,7 +326,8 @@ class TestLegacyDataset:
         run_mpi(fx.ranks, lambda comm: writer.append(comm, extra[comm.rank], decomp, backend))
         ds = open_dataset(backend)
         assert ds.generation == 1
-        carried = [rec for rec in ds.metadata if not rec.section]
+        table = SpatialMetadata.read_whole(backend, ds.resolution().meta_path)
+        carried = [rec for rec in table if not rec.section]
         assert carried and all(ds.chunk_index(rec) is not None for rec in carried)
         assert scrub_dataset(Dataset(backend)).ok
         oracle = Oracle([np.concatenate([*gens, *(b.data for b in extra)])])
@@ -353,12 +378,12 @@ SMALL = {columnar: small_dataset(columnar) for columnar in (False, True)}
 def commit_section(backend: VirtualBackend, index: int, section: bytes) -> None:
     """Swap record ``index``'s section and re-commit the table's CRC in the
     manifest: a CRC-valid table carrying ``section``."""
-    meta = SpatialMetadata.read(backend)
+    meta = SpatialMetadata.read_whole(backend)
     meta.records[index].section = section
     blob = meta.to_bytes()
     backend.write_file(META_PATH, blob)
     manifest = Manifest.read(backend)
-    manifest.spatial_meta_crc32 = zlib.crc32(blob)
+    manifest.spatial_meta_crc32 = table_crc32(blob)
     manifest.write(backend)
 
 
@@ -395,7 +420,7 @@ def assert_contained(backend: VirtualBackend, victim: str, original: VirtualBack
 
 
 def sections_of(backend: VirtualBackend) -> list[bytes]:
-    return [rec.section for rec in SpatialMetadata.read(backend)]
+    return [rec.section for rec in SpatialMetadata.read_whole(backend)]
 
 
 def landed(section: bytes, count: int, codec=None) -> FileChunkIndex:
@@ -421,7 +446,7 @@ class TestSectionFuzz:
     @pytest.mark.parametrize("value", ["0", "1", "huge"])
     def test_header_field_set_to_0_1_huge(self, columnar, field, value):
         backend = SMALL[columnar]
-        rec = SpatialMetadata.read(backend).records[0]
+        rec = SpatialMetadata.read_whole(backend).records[0]
         header = list(struct.unpack_from("<QII", rec.section))
         k = ("chunks", "attrs", "columns").index(field)
         huge = 2**64 - 1 if k == 0 else 2**32 - 1
@@ -445,7 +470,7 @@ class TestSectionFuzz:
 
     def test_table_framing_lies(self):
         backend = SMALL[False]
-        raw = bytearray(backend.read_file(META_PATH)[:-8])
+        raw = bytearray(v5_table(SpatialMetadata.read_whole(backend))[:-8])
         names_end = 24 + 4 + len("density")
         record = names_end + struct.calcsize("<QQQQ6d") + 16  # its section_len
         for size in (2**64 - 1, len(raw), 2**32):
@@ -457,7 +482,7 @@ class TestSectionFuzz:
     @pytest.mark.parametrize("columnar", [False, True])
     def test_non_monotone_and_overlapping_edits(self, columnar):
         backend = SMALL[columnar]
-        rec = SpatialMetadata.read(backend).records[1]
+        rec = SpatialMetadata.read_whole(backend).records[1]
         base = chunk_list(rec.section)
         edits = [
             lambda e: e[1].__setitem__(0, e[1][0] + 1),  # a gap
@@ -486,7 +511,7 @@ class TestSectionFuzz:
     )
     def test_random_byte_damage_in_a_crc_valid_table(self, columnar, record, flips):
         backend = SMALL[columnar]
-        rec = SpatialMetadata.read(backend).records[record]
+        rec = SpatialMetadata.read_whole(backend).records[record]
         section = bytearray(rec.section)
         for pos, mask in flips:
             section[(pos + FAULT_SEED) % len(section)] ^= mask
@@ -503,7 +528,7 @@ class TestSectionFuzz:
         """A last chunk grown past the chunk size still tiles — its own
         total, not the file's — so it must not set the grid repair rebuilds."""
         backend = SMALL[columnar]
-        rec = SpatialMetadata.read(backend).records[0]
+        rec = SpatialMetadata.read_whole(backend).records[0]
         index = FileChunkIndex.unpack(rec.section)
         index.counts[-1] = index.counts.max() + 1
         damaged = clone(backend)
@@ -513,7 +538,7 @@ class TestSectionFuzz:
     @pytest.mark.parametrize("columnar", [False, True])
     def test_crc_valid_section_that_disagrees_with_the_payload(self, columnar):
         backend = SMALL[columnar]
-        rec = SpatialMetadata.read(backend).records[1]
+        rec = SpatialMetadata.read_whole(backend).records[1]
         entry = chunk_list(rec.section)
         entry[0][3][1] += 0.125  # widen one chunk's hi: still valid
         landed(oracle_section(entry), rec.particle_count, "shuffle-zlib" if columnar else None)

@@ -64,6 +64,7 @@ from repro.format.datafile import (
     read_columnar_runs_into,
 )
 from repro.format.generations import resolve_generation
+from repro.format.metadata import SpatialMetadata
 from repro.io import VirtualBackend
 from repro.io.executor import executor_for
 from repro.io.faults import (
@@ -143,7 +144,8 @@ def data_paths(ds: Dataset) -> list[str]:
 def recorded_index(ds: Dataset, path: str) -> FileChunkIndex:
     """The chunk index ``path``'s spatial-table record carries (segment
     table included for columnar files), as recorded."""
-    rec = next(r for r in ds.metadata if r.file_path == path)
+    table = SpatialMetadata.read_whole(ds.backend, ds.resolution().meta_path)
+    rec = next(r for r in table if r.file_path == path)
     return FileChunkIndex.unpack(rec.section, path)
 
 

@@ -10,7 +10,6 @@ v3 files.
 """
 
 import os
-import zlib
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from repro.domain import Box
 from repro.format.chunks import FileChunkIndex
 from repro.format.datafile import TRAILER_FOOTER_BYTES
 from repro.format.manifest import Manifest
-from repro.format.metadata import SpatialMetadata
+from repro.format.metadata import SpatialMetadata, table_crc32
 from repro.io.executor import SerialExecutor, ThreadedExecutor
 from repro.io.faults import FaultInjectingBackend, FaultPlan
 from repro.obs.names import CACHE_HIT, CACHE_MISS
@@ -272,18 +271,18 @@ def recommit_section(backend, path: str, index: FileChunkIndex) -> None:
     """Replace ``path``'s chunk section in ``spatial.meta`` with ``index``
     and re-commit the table's CRC in the manifest: a CRC-valid table whose
     index says something else."""
-    meta = SpatialMetadata.read(backend)
+    meta = SpatialMetadata.read_whole(backend)
     rec = next(r for r in meta.records if r.file_path == path)
     rec.section = index.to_section()
     blob = meta.to_bytes()
     backend.write_file("spatial.meta", blob)
     m = Manifest.read(backend)
-    m.spatial_meta_crc32 = zlib.crc32(blob)
+    m.spatial_meta_crc32 = table_crc32(blob)
     m.write(backend)
 
 
 def section_index(backend, path: str) -> FileChunkIndex:
-    rec = next(r for r in SpatialMetadata.read(backend) if r.file_path == path)
+    rec = next(r for r in SpatialMetadata.read_whole(backend) if r.file_path == path)
     return FileChunkIndex.unpack(rec.section, path)
 
 

@@ -13,7 +13,6 @@ import os
 import random
 import threading
 import time
-import zlib
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from repro.domain import Box
 from repro.errors import AdmissionError, DeadlineExceededError, ServiceError
 from repro.format.chunks import FileChunkIndex, Runs
 from repro.format.manifest import Manifest
-from repro.format.metadata import META_PATH, SpatialMetadata
+from repro.format.metadata import META_PATH, SpatialMetadata, table_crc32
 from repro.io.executor import SerialExecutor, ThreadedExecutor
 from repro.io.faults import FaultInjectingBackend, FaultPlan, FaultSpec
 from repro.io.resilience import Deadline
@@ -461,12 +460,12 @@ def _query(draw, positions):
 def _commit_section(backend, index, section):
     """Swap record ``index``'s chunk section and re-commit the table's CRC
     in the manifest: a CRC-valid table carrying ``section``."""
-    meta = SpatialMetadata.read(backend)
+    meta = SpatialMetadata.read_whole(backend)
     meta.records[index].section = section
     blob = meta.to_bytes()
     backend.write_file(META_PATH, blob)
     manifest = Manifest.read(backend)
-    manifest.spatial_meta_crc32 = zlib.crc32(blob)
+    manifest.spatial_meta_crc32 = table_crc32(blob)
     manifest.write(backend)
 
 

@@ -179,7 +179,7 @@ class TestTrailerFuzz:
 
     def test_round_trip_and_one_encoder_with_the_table(self, columnar):
         backend = tcs.SMALL[columnar]
-        table = {r.file_path: r for r in SpatialMetadata.read(backend)}
+        table = {r.file_path: r for r in SpatialMetadata.read_whole(backend)}
         for path in [p for p in backend._files if p.startswith("data/")]:
             raw = backend.read_file(path)
             assert raw[-TRAILER_FOOTER_BYTES:][:4] == TRAILER_MAGIC
@@ -355,7 +355,7 @@ class TestLegacyMatrix:
         ds = open_dataset(backend)
         assert ds.generation == 1
         assert {magics(backend)[rec.file_path] for rec in ds.metadata} == {TRAILER_MAGIC}
-        assert all(rec.section for rec in ds.metadata)
+        assert all(rec.section_ref for rec in ds.metadata)
         assert scrub_dataset(Dataset(backend)).ok
         tcs.TestLegacyDataset.assert_answers(ds.reader(), Oracle(fixtures[name][1]), True)
 

@@ -410,7 +410,7 @@ class TestBaseGenerationIsReadOnce:
         assert ds.generation == 2
         assert ds.manifest.generation == 2
         assert reads_of(backend, generation_manifest_path(2)) == 1
-        assert reads_of(backend, generation_meta_path(2)) == 1
+        assert reads_of(backend, generation_meta_path(2)) == 2  # header, then head
         assert reads_of(backend, CURRENT_PATH) == 1
         # ... and the memoised manifest is the one resolution parsed.
         assert ds.manifest is ds.resolution().manifest
