@@ -13,11 +13,10 @@ import pytest
 
 from repro.core import SpatialReader, SpatialWriter, WriterConfig
 from repro.domain import Box, PatchDecomposition
-from repro.format.datafile import read_data_prefix
 from repro.io import VirtualBackend
 from repro.mpi import run_mpi
-from repro.particles import concatenate
 from repro.particles.dtype import MINIMAL_DTYPE
+from repro.query.engine import QueryPlan
 from repro.utils import Table
 from repro.viz import SplatRenderer, coverage, lod_radius_scale, normalized_rmse
 from repro.workloads import UintahWorkload
@@ -45,14 +44,11 @@ def jet_reader():
 
 def load_fraction(reader: SpatialReader, fraction: float):
     """The render state at a given budget: the head of every file."""
-    parts = []
-    for rec in reader.metadata:
-        count = int(round(rec.particle_count * fraction))
-        if count:
-            parts.append(
-                read_data_prefix(reader.backend, rec.file_path, reader.dtype, count)
-            )
-    return concatenate(parts)
+    return reader.execute(
+        QueryPlan(
+            [(rec, int(round(rec.particle_count * fraction))) for rec in reader.metadata]
+        )
+    )
 
 
 def test_fig09_quality_table(jet_reader, report, benchmark):

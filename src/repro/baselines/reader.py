@@ -13,9 +13,42 @@ import numpy as np
 from repro.dataset import Dataset
 from repro.domain.box import Box
 from repro.errors import DataFileError
-from repro.format.datafile import read_data_file
+from repro.format.chunks import FileChunkIndex
+from repro.format.datafile import (
+    DATA_VERSION_COLUMNAR,
+    HEADER_BYTES,
+    parse_data_header,
+    read_particle_runs_into,
+    read_recovery_trailer,
+)
 from repro.io.backend import FileBackend
 from repro.particles.batch import ParticleBatch, concatenate
+
+
+def read_whole_file(
+    backend: FileBackend, path: str, dtype: np.dtype, actor: int = -1
+) -> ParticleBatch:
+    """Every particle of one data file, with no table to size the read: the
+    count comes from the file's header and, for a columnar (v4) file, the
+    chunk index from its own recovery trailer.  A row file too short for
+    its header's count is refused before anything is allocated."""
+    size = backend.size(path)
+    head = backend.read_range(path, 0, min(HEADER_BYTES, size), actor=actor)
+    version, rec_size, count = parse_data_header(bytes(head), path)
+    index = None
+    if version >= DATA_VERSION_COLUMNAR and count:
+        trailer = read_recovery_trailer(backend, path, actor=actor)
+        index = FileChunkIndex.unpack(trailer.record.section, path).validated(
+            count, path, trailer.codec
+        )
+    elif HEADER_BYTES + count * rec_size > size:
+        raise DataFileError(
+            f"{path}: expected {HEADER_BYTES + count * rec_size} bytes for "
+            f"{count} particles, found {size}"
+        )
+    out = np.empty(count, dtype=dtype)
+    read_particle_runs_into(backend, path, dtype, index, ((0, count),), out, actor=actor)
+    return ParticleBatch(out)
 
 
 class UnstructuredReader:
@@ -40,8 +73,7 @@ class UnstructuredReader:
 
     def read_all(self) -> ParticleBatch:
         return concatenate(
-            read_data_file(self.backend, p, self.dtype, self.actor)
-            for p in self.paths
+            read_whole_file(self.backend, p, self.dtype, self.actor) for p in self.paths
         )
 
     def read_box(self, box: Box) -> ParticleBatch:
@@ -59,5 +91,5 @@ class UnstructuredReader:
         if not paths:
             return ParticleBatch(np.empty(0, dtype=self.dtype))
         return concatenate(
-            read_data_file(self.backend, p, self.dtype, self.actor) for p in paths
+            read_whole_file(self.backend, p, self.dtype, self.actor) for p in paths
         )

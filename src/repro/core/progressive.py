@@ -3,11 +3,14 @@
 A visualization application first shows a coarse subset, then streams in
 further levels in the background.  Because levels are *prefixes* of the same
 files, refining from level L to L+1 only reads the bytes between the two
-prefix lengths — nothing already loaded is re-read.
+prefix lengths — nothing already loaded is re-read (a columnar file re-reads
+at most the one chunk the previous level ended inside).
 
 :class:`ProgressiveReader` tracks, per file, how many particles have been
 consumed, and each :meth:`refine` call returns just the new slice (plus the
-running total).
+running total).  Each file's slice is one run of the dataset's one read
+(:func:`~repro.query.engine.read_entry_into`), under the dataset's retry
+policy and strict or degraded mode.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ import numpy as np
 from repro.core.lod import lod_prefix_counts, max_level
 from repro.core.reader import SpatialReader
 from repro.domain.box import Box
-from repro.errors import QueryError
-from repro.format.datafile import read_data_prefix
+from repro.errors import BackendError, FormatError, MetadataChecksumError, QueryError
+from repro.format.chunks import Runs
+from repro.obs.names import EV_PARTITION_SKIPPED
 from repro.particles.batch import ParticleBatch, concatenate
+from repro.query.engine import _skip_reason, read_entry_into
 
 
 @dataclass
@@ -103,26 +108,38 @@ class ProgressiveReader:
             base=self.reader.manifest.lod_base,
             scale=self.reader.manifest.lod_scale,
         )
-        new_batches: list[ParticleBatch] = []
+        ds = self.reader.dataset
+        new_batches: list[np.ndarray] = []
         for i, rec in enumerate(self.records):
             target = prefixes[self._index[id(rec)]]
             already = self._consumed[i]
             fresh = max(0, min(target, rec.particle_count) - already)
             if fresh == 0:
                 continue
-            new_batches.append(
-                read_data_prefix(
-                    self.reader.backend,
-                    rec.file_path,
-                    self.reader.dtype,
-                    fresh,
-                    offset_particles=already,
-                    actor=self.reader.actor,
-                )
-            )
             self._consumed[i] = already + fresh
+            dest = np.empty(fresh, dtype=ds.dtype)
+            try:
+                # The first slice is an LOD prefix and verifies as one.
+                got = read_entry_into(
+                    ds.backend, ds.dtype, rec, fresh,
+                    None if already == 0 else Runs.of(((already, fresh),)),
+                    dest, ds.recorder, ds.strict, ds.retry, ds.actor,
+                    ds.chunk_index(rec), ds.manifest.checksums.get(rec.file_path),
+                )
+            except (BackendError, FormatError) as exc:
+                if ds.strict or isinstance(exc, MetadataChecksumError):
+                    raise
+                ds.recorder.event(
+                    EV_PARTITION_SKIPPED,
+                    path=rec.file_path,
+                    box_id=rec.box_id,
+                    reason=_skip_reason(exc),
+                    error=str(exc),
+                )
+                continue
+            new_batches.append(dest[:got])
         if new_batches:
-            fresh_batch = concatenate(new_batches)
+            fresh_batch = ParticleBatch(np.concatenate(new_batches))
         else:
             fresh_batch = ParticleBatch(np.empty(0, dtype=self.reader.dtype))
         return RefinementStep(

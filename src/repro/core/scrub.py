@@ -942,13 +942,22 @@ def _verified_prefixes(logical, rec_size: int, recorded) -> list[list[int]]:
 
 
 def _donor_trailer(ds: Dataset, paths) -> RecoveryTrailer | None:
-    """The first recovery trailer among ``paths`` that reads and checksums
-    (ranged reads of the file's tail only): where dataset-wide facts come
-    from when the manifest or the table is lost."""
+    """The first recovery trailer among ``paths`` carrying the dataset facts
+    (dtype, LOD parameters, attribute names) most readable trailers share —
+    ranged reads of each file's tail only: where dataset-wide facts come
+    from when the manifest or the table is lost.  A tie goes to the facts
+    read first; files whose trailers disagree are then ``trailer-mismatch``
+    against what settles."""
+    votes: dict[tuple, list[RecoveryTrailer]] = {}
     for path in paths:
         with suppress(BackendError, DataFileError):
-            return ds.retry.call(read_recovery_trailer, ds.backend, path, recorder=ds.recorder)
-    return None
+            t = ds.retry.call(read_recovery_trailer, ds.backend, path, recorder=ds.recorder)
+            facts = (
+                repr(t.dtype_descr), t.lod_base, t.lod_scale, t.lod_heuristic,
+                t.lod_seed, t.attr_names,
+            )
+            votes.setdefault(facts, []).append(t)
+    return max(votes.values(), key=len)[0] if votes else None
 
 
 def _survey(ds: Dataset, report: ScrubReport) -> Survey:
@@ -1024,7 +1033,7 @@ def _survey(ds: Dataset, report: ScrubReport) -> Survey:
 
     # 5. Dataset-wide facts, settled once before any file is inspected:
     #    from the manifest and the table when they survived, else from the
-    #    first readable recovery trailer (identical across the files).
+    #    recovery trailers, by majority.
     donor = None
     if manifest is None or metadata is None:
         donor = _donor_trailer(ds, inventory)

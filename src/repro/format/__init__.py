@@ -21,8 +21,7 @@ from repro.format.datafile import (
     RecoveryTrailer,
     compute_file_checksums,
     prefix_checksum_boundaries,
-    read_data_file,
-    read_data_prefix,
+    read_particle_runs_into,
     read_recovery_trailer,
     write_data_file,
 )
@@ -43,8 +42,7 @@ __all__ = [
     "RecoveryTrailer",
     "data_file_name",
     "write_data_file",
-    "read_data_file",
-    "read_data_prefix",
+    "read_particle_runs_into",
     "read_recovery_trailer",
     "compute_file_checksums",
     "prefix_checksum_boundaries",

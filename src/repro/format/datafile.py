@@ -454,159 +454,22 @@ def _parse_header(raw: bytes, path: str, dtype: np.dtype) -> tuple[int, int]:
     return version, count
 
 
-def _reject_columnar(version: int, path: str) -> None:
-    """Row-oriented ranged primitives cannot interpret encoded segments."""
-    if version >= DATA_VERSION_COLUMNAR:
-        raise DataFileError(
-            f"{path}: columnar (v4) file requires a segment-aware read "
-            "(see read_columnar_runs_into)"
-        )
-
-
 def verify_data_footer(raw: bytes, path: str) -> None:
     """Check the v2+ CRC footer of a complete file image (header + records +
     footer, no trailer).  Shared with the repair subsystem's inspection."""
-    body, footer = raw[:-FOOTER_BYTES], raw[-FOOTER_BYTES:]
-    magic, stored = _FOOTER.unpack(footer)
+    _check_footer(raw[-FOOTER_BYTES:], zlib.crc32(raw[:-FOOTER_BYTES]), path)
+
+
+def _check_footer(footer, actual: int, path: str) -> None:
+    """A v2+ footer's magic, and its CRC32 against ``actual``."""
+    magic, stored = _FOOTER.unpack(bytes(footer))
     if magic != FOOTER_MAGIC:
         raise DataChecksumError(f"{path}: bad footer magic {magic!r}")
-    actual = zlib.crc32(body)
     if actual != stored:
         raise DataChecksumError(
             f"{path}: CRC32 mismatch — stored {stored:#010x}, "
             f"computed {actual:#010x}"
         )
-
-
-def read_data_file(
-    backend: FileBackend, path: str, dtype: np.dtype, actor: int = -1
-) -> ParticleBatch:
-    """Read every particle in ``path``, verifying the checksum footer (v2+).
-
-    Version gating of the length check: v1/v2 files must match the expected
-    byte count exactly, while v3 files may carry extra bytes past the footer
-    (the recovery trailer), which a plain read ignores.  Columnar (v4) files
-    are decoded through their trailer's segment table — every segment CRC is
-    verified — and return the same logical row batch a v3 file would.
-    """
-    raw = backend.read_file(path, actor=actor)
-    version, count = _parse_header(raw, path, dtype)
-    if version >= DATA_VERSION_COLUMNAR:
-        return _read_columnar_image(raw, path, dtype, count)
-    footer = FOOTER_BYTES if version >= 2 else 0
-    expected = HEADER_BYTES + count * dtype.itemsize + footer
-    if (len(raw) < expected) if version >= 3 else (len(raw) != expected):
-        raise DataFileError(
-            f"{path}: expected {expected} bytes for {count} particles, "
-            f"found {len(raw)}"
-        )
-    if version >= 2:
-        verify_data_footer(raw[:expected], path)
-    return ParticleBatch.frombuffer(raw[HEADER_BYTES : expected - footer], dtype)
-
-
-def read_data_prefix(
-    backend: FileBackend,
-    path: str,
-    dtype: np.dtype,
-    count: int,
-    offset_particles: int = 0,
-    actor: int = -1,
-) -> ParticleBatch:
-    """Read ``count`` particles starting at ``offset_particles``.
-
-    This is the LOD read primitive: because files are written in level-of-
-    detail order, a prefix *is* a coarse representation, and progressive
-    refinement reads the next slice without re-reading the previous one.
-
-    Ranged reads never touch the file footer, so they carry no whole-file
-    verification; callers holding the manifest's prefix checksums can verify
-    boundary-aligned prefixes (see :meth:`SpatialReader.execute`).
-    """
-    if count < 0 or offset_particles < 0:
-        raise DataFileError(
-            f"negative count/offset ({count}, {offset_particles}) for {path}"
-        )
-    header = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
-    _version, total = _parse_header(header, path, dtype)
-    _reject_columnar(_version, path)
-    if offset_particles + count > total:
-        raise DataFileError(
-            f"{path}: slice [{offset_particles}, {offset_particles + count}) "
-            f"exceeds particle count {total}"
-        )
-    if count == 0:
-        return ParticleBatch(np.empty(0, dtype=dtype))
-    start = HEADER_BYTES + offset_particles * dtype.itemsize
-    raw = backend.read_range(path, start, count * dtype.itemsize, actor=actor)
-    return ParticleBatch.frombuffer(raw, dtype)
-
-
-def read_data_file_into(
-    backend: FileBackend,
-    path: str,
-    dtype: np.dtype,
-    out: np.ndarray,
-    actor: int = -1,
-) -> int:
-    """Zero-copy :func:`read_data_file`: land the payload in ``out``.
-
-    ``out`` must be a contiguous structured array of exactly the file's
-    particle count; the payload is read straight into its buffer via
-    :meth:`FileBackend.readinto` — no whole-file bytes object is ever
-    materialised.  Verification is identical to :func:`read_data_file`
-    (header structure, byte length vs. the on-disk size, v2+ CRC footer),
-    with matching error messages, so the two paths are interchangeable to
-    every caller that inspects failures.  Returns the particle count.
-    """
-    size = backend.size(path)
-    if size < HEADER_BYTES:
-        raise DataFileError(f"{path}: truncated header ({size} bytes)")
-    # Speculative scatter-gather: the caller's ``out`` predicts the payload
-    # extent, so header, payload, and footer land in ONE readv (one open).
-    # When the on-disk size contradicts the prediction, fall back to a
-    # header-only read — the validation below then raises exactly the error
-    # the sized-read path would have.
-    buf = out.view(np.uint8)
-    header = bytearray(HEADER_BYTES)
-    payload = len(out) * dtype.itemsize
-    rem = size - HEADER_BYTES - payload
-    footer_buf = bytearray(FOOTER_BYTES) if rem >= FOOTER_BYTES else None
-    if rem == 0 or footer_buf is not None:
-        segments: list = [(0, header)]
-        if payload:
-            segments.append((HEADER_BYTES, buf))
-        if footer_buf is not None:
-            segments.append((HEADER_BYTES + payload, footer_buf))
-        backend.readv(path, segments, actor=actor)
-    else:
-        header[:] = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
-    version, count = _parse_header(bytes(header), path, dtype)
-    _reject_columnar(version, path)
-    footer = FOOTER_BYTES if version >= 2 else 0
-    expected = HEADER_BYTES + count * dtype.itemsize + footer
-    if (size < expected) if version >= 3 else (size != expected):
-        raise DataFileError(
-            f"{path}: expected {expected} bytes for {count} particles, "
-            f"found {size}"
-        )
-    if count != len(out):
-        raise DataFileError(
-            f"{path}: holds {count} particles, caller expected {len(out)}"
-        )
-    if version >= 2:
-        # The checks above passing guarantees the speculative layout was
-        # right, so the footer segment holds the real footer bytes.
-        magic, stored = _FOOTER.unpack(bytes(footer_buf))
-        if magic != FOOTER_MAGIC:
-            raise DataChecksumError(f"{path}: bad footer magic {magic!r}")
-        actual = zlib.crc32(buf, zlib.crc32(header))
-        if actual != stored:
-            raise DataChecksumError(
-                f"{path}: CRC32 mismatch — stored {stored:#010x}, "
-                f"computed {actual:#010x}"
-            )
-    return count
 
 
 def _readv_with_header(
@@ -633,128 +496,203 @@ def _readv_with_header(
     except TransientBackendError:
         raise
     except BackendError:
-        if end <= backend.size(path):
+        size = backend.size(path)
+        if end <= size:
             raise
+    if size < HEADER_BYTES:
+        raise DataFileError(f"{path}: truncated header ({size} bytes)")
     header[:] = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
     return False
 
 
-def read_data_prefix_into(
-    backend: FileBackend,
-    path: str,
-    dtype: np.dtype,
-    out: np.ndarray,
-    offset_particles: int = 0,
-    actor: int = -1,
-) -> int:
-    """Zero-copy :func:`read_data_prefix`: land ``len(out)`` particles
-    starting at ``offset_particles`` directly in ``out``'s buffer.
-
-    Same validation and error messages as :func:`read_data_prefix`, but
-    header and payload arrive via one :meth:`FileBackend.readv` (a single
-    open); like it, carries no whole-file verification.  A file too short
-    for the particles its header records raises.  Returns the particle
-    count read.
-    """
-    count = len(out)
-    if offset_particles < 0:
-        raise DataFileError(
-            f"negative count/offset ({count}, {offset_particles}) for {path}"
-        )
-    header = bytearray(HEADER_BYTES)
-    start = HEADER_BYTES + offset_particles * dtype.itemsize
-    nbytes = count * dtype.itemsize
-    landed = True
-    if nbytes:
-        landed = _readv_with_header(
-            backend, path, header, [(start, out.view(np.uint8))], start + nbytes, actor
-        )
-    else:
-        header[:] = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
-    _version, total = _parse_header(bytes(header), path, dtype)
-    _reject_columnar(_version, path)
-    if offset_particles + count > total:
-        raise DataFileError(
-            f"{path}: slice [{offset_particles}, {offset_particles + count}) "
-            f"exceeds particle count {total}"
-        )
-    if not landed:
-        raise DataFileError(
-            f"{path}: truncated before particle {offset_particles + count} "
-            f"of the {total} its header records"
-        )
-    return count
+#: Up to this many runs a row read is planned with Python ints; longer run
+#: lists go through numpy, whose per-call overhead pays off only there.
+_FEW_RUNS = 8
 
 
 def read_particle_runs_into(
     backend: FileBackend,
     path: str,
     dtype: np.dtype,
+    index,
     runs,
     out: np.ndarray,
+    *,
     actor: int = -1,
+    strict: bool = True,
+    skipped: list | None = None,
+    decode_stats: dict | None = None,
 ) -> int:
-    """Scatter-gather read of coalesced ``(start, count)`` particle runs.
+    """The one payload read: land the particle ``runs`` of ``path`` in ``out``.
 
-    The chunked read primitive: each run lands in the next ``count``
-    particles of ``out``, all runs gathered in one
-    :meth:`FileBackend.readv` (a single open serves the whole file).
-    Runs must be in ascending order and sum to ``len(out)``.  Like prefix
-    reads, run reads never see the file footer, so they carry no whole-file
-    verification — the chunk index they were planned from is validated
-    against the manifest instead.  Returns the particle count read.
+    ``runs`` are ascending, disjoint ``(start, count)`` particle runs; each
+    lands in the next ``count`` rows of ``out``, so they must sum to
+    ``len(out)``.  Every read shape is a run list:
+
+    * ``((0, n),)`` with ``n`` the header's count is the whole file: a row
+      file's v2+ CRC footer is checked, and v1/v2 files must be exactly
+      their expected size;
+    * ``((0, k),)`` is an LOD prefix, ``((a, k),)`` a progressive slice;
+    * many runs are the chunks a box or ``where`` query kept.
+
+    ``dtype`` is the file's full logical dtype (the header's record-size
+    guard); ``out`` may carry a projection of it.  ``index`` is the file's
+    :class:`~repro.format.chunks.FileChunkIndex`, or None.  An index with a
+    codec names a columnar (v4) file: only the projected columns' segments
+    of the chunks covering the runs are fetched, and runs that miss chunk
+    boundaries are trimmed out of the decoded chunks (see
+    :func:`_read_columnar`).  The header that lands must agree with the
+    layout the index names.
+
+    Header and payload arrive in one :meth:`FileBackend.readv` (one open);
+    a whole row file whose index predicts it lands its footer there too.
+    ``decode_stats`` (if given) receives ``vectorized_runs`` (payload
+    extents read) and ``bytes`` (payload bytes fetched) of the call that
+    succeeded — named to avoid the ``stats`` kwarg
+    :meth:`~repro.io.retry.RetryPolicy.call` consumes.
+    Empty runs read nothing.  Returns the particles delivered.
     """
-    runs = Runs.of(runs)
-    starts, counts = runs.starts, runs.counts
-    ends = starts + counts
-    negative = (starts < 0) | (counts < 0)
+    if skipped is not None:
+        skipped.clear()
+    projected = out.dtype != dtype
+    if projected:
+        for name in out.dtype.names or ():
+            if name not in (dtype.fields or {}):
+                raise DataFileError(
+                    f"{path}: projected field {name!r} is not in the file dtype"
+                )
+    if index is not None and index.codec is not None:
+        return _read_columnar(
+            backend, path, dtype, index, Runs.of(runs), out,
+            actor, strict, skipped, decode_stats,
+        )
+    # A row file lands whole records; a projection copies its fields out.
+    rows = np.empty(len(out), dtype=dtype) if projected else out
     itemsize = dtype.itemsize
-    header = bytearray(HEADER_BYTES)
-    # Header plus every run in one readv (one open), issued speculatively:
-    # the header it fetches is what the plan is validated against below.  A
-    # plan that cannot assemble valid segments (negative run, destination
-    # mismatch) or that runs past the end of the file takes the header-only
-    # read and raises from the same checks.
-    landed = True
-    if not negative.any() and runs.total == len(out):
-        dest = memoryview(out.view(np.uint8))
-        begins = runs.offsets * itemsize
+    # Each run's readv segment: its file offset and its destination bytes
+    # (a uint8 view is cheaper to make, a memoryview cheaper to slice).
+    # A negative run forms no valid segment: it is raised from the checks
+    # below, after the header, as is a run past the header's count.
+    if len(runs) <= _FEW_RUNS:
+        dest = np.frombuffer(rows, np.uint8)
+        segments, total, top, negative = [], 0, 0, False
+        for start, count in runs:
+            if count:
+                negative = negative or start < 0 or count < 0
+                segments.append(
+                    (HEADER_BYTES + start * itemsize,
+                     dest[total * itemsize : (total + count) * itemsize])
+                )
+                total += count
+                if start + count > top:
+                    top = start + count
+    else:
+        arr = Runs.of(runs)
+        dest = memoryview(rows.view(np.uint8))
+        lows = np.cumsum(arr.counts) * itemsize
         segments = [
             (offset, dest[lo:hi])
             for offset, lo, hi in zip(
-                (HEADER_BYTES + starts * itemsize).tolist(),
-                begins.tolist(),
-                (begins + counts * itemsize).tolist(),
+                (HEADER_BYTES + arr.starts * itemsize).tolist(),
+                (lows - arr.counts * itemsize).tolist(),
+                lows.tolist(),
             )
         ]
-        end = HEADER_BYTES + int(ends.max(initial=0)) * itemsize
+        total, top = arr.total, int((arr.starts + arr.counts).max())
+        negative = bool((arr.starts < 0).any() or (arr.counts < 0).any())
+    n = len(out)
+    if not segments and not n:
+        return 0
+    header = bytearray(HEADER_BYTES)
+    # One run from the head is the whole file or an LOD prefix.  A whole
+    # file the caller's index predicts (a validated index tiles the file:
+    # its last chunk ends at the count) lands its footer in the same readv;
+    # any other whole-file read fetches it once the header has said so.
+    head = len(segments) == 1 and segments[0][0] == HEADER_BYTES
+    indexed = None
+    if head and index is not None and len(index) and top > index.starts[-1]:
+        indexed = int(index.starts[-1] + index.counts[-1])
+    footer = None
+    if head and top == indexed:
+        footer = bytearray(FOOTER_BYTES)
+        segments.append((HEADER_BYTES + top * itemsize, footer))
+    landed = True
+    if not negative and total == n:
+        end = HEADER_BYTES + top * itemsize + (FOOTER_BYTES if footer is not None else 0)
         landed = _readv_with_header(backend, path, header, segments, end, actor)
     else:
-        header[:] = backend.read_range(path, 0, HEADER_BYTES, actor=actor)
-    _version, total = _parse_header(bytes(header), path, dtype)
-    _reject_columnar(_version, path)
-    outside = np.flatnonzero(negative | (ends > total))
-    if len(outside):
-        bad = outside[0]
+        _readv_with_header(backend, path, header, [], HEADER_BYTES, actor)
+    version, count = _parse_header(bytes(header), path, dtype)
+    if version >= DATA_VERSION_COLUMNAR:
         raise DataFileError(
-            f"{path}: run [{int(starts[bad])}, {int(ends[bad])}) exceeds "
-            f"particle count {total}"
+            f"{path}: columnar (v4) file read without its chunk index's "
+            "column segments"
         )
-    if runs.total > len(out):
+    if indexed is not None and count != indexed:
         raise DataFileError(
-            f"{path}: runs overflow destination of {len(out)} particles"
+            f"{path}: chunk index covers {indexed} particles, header says {count}"
         )
-    if runs.total != len(out):
+    if negative or top > count:
+        start, end = next(
+            (s, s + c) for s, c in runs if c and (s < 0 or c < 0 or s + c > count)
+        )
         raise DataFileError(
-            f"{path}: runs cover {runs.total} particles, destination holds "
-            f"{len(out)}"
+            f"{path}: run [{start}, {end}) exceeds particle count {count}"
         )
-    if not landed:
+    if total != n:
+        _check_fill(path, total, n)
+    if head and top == count:
+        _check_whole(backend, path, version, count, itemsize, header, segments, landed, actor)
+    elif not landed:
         raise DataFileError(
-            f"{path}: truncated before particle {int(ends.max())} of the "
-            f"{total} its header records"
+            f"{path}: truncated before particle {top} of the {count} its header records"
         )
-    return runs.total
+    if projected:
+        for name in out.dtype.names or ():
+            out[name] = rows[name]
+    if decode_stats is not None:
+        decode_stats["vectorized_runs"] = len(segments) - (footer is not None)
+        decode_stats["bytes"] = total * itemsize
+    return total
+
+
+def _check_fill(path: str, total: int, n: int) -> None:
+    """Runs must fill the destination of ``n`` particles exactly."""
+    if total > n:
+        raise DataFileError(f"{path}: runs overflow destination of {n} particles")
+    if total != n:
+        raise DataFileError(
+            f"{path}: runs cover {total} particles, destination holds {n}"
+        )
+
+
+def _check_whole(backend, path, version, count, itemsize, header, segments, landed, actor):
+    """The whole-file checks of a row read of every particle.
+
+    ``segments`` are the read's: the payload, then the footer if it was
+    predicted.  v1/v2 files must be exactly header + payload (+ footer),
+    v3+ files at least that long (the recovery trailer follows); a readv
+    that landed the footer proves the latter, anything else asks the
+    backend for the size.  Then the v2+ footer, over header and payload.
+    """
+    payload = count * itemsize
+    expected = HEADER_BYTES + payload + (FOOTER_BYTES if version >= 2 else 0)
+    predicted = len(segments) > 1
+    if version < 3 or not landed or not predicted:
+        size = backend.size(path)
+        if (size < expected) if version >= 3 else (size != expected):
+            raise DataFileError(
+                f"{path}: expected {expected} bytes for {count} particles, "
+                f"found {size}"
+            )
+        if not landed:  # a v1 file: the predicted footer lay past its end
+            backend.readv(path, segments[:1], actor=actor)
+    if version >= 2:
+        footer = (
+            segments[1][1] if predicted
+            else backend.read_range(path, HEADER_BYTES + payload, FOOTER_BYTES, actor=actor)
+        )
+        _check_footer(footer, zlib.crc32(segments[0][1], zlib.crc32(header)), path)
 
 
 # -- columnar payloads (format v4) ---------------------------------------------
@@ -943,131 +881,67 @@ def scan_columnar_segments(
     return bad
 
 
-def _read_columnar_image(
-    raw: bytes, path: str, dtype: np.dtype, count: int
-) -> ParticleBatch:
-    """Decode a complete v4 file image (the read_data_file slow path)."""
-    trailer = extract_recovery_trailer(raw, path)
-    if count and not trailer.record.section:
-        raise DataFileError(
-            f"{path}: columnar file trailer carries no chunk index"
-        )
-    index = FileChunkIndex.empty(trailer.codec)
-    if trailer.record.section:
-        index = FileChunkIndex.unpack(trailer.record.section, path).validated(
-            count, path, trailer.codec
-        )
-    enc_len = columnar_payload_length(index) if len(index) else 0
-    expected = HEADER_BYTES + enc_len + FOOTER_BYTES
-    if len(raw) < expected:
-        raise DataFileError(
-            f"{path}: expected {expected} bytes for {count} particles, "
-            f"found {len(raw)}"
-        )
-    verify_data_footer(raw[:expected], path)
-    arr = decode_columnar_payload(
-        raw[HEADER_BYTES : HEADER_BYTES + enc_len],
-        index,
-        trailer.codec or "none",
-        dtype,
-        path,
-    )
-    return ParticleBatch(arr)
-
-
-def _chunks_of_runs(index, runs: Runs, path: str) -> np.ndarray:
-    """Ids of the chunks that tile ``runs``, in run order.
-
-    The index tiles the payload, so a run is chunk-aligned iff both its
-    ends are chunk boundaries — two ``searchsorted`` calls for all runs.
-    """
-    edges = np.append(index.starts, index.total_particles)
-    ends = runs.starts + runs.counts
-    first = np.searchsorted(edges, runs.starts)
-    last = np.searchsorted(edges, ends)
-    aligned = (
-        (edges.take(first, mode="clip") == runs.starts)
-        & (edges.take(last, mode="clip") == ends)
-        & (first < last)
-    )
-    if not aligned.all():
-        bad = int(np.flatnonzero(~aligned)[0])
-        raise DataFileError(
-            f"{path}: run [{int(runs.starts[bad])}, {int(ends[bad])}) is not "
-            "aligned to chunk boundaries"
-        )
-    return concat_ranges(first, last - first)
-
-
-def read_columnar_runs_into(
+def _read_columnar(
     backend: FileBackend,
     path: str,
     dtype: np.dtype,
     index,
-    runs,
+    runs: Runs,
     out: np.ndarray,
-    actor: int = -1,
-    strict: bool = True,
-    skipped: list | None = None,
-    decode_stats: dict | None = None,
+    actor: int,
+    strict: bool,
+    skipped: list | None,
+    decode_stats: dict | None,
 ) -> int:
-    """Projected scatter-gather read of a columnar (v4) file.
+    """:func:`read_particle_runs_into` for a columnar (v4) file.
 
-    The v4 counterpart of :func:`read_particle_runs_into`: ``runs`` are
-    chunk-aligned ``(start, count)`` particle runs, ``index`` the file's
-    :class:`~repro.format.chunks.FileChunkIndex` carrying segment
-    descriptors and the codec name, and ``out`` a structured destination
-    whose fields select which columns are fetched (*attribute projection* —
-    only the segments of fields present in ``out.dtype`` are read at all).
-    ``dtype`` is the file's full logical dtype (the header guard).
-
-    Header plus every needed segment arrive in one :meth:`FileBackend.readv`
-    (a single open) into one landing buffer, and file-adjacent segments are
-    **coalesced** first: the needed segments of a contiguous chunk run form
-    one extent on disk (the writer lays a chunk's columns out back-to-back),
-    so a whole run arrives as a single ``readv`` segment.  Every segment is
-    then CRC32-verified and inflated on its own — the steps that can fail
-    per segment — while the byte unshuffle and the scatter into ``out`` run
-    once per column over each stretch of equal-sized chunks
-    (:meth:`~repro.format.codecs.Codec.decode_run`).  All of it happens
-    here, in the caller's thread — the reader submits this function as an
-    executor task, which is what moves decode work off the submitting
-    thread.  ``decode_stats`` (if given) receives ``vectorized_runs``
-    (coalesced extents read) and ``bytes`` (encoded bytes fetched) — the
-    ``decode.*`` obs counters.  (Named to avoid the ``stats`` kwarg
-    :meth:`~repro.io.retry.RetryPolicy.call` consumes when this function
-    runs under a retry policy.)
+    The runs are rounded out to the chunks that cover them, and only the
+    segments of fields present in ``out.dtype`` are read at all (attribute
+    projection).  Header plus every needed segment arrive in one
+    :meth:`FileBackend.readv` into one landing buffer, and file-adjacent
+    segments are **coalesced** first: the writer lays a chunk's columns
+    out back to back, so a contiguous chunk run arrives as one ``readv``
+    segment.  Every segment is then CRC32-verified and inflated on its
+    own — the steps that can fail per segment — while the byte unshuffle
+    and the scatter run once per column over each stretch of equal-sized
+    chunks (:meth:`~repro.format.codecs.Codec.decode_run`).  Runs that
+    miss chunk boundaries decode their covering chunks into a scratch and
+    are trimmed out of it.
 
     With ``strict=False`` a segment that fails its CRC (or decode) drops
-    only its *chunk*: surviving chunks pack to the front of ``out`` and the
-    damaged ones are appended to ``skipped`` as ``(chunk, column, detail)``.
-    Returns the number of particles delivered.
+    only its *chunk*: surviving rows pack to the front of ``out`` and the
+    damaged chunks are appended to ``skipped`` as ``(chunk, column,
+    detail)``.
     """
-    if skipped is not None:
-        skipped.clear()
-    if index.segments is None or index.codec is None:
+    if index.segments is None:
         raise DataFileError(f"{path}: chunk index carries no column segments")
     codec = get_codec(index.codec)
     cols = columnar_columns(dtype)
-    fields = {col.field for col in cols}
     names = out.dtype.names or ()
-    for name in names:
-        if name not in fields:
-            raise DataFileError(
-                f"{path}: projected field {name!r} is not in the file dtype"
-            )
     need_ids = [j for j, col in enumerate(cols) if col.field in names]
     need = [cols[j] for j in need_ids]
-    sel = _chunks_of_runs(index, Runs.of(runs), path)
-    counts = index.counts[sel]
-    expected = int(counts.sum())
-    if expected != len(out):
+    total = index.total_particles
+    ends = runs.starts + runs.counts
+    outside = np.flatnonzero((runs.starts < 0) | (ends < runs.starts) | (ends > total))
+    if len(outside):
+        bad = int(outside[0])
         raise DataFileError(
-            f"{path}: runs cover {expected} particles, destination holds "
-            f"{len(out)}"
+            f"{path}: run [{int(runs.starts[bad])}, {int(ends[bad])}) exceeds "
+            f"particle count {total}"
         )
+    _check_fill(path, runs.total, len(out))
+    if not runs.total:
+        return 0
+    # The chunks covering the runs, each once (runs may share a chunk).
+    edges = np.append(index.starts, total)
+    first = np.searchsorted(edges, runs.starts, side="right") - 1
+    sel = concat_ranges(first, np.searchsorted(edges, ends, side="left") - first)
+    sel = sel[np.append(True, sel[1:] != sel[:-1])]
+    counts = index.counts[sel]
+    covered = int(counts.sum())
+    target = out if covered == runs.total else np.empty(covered, dtype=out.dtype)
     table = index.segment_table
-    if len(sel) and table.shape[1] != len(cols):
+    if table.shape[1] != len(cols):
         raise DataFileError(
             f"{path}: chunk {int(sel[0])} has {table.shape[1]} segments for "
             f"{len(cols)} columns"
@@ -1086,8 +960,7 @@ def read_columnar_runs_into(
     nbytes = int(lens.sum())
     landing = memoryview(bytearray(nbytes))
     header = bytearray(HEADER_BYTES)
-    segments: list = [(0, header)]
-    segments += [
+    segments = [
         (offset, landing[lo:hi])
         for offset, lo, hi in zip(
             (HEADER_BYTES + offs[ext]).tolist(),
@@ -1095,22 +968,24 @@ def read_columnar_runs_into(
             np.append(begins[ext[1:]], nbytes).tolist(),
         )
     ]
-    backend.readv(path, segments, actor=actor)
-    if decode_stats is not None:
-        decode_stats["vectorized_runs"] = (
-            decode_stats.get("vectorized_runs", 0) + len(ext)
-        )
-        decode_stats["bytes"] = decode_stats.get("bytes", 0) + nbytes
-    version, total = _parse_header(bytes(header), path, dtype)
+    end = HEADER_BYTES + int((offs + lens).max(initial=0))
+    landed = _readv_with_header(backend, path, header, segments, end, actor)
+    version, count = _parse_header(bytes(header), path, dtype)
     if version < DATA_VERSION_COLUMNAR:
         raise DataFileError(
             f"{path}: expected a columnar (v4) file, found version {version}"
         )
-    if total != index.total_particles:
+    if count != total:
         raise DataFileError(
-            f"{path}: chunk index covers {index.total_particles} particles, "
-            f"header says {total}"
+            f"{path}: chunk index covers {total} particles, header says {count}"
         )
+    if not landed:
+        raise DataFileError(
+            f"{path}: truncated before the segments its chunk index records"
+        )
+    if decode_stats is not None:
+        decode_stats["vectorized_runs"] = len(ext)
+        decode_stats["bytes"] = nbytes
     # Pass 1, per segment: verify, inflate.  A failure costs its chunk.
     raw_lens = counts[:, None] * np.array([col.nbytes for col in need])
     inflated: list = []
@@ -1149,7 +1024,7 @@ def read_columnar_runs_into(
     if skipped is not None:
         skipped.extend(lost.values())
     # Pass 2, per column per stretch of equal-sized surviving chunks: one
-    # unshuffle and one scatter.  Survivors pack to the head of ``out``.
+    # unshuffle and one scatter.  Survivors pack to the head of ``target``.
     keep = np.delete(np.arange(len(sel)), list(lost))
     if not len(keep):
         return 0
@@ -1163,10 +1038,18 @@ def read_columnar_runs_into(
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             n = int(kept[lo]) * (hi - lo)
             _column_scatter(
-                out, pos, n, col, codec.decode_run(parts[lo:hi], col.itemsize)
+                target, pos, n, col, codec.decode_run(parts[lo:hi], col.itemsize)
             )
             pos += n
-    return int(kept.sum())
+    if target is out:
+        return int(kept.sum())
+    # Trim: keep the decoded rows (by file position) that some run names.
+    rows = concat_ranges(index.starts[sel[keep]], kept)
+    at = np.searchsorted(runs.starts, rows, side="right") - 1
+    inside = (at >= 0) & (rows < ends[at])
+    got = int(np.count_nonzero(inside))
+    out[:got] = target[: len(rows)][inside]
+    return got
 
 
 # -- prefix checksums ----------------------------------------------------------

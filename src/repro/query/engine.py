@@ -59,12 +59,7 @@ from repro.errors import (
     TransientBackendError,
 )
 from repro.format.chunks import Runs
-from repro.format.datafile import (
-    read_columnar_runs_into,
-    read_data_file_into,
-    read_data_prefix_into,
-    read_particle_runs_into,
-)
+from repro.format.datafile import read_particle_runs_into
 from repro.format.metadata import MetadataRecord
 from repro.io.backend import FileBackend
 from repro.io.resilience import Deadline, current_deadline, deadline_scope
@@ -90,6 +85,10 @@ __all__ = [
     "StagedReads",
     "QueryEngine",
 ]
+
+# The traced pass (benchmarks/e2e/trace.py::WRAPS) still names the readers the
+# one reader replaced; they alias it until WRAPS goes (ROADMAP item 6(a)).
+read_data_file_into = read_data_prefix_into = read_columnar_runs_into = read_particle_runs_into
 
 
 @dataclass
@@ -169,17 +168,19 @@ class QueryPlan:
         """
         if self.attrs is None:
             return full_dtype
-        keep = {"position", *self.attrs, *self.where}
-        fields: list[tuple] = []
-        for name in full_dtype.names or ():
-            if name not in keep:
-                continue
+        return project_dtype(full_dtype, {"position", *self.attrs, *self.where})
+
+
+def project_dtype(full_dtype: np.dtype, keep) -> np.dtype:
+    """``full_dtype`` cut down to the fields named in ``keep``, in file order."""
+    if set(keep) >= set(full_dtype.names or ()):
+        return full_dtype
+    fields: list[tuple] = []
+    for name in full_dtype.names or ():
+        if name in keep:
             sub = full_dtype.fields[name][0]  # type: ignore[index]
-            if sub.shape:
-                fields.append((name, sub.base, sub.shape))
-            else:
-                fields.append((name, sub.base))
-        return np.dtype(fields)
+            fields.append((name, sub.base, sub.shape) if sub.shape else (name, sub.base))
+    return np.dtype(fields)
 
 
 #: Historic name — the plan predates its extraction into the engine.
@@ -437,7 +438,7 @@ class StagedReads:
         if (
             staged is None
             # LOD prefix entry: never staged (prefix checksum verification
-            # and columnar boundary rounding belong to the direct path).
+            # belongs to the direct path).
             or (runs is None and count < rec.particle_count)
             or not set(names) <= set(staged.buf.dtype.names or ())
         ):
@@ -544,136 +545,51 @@ def read_entry_into(
     """Read one plan entry directly into its slice of the result.
 
     The module-level core of :meth:`QueryEngine.run`'s per-entry task:
-    everything it needs arrives as arguments (backend, dtype, the entry's
-    memoized chunk ``index``, the manifest ``checksum_entry`` for prefix
-    verification), so the *same* function serves the serial path, executor
-    worker threads, and — because every argument is picklable — worker
-    *processes* (see the engine's process-task descriptors).
-
-    ``dest`` is the entry's preallocated destination (sized to ``count``
-    particles, or to the run total when ``runs`` prunes the file); the
-    whole multi-op read runs under one retry call so a transient fault
-    costs exactly one retry, as on the legacy one-op path.  ``recorder``
-    is the entry's child recorder when run on an executor; retry and
-    verification events land there and are merged back in plan order by
-    :meth:`QueryEngine.run`.  Returns the particles delivered.
-
-    ``dest`` may carry a *projected* dtype (a field subset of the file
-    dtype).  Columnar (v4) files then fetch only the projected columns'
-    segments; row files read whole records into a scratch buffer and
-    copy the projected fields out.  Columnar files are detected by the
-    chunk index carrying a codec and always route through
-    :func:`read_columnar_runs_into` — in non-strict mode that read can
-    *degrade at chunk granularity*: surviving chunks are packed at the
-    head of ``dest``, each lost chunk is logged as an
-    ``EV_CHUNK_SKIPPED`` event, and the packed count is returned.
-
-    Vectorized decode accounting lands on ``recorder`` as
-    ``decode.vectorized_runs`` (coalesced extents for columnar files,
-    gathered runs for row files), keyed by path.
+    everything it needs arrives as arguments (the entry's memoized chunk
+    ``index``, the manifest ``checksum_entry`` for prefix verification), so
+    the same function serves the serial path, executor threads and worker
+    processes.  ``dest`` is sized to the entry's ``runs`` or, without runs,
+    to its head of ``count`` particles (the whole file or an LOD prefix),
+    and may carry a projected dtype.  The entry is one
+    :func:`~repro.format.datafile.read_particle_runs_into` call under one
+    retry call, so a transient fault costs exactly one retry.  A degraded
+    columnar read delivers fewer particles than ``dest`` holds (survivors
+    packed at its head) and logs each lost chunk as ``EV_CHUNK_SKIPPED``.
+    Retry, verification and ``decode.vectorized_runs`` records land on
+    ``recorder`` (the entry's child recorder on an executor).  Returns the
+    particles delivered.
     """
-    if runs is not None and not len(runs):
-        return 0  # file intersects the box, but no chunk does
-    if index is not None and index.codec is not None:
-        # Columnar file: runs and whole-file reads are chunk-aligned by
-        # construction.  LOD prefix counts are apportioned globally and
-        # can land mid-chunk, so a prefix read rounds up to the covering
-        # chunk boundary, decodes into a scratch, and trims.
-        prefix = runs is None and count < rec.particle_count
-        if prefix:
-            if count == 0:
-                return 0
-            ends = np.asarray(index.starts) + np.asarray(index.counts)
-            pos = int(np.searchsorted(ends, count, side="left"))
-            aligned = int(ends[min(pos, len(ends) - 1)])
-            eff_runs = ((0, aligned),)
-            target = np.empty(aligned, dtype=dest.dtype)
-        else:
-            eff_runs = runs if runs is not None else ((0, count),)
-            target = dest
-        skipped: list[tuple[int, str, str]] = []
-        decode_stats: dict = {}
-        got = retry.call(
-            read_columnar_runs_into,
-            backend,
-            rec.file_path,
-            dtype,
-            index,
-            eff_runs,
-            target,
-            actor=actor,
-            strict=strict,
-            skipped=skipped,
-            decode_stats=decode_stats,
-            recorder=recorder,
+    skipped: list[tuple[int, str, str]] = []
+    decode_stats: dict = {}
+    got = retry.call(
+        read_particle_runs_into,
+        backend,
+        rec.file_path,
+        dtype,
+        index,
+        ((0, count),) if runs is None else runs,
+        dest,
+        actor=actor,
+        strict=strict,
+        skipped=skipped,
+        decode_stats=decode_stats,
+        recorder=recorder,
+    )
+    if decode_stats.get("vectorized_runs"):
+        recorder.add(
+            DECODE_VECTORIZED_RUNS, decode_stats["vectorized_runs"], key=(rec.file_path,)
         )
-        if decode_stats.get("vectorized_runs"):
-            recorder.add(
-                DECODE_VECTORIZED_RUNS,
-                decode_stats["vectorized_runs"],
-                key=(rec.file_path,),
-            )
-        if prefix:
-            got = min(count, got)
-            dest[:got] = target[:got]
-        for ci, column, error in skipped:
-            recorder.event(
-                EV_CHUNK_SKIPPED,
-                path=rec.file_path,
-                box_id=rec.box_id,
-                chunk=ci,
-                column=column,
-                error=error,
-            )
-        if (
-            runs is None
-            and count < rec.particle_count
-            and not skipped
-            and dest.dtype == dtype
-        ):
-            verify_prefix(rec.file_path, dest, recorder, checksum_entry)
-        return got
-    projected = dest.dtype != dtype
-    scratch = np.empty(len(dest), dtype=dtype) if projected else dest
-    if runs is not None:
-        got = retry.call(
-            read_particle_runs_into,
-            backend,
-            rec.file_path,
-            dtype,
-            runs,
-            scratch,
-            actor=actor,
-            recorder=recorder,
+    for ci, column, error in skipped:
+        recorder.event(
+            EV_CHUNK_SKIPPED,
+            path=rec.file_path,
+            box_id=rec.box_id,
+            chunk=ci,
+            column=column,
+            error=error,
         )
-        recorder.add(DECODE_VECTORIZED_RUNS, len(runs), key=(rec.file_path,))
-    elif count == rec.particle_count:
-        got = retry.call(
-            read_data_file_into,
-            backend,
-            rec.file_path,
-            dtype,
-            scratch,
-            actor=actor,
-            recorder=recorder,
-        )
-        recorder.add(DECODE_VECTORIZED_RUNS, 1, key=(rec.file_path,))
-    else:
-        retry.call(
-            read_data_prefix_into,
-            backend,
-            rec.file_path,
-            dtype,
-            scratch,
-            actor=actor,
-            recorder=recorder,
-        )
-        recorder.add(DECODE_VECTORIZED_RUNS, 1, key=(rec.file_path,))
-        verify_prefix(rec.file_path, scratch, recorder, checksum_entry)
-        got = count
-    if projected:
-        for name in dest.dtype.names or ():
-            dest[name] = scratch[name]
+    if runs is None and count < rec.particle_count and got == count and dest.dtype == dtype:
+        verify_prefix(rec.file_path, dest, recorder, checksum_entry)
     return got
 
 

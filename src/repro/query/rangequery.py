@@ -4,18 +4,24 @@ The paper plans (§3.5) to extend the metadata with per-region scalar
 extrema "to narrow down range-queries on these non-spatial attributes
 (e.g., density, pressure or temperature)".  Our metadata format carries
 that index when the writer is configured with ``attr_index=(...)``;
-``range_query`` uses it to skip files whose [min, max] cannot overlap the
-requested interval, then filters exactly.
+``range_query`` plans through the query engine with a ``where`` range, so
+files *and* chunks whose [min, max] cannot overlap the requested interval
+are skipped before any I/O, then filters exactly.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.reader import SpatialReader
+from repro.domain.box import Box
 from repro.errors import QueryError
-from repro.format.datafile import read_data_file
-from repro.particles.batch import ParticleBatch, concatenate
+from repro.particles.batch import ParticleBatch
+
+#: Holds every finite position: a range query has no spatial constraint.
+_EVERYWHERE = Box(np.full(3, -np.finfo(np.float64).max), np.full(3, np.finfo(np.float64).max))
 
 
 def range_query(
@@ -32,23 +38,11 @@ def range_query(
     """
     if hi < lo:
         raise QueryError(f"range query needs lo <= hi, got [{lo}, {hi}]")
-    if attr not in (reader.dtype.names or ()):
-        raise QueryError(f"{attr!r} is not a field of {reader.dtype}")
+    where = {attr: (lo, hi)}
     if use_index:
-        records = reader.metadata.files_in_attr_range(attr, lo, hi)
-    else:
-        records = [r for r in reader.metadata.records if r.particle_count > 0]
-    batches = []
-    for rec in records:
-        if rec.particle_count == 0:
-            continue
-        batch = read_data_file(reader.backend, rec.file_path, reader.dtype, reader.actor)
-        col = np.asarray(batch.data[attr], dtype=np.float64)
-        mask = (col >= lo) & (col <= hi)
-        batches.append(ParticleBatch(batch.data[mask]))
-    if not batches:
-        return ParticleBatch(np.empty(0, dtype=reader.dtype))
-    return concatenate(batches)
+        return reader.execute(reader.plan_box_read(_EVERYWHERE, where=where), exact=True)
+    _attrs, where = reader._normalize_projection(None, where)
+    return reader.execute(replace(reader.plan_full_read(), where=where))
 
 
 def files_pruned_by_index(reader: SpatialReader, attr: str, lo: float, hi: float) -> int:

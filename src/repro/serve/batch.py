@@ -19,9 +19,9 @@ Bit-identical by construction
 Parity with serial execution is not checked after the fact; it falls out
 of how the stage is built and read:
 
-* the staged read uses the **same decode path** a direct read would
-  (``read_columnar_runs_into`` for v4, ``read_data_file_into`` /
-  ``read_particle_runs_into`` for rows), under the engine's own retry
+* the staged read is the **same one read** a direct read makes
+  (:func:`~repro.format.datafile.read_particle_runs_into`, the merged
+  runs in place of each query's own), under the engine's own retry
   policy, with ``strict=True`` — the bytes landing in the stage are the
   bytes a serial read would have produced, or the file is not staged;
 * each query run is provably contained in exactly one merged run (a
@@ -40,8 +40,7 @@ of how the stage is built and read:
 
 Demand rules: a file is staged only when two or more distinct queries
 want it (staging a single-reader file would just add a copy); the merged
-dtype is the union of the demanding queries' projected fields (row files
-always decode full records, as their direct reads do).
+dtype is the union of the demanding queries' projected fields.
 """
 
 from __future__ import annotations
@@ -49,16 +48,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.format.chunks import Runs
-from repro.format.datafile import (
-    read_columnar_runs_into,
-    read_data_file_into,
-    read_particle_runs_into,
-)
+from repro.format.datafile import read_particle_runs_into
 from repro.format.metadata import MetadataRecord
 from repro.obs.recorder import Recorder
-from repro.query.engine import QueryEngine, QueryPlan, QueryResult, StagedReads
+from repro.query.engine import (
+    QueryEngine,
+    QueryPlan,
+    QueryResult,
+    StagedReads,
+    project_dtype,
+)
 
 __all__ = ["stage_plans", "execute_batch", "merge_runs"]
+
+# The traced pass (benchmarks/e2e/trace.py::WRAPS) still names the readers the
+# one reader replaced; they alias it until WRAPS goes (ROADMAP item 6(a)).
+read_data_file_into = read_columnar_runs_into = read_particle_runs_into
 
 
 def merge_runs(runs) -> Runs:
@@ -80,27 +85,6 @@ def merge_runs(runs) -> Runs:
     first = np.flatnonzero(opens)
     merged = starts[first]
     return Runs(merged, reach[np.append(first[1:] - 1, len(starts) - 1)] - merged)
-
-
-def _union_dtype(
-    full_dtype: np.dtype, field_sets: list[tuple[str, ...]]
-) -> np.dtype:
-    """The union of the demanding queries' projected fields, in file order."""
-    keep = set()
-    for names in field_sets:
-        keep.update(names)
-    if keep >= set(full_dtype.names or ()):
-        return full_dtype
-    fields: list[tuple] = []
-    for name in full_dtype.names or ():
-        if name not in keep:
-            continue
-        sub = full_dtype.fields[name][0]  # type: ignore[index]
-        if sub.shape:
-            fields.append((name, sub.base, sub.shape))
-        else:
-            fields.append((name, sub.base))
-    return np.dtype(fields)
 
 
 def _demand_for(plan: QueryPlan, exact: bool) -> list[tuple[MetadataRecord, Runs]]:
@@ -162,53 +146,20 @@ def stage_plans(
             )
         )
         index = engine.dataset.chunk_index(rec)
-        columnar = index is not None and getattr(index, "codec", None) is not None
+        union = {name for names in field_sets for name in names}
+        buf = np.empty(merged.total, dtype=project_dtype(full_dtype, union))
         try:
-            if columnar:
-                buf = np.empty(
-                    merged.total, dtype=_union_dtype(full_dtype, field_sets)
-                )
-                discard: list[tuple[int, str, str]] = []
-                engine.retry.call(
-                    read_columnar_runs_into,
-                    engine.backend,
-                    path,
-                    full_dtype,
-                    index,
-                    merged,
-                    buf,
-                    actor=engine.actor,
-                    strict=True,
-                    skipped=discard,
-                    recorder=recorder,
-                )
-            else:
-                # Row files decode whole records whatever the projection,
-                # exactly as their direct reads do.
-                buf = np.empty(merged.total, dtype=full_dtype)
-                if merged == ((0, rec.particle_count),):
-                    # Whole file: use the footer-verifying read, the same
-                    # primitive a direct whole-file read runs.
-                    engine.retry.call(
-                        read_data_file_into,
-                        engine.backend,
-                        path,
-                        full_dtype,
-                        buf,
-                        actor=engine.actor,
-                        recorder=recorder,
-                    )
-                else:
-                    engine.retry.call(
-                        read_particle_runs_into,
-                        engine.backend,
-                        path,
-                        full_dtype,
-                        merged,
-                        buf,
-                        actor=engine.actor,
-                        recorder=recorder,
-                    )
+            engine.retry.call(
+                read_particle_runs_into,
+                engine.backend,
+                path,
+                full_dtype,
+                index,
+                merged,
+                buf,
+                actor=engine.actor,
+                recorder=recorder,
+            )
         except Exception:  # noqa: BLE001 — any failure degrades to direct reads
             continue
         staged.stage(path, merged, buf)

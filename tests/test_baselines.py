@@ -9,6 +9,7 @@ from repro.baselines import (
     SharedFileWriter,
     UnstructuredReader,
 )
+from repro.baselines.reader import read_whole_file
 from repro.baselines.shared import SHARED_FILE_PATH
 from repro.domain import Box, PatchDecomposition
 from repro.errors import ConfigError, RankFailedError
@@ -96,14 +97,12 @@ class TestRankOrderSubfiling:
 
     def test_no_spatial_locality_in_files(self):
         """Rank-grouped files span nearly the whole domain (Fig. 1 middle)."""
-        from repro.format.datafile import read_data_file
-
         backend, decomp, _ = run_baseline(
             RankOrderSubfilingWriter(num_files=4), nprocs=8, count=200
         )
         reader = UnstructuredReader(backend)
         for path in reader.paths:
-            batch = read_data_file(backend, path, MINIMAL_DTYPE)
+            batch = read_whole_file(backend, path, MINIMAL_DTYPE)
             bb = batch.bounding_box()
             # Each file covers most of the domain, not a compact sub-box.
             assert bb.volume > 0.2 * DOMAIN.volume

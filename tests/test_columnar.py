@@ -61,7 +61,7 @@ from repro.format.datafile import (
     columnar_columns,
     columnar_payload_length,
     decode_columnar_payload,
-    read_columnar_runs_into,
+    read_particle_runs_into,
 )
 from repro.format.generations import resolve_generation
 from repro.format.metadata import SpatialMetadata
@@ -668,7 +668,7 @@ class RunFile:
         total = sum(c for _s, c in runs)
         out = np.empty(total, dtype=out_dtype)
         skipped: list = []
-        got = read_columnar_runs_into(
+        got = read_particle_runs_into(
             self.backend, self.path, RUN_DTYPE, self.index(), runs, out,
             strict=strict, skipped=skipped,
         )
@@ -699,19 +699,29 @@ class TestRunDecode:
             assert skipped == []
             assert np.array_equal(got, f.rows_of(rows, ids, out_dtype))
 
-    def test_misaligned_and_overflowing_runs_are_rejected(self, codec):
+    def test_misaligned_runs_round_out_and_overflowing_runs_are_rejected(self, codec):
+        """Runs that miss chunk boundaries decode their covering chunks and
+        are trimmed to exactly the rows they name; runs past the count and
+        destinations of the wrong size still raise."""
         f = RunFile(codec)
-        with pytest.raises(DataFileError, match="not aligned"):
-            f.read([(1, f.chunks[0][1])], RUN_DTYPE)
-        with pytest.raises(DataFileError, match="not aligned"):
-            f.read([(0, f.chunks[0][1] - 1)], RUN_DTYPE)
-        with pytest.raises(DataFileError, match="not aligned"):
-            f.read([(0, f.rec.particle_count + 1)], RUN_DTYPE)
-        out = np.empty(3, dtype=RUN_DTYPE)
-        with pytest.raises(DataFileError, match="runs cover"):
-            read_columnar_runs_into(
-                f.backend, f.path, RUN_DTYPE, f.index(), [(0, f.chunks[0][1])], out
-            )
+        rows = f.reference_rows()
+        first, n = f.chunks[0][1], f.rec.particle_count
+        for runs in (
+            [(1, first)],                          # straddles chunks 0 and 1
+            [(0, first - 1)],                      # stops inside chunk 0
+            [(2, 3), (7, 4), (first + 1, 5)],      # two runs share chunk 0
+            [(n - 5, 5)],                          # the tail's last rows
+        ):
+            got, skipped = f.read(runs, RUN_DTYPE)
+            assert skipped == []
+            want = np.concatenate([rows[s : s + c] for s, c in runs])
+            assert np.array_equal(got, want)
+        with pytest.raises(DataFileError, match=rf"run \[0, {n + 1}\) exceeds particle count {n}"):
+            f.read([(0, n + 1)], RUN_DTYPE)
+        for size, message in ((3, "runs overflow destination of 3"), (first + 1, "runs cover")):
+            out = np.empty(size, dtype=RUN_DTYPE)
+            with pytest.raises(DataFileError, match=message):
+                read_particle_runs_into(f.backend, f.path, RUN_DTYPE, f.index(), [(0, first)], out)
 
     @pytest.mark.parametrize("mode", ["crc", "stream"])
     @pytest.mark.parametrize("column", ["x", "density"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.reader import read_whole_file
 from repro.domain import Box
 from repro.errors import DataFileError
 from repro.format.chunks import Runs
@@ -10,8 +11,6 @@ from repro.format.datafile import (
     FOOTER_BYTES,
     HEADER_BYTES,
     parse_data_header,
-    read_data_file,
-    read_data_prefix,
     read_particle_runs_into,
     write_data_file,
 )
@@ -19,6 +18,13 @@ from repro.format.metadata import data_file_name
 from repro.io import VirtualBackend
 from repro.particles import ParticleBatch, uniform_particles
 from repro.particles.dtype import MINIMAL_DTYPE, UINTAH_DTYPE
+
+
+def read_slice(backend, count, offset=0, path="data/f.pbin", dtype=MINIMAL_DTYPE):
+    """``count`` particles from ``offset`` on: one run of the one reader."""
+    out = np.empty(max(count, 0), dtype=dtype)
+    read_particle_runs_into(backend, path, dtype, None, ((offset, count),), out)
+    return ParticleBatch(out)
 
 
 @pytest.fixture
@@ -46,18 +52,18 @@ class TestRoundTrip:
     def test_write_read(self, backend, batch):
         nbytes = write_data_file(backend, "data/f.pbin", batch)
         assert nbytes == HEADER_BYTES + batch.nbytes + FOOTER_BYTES
-        again = read_data_file(backend, "data/f.pbin", MINIMAL_DTYPE)
+        again = read_whole_file(backend, "data/f.pbin", MINIMAL_DTYPE)
         assert again == batch
 
     def test_empty_batch(self, backend):
         empty = ParticleBatch.empty(MINIMAL_DTYPE)
         write_data_file(backend, "data/e.pbin", empty)
-        assert len(read_data_file(backend, "data/e.pbin", MINIMAL_DTYPE)) == 0
+        assert len(read_whole_file(backend, "data/e.pbin", MINIMAL_DTYPE)) == 0
 
     def test_uintah_dtype(self, backend):
         b = uniform_particles(Box([0, 0, 0], [1, 1, 1]), 50, dtype=UINTAH_DTYPE, seed=1)
         write_data_file(backend, "data/u.pbin", b)
-        assert read_data_file(backend, "data/u.pbin", UINTAH_DTYPE) == b
+        assert read_whole_file(backend, "data/u.pbin", UINTAH_DTYPE) == b
 
     def test_peek_count(self, backend, batch):
         write_data_file(backend, "data/f.pbin", batch)
@@ -67,35 +73,35 @@ class TestRoundTrip:
 class TestPrefixReads:
     def test_prefix_is_head_of_file(self, backend, batch):
         write_data_file(backend, "data/f.pbin", batch)
-        prefix = read_data_prefix(backend, "data/f.pbin", MINIMAL_DTYPE, 30)
+        prefix = read_slice(backend, 30)
         assert prefix == batch[0:30]
 
     def test_offset_slice(self, backend, batch):
         write_data_file(backend, "data/f.pbin", batch)
-        mid = read_data_prefix(backend, "data/f.pbin", MINIMAL_DTYPE, 20, offset_particles=50)
+        mid = read_slice(backend, 20, offset=50)
         assert mid == batch[50:70]
 
     def test_zero_count(self, backend, batch):
         write_data_file(backend, "data/f.pbin", batch)
-        assert len(read_data_prefix(backend, "data/f.pbin", MINIMAL_DTYPE, 0)) == 0
+        assert len(read_slice(backend, 0)) == 0
 
     def test_slice_past_end_raises(self, backend, batch):
         write_data_file(backend, "data/f.pbin", batch)
         with pytest.raises(DataFileError):
-            read_data_prefix(backend, "data/f.pbin", MINIMAL_DTYPE, 101)
+            read_slice(backend, 101)
         with pytest.raises(DataFileError):
-            read_data_prefix(backend, "data/f.pbin", MINIMAL_DTYPE, 50, offset_particles=60)
+            read_slice(backend, 50, offset=60)
 
     def test_negative_rejected(self, backend, batch):
         write_data_file(backend, "data/f.pbin", batch)
         with pytest.raises(DataFileError):
-            read_data_prefix(backend, "data/f.pbin", MINIMAL_DTYPE, -1)
+            read_slice(backend, -1)
 
     def test_prefix_reads_only_needed_bytes(self, batch):
         vb = VirtualBackend()
         write_data_file(vb, "data/f.pbin", batch)
         vb.clear_ops()
-        read_data_prefix(vb, "data/f.pbin", MINIMAL_DTYPE, 10)
+        read_slice(vb, 10)
         read_bytes = sum(op.nbytes for op in vb.ops_of_kind("read"))
         assert read_bytes == HEADER_BYTES + 10 * MINIMAL_DTYPE.itemsize
 
@@ -105,7 +111,7 @@ class TestRunReads:
 
     def _read(self, backend, runs, n):
         out = np.empty(n, dtype=MINIMAL_DTYPE)
-        got = read_particle_runs_into(backend, "data/f.pbin", MINIMAL_DTYPE, runs, out)
+        got = read_particle_runs_into(backend, "data/f.pbin", MINIMAL_DTYPE, None, runs, out)
         return out, got
 
     def test_runs_land_in_order(self, batch):
@@ -154,24 +160,24 @@ class TestCorruption:
     def test_bad_magic(self, backend):
         backend.write_file("data/bad.pbin", b"NOTMAGIC" + bytes(16))
         with pytest.raises(DataFileError, match="magic"):
-            read_data_file(backend, "data/bad.pbin", MINIMAL_DTYPE)
+            read_slice(backend, 1, path="data/bad.pbin")
 
     def test_truncated_header(self, backend):
         backend.write_file("data/short.pbin", b"SPIO")
         with pytest.raises(DataFileError, match="truncated"):
-            read_data_file(backend, "data/short.pbin", MINIMAL_DTYPE)
+            read_slice(backend, 1, path="data/short.pbin")
 
     def test_truncated_payload(self, backend, batch):
         write_data_file(backend, "data/f.pbin", batch)
         raw = backend.read_file("data/f.pbin")
         backend.write_file("data/f.pbin", raw[:-8])
         with pytest.raises(DataFileError, match="expected"):
-            read_data_file(backend, "data/f.pbin", MINIMAL_DTYPE)
+            read_slice(backend, 100)
 
     def test_dtype_mismatch_detected(self, backend, batch):
         write_data_file(backend, "data/f.pbin", batch)
         with pytest.raises(DataFileError, match="record size"):
-            read_data_file(backend, "data/f.pbin", UINTAH_DTYPE)
+            read_slice(backend, 100, dtype=UINTAH_DTYPE)
 
     def test_peek_on_non_datafile(self, backend):
         backend.write_file("data/x.pbin", b"garbage-garbage-garbage-")

@@ -1,10 +1,12 @@
 """Progressive refinement tests (paper §4)."""
 
+import numpy as np
 import pytest
 
-from repro.core import ProgressiveReader, SpatialReader
+from repro.core import ProgressiveReader, SpatialReader, WriterConfig
 from repro.domain import Box
 from repro.errors import QueryError
+from repro.format.datafile import HEADER_BYTES
 from repro.particles import concatenate
 
 from tests.conftest import write_dataset
@@ -98,3 +100,76 @@ class TestBoxProgressive:
     def test_invalid_nreaders(self, reader):
         with pytest.raises(QueryError):
             ProgressiveReader(reader, nreaders=0)
+
+
+class TestColumnarProgressive:
+    """A columnar dataset refines exactly as the row dataset of the same
+    seed: each file's slice is one run of the one reader."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        readers = {}
+        for layout, codec in (("row", "none"), ("columnar", "shuffle-zlib")):
+            backend, _, _ = write_dataset(
+                nprocs=16, particles_per_rank=300,
+                config=WriterConfig(partition_factor=(2, 2, 2), layout=layout, codec=codec),
+            )
+            readers[layout] = SpatialReader(backend)
+        return readers
+
+    def test_steps_equal_at_every_level(self, pair):
+        progs = {layout: ProgressiveReader(r, nreaders=1) for layout, r in pair.items()}
+        final = progs["row"].final_level
+        assert final == progs["columnar"].final_level
+        union = []
+        for level in range(final + 1):
+            steps = {layout: p.refine() for layout, p in progs.items()}
+            rows = {k: np.sort(s.new_particles.data, order="id") for k, s in steps.items()}
+            assert steps["row"].level == steps["columnar"].level == level
+            assert rows["row"].tobytes() == rows["columnar"].tobytes()
+            union.append(rows["row"])
+            if progs["row"].done():
+                break
+        assert progs["row"].done() and progs["columnar"].done()
+        full = np.sort(pair["row"].read_full().data, order="id")
+        assert np.sort(np.concatenate(union), order="id").tobytes() == full.tobytes()
+
+    def test_row_files_read_each_payload_byte_once(self, pair):
+        reader = pair["row"]
+        backend, itemsize = reader.backend, reader.dtype.itemsize
+        extent = {rec.file_path: rec.particle_count * itemsize for rec in reader.metadata}
+        prog = ProgressiveReader(reader, nreaders=1)
+        backend.clear_ops()
+        while not prog.done():
+            prog.refine()
+        payload = sum(
+            op.nbytes
+            for op in backend.ops_of_kind("read")
+            if op.path in extent and HEADER_BYTES <= op.offset < HEADER_BYTES + extent[op.path]
+        )
+        assert payload == sum(extent.values())
+
+    def test_columnar_steps_reread_at_most_one_chunk_per_file(self, pair):
+        reader = pair["columnar"]
+        backend = reader.backend
+        spans = {}
+        for rec in reader.metadata:
+            segs = reader.dataset.chunk_index(rec).segments
+            spans[rec.file_path] = (
+                HEADER_BYTES + segs[:, 0, 0], HEADER_BYTES + segs[:, -1, 0] + segs[:, -1, 1]
+            )
+        seen: dict[str, set] = {path: set() for path in spans}
+        prog = ProgressiveReader(reader, nreaders=1)
+        while not prog.done():
+            backend.clear_ops()
+            prog.refine()
+            step: dict[str, set] = {path: set() for path in spans}
+            for op in backend.ops_of_kind("read"):
+                if op.path in spans and op.offset >= HEADER_BYTES:
+                    lo, hi = spans[op.path]
+                    hit = (lo < op.offset + op.nbytes) & (op.offset < hi)
+                    step[op.path].update(np.flatnonzero(hit).tolist())
+            for path, chunks in step.items():
+                assert len(chunks & seen[path]) <= 1, (path, prog.level)
+                seen[path] |= chunks
+        assert all(len(chunks) == len(spans[p][0]) for p, chunks in seen.items())

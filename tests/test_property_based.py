@@ -224,8 +224,8 @@ class TestCorruptionDetection:
     @given(st.data())
     def test_single_byte_corruption_always_caught(self, data_file, data):
         from repro.errors import FormatError
-        from repro.format.datafile import read_data_file
         from repro.io import VirtualBackend
+        from repro.baselines.reader import read_whole_file
 
         pos = data.draw(st.integers(0, len(data_file) - 1))
         xor = data.draw(st.integers(1, 255))
@@ -234,20 +234,20 @@ class TestCorruptionDetection:
         backend = VirtualBackend()
         backend.write_file("data/f.pbin", bytes(corrupted))
         with pytest.raises(FormatError):
-            read_data_file(backend, "data/f.pbin", np.dtype(MINIMAL_DTYPE))
+            read_whole_file(backend, "data/f.pbin", MINIMAL_DTYPE)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_truncation_always_caught(self, data_file, data):
         from repro.errors import FormatError
-        from repro.format.datafile import read_data_file
         from repro.io import VirtualBackend
+        from repro.baselines.reader import read_whole_file
 
         cut = data.draw(st.integers(0, len(data_file) - 1))
         backend = VirtualBackend()
         backend.write_file("data/f.pbin", data_file[:cut])
         with pytest.raises(FormatError):
-            read_data_file(backend, "data/f.pbin", np.dtype(MINIMAL_DTYPE))
+            read_whole_file(backend, "data/f.pbin", MINIMAL_DTYPE)
 
 
 class TestQueryEquivalence:

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.reader import read_whole_file
 from repro.core import SpatialReader, SpatialWriter, WriterConfig
 from repro.core.lod import cumulative_level_count
 from repro.domain import Box, PatchDecomposition
-from repro.format.datafile import read_data_file
 from repro.io import VirtualBackend
 from repro.mpi import run_mpi
 from repro.particles import ParticleBatch
@@ -80,7 +80,7 @@ def test_pipeline_conservation(
     # Every file's particles lie inside its advertised bounds.
     for rec in reader.metadata:
         if rec.particle_count:
-            batch = read_data_file(backend, rec.file_path, reader.dtype)
+            batch = read_whole_file(backend, rec.file_path, reader.dtype)
             assert rec.bounds.contains_points(
                 batch.positions, closed=True
             ).all()

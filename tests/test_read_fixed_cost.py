@@ -23,7 +23,6 @@ from repro.domain import Box
 from repro.errors import DataFileError
 from repro.format.datafile import (
     HEADER_BYTES,
-    read_data_prefix_into,
     read_particle_runs_into,
     write_data_file,
 )
@@ -234,25 +233,27 @@ class TestPastTheEnd:
     def test_prefix_past_count(self, tmp_path, stack):
         backend, _ = self.write(tmp_path, stack)
         out = np.empty(PARTICLES + 5, dtype=MINIMAL_DTYPE)
-        with pytest.raises(DataFileError, match=r"slice \[0, 105\) exceeds particle count 100"):
-            read_data_prefix_into(backend, "data/f.pbin", MINIMAL_DTYPE, out)
+        with pytest.raises(DataFileError, match=r"run \[0, 105\) exceeds particle count 100"):
+            read_particle_runs_into(backend, "data/f.pbin", MINIMAL_DTYPE, None, [(0, 105)], out)
 
     def test_runs_past_count(self, tmp_path, stack):
         backend, _ = self.write(tmp_path, stack)
         out = np.empty(20, dtype=MINIMAL_DTYPE)
         with pytest.raises(DataFileError, match=r"run \[95, 105\) exceeds particle count 100"):
             read_particle_runs_into(
-                backend, "data/f.pbin", MINIMAL_DTYPE, [(0, 10), (95, 10)], out
+                backend, "data/f.pbin", MINIMAL_DTYPE, None, [(0, 10), (95, 10)], out
             )
 
     def test_in_range_reads_land(self, tmp_path, stack):
         backend, batch = self.write(tmp_path, stack)
         out = np.empty(PARTICLES, dtype=MINIMAL_DTYPE)
-        assert read_data_prefix_into(backend, "data/f.pbin", MINIMAL_DTYPE, out) == PARTICLES
+        assert read_particle_runs_into(
+            backend, "data/f.pbin", MINIMAL_DTYPE, None, [(0, PARTICLES)], out
+        ) == PARTICLES
         assert out.tobytes() == batch.data.tobytes()
         runs_out = np.empty(20, dtype=MINIMAL_DTYPE)
         read_particle_runs_into(
-            backend, "data/f.pbin", MINIMAL_DTYPE, [(0, 10), (90, 10)], runs_out
+            backend, "data/f.pbin", MINIMAL_DTYPE, None, [(0, 10), (90, 10)], runs_out
         )
         assert runs_out.tobytes() == np.concatenate([batch.data[:10], batch.data[90:]]).tobytes()
 
@@ -263,10 +264,10 @@ class TestPastTheEnd:
         store.write_file("data/f.pbin", raw[: HEADER_BYTES + 60 * MINIMAL_DTYPE.itemsize])
         out = np.empty(80, dtype=MINIMAL_DTYPE)
         with pytest.raises(DataFileError, match="truncated"):
-            read_data_prefix_into(backend, "data/f.pbin", MINIMAL_DTYPE, out)
+            read_particle_runs_into(backend, "data/f.pbin", MINIMAL_DTYPE, None, [(0, 80)], out)
         with pytest.raises(DataFileError, match="truncated"):
             read_particle_runs_into(
-                backend, "data/f.pbin", MINIMAL_DTYPE, [(0, 10), (70, 10)], out[:20]
+                backend, "data/f.pbin", MINIMAL_DTYPE, None, [(0, 10), (70, 10)], out[:20]
             )
 
 

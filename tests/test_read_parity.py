@@ -13,6 +13,7 @@ import os
 
 import numpy as np
 
+from repro.baselines.reader import read_whole_file
 from repro.core import SpatialReader, scrub_dataset
 from repro.core.config import WriterConfig
 from repro.dataset import Dataset
@@ -373,12 +374,9 @@ class TestScrubRepairChunkIndex:
         # Rebuild the table section with a coarser (but internally valid)
         # index than the trailer's: recompute at a doubled chunk size.
         from repro.format.chunks import build_chunk_entry
-        from repro.format.datafile import (
-            prefix_checksum_boundaries,
-            read_data_file,
-        )
+        from repro.format.datafile import prefix_checksum_boundaries
 
-        batch = read_data_file(backend, victim, m.dtype)
+        batch = read_whole_file(backend, victim, m.dtype)
         ds = Dataset(backend)
         boundaries = prefix_checksum_boundaries(
             len(batch), m.lod_base, m.lod_scale

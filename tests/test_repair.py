@@ -7,6 +7,7 @@ pieces, dry-run purity, obs instrumentation, idempotence/convergence under
 randomized corruption, and crash-recovery for multi-timestep series.
 """
 
+import dataclasses
 import os
 import random
 import re
@@ -15,6 +16,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.baselines.reader import read_whole_file
 from repro.core import (
     SpatialReader,
     repair_dataset,
@@ -33,7 +35,12 @@ from repro.core.repair import (
 from repro.dataset import Dataset, open_dataset
 from repro.domain import Box, PatchDecomposition
 from repro.errors import RankFailedError
-from repro.format.datafile import HEADER_BYTES, TRAILER_FOOTER_BYTES
+from repro.format.datafile import (
+    HEADER_BYTES,
+    TRAILER_FOOTER_BYTES,
+    extract_recovery_trailer,
+)
+from repro.format.manifest import Manifest
 from repro.io import VirtualBackend
 from repro.io.faults import FaultInjectingBackend, FaultPlan
 from repro.io.prefix import PrefixBackend
@@ -44,6 +51,7 @@ from repro.series.index import SeriesIndex
 from repro.series.writer import SeriesWriter
 
 from .conftest import write_dataset
+from .test_chunk_section import with_trailer
 
 #: Same knob the CI fault matrix turns for test_failure_injection.py.
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
@@ -73,6 +81,34 @@ def data_paths(backend):
 
 def sorted_ids(batch):
     return np.sort(batch.data, order="id")
+
+
+class TestDonorMajority:
+    """The manifest is lost and the first file's trailer is CRC-valid but
+    lies about a dataset fact: the facts most trailers share settle."""
+
+    @pytest.mark.parametrize("lost", [("manifest.json",), ("manifest.json", "spatial.meta")])
+    def test_majority_facts_settle_and_the_liar_is_rewritten(self, lost):
+        backend, _, _ = write_dataset(nprocs=8, partition_factor=(1, 1, 1))
+        original = snapshot(backend)
+        victim = data_paths(backend)[0]
+        raw = backend.read_file(victim)
+        trailer = extract_recovery_trailer(raw, victim)
+        lying = dataclasses.replace(trailer, lod_scale=trailer.lod_scale + 1)
+        backend.write_file(victim, with_trailer(raw, lying.to_bytes()))
+        for path in lost:
+            backend.delete(path)
+        report = scrub_dataset(Dataset(backend))
+        assert ("trailer-mismatch", victim) in {(i.code, i.path) for i in report.issues}
+        result = Dataset(backend).repair(report)
+        assert result.ok and not result.data_loss
+        assert Manifest.read(backend).lod_scale == trailer.lod_scale
+        assert scrub_dataset(Dataset(backend)).issues == []
+        # Every data file and the table as written; the rebuilt manifest
+        # differs only in the writer provenance repair cannot know.
+        rebuilt = snapshot(backend)
+        assert rebuilt.pop("manifest.json") != original.pop("manifest.json")
+        assert rebuilt == original
 
 
 class TestRebuildFromTrailers:
@@ -122,12 +158,12 @@ class TestRebuildFromTrailers:
 
     def test_pre_v3_dataset_is_unresolved_not_destroyed(self):
         """No trailers -> repair refuses rather than quarantining the data."""
-        from repro.format.datafile import read_data_file, write_data_file
+        from repro.format.datafile import write_data_file
 
         backend, _, _ = write_dataset(nprocs=4, partition_factor=(2, 1, 1))
         dtype = Dataset(backend).manifest.dtype
         for path in data_paths(backend):  # strip trailers: rewrite as v2
-            batch = read_data_file(backend, path, dtype)
+            batch = read_whole_file(backend, path, dtype)
             write_data_file(backend, path, batch)
         backend.delete("spatial.meta")
         backend.delete("manifest.json")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.baselines.reader import read_whole_file
 from repro.core import SpatialReader, SpatialWriter, WriterConfig
 from repro.core.writer import PHASE_AGGREGATION, PHASE_FILE_IO, PHASE_LOD
 from repro.domain import Box, PatchDecomposition
@@ -64,9 +65,7 @@ class TestBasicWrite:
         backend, _, _ = write_dataset(nprocs=16, partition_factor=(2, 2, 2))
         reader = SpatialReader(backend)
         for rec in reader.metadata:
-            from repro.format.datafile import read_data_file
-
-            batch = read_data_file(backend, rec.file_path, reader.dtype)
+            batch = read_whole_file(backend, rec.file_path, reader.dtype)
             assert rec.bounds.contains_points(batch.positions).all()
 
     def test_breakdown_phases_recorded(self):
@@ -161,16 +160,13 @@ class TestNonAlignedWrite:
         reader = SpatialReader(backend)
         assert reader.total_particles == 8 * 150
         for rec in reader.metadata:
-            from repro.format.datafile import read_data_file
-
             if rec.particle_count:
-                batch = read_data_file(backend, rec.file_path, reader.dtype)
+                batch = read_whole_file(backend, rec.file_path, reader.dtype)
                 assert rec.bounds.contains_points(batch.positions).all()
 
 
 class TestAttrIndex:
     def test_ranges_cover_file_contents(self):
-        from repro.format.datafile import read_data_file
         from repro.particles.dtype import UINTAH_DTYPE
 
         cfg = WriterConfig(partition_factor=(2, 2, 2), attr_index=("density",))
@@ -178,7 +174,7 @@ class TestAttrIndex:
         reader = SpatialReader(backend)
         for rec in reader.metadata:
             lo, hi = rec.attr_ranges["density"]
-            batch = read_data_file(backend, rec.file_path, reader.dtype)
+            batch = read_whole_file(backend, rec.file_path, reader.dtype)
             col = batch.data["density"]
             assert lo == pytest.approx(col.min())
             assert hi == pytest.approx(col.max())
