@@ -699,10 +699,9 @@ class TestRunDecode:
             assert skipped == []
             assert np.array_equal(got, f.rows_of(rows, ids, out_dtype))
 
-    def test_misaligned_runs_round_out_and_overflowing_runs_are_rejected(self, codec):
+    def test_misaligned_runs_round_out(self, codec):
         """Runs that miss chunk boundaries decode their covering chunks and
-        are trimmed to exactly the rows they name; runs past the count and
-        destinations of the wrong size still raise."""
+        are trimmed to exactly the rows they name."""
         f = RunFile(codec)
         rows = f.reference_rows()
         first, n = f.chunks[0][1], f.rec.particle_count
@@ -716,8 +715,16 @@ class TestRunDecode:
             assert skipped == []
             want = np.concatenate([rows[s : s + c] for s, c in runs])
             assert np.array_equal(got, want)
+
+    def test_misaligned_and_overflowing_runs_are_rejected(self, codec):
+        """Runs that reach outside the file's particles, and destinations of
+        the wrong size, raise."""
+        f = RunFile(codec)
+        first, n = f.chunks[0][1], f.rec.particle_count
         with pytest.raises(DataFileError, match=rf"run \[0, {n + 1}\) exceeds particle count {n}"):
             f.read([(0, n + 1)], RUN_DTYPE)
+        with pytest.raises(DataFileError, match=rf"run \[-1, {first - 1}\) exceeds"):
+            f.read([(-1, first)], RUN_DTYPE)
         for size, message in ((3, "runs overflow destination of 3"), (first + 1, "runs cover")):
             out = np.empty(size, dtype=RUN_DTYPE)
             with pytest.raises(DataFileError, match=message):
