@@ -8,9 +8,12 @@ randomized corruption, and crash-recovery for multi-timestep series.
 """
 
 import dataclasses
+import json
 import os
 import random
 import re
+import struct
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -19,11 +22,13 @@ import pytest
 from repro.baselines.reader import read_whole_file
 from repro.core import (
     SpatialReader,
+    SpatialWriter,
     repair_dataset,
     repair_series,
     scrub_dataset,
 )
 from repro.core.config import WriterConfig
+from repro.core.scrub import ISSUES
 from repro.core.repair import (
     ACTION_QUARANTINE,
     ACTION_REBUILD_MANIFEST,
@@ -40,9 +45,12 @@ from repro.format.datafile import (
     TRAILER_FOOTER_BYTES,
     extract_recovery_trailer,
 )
+from repro.format.chunks import FileChunkIndex
+from repro.format.generations import CURRENT_PATH, encode_current
 from repro.format.manifest import Manifest
+from repro.format.metadata import SpatialMetadata, table_crc32
 from repro.io import VirtualBackend
-from repro.io.faults import FaultInjectingBackend, FaultPlan
+from repro.io.faults import FaultInjectingBackend, FaultPlan, FaultSpec
 from repro.io.prefix import PrefixBackend
 from repro.mpi import run_mpi
 from repro.obs.names import EV_REPAIR_ACTION, REPAIR_ACTIONS, REPAIR_PHASES
@@ -50,7 +58,7 @@ from repro.particles import uniform_particles
 from repro.series.index import SeriesIndex
 from repro.series.writer import SeriesWriter
 
-from .conftest import write_dataset
+from .conftest import MINIMAL_DTYPE, write_dataset
 from .test_chunk_section import with_trailer
 
 #: Same knob the CI fault matrix turns for test_failure_injection.py.
@@ -641,3 +649,292 @@ class TestScrubRepairWiring:
             and re.fullmatch(r"[a-z]+(-[a-z]+)+", node.value)
         }
         assert emitted == set(scrub.ISSUES)
+
+
+# -- one damage recipe per issue code ----------------------------------------------
+
+#: What repair does for each issue code: the rule table scrub carries.
+ROW_FIX = {
+    "current-corrupt": "pointer",
+    "current-missing": "pointer",
+    "current-dangling": "pointer",
+    "chain-unresolvable": "rebuild",
+    "facts-unsettled": "leave-unresolved",
+    "generation-damaged": "drop-generation",
+    "generation-mismatch": "drop-generation",
+    "generation-ahead": "drop-generation",
+    "generation-residue": "delete",
+    "manifest-missing": "rebuild",
+    "manifest-corrupt": "rebuild",
+    "metadata-missing": "rebuild",
+    "metadata-unreadable": "rebuild",
+    "metadata-checksum": "rebuild",
+    "metadata-corrupt": "rebuild",
+    "file-count-mismatch": "rebuild",
+    "particle-count-mismatch": "rebuild",
+    "metadata-crc-mismatch": "rebuild",
+    "data-missing": "drop-record",
+    "data-unreadable": "leave-unresolved",
+    "data-header": "quarantine",
+    "data-corrupt": "quarantine",
+    "dtype-mismatch": "quarantine",
+    "data-truncated": "salvage",
+    "data-checksum": "quarantine",
+    "segment-checksum": "salvage",
+    "count-mismatch": "adopt-trailer-record",
+    "manifest-checksum-mismatch": "entry",
+    "prefix-checksum-mismatch": "entry",
+    "chunk-index-mismatch": "entry",
+    "trailer-damaged": "trailer",
+    "trailer-mismatch": "trailer",
+    "data-orphan": "quarantine",
+    "data-unrecorded": "quarantine",
+}
+
+#: The action kinds each fix plans.
+FIX_KINDS = {
+    "leave-unresolved": set(),
+    "drop-record": {"drop-missing-file"},
+    "quarantine": {ACTION_QUARANTINE},
+    "salvage": {ACTION_TRUNCATE},
+    "adopt-trailer-record": {"rebuild-manifest-entry"},
+    "entry": {"rebuild-manifest-entry"},
+    "trailer": {ACTION_REWRITE_TRAILER},
+    "rebuild": {ACTION_REBUILD_METADATA, ACTION_REBUILD_MANIFEST},
+    "pointer": {"rewrite-current-pointer"},
+    "drop-generation": {"drop-generation"},
+    "delete": {"drop-generation"},
+}
+
+VICTIM = "data/file_0.pbin"
+
+
+def clone(backend):
+    out = VirtualBackend()
+    out._files = dict(backend._files)
+    return out
+
+
+def _append(backend, decomp, seed):
+    writer = SpatialWriter(WriterConfig(partition_factor=(2, 2, 1)))
+    run_mpi(4, lambda comm: writer.append(
+        comm, uniform_particles(
+            decomp.patch_of_rank(comm.rank), 60, dtype=MINIMAL_DTYPE, seed=seed, rank=comm.rank
+        ),
+        decomp, backend,
+    ))
+
+
+@pytest.fixture(scope="module")
+def bases():
+    row = write_dataset(nprocs=8, partition_factor=(2, 2, 1))[0]
+    columnar = write_dataset(nprocs=8, config=WriterConfig(
+        partition_factor=(2, 2, 1), layout="columnar", codec="shuffle-zlib"
+    ))[0]
+    chained, decomp, _ = write_dataset(nprocs=4, partition_factor=(2, 2, 1), particles_per_rank=120)
+    _append(chained, decomp, seed=101)
+    return {"row": row, "columnar": columnar, "chained": chained}
+
+
+
+def edit_json(backend, path, edit):
+    doc = json.loads(backend.read_file(path))
+    edit(doc)
+    backend.write_file(path, json.dumps(doc).encode())
+
+
+def edit_table(backend, edit):
+    """A CRC-valid table edit: ``edit`` the records, re-commit the manifest's CRC."""
+    meta = SpatialMetadata.read_whole(backend)
+    blob = SpatialMetadata(edit(list(meta.records)), attr_names=meta.attr_names).to_bytes()
+    backend.write_file("spatial.meta", blob)
+    edit_json(backend, "manifest.json", lambda d: d.update(spatial_meta_crc32=table_crc32(blob)))
+
+
+def edit_bytes(backend, path, edit):
+    raw = bytearray(backend.read_file(path))
+    edit(raw)
+    backend.write_file(path, bytes(raw))
+
+
+def unreadable(backend, glob):
+    return FaultInjectingBackend(backend, FaultPlan((FaultSpec("permanent", op="read", path_glob=glob),)))
+
+
+def _lie_about_chunks(records):
+    index = FileChunkIndex.unpack(records[0].section)
+    index.hi = index.hi + 0.25
+    records[0] = dataclasses.replace(records[0], section=index.to_section())
+    return records
+
+
+def _miscount(records):
+    records[0] = dataclasses.replace(records[0], particle_count=records[0].particle_count - 1)
+    return records
+
+
+def _lying_trailer(b):
+    raw = b.read_file(VICTIM)
+    trailer = extract_recovery_trailer(raw, VICTIM)
+    b.write_file(VICTIM, with_trailer(raw, dataclasses.replace(trailer, lod_scale=3).to_bytes()))
+
+
+def _break_every_trailer(b):
+    b.delete("spatial.meta")
+    for path in data_paths(b):
+        edit_bytes(b, path, lambda raw: raw.__setitem__(-TRAILER_FOOTER_BYTES, raw[-TRAILER_FOOTER_BYTES] ^ 0xFF))
+
+
+def _dtype_mismatch(b):
+    def edit(raw):
+        count = struct.unpack_from("<Q", raw, 16)[0]
+        itemsize = struct.unpack_from("<I", raw, 12)[0]
+        struct.pack_into("<I", raw, 12, itemsize + 8)
+        end = HEADER_BYTES + count * itemsize
+        struct.pack_into("<I", raw, end + 4, zlib.crc32(raw[:end]))  # re-commit the footer
+    edit_bytes(b, VICTIM, edit)
+
+
+def _damage_a_late_segment(b):
+    rec = next(r for r in SpatialMetadata.read_whole(b).records if r.file_path == VICTIM)
+    off, length, _crc = FileChunkIndex.unpack(rec.section).segments[-1, 0]
+    pos = HEADER_BYTES + int(off) + int(length) // 2
+    edit_bytes(b, VICTIM, lambda raw: raw.__setitem__(pos, raw[pos] ^ 0xFF))
+
+
+def _copy_manifest_as(b, gen, **fields):
+    doc = json.loads(b.read_file("manifest.gen-1.json"))
+    doc.update(fields)
+    b.write_file(f"manifest.gen-{gen}.json", json.dumps(doc).encode())
+
+
+#: code -> (base dataset, damage); a damage returning a backend is scrubbed
+#: and repaired through it (a read fault), then verified without it.
+RECIPES = {
+    "current-corrupt": ("chained", lambda b: b.write_file(CURRENT_PATH, b"not a pointer")),
+    "current-missing": ("chained", lambda b: b.delete(CURRENT_PATH)),
+    "current-dangling": ("chained", lambda b: b.write_file(CURRENT_PATH, encode_current(9))),
+    "chain-unresolvable": ("row", lambda b: (
+        b.write_file(CURRENT_PATH, b"not a pointer"), b.write_file("manifest.json", b"{")
+    )),
+    "facts-unsettled": ("row", _break_every_trailer),
+    "generation-damaged": ("chained", lambda b: b.write_file("manifest.gen-2.json", b"{")),
+    "generation-mismatch": ("chained", lambda b: _copy_manifest_as(b, 2)),
+    "generation-ahead": ("chained", lambda b: _copy_manifest_as(b, 2, generation=2, parent=1)),
+    "generation-residue": ("chained", lambda b: b.write_file("spatial.gen-5.meta", b"residue")),
+    "manifest-missing": ("row", lambda b: b.delete("manifest.json")),
+    "manifest-corrupt": ("row", lambda b: b.write_file("manifest.json", b"{broken")),
+    "metadata-missing": ("row", lambda b: b.delete("spatial.meta")),
+    "metadata-unreadable": ("row", lambda b: unreadable(b, "spatial.meta")),
+    "metadata-checksum": ("row", lambda b: edit_bytes(
+        b, "spatial.meta", lambda raw: raw.__setitem__(40, raw[40] ^ 0x10)
+    )),
+    "metadata-corrupt": ("row", lambda b: b.write_file("spatial.meta", b"junk")),
+    "file-count-mismatch": ("row", lambda b: edit_json(
+        b, "manifest.json", lambda d: d.update(num_files=d["num_files"] + 1)
+    )),
+    "particle-count-mismatch": ("row", lambda b: edit_json(
+        b, "manifest.json", lambda d: d.update(total_particles=d["total_particles"] + 1)
+    )),
+    "metadata-crc-mismatch": ("row", lambda b: edit_json(
+        b, "manifest.json", lambda d: d.update(spatial_meta_crc32=d["spatial_meta_crc32"] ^ 1)
+    )),
+    "data-missing": ("row", lambda b: b.delete(VICTIM)),
+    "data-unreadable": ("row", lambda b: unreadable(b, VICTIM)),
+    "data-header": ("row", lambda b: b.write_file(VICTIM, b"\xde\xad\xbe\xef" * 32)),
+    "data-corrupt": ("row", lambda b: edit_bytes(
+        b, VICTIM, lambda raw: struct.pack_into("<I", raw, 8, 99)
+    )),
+    "dtype-mismatch": ("row", _dtype_mismatch),
+    "data-truncated": ("row", lambda b: b.write_file(
+        VICTIM, b.read_file(VICTIM)[: HEADER_BYTES + 70 * 32]
+    )),
+    "data-checksum": ("row", lambda b: edit_bytes(
+        b, VICTIM, lambda raw: raw.__setitem__(HEADER_BYTES + 4, raw[HEADER_BYTES + 4] ^ 1)
+    )),
+    "segment-checksum": ("columnar", _damage_a_late_segment),
+    "count-mismatch": ("row", lambda b: edit_table(b, _miscount)),
+    "manifest-checksum-mismatch": ("row", lambda b: edit_json(
+        b, "manifest.json", lambda d: d["checksums"][VICTIM].update(
+            payload_crc32=d["checksums"][VICTIM]["payload_crc32"] ^ 1
+        )
+    )),
+    "prefix-checksum-mismatch": ("row", lambda b: edit_json(
+        b, "manifest.json", lambda d: d["checksums"][VICTIM]["prefixes"][0].__setitem__(1, 0)
+    )),
+    "chunk-index-mismatch": ("row", lambda b: edit_table(b, _lie_about_chunks)),
+    "trailer-damaged": ("row", lambda b: b.write_file(
+        VICTIM, b.read_file(VICTIM)[:-TRAILER_FOOTER_BYTES]
+    )),
+    "trailer-mismatch": ("row", _lying_trailer),
+    "data-orphan": ("row", lambda b: b.write_file("data/file_99.pbin", b.read_file(VICTIM))),
+    "data-unrecorded": ("row", lambda b: edit_table(b, lambda records: records[1:])),
+}
+
+
+class TestDamageMatrix:
+    """Every issue code, from one damage recipe: scrub names it with its
+    row's repairable flag, repair plans the row's action (a dry run writes
+    nothing), and a second scrub finds only what the row leaves unresolved."""
+
+    def test_every_code_has_a_recipe(self):
+        assert set(RECIPES) == set(ISSUES) == set(ROW_FIX)
+
+    @pytest.mark.parametrize("code", sorted(RECIPES))
+    def test_code(self, bases, code):
+        base, damage = RECIPES[code]
+        inner = clone(bases[base])
+        backend = damage(inner)
+        backend = backend if isinstance(backend, FaultInjectingBackend) else inner
+        fix = ROW_FIX[code]
+
+        report = scrub_dataset(Dataset(backend))
+        found = [i for i in report.issues if i.code == code]
+        assert found, report.summary_lines()
+        assert {i.repairable for i in found} == {ISSUES[code].repairable}
+
+        mark = (len(inner.ops_of_kind("write")), len(inner.ops_of_kind("delete")))
+        plan = repair_dataset(Dataset(backend), report, dry_run=True)
+        assert (len(inner.ops_of_kind("write")), len(inner.ops_of_kind("delete"))) == mark
+        kinds = {a.kind for a in plan.actions}
+        if fix == "leave-unresolved":
+            assert plan.unresolved, plan.summary_lines()
+        else:
+            assert FIX_KINDS[fix] & kinds, (fix, plan.summary_lines())
+
+        damaged = snapshot(inner)
+        result = repair_dataset(Dataset(backend))
+        after = scrub_dataset(Dataset(inner))
+        if fix == "leave-unresolved":  # repair refuses and touches nothing
+            assert not result.ok and result.exit_code == 1
+            assert after.codes <= report.codes and snapshot(inner) == damaged
+            return
+        assert after.ok, (code, after.summary_lines(), result.summary_lines())
+        if backend is inner:  # a read fault outlives the repair
+            assert result.ok and result.exit_code == int(result.data_loss)
+
+
+def _full(backend):
+    return sorted_ids(Dataset.open(backend).reader().read_full())
+
+
+class TestManifestEntryFindings:
+    """A manifest missing a file's checksum entry, or whose entry names the
+    wrong codec, is a repairable finding: strict reads depend on the entry."""
+
+    @pytest.mark.parametrize("base,edit", [
+        ("columnar", lambda e: e.pop(VICTIM)),
+        ("columnar", lambda e: e[VICTIM].update(codec="none")),
+        ("row", lambda e: e.pop(VICTIM)),
+    ], ids=["columnar-missing", "columnar-codec", "row-missing"])
+    def test_scrub_flags_and_repair_restores_reads(self, bases, base, edit):
+        backend = clone(bases[base])
+        before = _full(backend)
+        edit_json(backend, "manifest.json", lambda d: edit(d["checksums"]))
+        report = scrub_dataset(Dataset(backend))
+        assert report.codes == {"manifest-checksum-mismatch"}
+        assert all(i.repairable and i.path == VICTIM for i in report.issues)
+        result = repair_dataset(Dataset(backend), report)
+        assert result.ok and result.exit_code == 0
+        assert scrub_dataset(Dataset(backend)).ok
+        assert np.array_equal(_full(backend), before)
