@@ -1,46 +1,25 @@
 """Self-healing datasets: turn a :class:`~repro.core.scrub.ScrubReport` into
 an executed repair.
 
-The v3 data-file format makes every file self-describing (see
-:class:`~repro.format.datafile.RecoveryTrailer`): each one redundantly
-carries its own ``spatial.meta`` record, manifest checksum entry, dtype
-descr and LOD parameters.  This module is the consumer of that redundancy —
-given a scrubbed dataset it classifies every issue into a typed
-:class:`RepairAction` and executes the plan through the same machinery the
-writer uses (two-phase commit, :class:`~repro.io.retry.RetryPolicy`,
-per-file fan-out on the dataset's :class:`~repro.io.executor.IoExecutor`).
+Every v3 data file carries its own ``spatial.meta`` record, manifest entry,
+dtype descr and LOD parameters
+(:class:`~repro.format.datafile.RecoveryTrailer`); this module is the
+consumer of that redundancy.  The plan is a pure function of the scrub's
+:class:`~repro.core.scrub.Survey` and issues — no I/O — dispatching on the
+fix each issue's row of the rule table (:data:`~repro.core.scrub.ISSUES`)
+names: lossless rebuilds of the table, manifest, entries and trailers
+(bit-identical to what the writer produced), salvage of a torn file to its
+longest prefix verifying against the per-LOD prefix checksums (a valid
+coarse level, so strict reads keep working), and quarantine of the rest
+into ``quarantine/`` — moved, never deleted.  A lost or quarantined file
+the table or the manifest names is billed its committed particle count; a
+file nothing names, nothing.
 
-Planning is a pure function of the scrub's :class:`~repro.core.scrub.Survey`
-(target generation, surviving manifest and table, dataset-wide facts, and
-one :func:`~repro.core.scrub.inspect_file` state per inventory file) and
-its issues: it does no I/O.  The issue table
-(:data:`~repro.core.scrub.ISSUES`) says what each issue asks for:
-
-* **lossless rebuild** (repairable codes) — ``spatial.meta`` and
-  ``manifest.json`` are derived state; when lost, corrupt, or disagreeing
-  with the data files they are rebuilt from the recovery trailers (the
-  rebuild is bit-identical to what the writer produced, so a surviving
-  manifest's ``spatial_meta_crc32`` still matches; a healthy table of an
-  earlier version keeps its bytes).  A damaged trailer is
-  rewritten to :func:`~repro.core.scrub.want_trailer`, the one scrub
-  compares against.
-* **salvage** — a torn data file is truncated to its longest prefix that
-  still verifies against the manifest's per-LOD prefix checksums; because
-  files are LOD-ordered, that prefix *is* a valid coarse level, so strict
-  reads keep working at reduced fidelity.
-* **quarantine** — anything unrecoverable (bad payload CRC, dtype mismatch,
-  torn beyond the first prefix boundary, orphans of an aborted overwrite)
-  is moved into ``quarantine/`` rather than deleted, and dropped from the
-  rebuilt metadata.
-
-A lost or quarantined file the table or the manifest names is billed its
-committed particle count; a file nothing names is billed nothing.
-
-Every repair records ``repair.*`` spans (scrub / plan / execute / verify),
-one ``repair.action`` event per executed action, and salvaged/lost
-particle counters on the dataset's recorder.  ``dry_run=True`` stops after
-planning — no byte is written (asserted in the test suite against the
-virtual backend's op log).
+The plan runs through the writer's machinery (two-phase commit,
+:class:`~repro.io.retry.RetryPolicy`, per-file fan-out on the dataset's
+:class:`~repro.io.executor.IoExecutor`), recording ``repair.*`` spans, one
+``repair.action`` event per executed action and salvaged/lost particle
+counters.  ``dry_run=True`` stops after planning: no byte is written.
 
 Series-level recovery (:func:`repair_series`) treats ``series.json`` as the
 commit marker above the per-step markers: indexed steps are repaired in
@@ -56,12 +35,14 @@ import re
 from dataclasses import dataclass, field, replace
 
 from repro.core.scrub import (
+    FIXES,
     ISSUES,
     QUARANTINE_DIR,
     ScrubIssue,
     ScrubReport,
     Survey,
     natural_key,
+    walk_files,
     want_trailer,
 )
 from repro.dataset import Dataset, as_dataset
@@ -106,10 +87,6 @@ __all__ = [
     "repair_series",
 ]
 
-#: Unrecoverable pieces are moved to ``QUARANTINE_DIR`` (defined in
-#: :mod:`repro.core.scrub`, re-exported here), never deleted — a later
-#: forensic pass can still look at them.
-
 #: Action kinds, in the order :meth:`RepairReport.summary_lines` groups them.
 ACTION_REBUILD_METADATA = "rebuild-metadata-from-trailers"
 ACTION_REBUILD_MANIFEST = "rebuild-manifest"
@@ -120,6 +97,9 @@ ACTION_DROP_MISSING = "drop-missing-file"
 ACTION_QUARANTINE = "quarantine-unrecoverable"
 ACTION_REWRITE_CURRENT = "rewrite-current-pointer"
 ACTION_DROP_GENERATION = "drop-generation"
+#: The kinds that move or rewrite one data file, fanned out on the executor;
+#: every other kind is a write of dataset state, which lands after them.
+FILE_ACTIONS = frozenset({ACTION_QUARANTINE, ACTION_TRUNCATE, ACTION_REWRITE_TRAILER})
 
 
 @dataclass
@@ -134,6 +114,8 @@ class RepairAction:
     #: False until the execute phase actually performed it (always False
     #: after a dry run).
     executed: bool = False
+    #: The rule-table fix (:data:`~repro.core.scrub.FIXES`) that planned it.
+    fix: str = ""
 
     def describe(self) -> str:
         extra = ""
@@ -182,19 +164,14 @@ class RepairReport:
     def ok(self) -> bool:
         """The dataset verifies clean after this pass (vacuously for a
         dataset that was already clean)."""
-        if self.clean:
-            return True
-        return not self.dry_run and not self.unresolved and not self.issues_remaining
+        return self.clean or not (self.dry_run or self.unresolved or self.issues_remaining)
 
     @property
     def exit_code(self) -> int:
-        """The CLI contract: 0 clean/lossless repair, 1 damage (found or
-        repaired with data loss), 2 never (operational errors raise)."""
-        if self.clean:
-            return 0
-        if self.dry_run:
-            return 1
-        return 0 if self.ok and not self.data_loss else 1
+        """The CLI contract: 0 clean/lossless repair, 1 damage (found, left
+        unresolved or repaired with data loss), 2 never (operational errors
+        raise)."""
+        return int(not self.ok or self.data_loss)
 
     def summary_lines(self) -> list[str]:
         """Human-readable report (the ``repro repair`` output body)."""
@@ -238,14 +215,9 @@ class _RepairPlan:
     target: ResolvedGeneration
     actions: list[RepairAction] = field(default_factory=list)
     unresolved: list[str] = field(default_factory=list)
-    rebuild_metadata: bool = False
-    rebuild_manifest: bool = False
-    invalidate_marker: bool = False
+    #: The table and manifest to write (None: what is on disk stands).
     meta_blob: bytes | None = None
     manifest: Manifest | None = None
-    #: rewrite CURRENT to this generation after everything else landed
-    #: (None = classic single-manifest dataset, no pointer).
-    write_current_gen: int | None = None
     #: stray chain state deleted outright (dropped gen manifests/meta,
     #: residue meta without a manifest, stray CURRENT on a gen-0 dataset).
     delete_paths: list[str] = field(default_factory=list)
@@ -257,174 +229,108 @@ class _RepairPlan:
 def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
     """Decide every action from the scrub's survey and issues; no I/O.
 
-    Each file is decided from its one inspection: missing, corrupt or torn
-    files are dropped, salvage-truncated or quarantined, each billed the
-    particles committed for it (nothing, when nothing named it); a valid
-    file keeps the record :meth:`Survey.placed` gives it — the table's, or
-    its trailer's when the table is lost or miscounts it — with the entry
-    recomputed from its payload, unless scrub passed the file as committed.
-    The issue table says what else the scrub's issues ask for: a rebuilt
-    manifest entry, a rewritten trailer, a dropped generation, a rewritten
-    ``CURRENT`` pointer.
+    Each data file gets the strongest of the fixes its issues' rows name,
+    billed the particles committed for it.  A file no fix removes keeps the
+    record :meth:`Survey.placed` gives it and the entry its payload
+    rebuilds (equal to the committed one unless scrub said otherwise); the
+    table and manifest are rewritten where what is kept differs from them.
+    Dataset-level rows drop generations, delete residue and mend ``CURRENT``.
     """
-    plan = _RepairPlan(target=sv.target)
     target = sv.target
     if sv.facts is None:
-        plan.unresolved.append(sv.unsettled)
-        return plan
+        return _RepairPlan(target, unresolved=[sv.unsettled])
+    plan = _RepairPlan(target)
     facts, manifest = sv.facts, sv.manifest
-    fixes: dict[str, set[str]] = {}
-    details: dict[str, str] = {}
+    rows: dict[str, dict[str, ScrubIssue]] = {}
     for issue in issues:
-        fixes.setdefault(issue.path, set()).add(ISSUES[issue.code].fix)
-        details.setdefault(issue.path, issue.detail)
-
+        rows.setdefault(issue.path, {}).setdefault(ISSUES[issue.code].fix, issue)
     records: list[MetadataRecord] = []
     checksums: dict[str, dict] = {}
     adopted = 0
 
-    def add(kind: str, path: str, detail: str, salvaged: int = 0, lost: int = 0):
-        plan.actions.append(RepairAction(kind, path, detail, salvaged, lost))
+    def add(fix: str, kind: str, path: str, detail: str, salvaged: int = 0, lost: int = 0):
+        plan.actions.append(RepairAction(kind, path, detail, salvaged, lost, fix=fix))
 
     def keep(record: MetadataRecord, entry: dict | None) -> None:
-        # The section goes back into the record; the manifest entry keeps
-        # the file-level checksums and codec only.
-        if entry is not None:
-            entry = dict(entry)
-            record = replace(record, section=entry.pop("section", b""))
-            checksums[record.file_path] = entry
         records.append(record)
+        if entry is not None:
+            checksums[record.file_path] = entry
 
     for path, st in sv.files.items():
-        ref = sv.records.get(path)
-        committed = sv.committed(path) or 0
-
-        if st.status == "missing":
-            add(
-                ACTION_DROP_MISSING,
-                path,
-                "referenced data file is gone; dropping its record",
-                lost=committed,
-            )
-            continue
-
-        if st.status == "unreadable":
-            # Cannot even copy it aside; leave it in place and report.
+        fixes = rows.get(path, {})
+        fix = next((f for f in FIXES if f in fixes), "")
+        ref, lost = sv.records.get(path), sv.committed(path) or 0
+        record = sv.placed(st) if st.entry is not None else None
+        if fix == "leave-unresolved":
             plan.unresolved.append(f"{path}: unreadable ({st.detail})")
             if ref is not None:
-                keep(ref, sv.entry(path))
-            continue
-
-        if st.status == "corrupt":
-            add(ACTION_QUARANTINE, path, st.detail, lost=committed)
-            continue
-
-        if st.status == "torn":
-            if ref is not None and st.salvage_count > 0:
-                cut = replace(ref, particle_count=st.salvage_count, section=b"")
-                entry = {
-                    "payload_crc32": st.salvage_crc,
-                    "prefixes": list(st.salvage_prefixes),
-                }
-                if st.codec is not None:
-                    # v4 salvage keeps whole chunks: the truncated file's
-                    # entry carries the surviving segment descriptors and
-                    # the codec, so it stays a self-describing columnar
-                    # file at reduced fidelity.
-                    entry["section"] = st.keep_section
-                    entry["codec"] = st.codec
+                keep(ref, manifest.checksums.get(path) if manifest is not None else None)
+        elif fix == "drop-record":
+            detail = "referenced data file is gone; dropping its record"
+            add(fix, ACTION_DROP_MISSING, path, detail, lost=lost)
+        elif st.salvage is not None and ref is not None:
+            count, entry, section = st.salvage
+            cut = replace(ref, particle_count=count, section=section)
+            plan.rewrite[path] = (count, st.rec_size, want_trailer(cut, entry, facts))
+            keep(cut, entry)
+            detail = f"{st.detail}; keeping the longest checksum-verified LOD prefix"
+            add(fix, ACTION_TRUNCATE, path, detail, salvaged=count, lost=ref.particle_count - count)
+        elif fix in ("quarantine", "salvage") or record is None:
+            # A damaged file's own verdict says why; a valid one's placement.
+            detail = st.detail or fixes[fix].detail
+            if st.code and ISSUES[st.code].fix == "salvage":
+                detail += "; no prefix verifies" if ref is not None else "; no record"
+            add(fix, ACTION_QUARANTINE, path, detail, lost=lost)
+        else:
+            assert st.entry is not None  # every placed file verified
+            # A file scrub passed keeps its committed record (a legacy table's
+            # has no chunk index) unless the manifest is rebuilt from scratch.
+            if fixes or manifest is None or record is not ref:
+                record = replace(record, section=st.section)
+            adopted += ref is None
+            if fix == "adopt-trailer-record":
+                add(
+                    fix,
+                    ACTION_REBUILD_ENTRY,
+                    path,
+                    f"spatial.meta says {ref.particle_count} particles, file "
+                    f"holds {st.header_count}; trusting the file's trailer",
+                )
+            elif manifest is not None and ("entry" in fixes or ref is None and st.section):
+                # With the table lost, the chunk section is re-derived too.
+                add(
+                    "entry" if "entry" in fixes else "rebuild",
+                    ACTION_REBUILD_ENTRY,
+                    path,
+                    "manifest checksum entry disagrees with the data file; "
+                    "recomputed from the payload",
+                )
+            keep(record, st.entry)
+            if "trailer" in fixes:
                 plan.rewrite[path] = (
-                    st.salvage_count, st.rec_size, want_trailer(cut, entry, facts)
+                    st.header_count, st.rec_size, want_trailer(record, st.entry, facts)
                 )
-                keep(cut, entry)
-                add(
-                    ACTION_TRUNCATE,
-                    path,
-                    f"{st.detail}; keeping the longest checksum-verified "
-                    f"LOD prefix",
-                    salvaged=st.salvage_count,
-                    lost=ref.particle_count - st.salvage_count,
-                )
-            else:
-                add(
-                    ACTION_QUARANTINE,
-                    path,
-                    st.detail
-                    + ("; no prefix verifies" if ref is not None else "; no record"),
-                    lost=committed,
-                )
-            continue
+                detail = st.trailer_detail or "recovery trailer disagrees with committed state"
+                add("trailer", ACTION_REWRITE_TRAILER, path, detail)
 
-        # -- structurally valid file ---------------------------------------
-        record = sv.placed(st)
-        if record is None:
-            add(ACTION_QUARANTINE, path, details[path], lost=committed)
-            continue
-        entry = st.actual_entry
-        if record is ref and path not in fixes:
-            # Scrub passed the file: its committed record and entry stand.
-            entry = sv.entry(path) or entry
-        assert entry is not None  # every valid file has one
-        adopted += ref is None
-        if ref is not None and record is not ref:
-            add(
-                ACTION_REBUILD_ENTRY,
-                path,
-                f"spatial.meta says {ref.particle_count} particles, file "
-                f"holds {st.header_count}; trusting the file's trailer",
-            )
-        elif manifest is not None and path not in manifest.checksums:
-            add(ACTION_REBUILD_ENTRY, path, "manifest entry missing; recomputed from the payload")
-        # With the table lost, the entry's chunk section is re-derived from
-        # the payload too.
-        elif manifest is not None and (
-            "entry" in fixes.get(path, ()) or ref is None and "section" in entry
-        ):
-            add(
-                ACTION_REBUILD_ENTRY,
-                path,
-                "manifest checksum entry disagrees with the data file; "
-                "recomputed from the payload",
-            )
-        keep(record, entry)
-        if "trailer" in fixes.get(path, ()):
-            plan.rewrite[path] = (st.header_count, st.rec_size, want_trailer(record, entry, facts))
-            add(
-                ACTION_REWRITE_TRAILER,
-                path,
-                st.trailer_detail or "recovery trailer disagrees with committed state",
-            )
-
-    # -- assemble the target dataset-level state ---------------------------
+    # -- the table and manifest the kept files commit to --------------------
     try:
         table = SpatialMetadata(
-            sorted(records, key=lambda r: r.box_id),
-            attr_names=facts.attr_names,
+            sorted(records, key=lambda r: r.box_id), attr_names=facts.attr_names
         )
     except MetadataError as exc:
         # Refuse to act on a plan whose end state would not even validate
         # (e.g. two adopted trailers claiming the same box) — report instead.
-        plan.unresolved.append(f"rebuilt table is inconsistent: {exc}")
-        plan.actions = []
-        plan.rewrite.clear()
-        return plan
-    plan.meta_blob = table.to_bytes()
+        inconsistent = f"rebuilt table is inconsistent: {exc}"
+        return _RepairPlan(target, unresolved=[*plan.unresolved, inconsistent])
+    blob = table.to_bytes()
     if sv.metadata is not None and (sv.metadata.attr_names, sv.metadata.records) == (
         table.attr_names, table.records
     ):
         # The table on disk already holds this, maybe in an earlier version
         # that still reads: its bytes stay.
-        plan.meta_blob = sv.raw_meta
-    plan.rebuild_metadata = plan.meta_blob != sv.raw_meta
-    if plan.rebuild_metadata:
-        detail = f"{len(table)} records"
-        if adopted:
-            detail += f" ({adopted} adopted from recovery trailers)"
-        plan.actions.insert(
-            0, RepairAction(ACTION_REBUILD_METADATA, target.meta_path, detail)
-        )
-
-    new_manifest = Manifest(
+        blob = sv.raw_meta
+    rebuilt = Manifest(
         dtype=facts.dtype,
         num_files=len(table),
         total_particles=table.total_particles,
@@ -438,7 +344,7 @@ def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
             else {"provenance": "rebuilt by repro repair"}
         ),
         checksums={p: checksums[p] for p in sorted(checksums, key=natural_key)},
-        spatial_meta_crc32=table_crc32(plan.meta_blob),
+        spatial_meta_crc32=table_crc32(blob),
         generation=target.generation,
         parent=(
             manifest.parent
@@ -446,68 +352,52 @@ def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
             else (target.generation - 1 if target.generation > 0 else None)
         ),
     )
-    plan.manifest = new_manifest
-    plan.rebuild_manifest = (
-        manifest is None or new_manifest.to_json() != manifest.to_json()
-    )
-    if plan.rebuild_manifest:
-        plan.actions.insert(
-            0 if not plan.rebuild_metadata else 1,
-            RepairAction(
-                ACTION_REBUILD_MANIFEST,
-                target.manifest_path,
-                "committed state rewritten from repaired files"
-                if manifest is not None
-                else "committed state rebuilt from recovery trailers",
-            ),
-        )
+    writes = []
+    if blob != sv.raw_meta:
+        plan.meta_blob = blob
+        detail = f"{len(table)} records"
+        if adopted:
+            detail += f" ({adopted} adopted from recovery trailers)"
+        writes.append((ACTION_REBUILD_METADATA, target.meta_path, detail))
+    if manifest is None or rebuilt.to_json() != manifest.to_json():
+        plan.manifest = rebuilt
+        detail = "committed state rewritten from repaired files"
+        if manifest is None:
+            detail = "committed state rebuilt from recovery trailers"
+        writes.append((ACTION_REBUILD_MANIFEST, target.manifest_path, detail))
+    plan.actions[:0] = [RepairAction(*write, fix="rebuild") for write in writes]
 
     # -- chain hygiene: drops, residue, and the CURRENT pointer -------------
     for gen in sorted(sv.dropped):
         plan.delete_paths += [generation_manifest_path(gen), generation_meta_path(gen)]
-        add(
-            ACTION_DROP_GENERATION,
-            generation_manifest_path(gen),
-            f"generation {gen} {sv.dropped[gen]}",
-        )
+        detail = f"generation {gen} {sv.dropped[gen]}"
+        add("drop-generation", ACTION_DROP_GENERATION, generation_manifest_path(gen), detail)
         for path in sv.stray:
             if path.startswith(f"data/g{gen}_"):
-                add(ACTION_QUARANTINE, path, f"belongs to dropped generation {gen}")
+                detail = f"belongs to dropped generation {gen}"
+                add("drop-generation", ACTION_QUARANTINE, path, detail)
     for issue in issues:
         if ISSUES[issue.code].fix == "delete":
             plan.delete_paths.append(issue.path)
-            add(
-                ACTION_DROP_GENERATION,
-                issue.path,
-                "spatial table without its manifest (aborted commit residue)",
-            )
-    current_damaged = any(ISSUES[i.code].fix == "pointer" for i in issues)
+            detail = "spatial table without its manifest (aborted commit residue)"
+            add("delete", ACTION_DROP_GENERATION, issue.path, detail)
+    pointer = "pointer" if any(ISSUES[i.code].fix == "pointer" for i in issues) else ""
     if target.generation > 0:
-        # Chained datasets always finish by (re)pointing CURRENT at the
-        # converged generation — this is the repair's own commit flip.
-        plan.write_current_gen = target.generation
-        if current_damaged:
-            add(
-                ACTION_REWRITE_CURRENT,
-                CURRENT_PATH,
-                f"pointer rewritten to committed generation {target.generation}",
-            )
-    elif sv.has_current and (current_damaged or sv.dropped):
+        if pointer:
+            detail = f"pointer rewritten to committed generation {target.generation}"
+            add(pointer, ACTION_REWRITE_CURRENT, CURRENT_PATH, detail)
+    elif sv.has_current and (pointer or sv.dropped):
         plan.delete_paths.append(CURRENT_PATH)
-        add(
-            ACTION_REWRITE_CURRENT,
-            CURRENT_PATH,
-            "stray pointer removed (classic single-manifest dataset)",
-        )
-
-    # The commit marker goes first (deleting an absent one is a no-op).
-    plan.invalidate_marker = plan.rebuild_manifest or (
-        target.generation > 0 and plan.rebuild_metadata
-    )
+        detail = "stray pointer removed (classic single-manifest dataset)"
+        add(pointer or "drop-generation", ACTION_REWRITE_CURRENT, CURRENT_PATH, detail)
     return plan
 
 
 # -- execution -----------------------------------------------------------------
+
+
+def _write(ds: Dataset, path: str, blob: bytes, rec: Recorder) -> None:
+    ds.retry.call(ds.backend.write_file, path, blob, actor=ds.actor, recorder=rec)
 
 
 def _quarantine_path(ds: Dataset, path: str, rec: Recorder) -> None:
@@ -515,130 +405,80 @@ def _quarantine_path(ds: Dataset, path: str, rec: Recorder) -> None:
     rename primitive, and a copy keeps the evidence even if the delete
     fails)."""
     raw = ds.retry.call(ds.backend.read_file, path, recorder=rec)
-    ds.retry.call(
-        ds.backend.write_file,
-        f"{QUARANTINE_DIR}/{path}",
-        bytes(raw),
-        actor=ds.actor,
-        recorder=rec,
-    )
+    _write(ds, f"{QUARANTINE_DIR}/{path}", bytes(raw), rec)
     ds.retry.call(ds.backend.delete, path, recorder=rec)
 
 
 def _rewrite_file(
-    ds: Dataset,
-    path: str,
-    count: int,
-    rec_size: int,
-    trailer: RecoveryTrailer,
-    rec: Recorder,
+    ds: Dataset, path: str, count: int, rec_size: int, trailer: RecoveryTrailer, rec: Recorder
 ) -> None:
     """Rebuild a file image around the (verified) first ``count`` records —
     the truncate and rewrite-trailer primitive.  A trailer carrying a codec
     marks a columnar (v4) file: the kept payload length comes from its
     segment descriptors (encoded bytes, not ``count * rec_size``)."""
-    raw = bytes(ds.retry.call(ds.backend.read_file, path, recorder=rec))
+    raw = ds.retry.call(ds.backend.read_file, path, recorder=rec)
+    length, version = count * rec_size, None
     if trailer.codec is not None:
-        section = trailer.record.section
-        enc_len = (
-            columnar_payload_length(FileChunkIndex.unpack(section, path))
-            if section else 0
-        )
-        payload = raw[HEADER_BYTES : HEADER_BYTES + enc_len]
-        blob = build_data_blob(
-            payload, rec_size, count, trailer, version=DATA_VERSION_COLUMNAR
-        )
-    else:
-        payload = raw[HEADER_BYTES : HEADER_BYTES + count * rec_size]
-        blob = build_data_blob(payload, rec_size, count, trailer)
-    ds.retry.call(
-        ds.backend.write_file, path, blob, actor=ds.actor, recorder=rec
-    )
+        section, version = trailer.record.section, DATA_VERSION_COLUMNAR
+        length = columnar_payload_length(FileChunkIndex.unpack(section, path)) if section else 0
+    payload = bytes(raw[HEADER_BYTES : HEADER_BYTES + length])
+    _write(ds, path, build_data_blob(payload, rec_size, count, trailer, version=version), rec)
 
 
 def _execute(ds: Dataset, plan: _RepairPlan, report: RepairReport) -> None:
     """Run the plan under the writer's two-phase discipline: invalidate the
     commit marker, fix the data files (fanned on the executor), then write
-    ``spatial.meta``, then ``manifest.json`` last."""
-    rec = ds.recorder
-    if plan.invalidate_marker:
-        marker = MANIFEST_PATH if plan.target.generation == 0 else CURRENT_PATH
-        ds.retry.call(ds.backend.delete, marker, missing_ok=True, recorder=rec)
-
-    # Stray chain state goes first, manifest-before-meta per dropped
-    # generation (deleting the manifest un-commits it; a crash mid-drop
-    # leaves residue the next scrub still recognises).
-    for path in plan.delete_paths:
+    ``spatial.meta``, then ``manifest.json``, then the ``CURRENT`` flip."""
+    rec, gen = ds.recorder, plan.target.generation
+    # A changing commit's marker goes first; stray chain state next, each
+    # dropped generation's manifest before its table (deleting the manifest
+    # un-commits it; a crash mid-drop leaves residue scrub recognises).
+    deletes = list(plan.delete_paths)
+    if plan.manifest is not None or gen > 0 and plan.meta_blob is not None:
+        deletes.insert(0, MANIFEST_PATH if gen == 0 else CURRENT_PATH)
+    for path in deletes:
         ds.retry.call(ds.backend.delete, path, missing_ok=True, recorder=rec)
 
-    file_actions = [
-        a
-        for a in plan.actions
-        if a.kind in (ACTION_QUARANTINE, ACTION_TRUNCATE, ACTION_REWRITE_TRAILER)
-    ]
-
-    def apply(action: RepairAction, child: Recorder) -> RepairAction:
+    def apply(action: RepairAction, child: Recorder) -> None:
         if action.kind == ACTION_QUARANTINE:
             _quarantine_path(ds, action.path, child)
         else:
             _rewrite_file(ds, action.path, *plan.rewrite[action.path], child)
-        return action
 
-    tasks = [
-        (lambda child, a=action: apply(a, child)) for action in file_actions
-    ]
+    file_actions = [a for a in plan.actions if a.kind in FILE_ACTIONS]
+    tasks = [(lambda child, a=action: apply(a, child)) for action in file_actions]
     for outcome in ds.executor.run(tasks, rec):
         if outcome.recorder is not None:
             rec.merge(outcome.recorder)
         action = file_actions[outcome.index]
         if outcome.error is not None:
-            report.unresolved.append(f"{action.path}: {action.kind} failed: "
-                                     f"{outcome.error}")
-            continue
-        action.executed = True
+            report.unresolved.append(f"{action.path}: {action.kind} failed: {outcome.error}")
+        action.executed = outcome.error is None
 
-    if plan.rebuild_metadata:
-        assert plan.meta_blob is not None
-        ds.retry.call(
-            ds.backend.write_file, plan.target.meta_path, plan.meta_blob,
-            actor=ds.actor, recorder=rec,
-        )
-    if plan.rebuild_manifest:
-        assert plan.manifest is not None
-        ds.retry.call(
-            ds.backend.write_file,
-            plan.target.manifest_path,
-            plan.manifest.to_json().encode("utf-8"),
-            actor=ds.actor,
-            recorder=rec,
-        )
-    if plan.write_current_gen is not None:
-        # The repair's own commit flip: everything above is now the
-        # committed state the pointer names.
-        ds.retry.call(
-            write_current, ds.backend, plan.write_current_gen,
-            actor=ds.actor, recorder=rec,
-        )
+    if plan.meta_blob is not None:
+        _write(ds, plan.target.meta_path, plan.meta_blob, rec)
+    if plan.manifest is not None:
+        _write(ds, plan.target.manifest_path, plan.manifest.to_json().encode("utf-8"), rec)
+    if gen > 0:
+        # A chained dataset's repair ends in its own commit flip: everything
+        # above is now the committed state the pointer names.
+        ds.retry.call(write_current, ds.backend, gen, actor=ds.actor, recorder=rec)
     for action in plan.actions:
-        if action.kind in (
-            ACTION_REBUILD_METADATA,
-            ACTION_REBUILD_MANIFEST,
-            ACTION_REBUILD_ENTRY,
-            ACTION_DROP_MISSING,
-            ACTION_DROP_GENERATION,
-            ACTION_REWRITE_CURRENT,
-        ):
-            action.executed = True
-    for action in plan.actions:
+        action.executed = action.executed or action.kind not in FILE_ACTIONS
         if action.executed:
-            rec.add(REPAIR_ACTIONS, 1, key=(action.kind,))
-            rec.event(
-                EV_REPAIR_ACTION,
-                kind=action.kind,
-                path=action.path,
-                particles_salvaged=action.particles_salvaged,
-                particles_lost=action.particles_lost,
-            )
+            _note(rec, action)
+
+
+def _note(rec: Recorder, action: RepairAction) -> None:
+    """Count and trace one executed action."""
+    rec.add(REPAIR_ACTIONS, 1, key=(action.kind,))
+    rec.event(
+        EV_REPAIR_ACTION,
+        kind=action.kind,
+        path=action.path,
+        particles_salvaged=action.particles_salvaged,
+        particles_lost=action.particles_lost,
+    )
 
 
 # -- entry points --------------------------------------------------------------
@@ -666,8 +506,8 @@ def repair_dataset(
     if report is None:
         with ds.recorder.span(PHASE_REPAIR_SCRUB, cat="repair"):
             report = ds.scrub()
-    if report.ok:
-        out.clean = True
+    out.clean = report.ok
+    if out.clean:
         return out
 
     assert report.survey is not None  # every scrub report carries one
@@ -675,8 +515,8 @@ def repair_dataset(
         plan = _plan(report.survey, report.issues)
     out.actions = plan.actions
     out.unresolved.extend(plan.unresolved)
-    out.rebuilt_metadata = plan.rebuild_metadata
-    out.rebuilt_manifest = plan.rebuild_manifest
+    out.rebuilt_metadata = plan.meta_blob is not None
+    out.rebuilt_manifest = plan.manifest is not None
     if dry_run:
         return out
 
@@ -719,10 +559,8 @@ class SeriesRepairReport:
 
     @property
     def clean(self) -> bool:
-        return (
-            not self.quarantined_steps
-            and not self.unresolved
-            and all(r.clean for _s, r in self.steps)
+        return not self.quarantined_steps and not self.unresolved and all(
+            r.clean for _s, r in self.steps
         )
 
     @property
@@ -730,18 +568,13 @@ class SeriesRepairReport:
         return not self.unresolved and all(r.ok for _s, r in self.steps)
 
     @property
-    def data_loss(self) -> bool:
-        return any(r.data_loss for _s, r in self.steps)
-
-    @property
     def exit_code(self) -> int:
-        if self.clean:
-            return 0
-        if self.dry_run or not self.ok or self.data_loss:
-            return 1
-        # Repaired losslessly, but an aborted append was swept aside: that
-        # is damage found, even though no committed step lost a particle.
-        return 1 if self.quarantined_steps else 0
+        """Each step's :attr:`RepairReport.exit_code`, and 1 for damage above
+        the steps: an unusable index, or an aborted append swept aside."""
+        return max(
+            [int(bool(self.unresolved or self.quarantined_steps))]
+            + [r.exit_code for _s, r in self.steps]
+        )
 
     def summary_lines(self) -> list[str]:
         lines = [f"indexed steps     : {len(self.steps)}"]
@@ -782,81 +615,41 @@ def repair_series(
     times that exist nowhere else, so a corrupt index is unresolved, not
     guessed.
     """
-    from repro.io.prefix import PrefixBackend
-    from repro.series.index import SeriesIndex
+    from repro.series.reader import SeriesReader
 
     root = as_dataset(source)
     out = SeriesRepairReport(dry_run=dry_run)
-
-    index = None
     try:
-        index = SeriesIndex.read(root.backend, actor=root.actor)
+        series = SeriesReader(
+            root.backend, root.actor, root.strict, root.retry, root.recorder, root.executor
+        )
     except FormatError as exc:
         out.unresolved.append(
             f"series index unusable ({exc}); step times are recorded nowhere "
             "else, so the index cannot be rebuilt"
         )
-
-    indexed: set[str] = set()
-    if index is not None:
-        for info in index:
-            indexed.add(info.prefix)
-            step_ds = Dataset(
-                PrefixBackend(root.backend, info.prefix),
-                actor=root.actor,
-                strict=root.strict,
-                retry=root.retry,
-                recorder=root.recorder,
-                executor=root.executor,
-            )
-            out.steps.append(
-                (info.step, repair_dataset(step_ds, dry_run=dry_run))
-            )
-
-    if index is not None:
-        try:
-            names = root.backend.listdir("")
-        except BackendError:
-            names = []
-        for name in sorted(names):
-            if not re.fullmatch(r"t\d{6}", name) or name in indexed:
-                continue
-            # An empty un-indexed step directory is residue of a previous
-            # quarantine (POSIX backends delete files but keep directories),
-            # not fresh damage — skip it so repair stays idempotent.
-            files = _step_files(root.backend, name)
-            if not files:
-                continue
-            out.quarantined_steps.append(name)
-            if dry_run:
-                continue
-            for path in files:
-                _quarantine_path(root, path, root.recorder)
-                root.recorder.add(REPAIR_ACTIONS, 1, key=(ACTION_QUARANTINE,))
-                root.recorder.event(
-                    EV_REPAIR_ACTION,
-                    kind=ACTION_QUARANTINE,
-                    path=path,
-                    particles_salvaged=0,
-                    particles_lost=0,
-                )
-    return out
-
-
-def _step_files(backend: FileBackend, prefix: str) -> list[str]:
-    """Every file under one step directory (the known dataset layout)."""
-    out: list[str] = []
-    try:
-        names = backend.listdir(prefix)
-    except BackendError:
         return out
+    for info in series.steps:
+        step_ds = series.open_dataset(info.step)
+        out.steps.append((info.step, repair_dataset(step_ds, dry_run=dry_run)))
+    indexed = {info.prefix for info in series.steps}
+    try:
+        names = root.backend.listdir("")
+    except BackendError:
+        names = []
     for name in sorted(names):
-        if name == "data":
-            try:
-                subs = backend.listdir(f"{prefix}/data")
-            except BackendError:
-                subs = []
-            out.extend(f"{prefix}/data/{n}" for n in sorted(subs))
-        else:
-            out.append(f"{prefix}/{name}")
+        if not re.fullmatch(r"t\d{6}", name) or name in indexed:
+            continue
+        # An empty un-indexed step directory is residue of a previous
+        # quarantine (POSIX backends delete files but keep directories),
+        # not fresh damage — skip it so repair stays idempotent.
+        files = walk_files(root.backend, name)
+        if not files:
+            continue
+        out.quarantined_steps.append(name)
+        if dry_run:
+            continue
+        for path in files:
+            _quarantine_path(root, path, root.recorder)
+            _note(root.recorder, RepairAction(ACTION_QUARANTINE, path, "aborted append"))
     return out

@@ -9,10 +9,9 @@ guarantees:
   recorded ``spatial_meta_crc32`` agrees with the bytes on disk;
 * every data file the table or the manifest names exists, has a valid
   header, the header's particle count matches the table's, the byte length
-  is exact, the v2 footer CRC (v4: every segment CRC) matches, the
-  manifest's payload and per-LOD prefix checksums and the table's chunk
-  index recompute from the payload, and a v3+ recovery trailer equals —
-  every field of it — the one repair would write (:func:`want_trailer`);
+  is exact and the v2 footer CRC (v4: every segment CRC) matches; then its
+  table record, manifest entry and v3+ recovery trailer each equal — whole
+  — the ones its payload rebuilds (:func:`want_entry`, :func:`want_trailer`);
 * no orphan data files sit in ``data/`` (leftovers of an aborted write);
 * the generation chain is structurally sound: the checksummed ``CURRENT``
   pointer parses and names an existing generation, every chained manifest
@@ -20,40 +19,26 @@ guarantees:
   ``CURRENT`` (an append that crashed before its commit point), and no
   ``spatial.gen-N.meta`` survives without its manifest (GC crash residue).
 
-The scrub also surfaces the **quarantine inventory** — files a previous
-repair moved to ``quarantine/`` — in :attr:`ScrubReport.quarantined`.
-Quarantined files are prior, already-accounted losses, not live damage, so
-they are reported informationally and never fail the scrub.
+The outcome is a :class:`ScrubReport` of typed :class:`ScrubIssue` entries,
+plus the **quarantine inventory** — files a previous repair moved to
+``quarantine/``, prior losses reported informationally, never failing the
+scrub.  Every issue code has one row in :data:`ISSUES`, the rule table:
+whether :mod:`repro.core.repair` resolves it *losslessly*, and which of the
+:data:`FIXES` it applies.  It is the only place where a verdict becomes an
+action, so a dataset that scrubs clean is one repair has nothing to do for.
 
-The outcome is a :class:`ScrubReport` of typed :class:`ScrubIssue` entries.
-Every issue code has one row in :data:`ISSUES`, which says whether
-:mod:`repro.core.repair` resolves it *losslessly* — rebuilding
-metadata/manifest state from the v3 recovery trailers, or rewriting a
-damaged trailer from committed state — and what repair does about it.
-Codes that are not repairable cost data to resolve: repair salvages what it
-can (truncating a torn file to its longest valid LOD prefix) and
-quarantines the rest.
+Scrub and repair share one :class:`Survey`, which the scrub builds once and
+hands over as :attr:`ScrubReport.survey`: the target generation, the
+manifest and table that survived, the dataset-wide facts, the file
+inventory, and one :func:`inspect_file` state per inventory file (a single
+read of its bytes under the dataset's retry policy, run on the dataset's
+:class:`~repro.io.executor.IoExecutor`; states merge back in inventory
+order, so the report is identical whichever executor ran it).
 
 :func:`dataset_is_complete` is the cheap commit-marker probe used by the
 writer's two-phase protocol: ``manifest.json`` is written last, so a
 dataset without a parseable manifest (or with manifest-referenced pieces
 missing) is an aborted write, never a valid dataset.
-
-Scrub and repair share one :class:`Survey` of the dataset, which the scrub
-builds once and hands over as :attr:`ScrubReport.survey`: the target
-generation, the manifest and table that survived, the dataset-wide facts,
-the file inventory, and one :func:`inspect_file` state per inventory file
-(a single read of its bytes under the dataset's retry policy).  Scrub
-compares those states with the committed record and entry to name issues;
-repair plans from the same survey and issues without reading the dataset
-again, so a file scrub passes is one repair leaves alone, and vice versa.
-
-Both entry points accept a :class:`~repro.dataset.Dataset` (or anything
-:func:`~repro.dataset.as_dataset` coerces) and run the per-file
-inspections — the expensive part of a scrub — on the dataset's
-:class:`~repro.io.executor.IoExecutor`.  States merge back in inventory
-order, so the final :class:`ScrubReport` is identical whichever executor
-ran the scrub.
 """
 
 from __future__ import annotations
@@ -115,6 +100,7 @@ from repro.particles.batch import ParticleBatch
 QUARANTINE_DIR = "quarantine"
 
 __all__ = [
+    "FIXES",
     "ISSUES",
     "QUARANTINE_DIR",
     "ScrubIssue",
@@ -124,56 +110,74 @@ __all__ = [
 ]
 
 
+#: What repair may do about an issue, strongest first: a data file gets the
+#: first of these its issues' rows name (``entry`` and ``trailer`` apply
+#: together), and a dataset-level row's fix applies to the dataset.
+FIXES = (
+    "leave-unresolved",  # act on nothing; report it
+    "drop-record",  # drop the lost file's record, billing its particles
+    "quarantine",  # move the file to quarantine/, dropping its record
+    "salvage",  # truncate to the longest verified LOD prefix, else quarantine
+    "adopt-trailer-record",  # trust the file's own trailer record, else quarantine
+    "entry",  # recompute the file's manifest entry and chunk index
+    "trailer",  # rewrite the file's trailer from committed state
+    "rebuild",  # rewrite the table and manifest from the kept records
+    "pointer",  # rewrite (or, for generation 0, remove) CURRENT
+    "drop-generation",  # delete the generation, quarantining files only it holds
+    "delete",  # delete the named path
+)
+
+
 class IssueKind(NamedTuple):
-    """How repair resolves one issue code."""
+    """One row of the rule table: how repair resolves one issue code."""
 
     #: Repair fixes it without losing a particle.
     repairable: bool
-    #: What repair does beyond rebuilding committed state: ``pointer``
-    #: (rewrite CURRENT), ``drop`` (the named generation, for ``why``),
-    #: ``delete`` (the named path), ``entry`` (recompute the file's manifest
-    #: entry) or ``trailer`` (rewrite the file's trailer).
-    fix: str = ""
+    #: The one of :data:`FIXES` repair applies.
+    fix: str
+    #: Why a ``drop-generation`` row's generation goes.
     why: str = ""
 
 
-#: Every code a scrub emits, once.
+#: Every code a scrub emits, once: the rule table.
 ISSUES: dict[str, IssueKind] = {
     "current-corrupt": IssueKind(True, "pointer"),
     "current-missing": IssueKind(True, "pointer"),
     "current-dangling": IssueKind(True, "pointer"),
-    "chain-unresolvable": IssueKind(False),
+    # No generation verifies: the newest one present is rebuilt.
+    "chain-unresolvable": IssueKind(False, "rebuild"),
     # Without the dataset-wide facts no file can be inspected or rebuilt.
-    "facts-unsettled": IssueKind(False),
+    "facts-unsettled": IssueKind(False, "leave-unresolved"),
     "generation-damaged": IssueKind(
-        True, "drop", "fails verification and is not the repair target"
+        True, "drop-generation", "fails verification and is not the repair target"
     ),
     "generation-mismatch": IssueKind(
-        True, "drop", "embedded generation contradicts its filename"
+        True, "drop-generation", "embedded generation contradicts its filename"
     ),
     "generation-ahead": IssueKind(
-        True, "drop", "crashed before its CURRENT flip (never committed)"
+        True, "drop-generation", "crashed before its CURRENT flip (never committed)"
     ),
     "generation-residue": IssueKind(True, "delete"),
-    "manifest-missing": IssueKind(True),
-    "manifest-corrupt": IssueKind(True),
-    "metadata-missing": IssueKind(True),
-    "metadata-unreadable": IssueKind(True),
+    "manifest-missing": IssueKind(True, "rebuild"),
+    "manifest-corrupt": IssueKind(True, "rebuild"),
+    "metadata-missing": IssueKind(True, "rebuild"),
+    "metadata-unreadable": IssueKind(True, "rebuild"),
     # Lossless to rebuild: every record survives in its file's trailer.
-    "metadata-checksum": IssueKind(True),
-    "metadata-corrupt": IssueKind(True),
-    "file-count-mismatch": IssueKind(True),
-    "particle-count-mismatch": IssueKind(True),
-    "metadata-crc-mismatch": IssueKind(True),
-    "data-missing": IssueKind(False),
-    "data-unreadable": IssueKind(False),
-    "data-header": IssueKind(False),
-    "data-corrupt": IssueKind(False),
-    "dtype-mismatch": IssueKind(False),
-    "data-truncated": IssueKind(False),
-    "data-checksum": IssueKind(False),
-    "segment-checksum": IssueKind(False),
-    "count-mismatch": IssueKind(False),
+    "metadata-checksum": IssueKind(True, "rebuild"),
+    "metadata-corrupt": IssueKind(True, "rebuild"),
+    "file-count-mismatch": IssueKind(True, "rebuild"),
+    "particle-count-mismatch": IssueKind(True, "rebuild"),
+    "metadata-crc-mismatch": IssueKind(True, "rebuild"),
+    "data-missing": IssueKind(False, "drop-record"),
+    # Cannot even be copied aside: left in place.
+    "data-unreadable": IssueKind(False, "leave-unresolved"),
+    "data-header": IssueKind(False, "quarantine"),
+    "data-corrupt": IssueKind(False, "quarantine"),
+    "dtype-mismatch": IssueKind(False, "quarantine"),
+    "data-truncated": IssueKind(False, "salvage"),
+    "data-checksum": IssueKind(False, "quarantine"),
+    "segment-checksum": IssueKind(False, "salvage"),
+    "count-mismatch": IssueKind(False, "adopt-trailer-record"),
     # Derived state disagreeing with verified bytes is lossless to rebuild.
     "manifest-checksum-mismatch": IssueKind(True, "entry"),
     "prefix-checksum-mismatch": IssueKind(True, "entry"),
@@ -181,9 +185,9 @@ ISSUES: dict[str, IssueKind] = {
     "trailer-damaged": IssueKind(True, "trailer"),
     "trailer-mismatch": IssueKind(True, "trailer"),
     # Nothing names the file: quarantining it costs no committed particle.
-    "data-orphan": IssueKind(True),
+    "data-orphan": IssueKind(True, "quarantine"),
     # Committed, but neither the table nor the file's trailer places it.
-    "data-unrecorded": IssueKind(False),
+    "data-unrecorded": IssueKind(False, "quarantine"),
 }
 
 
@@ -275,48 +279,36 @@ def dataset_is_complete(source: Dataset | FileBackend) -> bool:
     back.  An explicitly pinned facade probes its pinned generation.
     """
     ds = as_dataset(source)
-    backend = ds.backend
-    pin = ds.pinned_generation
-    if pin is None:
+    gen = ds.pinned_generation
+    if gen is None:
         try:
-            resolved = resolve_generation(backend, actor=ds.actor)
+            resolved = resolve_generation(ds.backend, actor=ds.actor)
         except FormatError:
             return False
         if resolved.fallback:
             return False
         gen = resolved.generation
-    else:
-        gen = pin
-    return verify_generation(backend, gen, actor=ds.actor)
+    return verify_generation(ds.backend, gen, actor=ds.actor)
 
 
-def _quarantine_inventory(backend: FileBackend) -> list[str]:
-    """Paths (relative to ``quarantine/``) of previously quarantined files.
+def walk_files(backend: FileBackend, root: str) -> list[str]:
+    """Every file under directory ``root``, sorted, from ``listdir`` and
+    ``exists`` alone.  A name listing nothing is a file where it exists —
+    unless the backend has real directories (``root`` itself exists, as on
+    POSIX): there listing a file fails, and an empty listing is an empty
+    directory."""
+    has_dirs = backend.exists(root)
 
-    Stack-based walk that only relies on ``listdir``/``exists``: a child
-    with a non-empty listing is a directory; an empty listing plus
-    existence means a file (both the virtual and POSIX backends satisfy
-    this — POSIX ``listdir`` on a file raises, which is caught).
-    """
-    out: list[str] = []
-    stack = [QUARANTINE_DIR]
-    while stack:
-        prefix = stack.pop()
+    def walk(path: str) -> list[str]:
         try:
-            names = backend.listdir(prefix)
+            names = backend.listdir(path)
         except BackendError:
-            names = []
-        for name in sorted(names, reverse=True):
-            child = f"{prefix}/{name}"
-            try:
-                children = backend.listdir(child)
-            except BackendError:
-                children = []
-            if children:
-                stack.append(child)
-            elif backend.exists(child):
-                out.append(child[len(QUARANTINE_DIR) + 1 :])
-    return sorted(out)
+            return [path] if backend.exists(path) else []
+        if names:
+            return [file for name in names for file in walk(f"{path}/{name}")]
+        return [path] if not has_dirs and backend.exists(path) else []
+
+    return sorted(walk(root))
 
 
 # -- the survey scrub and repair share -----------------------------------------
@@ -426,29 +418,26 @@ def _scrub_chain(backend: FileBackend, report: ScrubReport) -> tuple[Survey, set
     chain issues, and returns the survey's target, drops and pointer state
     plus every file another retained generation references."""
     gens = list_generations(backend)
-    chained = [g for g in gens if g > 0]
-    current: int | None = None
-    current_valid = False
+    current: int | None = None  # the pointer, where it is trustworthy
     has_current = backend.exists(CURRENT_PATH)
     if has_current:
         try:
             current = read_current(backend)
-            current_valid = True
         except FormatError as exc:
             report.add(CURRENT_PATH, "current-corrupt", str(exc))
-    elif chained:
+    elif any(g > 0 for g in gens):
         report.add(
             CURRENT_PATH,
             "current-missing",
             "generation manifests exist but the CURRENT pointer is absent",
         )
-    if current_valid and current not in gens:
+    if current is not None and current not in gens:
         report.add(
             CURRENT_PATH,
             "current-dangling",
             f"CURRENT names generation {current} but no such manifest exists",
         )
-        current_valid = False
+        current = None
 
     sv = Survey(_target(backend, report), has_current=has_current)
     target = sv.target.generation
@@ -461,7 +450,7 @@ def _scrub_chain(backend: FileBackend, report: ScrubReport) -> tuple[Survey, set
     # The committed baseline: what CURRENT says when it is trustworthy,
     # else the target.  Generations past it were never committed (an
     # append that crashed before its CURRENT flip).
-    baseline = current if current_valid else target
+    baseline = target if current is None else current
     referenced: set[str] = set()
     for g in gens:
         if g == target:
@@ -571,12 +560,26 @@ def chunk_size_of(copies) -> int:
     return 0
 
 
+def want_entry(payload_crc32: int, prefixes, codec: str | None) -> dict:
+    """The manifest checksum entry of a file with this payload CRC, these
+    per-LOD ``[count, crc32]`` prefix checksums and this columnar codec
+    (None: a row file): what repair writes, and what scrub compares the
+    manifest's entry against."""
+    entry = {
+        "payload_crc32": int(payload_crc32),
+        "prefixes": [[int(c), int(crc)] for c, crc in prefixes],
+    }
+    if codec is not None:
+        entry["codec"] = codec
+    return entry
+
+
 def want_trailer(record: MetadataRecord, entry: dict, facts: DatasetFacts) -> RecoveryTrailer:
-    """The recovery trailer of a file with table ``record`` and checksum
-    ``entry`` (its ``section`` replacing the record's): what repair writes,
-    and what scrub compares every trailer against."""
+    """The recovery trailer of a file with table ``record`` (chunk section
+    included) and manifest ``entry``: what repair writes, and what scrub
+    compares every trailer against."""
     return RecoveryTrailer(
-        replace(record, section=entry.get("section", b"")),
+        record,
         payload_crc32=int(entry["payload_crc32"]),
         prefixes=tuple((int(c), int(crc)) for c, crc in entry["prefixes"]),
         codec=entry.get("codec"),
@@ -593,9 +596,8 @@ class FileState:
     """What one pass over a data file's bytes established."""
 
     path: str
-    #: One of ``missing``, ``unreadable``, ``corrupt``, ``torn``, ``valid``.
-    status: str = "missing"
-    #: The scrub issue code of a damaged file, and one detail per finding.
+    #: The scrub code of the file's own damage (empty when its payload
+    #: verified), and one detail per finding.
     code: str = ""
     details: list[str] = field(default_factory=list)
     size: int = 0
@@ -606,17 +608,13 @@ class FileState:
     #: unusable — it does not parse, or disagrees with the header's count.
     trailer: RecoveryTrailer | None = None
     trailer_detail: str = ""
-    #: A valid file's checksum entry recomputed from its payload, chunk
-    #: ``section`` (and columnar ``codec``) included.
-    actual_entry: dict | None = None
-    #: Longest prefix (in particles) verifying against the committed entry.
-    salvage_count: int = 0
-    salvage_crc: int = 0
-    salvage_prefixes: list = field(default_factory=list)
-    #: Columnar (v4) facts: the segment codec (None marks a row file) and,
-    #: after salvage, the kept segment-bearing chunks as a table section.
-    codec: str | None = None
-    keep_section: bytes = b""
+    #: A verified payload's manifest entry (:func:`want_entry`) and chunk
+    #: index section, rebuilt from its bytes; None: it did not verify.
+    entry: dict | None = None
+    section: bytes = b""
+    #: A torn file's longest prefix verifying against the committed prefix
+    #: checksums, as ``(particles, entry, section)`` to truncate to.
+    salvage: tuple[int, dict, bytes] | None = None
 
     @property
     def detail(self) -> str:
@@ -628,8 +626,8 @@ class FileState:
             )
         return self.details[0] if self.details else ""
 
-    def fail(self, status: str, code: str, *details: str) -> FileState:
-        self.status, self.code, self.details = status, code, list(details)
+    def fail(self, code: str, *details: str) -> FileState:
+        self.code, self.details = code, list(details)
         return self
 
 
@@ -642,27 +640,24 @@ def inspect_file(
     ``entry`` is the file's :meth:`Survey.entry` — a copy of its chunk
     index to verify segments against, and the prefix checksums a torn file
     is salvaged against — or None when nothing committed records the file.
-    A valid file gets its checksum entry recomputed from the payload;
-    comparing it and the trailer with committed state is the caller's job:
-    scrub reports the differences, repair rewrites them.
+    A valid file gets its entry and chunk section rebuilt from the payload.
     """
     st = FileState(path)
     try:
         if not ds.backend.exists(path):
-            return st.fail("missing", "data-missing", "committed but absent")
+            return st.fail("data-missing", "committed but absent")
         raw = bytes(ds.retry.call(ds.backend.read_file, path, recorder=rec))
     except BackendError as exc:
-        return st.fail("unreadable", "data-unreadable", str(exc))
+        return st.fail("data-unreadable", str(exc))
     st.size = len(raw)
     try:
         st.version, st.rec_size, st.header_count = parse_data_header(raw, path)
     except DataFileError as exc:
         # A data file of a version this reader lacks, or none at all.
         known = len(raw) >= HEADER_BYTES and raw[:8] == DATA_MAGIC
-        return st.fail("corrupt", "data-corrupt" if known else "data-header", str(exc))
+        return st.fail("data-corrupt" if known else "data-header", str(exc))
     if st.rec_size != facts.dtype.itemsize:
         return st.fail(
-            "corrupt",
             "dtype-mismatch",
             f"record size {st.rec_size} does not match the dataset dtype's "
             f"itemsize {facts.dtype.itemsize}",
@@ -685,20 +680,19 @@ def inspect_file(
     expected = HEADER_BYTES + st.header_count * st.rec_size + footer
     if len(raw) < expected if st.version >= 3 else len(raw) != expected:
         st.fail(
-            "torn",
             "data-truncated",
             f"expected {expected} bytes for {st.header_count} particles, "
             f"found {len(raw)}",
         )
-        _find_salvage_prefix(st, raw, entry)
+        _find_salvage(st, raw, entry, facts.dtype)
         return st
     if st.version >= 2:
         try:
             verify_data_footer(raw[:expected], path)
         except ChecksumError as exc:
-            return st.fail("corrupt", "data-checksum", str(exc))
+            return st.fail("data-checksum", str(exc))
     payload = raw[HEADER_BYTES : expected - footer]
-    actual, boundaries = _recompute_entry(st, payload, zlib.crc32(payload), facts)
+    boundaries = _rebuild_entry(st, payload, zlib.crc32(payload), None, facts)
     # The chunk grid is fully determined by the payload, the LOD boundaries
     # and the chunk size — recovered from whichever of the file's recorded
     # indexes survives, or the dataset's when no copy is left at all — so a
@@ -713,7 +707,7 @@ def inspect_file(
         else facts.chunk_size
     )
     if chunk_size and st.header_count:
-        actual["section"] = build_chunk_entry(
+        st.section = build_chunk_entry(
             ParticleBatch.frombuffer(payload, facts.dtype),
             chunk_size,
             boundaries,
@@ -722,55 +716,47 @@ def inspect_file(
     return st
 
 
-def _recompute_entry(
-    st: FileState, logical, payload_crc: int, facts: DatasetFacts
-) -> tuple[dict, list[int]]:
-    """Mark ``st`` valid with the checksum entry of its ``logical`` rows
-    (``payload_crc`` covers the stored payload); returns that entry and the
-    per-file LOD boundaries its prefixes sit at."""
+def _rebuild_entry(
+    st: FileState, logical, payload_crc: int, codec: str | None, facts: DatasetFacts
+) -> list[int]:
+    """Set ``st.entry`` from its verified ``logical`` rows (``payload_crc``
+    covers the stored payload); returns the per-file LOD boundaries its
+    prefix checksums sit at."""
     boundaries = prefix_checksum_boundaries(st.header_count, facts.lod_base, facts.lod_scale)
     prefixes = payload_prefix_checksums(logical, st.rec_size, boundaries)
-    actual = {"payload_crc32": payload_crc, "prefixes": [[c, crc] for c, crc in prefixes]}
-    st.status, st.actual_entry = "valid", actual
-    return actual, boundaries
+    st.entry = want_entry(payload_crc, prefixes, codec)
+    return boundaries
 
 
 def _inspect_columnar(
     st: FileState, raw: bytes, entry: dict | None, facts: DatasetFacts
 ) -> FileState:
-    """Classify a columnar (v4) file from its raw bytes.
-
-    Verification runs at *segment* granularity against the first recorded
-    copy of the chunk index (the trailer's, then the table's) under which
-    the file verifies (:func:`_verify_columnar`), and a file with damaged or
-    missing tail segments is treated as torn — salvage keeps whole leading
-    chunks up to the longest LOD boundary whose decoded logical prefix still
-    verifies.  A valid file's recomputed v4 entry carries the encoded-payload
-    CRC, logical prefix CRCs, segment-bearing section and codec.
-    """
+    """Classify a columnar (v4) file from its raw bytes, at *segment*
+    granularity, against the first recorded copy of its chunk index (the
+    trailer's, then the table's) under which it verifies; one with damaged
+    or missing tail segments is salvaged.  A valid file's rebuilt entry
+    carries the encoded-payload CRC, logical prefix CRCs and codec, and its
+    section the segment descriptors."""
     copies = []
     if st.trailer is not None:
         copies.append((st.trailer.record.section, st.trailer.codec))
     if entry and entry.get("section"):
         copies.append((entry["section"], entry.get("codec")))
     check = _verify_columnar(raw, copies, st.header_count, facts.dtype, st.path)
-    st.codec = check.codec
     if check.rows is None:
-        if check.index is not None and check.code in ("data-truncated", "segment-checksum"):
-            st.fail("torn", check.code, *check.details)
-            _find_columnar_salvage(st, raw, entry, facts.dtype, check.index, check.codec)
-        else:
-            st.fail("corrupt", check.code, *check.details)
+        st.fail(check.code, *check.details)
+        if ISSUES[check.code].fix == "salvage":
+            _find_salvage(st, raw, entry, facts.dtype, check.index, check.codec)
         return st
     stored = check.index
     assert stored is not None  # a verified file verified against an index
-    actual, boundaries = _recompute_entry(
+    boundaries = _rebuild_entry(
         st,
         np.ascontiguousarray(check.rows).tobytes(),
         zlib.crc32(raw[HEADER_BYTES : HEADER_BYTES + check.enc_len]),
+        check.codec,
         facts,
     )
-    actual["codec"] = check.codec
     # Regraft the chunk geometry from the decoded payload (the truth) and
     # keep the verified stored segment descriptors — same partition, so
     # they line up one-to-one.  A geometry whose partition no longer
@@ -783,7 +769,7 @@ def _inspect_columnar(
     ):
         geo.segments = stored.segments
         stored = geo
-    actual["section"] = stored.to_section()
+    st.section = stored.to_section()
     return st
 
 
@@ -864,81 +850,50 @@ def _verify_columnar(raw: bytes, copies, count: int, dtype, path: str) -> _Colum
     )
 
 
-def _find_columnar_salvage(
+def _find_salvage(
     st: FileState,
     raw: bytes,
     entry: dict | None,
     dtype,
-    index: FileChunkIndex,
-    codec: str,
+    index: FileChunkIndex | None = None,
+    codec: str | None = None,
 ) -> None:
-    """Salvage for a torn/segment-damaged v4 file: keep whole leading
-    chunks whose segments all verify and decode, up to the longest
-    recorded LOD boundary whose decoded logical prefix CRC matches.
-    Chunks never straddle LOD boundaries, so every recorded boundary is
-    chunk-aligned and the kept encoded bytes are a payload prefix whose
-    segment offsets stay valid."""
-    eff = entry
-    if eff is None and st.trailer is not None:
-        eff = st.trailer.checksum_entry
-    if eff is None:
-        return
-    payload = raw[HEADER_BYTES:]
-    parts = []
-    for k in range(len(index)):
+    """The longest prefix of a torn file whose logical rows — a row file's
+    payload, a columnar file's leading chunks under ``index`` that decode —
+    verify against the committed per-LOD prefix checksums (the trailer's if
+    nothing committed the file).  Levels-are-subsets makes it a valid coarse
+    representation; chunks never straddle LOD boundaries, so a columnar
+    prefix is whole chunks whose segment offsets stay valid."""
+    recorded = entry or (st.trailer.checksum_entry if st.trailer is not None else {})
+    payload, parts = memoryview(raw)[HEADER_BYTES:], []
+    for k in range(len(index) if index is not None else 0):
         try:
-            parts.append(
-                decode_columnar_payload(payload, index[k : k + 1], codec, dtype, st.path)
-            )
+            parts.append(decode_columnar_payload(payload, index[k : k + 1], codec, dtype, st.path))
         except (ChecksumError, DataFileError):
             break
-    good = int(index.counts[: len(parts)].sum())
-    if not good:
-        return
-    prefixes = _verified_prefixes(
-        np.concatenate(parts).tobytes(), st.rec_size, eff.get("prefixes", [])
-    )
-    kept = prefixes[-1][0] if prefixes else 0
-    ends = np.cumsum(index.counts)
-    k = int(np.searchsorted(ends, kept)) + 1
-    if not kept or ends[k - 1] != kept:
-        return  # nothing verifies, or a boundary not chunk-aligned
-    st.salvage_count = kept
-    st.salvage_crc = zlib.crc32(payload[: columnar_payload_length(index[:k])])
-    st.salvage_prefixes = prefixes
-    st.keep_section = index[:k].to_section()
-
-
-def _find_salvage_prefix(st: FileState, raw: bytes, entry: dict | None) -> None:
-    """Longest prefix of a torn file that verifies against the manifest's
-    per-LOD prefix checksums.  Levels-are-subsets makes that prefix a valid
-    coarse representation — exactly what truncation keeps."""
-    if entry is None:
-        return
-    prefixes = _verified_prefixes(
-        memoryview(raw)[HEADER_BYTES:], st.rec_size, entry.get("prefixes", [])
-    )
-    if prefixes:
-        st.salvage_count, st.salvage_crc = prefixes[-1]
-        st.salvage_prefixes = prefixes
-
-
-def _verified_prefixes(logical, rec_size: int, recorded) -> list[list[int]]:
-    """The leading ``[count, crc32]`` pairs of the ``recorded`` per-LOD
-    prefix checksums that the ``logical`` row bytes (possibly cut short)
-    still reproduce."""
-    out: list[list[int]] = []
+    logical = payload if index is None else b"".join(p.tobytes() for p in parts)
+    prefixes: list[list[int]] = []
     crc, pos = 0, 0
-    for count, stored in recorded:
+    for count, stored in recorded.get("prefixes", []):
         count, stored = int(count), int(stored)
-        if count * rec_size > len(logical):
+        if count * st.rec_size > len(logical):
             break
-        crc = zlib.crc32(logical[pos * rec_size : count * rec_size], crc)
+        crc = zlib.crc32(logical[pos * st.rec_size : count * st.rec_size], crc)
         pos = count
         if crc != stored:
             break
-        out.append([count, crc])
-    return out
+        prefixes.append([count, crc])
+    if not prefixes:
+        return
+    (kept, crc), section = prefixes[-1], b""
+    if index is not None:
+        ends = np.cumsum(index.counts)
+        k = int(np.searchsorted(ends, kept)) + 1
+        if ends[k - 1] != kept:
+            return  # a boundary not chunk-aligned
+        crc = zlib.crc32(payload[: columnar_payload_length(index[:k])])
+        section = index[:k].to_section()
+    st.salvage = (kept, want_entry(crc, prefixes, codec), section)
 
 
 def _donor_trailer(ds: Dataset, paths) -> RecoveryTrailer | None:
@@ -985,17 +940,16 @@ def _survey(ds: Dataset, report: ScrubReport) -> Survey:
     else:
         try:
             sv.raw_meta = bytes(backend.read_file(meta_path))
+            sv.metadata = SpatialMetadata.from_bytes(sv.raw_meta)
         except BackendError as exc:
             report.add(meta_path, "metadata-unreadable", str(exc))
-        if sv.raw_meta is not None:
-            try:
-                sv.metadata = SpatialMetadata.from_bytes(sv.raw_meta)
-                sv.records = {r.file_path: r for r in sv.metadata.records}
-                report.bytes_verified += len(sv.raw_meta)
-            except ChecksumError as exc:
-                report.add(meta_path, "metadata-checksum", str(exc))
-            except MetadataError as exc:
-                report.add(meta_path, "metadata-corrupt", str(exc))
+        except ChecksumError as exc:
+            report.add(meta_path, "metadata-checksum", str(exc))
+        except MetadataError as exc:
+            report.add(meta_path, "metadata-corrupt", str(exc))
+        else:
+            sv.records = {r.file_path: r for r in sv.metadata.records}
+            report.bytes_verified += len(sv.raw_meta)
     manifest, metadata = sv.manifest, sv.metadata
 
     # 3. Manifest <-> metadata cross-checks.
@@ -1065,13 +1019,17 @@ def _survey(ds: Dataset, report: ScrubReport) -> Survey:
 
 
 def _check_file(sv: Survey, st: FileState, report: ScrubReport) -> None:
-    """Compare one inspected file with the committed record and checksum
-    entry, adding what disagrees to ``report``."""
+    """Add to ``report`` one inspected file's own damage and where its
+    committed state — table record, manifest entry, trailer — differs from
+    what its payload rebuilds."""
     path = st.path
-    if st.status == "missing":
+    if st.code == "data-missing":
         report.add(path, st.code, st.detail)
         return
     report.files_checked += 1
+    if st.code == "data-unreadable":  # unread, so not even quarantine can move it
+        report.add(path, st.code, st.detail)
+        return
     unplaced = "data-orphan" if sv.committed(path) is None else "data-unrecorded"
     ref = sv.records.get(path)
     if sv.metadata is not None and ref is None:
@@ -1084,20 +1042,19 @@ def _check_file(sv: Survey, st: FileState, report: ScrubReport) -> None:
         )
         return
     if ref is not None and st.version and st.header_count != ref.particle_count:
+        # The header contradicts the table: its own verdict is moot.
         report.add(
             path,
             "count-mismatch",
             f"header says {st.header_count} particles, "
             f"spatial.meta says {ref.particle_count}",
         )
-    elif st.actual_entry is None:  # not valid: the inspection's own verdict
+    else:
         for detail in st.details:
             report.add(path, st.code, detail)
-        return
-    actual = st.actual_entry
-    rec = sv.placed(st)
-    if rec is None or actual is None:
-        if ref is None:  # the table is lost and the trailer cannot stand in
+    rec = sv.placed(st) if st.entry is not None else None
+    if rec is None:
+        if ref is None and st.entry is not None:  # no table, no usable trailer
             own = st.trailer if not st.trailer_detail else None
             report.add(
                 path,
@@ -1110,32 +1067,31 @@ def _check_file(sv: Survey, st: FileState, report: ScrubReport) -> None:
         return
     report.bytes_verified += st.size
 
-    entry = sv.entry(path)
-    if entry is not None:
-        if int(entry.get("payload_crc32", -1)) != actual["payload_crc32"]:
+    # A record without a chunk index (a legacy table's) stays without one.
+    if rec.section and rec.section != st.section:
+        # A bad chunk index silently turns pruned reads wrong.
+        report.add(
+            path,
+            "chunk-index-mismatch",
+            "recorded chunk index disagrees with the one the payload rebuilds",
+        )
+    # A version-1 manifest commits no checksums.
+    if sv.manifest is not None and sv.manifest.spatial_meta_crc32 is not None:
+        have, want = sv.manifest.checksums.get(path), st.entry
+        if have is None:
+            report.add(path, "manifest-checksum-mismatch", "the manifest has no entry for the file")
+        elif have != want:
+            key = next(k for k in (*want, *have) if have.get(k) != want.get(k))
             report.add(
                 path,
-                "manifest-checksum-mismatch",
-                "manifest payload_crc32 disagrees with the data file",
-            )
-        elif [list(p) for p in entry.get("prefixes", [])] != actual["prefixes"]:
-            report.add(
-                path,
-                "prefix-checksum-mismatch",
-                "per-LOD prefix checksums disagree with the data file",
-            )
-        elif rec.section and rec.section != actual.get("section", b""):
-            # A bad chunk index silently turns pruned reads wrong.
-            report.add(
-                path,
-                "chunk-index-mismatch",
-                "recorded chunk index disagrees with the one the payload rebuilds",
+                "prefix-checksum-mismatch" if key == "prefixes" else "manifest-checksum-mismatch",
+                f"manifest entry's {key} disagrees with the data file",
             )
     if st.version >= 3:
         assert sv.facts is not None  # files are inspected only under facts
         if st.trailer is None:
             report.add(path, "trailer-damaged", st.trailer_detail)
-        elif st.trailer != want_trailer(rec, actual, sv.facts):
+        elif st.trailer != want_trailer(replace(rec, section=st.section), st.entry, sv.facts):
             report.add(
                 path,
                 "trailer-mismatch",
@@ -1155,7 +1111,9 @@ def scrub_dataset(source: Dataset | FileBackend) -> ScrubReport:
     ds = as_dataset(source)
     report = ScrubReport()
     report.complete = dataset_is_complete(ds)
-    report.quarantined = _quarantine_inventory(ds.backend)
+    report.quarantined = [
+        p[len(QUARANTINE_DIR) + 1 :] for p in walk_files(ds.backend, QUARANTINE_DIR)
+    ]
     sv = report.survey = _survey(ds, report)
     report.generation = sv.target.generation
     if sv.unsettled:

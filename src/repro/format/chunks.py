@@ -192,7 +192,7 @@ class FileChunkIndex:
 
     __slots__ = (
         "starts", "counts", "lo", "hi", "attr_ranges",
-        "segments", "codec", "attr_names",
+        "segments", "codec", "attr_names", "_total",
     )
 
     def __init__(
@@ -221,6 +221,7 @@ class FileChunkIndex:
         #: Names behind ``attr_ranges`` columns (the dataset's attr_index
         #: order); empty when the caller did not supply them.
         self.attr_names = tuple(attr_names)
+        self._total: int | None = None
 
     @classmethod
     def empty(cls, codec: str | None = None, attr_names=()) -> "FileChunkIndex":
@@ -250,7 +251,11 @@ class FileChunkIndex:
 
     @property
     def total_particles(self) -> int:
-        return int(self.counts.sum()) if len(self.counts) else 0
+        """The particles the chunks cover, counted once per index (by
+        :meth:`validated`, which counts them anyway, or on first use)."""
+        if self._total is None:
+            self._total = int(self.counts.sum()) if len(self.counts) else 0
+        return self._total
 
     # -- the packed section ---------------------------------------------------
 
@@ -389,6 +394,7 @@ class FileChunkIndex:
             )
         self.codec = codec
         self.attr_names = tuple(attr_names)
+        self._total = covered
         return self
 
     def select_runs(

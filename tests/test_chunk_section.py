@@ -612,6 +612,16 @@ class TestOneMessagePerInvariant:
             assert chunk_list(index.to_section()) == entry
             assert FileChunkIndex.from_entry(entry, 12).to_section() == oracle_section(entry)
 
+    def test_total_particles_is_counted_once(self):
+        """The validator counts the chunks anyway; reads ask again per call."""
+        index = FileChunkIndex.unpack(oracle_section(_entry())).validated(12)
+        index.counts = index.counts[:0]  # a later count would now read 0
+        assert index.total_particles == 12
+        built = FileChunkIndex.unpack(oracle_section(_entry()))
+        assert built.total_particles == 12
+        built.counts = built.counts[:0]
+        assert built.total_particles == 12
+
     @pytest.mark.parametrize(
         "entry",
         [5, [5], [[0, 4]], [[0, 4, [0, 0], [1, 1], []]], [[None, 4, [0] * 3, [1] * 3, []]],

@@ -54,6 +54,21 @@ class TestReadme:
         assert META_MAGIC.decode() in spec
         assert HEADER_BYTES == 24  # the documented data-file header size
 
+    def test_format_spec_documents_the_rule_table(self):
+        """docs/FORMAT.md's table of scrub issues is ``ISSUES``, row for row,
+        and its fix list is ``FIXES``, in order."""
+        from repro.core.scrub import FIXES, ISSUES
+
+        spec = (REPO / "docs" / "FORMAT.md").read_text()
+        section = spec[spec.index("### Scrub issues and their repair"):]
+        section = section[: section.index("\n## ")]
+        rows = re.findall(r"^\| `([a-z-]+)` \| (yes|no) \| `([a-z-]+)` \|$", section, re.M)
+        assert {code: (flag == "yes", fix) for code, flag, fix in rows} == {
+            code: (kind.repairable, kind.fix) for code, kind in ISSUES.items()
+        }
+        assert len(rows) == len(ISSUES)
+        assert re.findall(r"^\* `([a-z-]+)` —", section, re.M) == list(FIXES)
+
 
 class TestPublicDocstrings:
     @pytest.mark.parametrize(

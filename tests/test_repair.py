@@ -4,7 +4,8 @@ Covers the disaster-recovery contract end to end: full metadata/manifest
 reconstruction from data files alone (bit-identical), torn-file truncation
 to the longest checksum-verified LOD prefix, quarantine of unrecoverable
 pieces, dry-run purity, obs instrumentation, idempotence/convergence under
-randomized corruption, and crash-recovery for multi-timestep series.
+randomized corruption, crash-recovery for multi-timestep series, and one
+damage recipe per issue code of the rule table.
 """
 
 import dataclasses
@@ -28,18 +29,23 @@ from repro.core import (
     scrub_dataset,
 )
 from repro.core.config import WriterConfig
-from repro.core.scrub import ISSUES
+from repro.core.scrub import FIXES, ISSUES
 from repro.core.repair import (
+    ACTION_DROP_GENERATION,
+    ACTION_DROP_MISSING,
     ACTION_QUARANTINE,
+    ACTION_REBUILD_ENTRY,
     ACTION_REBUILD_MANIFEST,
     ACTION_REBUILD_METADATA,
+    ACTION_REWRITE_CURRENT,
     ACTION_REWRITE_TRAILER,
     ACTION_TRUNCATE,
     QUARANTINE_DIR,
+    _plan,
 )
 from repro.dataset import Dataset, open_dataset
 from repro.domain import Box, PatchDecomposition
-from repro.errors import RankFailedError
+from repro.errors import DataFileError, RankFailedError
 from repro.format.datafile import (
     HEADER_BYTES,
     TRAILER_FOOTER_BYTES,
@@ -634,7 +640,8 @@ class TestScrubRepairWiring:
 
     def test_every_emitted_code_has_a_table_row(self):
         """Each code string scrub can emit (an argument or assignment in
-        its source) is a row of the issue table, and every row is one."""
+        its source, other than the fixes the rows name) is a row of the
+        issue table, and every row is one."""
         import ast
         import inspect
 
@@ -648,62 +655,37 @@ class TestScrubRepairWiring:
             and isinstance(node.value, str)
             and re.fullmatch(r"[a-z]+(-[a-z]+)+", node.value)
         }
-        assert emitted == set(scrub.ISSUES)
+        assert emitted - set(scrub.FIXES) == set(scrub.ISSUES)
+        assert {kind.fix for kind in scrub.ISSUES.values()} <= set(scrub.FIXES)
 
 
 # -- one damage recipe per issue code ----------------------------------------------
 
-#: What repair does for each issue code: the rule table scrub carries.
-ROW_FIX = {
-    "current-corrupt": "pointer",
-    "current-missing": "pointer",
-    "current-dangling": "pointer",
-    "chain-unresolvable": "rebuild",
-    "facts-unsettled": "leave-unresolved",
-    "generation-damaged": "drop-generation",
-    "generation-mismatch": "drop-generation",
-    "generation-ahead": "drop-generation",
-    "generation-residue": "delete",
-    "manifest-missing": "rebuild",
-    "manifest-corrupt": "rebuild",
-    "metadata-missing": "rebuild",
-    "metadata-unreadable": "rebuild",
-    "metadata-checksum": "rebuild",
-    "metadata-corrupt": "rebuild",
-    "file-count-mismatch": "rebuild",
-    "particle-count-mismatch": "rebuild",
-    "metadata-crc-mismatch": "rebuild",
-    "data-missing": "drop-record",
-    "data-unreadable": "leave-unresolved",
-    "data-header": "quarantine",
-    "data-corrupt": "quarantine",
-    "dtype-mismatch": "quarantine",
-    "data-truncated": "salvage",
-    "data-checksum": "quarantine",
-    "segment-checksum": "salvage",
-    "count-mismatch": "adopt-trailer-record",
-    "manifest-checksum-mismatch": "entry",
-    "prefix-checksum-mismatch": "entry",
-    "chunk-index-mismatch": "entry",
-    "trailer-damaged": "trailer",
-    "trailer-mismatch": "trailer",
-    "data-orphan": "quarantine",
-    "data-unrecorded": "quarantine",
-}
-
-#: The action kinds each fix plans.
+#: The action kinds each fix of the rule table may plan: a salvage whose
+#: prefix does not verify, or a trailer that cannot place its file,
+#: quarantines it; a dropped generation quarantines the files only it held
+#: and a generation-0 dataset's stray CURRENT; a table rebuilt from the
+#: trailers re-derives each adopted file's entry.
 FIX_KINDS = {
     "leave-unresolved": set(),
-    "drop-record": {"drop-missing-file"},
+    "drop-record": {ACTION_DROP_MISSING},
     "quarantine": {ACTION_QUARANTINE},
-    "salvage": {ACTION_TRUNCATE},
-    "adopt-trailer-record": {"rebuild-manifest-entry"},
-    "entry": {"rebuild-manifest-entry"},
+    "salvage": {ACTION_TRUNCATE, ACTION_QUARANTINE},
+    "adopt-trailer-record": {ACTION_REBUILD_ENTRY, ACTION_TRUNCATE, ACTION_QUARANTINE},
+    "entry": {ACTION_REBUILD_ENTRY},
     "trailer": {ACTION_REWRITE_TRAILER},
+    "rebuild": {ACTION_REBUILD_METADATA, ACTION_REBUILD_MANIFEST, ACTION_REBUILD_ENTRY},
+    "pointer": {ACTION_REWRITE_CURRENT},
+    "drop-generation": {ACTION_DROP_GENERATION, ACTION_QUARANTINE, ACTION_REWRITE_CURRENT},
+    "delete": {ACTION_DROP_GENERATION},
+}
+
+#: Where a fix may plan several kinds, the ones each recipe below must get.
+PLANNED = {
+    "salvage": {ACTION_TRUNCATE},
+    "adopt-trailer-record": {ACTION_REBUILD_ENTRY},
     "rebuild": {ACTION_REBUILD_METADATA, ACTION_REBUILD_MANIFEST},
-    "pointer": {"rewrite-current-pointer"},
-    "drop-generation": {"drop-generation"},
-    "delete": {"drop-generation"},
+    "drop-generation": {ACTION_DROP_GENERATION},
 }
 
 VICTIM = "data/file_0.pbin"
@@ -736,7 +718,6 @@ def bases():
     return {"row": row, "columnar": columnar, "chained": chained}
 
 
-
 def edit_json(backend, path, edit):
     doc = json.loads(backend.read_file(path))
     edit(doc)
@@ -758,7 +739,8 @@ def edit_bytes(backend, path, edit):
 
 
 def unreadable(backend, glob):
-    return FaultInjectingBackend(backend, FaultPlan((FaultSpec("permanent", op="read", path_glob=glob),)))
+    plan = FaultPlan((FaultSpec("permanent", op="read", path_glob=glob),))
+    return FaultInjectingBackend(backend, plan)
 
 
 def _lie_about_chunks(records):
@@ -782,7 +764,7 @@ def _lying_trailer(b):
 def _break_every_trailer(b):
     b.delete("spatial.meta")
     for path in data_paths(b):
-        edit_bytes(b, path, lambda raw: raw.__setitem__(-TRAILER_FOOTER_BYTES, raw[-TRAILER_FOOTER_BYTES] ^ 0xFF))
+        edit_bytes(b, path, lambda raw: raw.__setitem__(-TRAILER_FOOTER_BYTES, 0))
 
 
 def _dtype_mismatch(b):
@@ -874,11 +856,34 @@ RECIPES = {
 
 class TestDamageMatrix:
     """Every issue code, from one damage recipe: scrub names it with its
-    row's repairable flag, repair plans the row's action (a dry run writes
-    nothing), and a second scrub finds only what the row leaves unresolved."""
+    row's repairable flag, repair plans the row's fix (a dry run writes
+    nothing) and every planned action traces back to an issue whose row
+    names it, and a second scrub finds only what the row leaves unresolved."""
 
     def test_every_code_has_a_recipe(self):
-        assert set(RECIPES) == set(ISSUES) == set(ROW_FIX)
+        assert set(RECIPES) == set(ISSUES)
+        assert set(FIX_KINDS) == set(FIXES)
+
+    @pytest.mark.parametrize("base", ["row", "columnar", "chained"])
+    def test_a_clean_dataset_plans_nothing(self, bases, base):
+        report = scrub_dataset(Dataset(clone(bases[base])))
+        assert report.ok
+        plan = _plan(report.survey, report.issues)
+        assert (plan.actions, plan.unresolved, plan.delete_paths, plan.rewrite) == ([], [], [], {})
+        assert plan.meta_blob is None and plan.manifest is None
+
+    def test_an_unreadable_orphan_is_unresolved_not_repairable(self, bases):
+        """Quarantine must read a file to move it: scrub does not promise
+        what repair cannot do."""
+        inner = clone(bases["row"])
+        inner.write_file("data/file_99.pbin", inner.read_file(VICTIM))
+        backend = unreadable(inner, "data/file_99.pbin")
+        report = scrub_dataset(Dataset(backend))
+        assert [(i.code, i.repairable) for i in report.issues] == [("data-unreadable", False)]
+        damaged = snapshot(inner)
+        result = repair_dataset(Dataset(backend), report)
+        assert result.unresolved and not result.actions and result.exit_code == 1
+        assert snapshot(inner) == damaged
 
     @pytest.mark.parametrize("code", sorted(RECIPES))
     def test_code(self, bases, code):
@@ -886,7 +891,7 @@ class TestDamageMatrix:
         inner = clone(bases[base])
         backend = damage(inner)
         backend = backend if isinstance(backend, FaultInjectingBackend) else inner
-        fix = ROW_FIX[code]
+        fix = ISSUES[code].fix
 
         report = scrub_dataset(Dataset(backend))
         found = [i for i in report.issues if i.code == code]
@@ -896,11 +901,15 @@ class TestDamageMatrix:
         mark = (len(inner.ops_of_kind("write")), len(inner.ops_of_kind("delete")))
         plan = repair_dataset(Dataset(backend), report, dry_run=True)
         assert (len(inner.ops_of_kind("write")), len(inner.ops_of_kind("delete"))) == mark
-        kinds = {a.kind for a in plan.actions}
+        named = {ISSUES[i.code].fix for i in report.issues}
+        for action in plan.actions:
+            assert action.fix in named | {"rebuild"}, action.describe()
+            assert action.kind in FIX_KINDS[action.fix], action.describe()
         if fix == "leave-unresolved":
             assert plan.unresolved, plan.summary_lines()
         else:
-            assert FIX_KINDS[fix] & kinds, (fix, plan.summary_lines())
+            kinds = {a.kind for a in plan.actions if a.fix == fix}
+            assert PLANNED.get(fix, FIX_KINDS[fix]) & kinds, (fix, plan.summary_lines())
 
         damaged = snapshot(inner)
         result = repair_dataset(Dataset(backend))
@@ -920,7 +929,8 @@ def _full(backend):
 
 class TestManifestEntryFindings:
     """A manifest missing a file's checksum entry, or whose entry names the
-    wrong codec, is a repairable finding: strict reads depend on the entry."""
+    wrong codec, is a repairable finding: strict columnar reads depend on
+    the entry, and fail until repair recomputes it."""
 
     @pytest.mark.parametrize("base,edit", [
         ("columnar", lambda e: e.pop(VICTIM)),
@@ -931,6 +941,9 @@ class TestManifestEntryFindings:
         backend = clone(bases[base])
         before = _full(backend)
         edit_json(backend, "manifest.json", lambda d: edit(d["checksums"]))
+        if base == "columnar":
+            with pytest.raises(DataFileError):
+                _full(backend)
         report = scrub_dataset(Dataset(backend))
         assert report.codes == {"manifest-checksum-mismatch"}
         assert all(i.repairable and i.path == VICTIM for i in report.issues)
@@ -938,3 +951,10 @@ class TestManifestEntryFindings:
         assert result.ok and result.exit_code == 0
         assert scrub_dataset(Dataset(backend)).ok
         assert np.array_equal(_full(backend), before)
+
+    def test_a_version_1_manifest_commits_no_entries(self, bases):
+        backend = clone(bases["row"])
+        edit_json(backend, "manifest.json", lambda d: d.update(
+            version=1, checksums={}, spatial_meta_crc32=None
+        ))
+        assert scrub_dataset(Dataset(backend)).ok
