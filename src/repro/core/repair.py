@@ -268,21 +268,21 @@ def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
         elif fix == "drop-record":
             detail = "referenced data file is gone; dropping its record"
             add(fix, ACTION_DROP_MISSING, path, detail, lost=lost)
-        elif st.salvage is not None and ref is not None:
+        elif fix == "salvage" and st.salvage is not None and ref is not None:
             count, entry, section = st.salvage
             cut = replace(ref, particle_count=count, section=section)
             plan.rewrite[path] = (count, st.rec_size, want_trailer(cut, entry, facts))
             keep(cut, entry)
             detail = f"{st.detail}; keeping the longest checksum-verified LOD prefix"
             add(fix, ACTION_TRUNCATE, path, detail, salvaged=count, lost=ref.particle_count - count)
-        elif fix in ("quarantine", "salvage") or record is None:
+        elif fix in ("quarantine", "salvage") or fix == "adopt-trailer-record" and record is None:
             # A damaged file's own verdict says why; a valid one's placement.
             detail = st.detail or fixes[fix].detail
             if st.code and ISSUES[st.code].fix == "salvage":
                 detail += "; no prefix verifies" if ref is not None else "; no record"
             add(fix, ACTION_QUARANTINE, path, detail, lost=lost)
         else:
-            assert st.entry is not None  # every placed file verified
+            assert record is not None  # a file no row removes is placed
             # A file scrub passed keeps its committed record (a legacy table's
             # has no chunk index) unless the manifest is rebuilt from scratch.
             if fixes or manifest is None or record is not ref:
@@ -459,9 +459,10 @@ def _execute(ds: Dataset, plan: _RepairPlan, report: RepairReport) -> None:
         _write(ds, plan.target.meta_path, plan.meta_blob, rec)
     if plan.manifest is not None:
         _write(ds, plan.target.manifest_path, plan.manifest.to_json().encode("utf-8"), rec)
-    if gen > 0:
+    if gen > 0 and plan.actions:
         # A chained dataset's repair ends in its own commit flip: everything
-        # above is now the committed state the pointer names.
+        # above is now the committed state the pointer names.  A refused
+        # plan has no action, so it writes nothing.
         ds.retry.call(write_current, ds.backend, gen, actor=ds.actor, recorder=rec)
     for action in plan.actions:
         action.executed = action.executed or action.kind not in FILE_ACTIONS

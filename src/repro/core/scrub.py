@@ -24,8 +24,9 @@ plus the **quarantine inventory** — files a previous repair moved to
 ``quarantine/``, prior losses reported informationally, never failing the
 scrub.  Every issue code has one row in :data:`ISSUES`, the rule table:
 whether :mod:`repro.core.repair` resolves it *losslessly*, and which of the
-:data:`FIXES` it applies.  It is the only place where a verdict becomes an
-action, so a dataset that scrubs clean is one repair has nothing to do for.
+:data:`FIXES` it applies.  A data file's action comes from its rows alone;
+the table and manifest are rewritten wherever what repair keeps differs
+from them, so a dataset-level ``rebuild`` row says why, not whether.
 
 Scrub and repair share one :class:`Survey`, which the scrub builds once and
 hands over as :attr:`ScrubReport.survey`: the target generation, the
@@ -1042,16 +1043,14 @@ def _check_file(sv: Survey, st: FileState, report: ScrubReport) -> None:
         )
         return
     if ref is not None and st.version and st.header_count != ref.particle_count:
-        # The header contradicts the table: its own verdict is moot.
         report.add(
             path,
             "count-mismatch",
             f"header says {st.header_count} particles, "
             f"spatial.meta says {ref.particle_count}",
         )
-    else:
-        for detail in st.details:
-            report.add(path, st.code, detail)
+    for detail in st.details:  # the payload's own verdict, against its header
+        report.add(path, st.code, detail)
     rec = sv.placed(st) if st.entry is not None else None
     if rec is None:
         if ref is None and st.entry is not None:  # no table, no usable trailer

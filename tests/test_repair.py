@@ -639,23 +639,44 @@ class TestScrubRepairWiring:
         assert Dataset.open(backend).manifest.total_particles == 2000
 
     def test_every_emitted_code_has_a_table_row(self):
-        """Each code string scrub can emit (an argument or assignment in
-        its source, other than the fixes the rows name) is a row of the
-        issue table, and every row is one."""
+        """Each code string scrub can emit is a row of the issue table, and
+        every row is one.  A code is emitted from a code position: the code
+        argument of ``report.add``/``flag``/``FileState.fail``, a ``code=``
+        keyword, or what is assigned to a ``.code`` or a name passed there."""
         import ast
         import inspect
 
         from repro.core import scrub
 
         tree = ast.parse(inspect.getsource(scrub))
-        emitted = {
-            node.value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and re.fullmatch(r"[a-z]+(-[a-z]+)+", node.value)
-        }
-        assert emitted - set(scrub.FIXES) == set(scrub.ISSUES)
+        positions = {"add": 1, "flag": 1, "fail": 0}
+        exprs = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in positions and len(node.args) > positions[name]:
+                    exprs.append(node.args[positions[name]])
+                exprs += [k.value for k in node.keywords if k.arg == "code"]
+        names = {"code"} | {e.id for e in exprs if isinstance(e, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = list(zip(target.elts, node.value.elts))
+                    exprs += [
+                        v for t, v in pairs if getattr(t, "id", getattr(t, "attr", 0)) in names
+                    ]
+
+        def values(expr):
+            if isinstance(expr, ast.IfExp):
+                return values(expr.body) | values(expr.orelse)
+            if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+                return {expr.value}
+            return set()
+
+        emitted = set().union(*map(values, exprs))
+        assert emitted == set(scrub.ISSUES)
         assert {kind.fix for kind in scrub.ISSUES.values()} <= set(scrub.FIXES)
 
 
@@ -664,14 +685,14 @@ class TestScrubRepairWiring:
 #: The action kinds each fix of the rule table may plan: a salvage whose
 #: prefix does not verify, or a trailer that cannot place its file,
 #: quarantines it; a dropped generation quarantines the files only it held
-#: and a generation-0 dataset's stray CURRENT; a table rebuilt from the
-#: trailers re-derives each adopted file's entry.
+#: and removes a generation-0 dataset's stray CURRENT; a table rebuilt from
+#: the trailers re-derives each adopted file's entry.
 FIX_KINDS = {
     "leave-unresolved": set(),
     "drop-record": {ACTION_DROP_MISSING},
     "quarantine": {ACTION_QUARANTINE},
     "salvage": {ACTION_TRUNCATE, ACTION_QUARANTINE},
-    "adopt-trailer-record": {ACTION_REBUILD_ENTRY, ACTION_TRUNCATE, ACTION_QUARANTINE},
+    "adopt-trailer-record": {ACTION_REBUILD_ENTRY, ACTION_QUARANTINE},
     "entry": {ACTION_REBUILD_ENTRY},
     "trailer": {ACTION_REWRITE_TRAILER},
     "rebuild": {ACTION_REBUILD_METADATA, ACTION_REBUILD_MANIFEST, ACTION_REBUILD_ENTRY},
@@ -761,10 +782,34 @@ def _lying_trailer(b):
     b.write_file(VICTIM, with_trailer(raw, dataclasses.replace(trailer, lod_scale=3).to_bytes()))
 
 
-def _break_every_trailer(b):
-    b.delete("spatial.meta")
+def _break_trailers(b):
     for path in data_paths(b):
         edit_bytes(b, path, lambda raw: raw.__setitem__(-TRAILER_FOOTER_BYTES, 0))
+
+
+def _break_every_trailer(b):
+    b.delete("spatial.meta")
+    _break_trailers(b)
+
+
+def _lose_the_chain(b):
+    """No generation verifies (every table is gone) and CURRENT is corrupt:
+    repair targets the newest generation present, never committed or not."""
+    for name in b.listdir(""):
+        if name.startswith("spatial"):
+            b.delete(name)
+    b.write_file(CURRENT_PATH, b"not a pointer")
+
+
+def _claim_one_box_twice(b):
+    """Two files' CRC-valid trailers place them in the same box."""
+    _lose_the_chain(b)
+    first, second = data_paths(b)[:2]
+    box = extract_recovery_trailer(b.read_file(first), first).record.box_id
+    raw = b.read_file(second)
+    trailer = extract_recovery_trailer(raw, second)
+    lie = dataclasses.replace(trailer, record=dataclasses.replace(trailer.record, box_id=box))
+    b.write_file(second, with_trailer(raw, lie.to_bytes()))
 
 
 def _dtype_mismatch(b):
@@ -871,6 +916,35 @@ class TestDamageMatrix:
         plan = _plan(report.survey, report.issues)
         assert (plan.actions, plan.unresolved, plan.delete_paths, plan.rewrite) == ([], [], [], {})
         assert plan.meta_blob is None and plan.manifest is None
+
+    @pytest.mark.parametrize("base,damage", [
+        ("row", _break_every_trailer),
+        ("chained", lambda b: (_lose_the_chain(b), _break_trailers(b))),
+        ("chained", _claim_one_box_twice),
+    ], ids=["row-facts-unsettled", "chained-facts-unsettled", "chained-inconsistent-table"])
+    def test_a_refused_repair_writes_nothing(self, bases, base, damage):
+        """A plan refused whole (the facts do not settle, or the table it
+        would write does not validate) writes nothing, CURRENT included."""
+        inner = clone(bases[base])
+        damage(inner)
+        damaged = snapshot(inner)
+        mark = (len(inner.ops_of_kind("write")), len(inner.ops_of_kind("delete")))
+        result = repair_dataset(Dataset(inner))
+        assert result.unresolved and not result.actions and result.exit_code == 1
+        assert (len(inner.ops_of_kind("write")), len(inner.ops_of_kind("delete"))) == mark
+        assert snapshot(inner) == damaged
+
+    def test_a_miscounted_damaged_file_names_its_own_damage(self, bases):
+        """A header contradicting the table does not hide the payload's own
+        verdict: its row, not the count's fallback, quarantines the file."""
+        inner = clone(bases["row"])
+        edit_bytes(inner, VICTIM, lambda raw: struct.pack_into("<Q", raw, 16, 5))
+        report = scrub_dataset(Dataset(inner))
+        assert report.codes == {"count-mismatch", "data-checksum"}
+        plan = _plan(report.survey, report.issues)
+        assert [(a.kind, a.path, a.fix) for a in plan.actions if a.path == VICTIM] == [
+            (ACTION_QUARANTINE, VICTIM, "quarantine")
+        ]
 
     def test_an_unreadable_orphan_is_unresolved_not_repairable(self, bases):
         """Quarantine must read a file to move it: scrub does not promise
