@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.aggregation import BaseAggregationGrid
 from repro.errors import MPIError
 from repro.mpi.comm import SimComm
-from repro.particles.batch import ParticleBatch
+from repro.particles.batch import ParticleBatch, as_records
 
 # Tag layout: two tags per partition id on the user channel.  The writer is
 # the only user of the communicator while a write is in flight.
@@ -98,7 +98,9 @@ def exchange_particles(
             counts[sender] = int(comm.recv(source=sender, tag=_meta_tag(pid)))
         total = sum(counts.values())
         # Step 4 of the pipeline: one contiguous aggregation buffer.
+        # Each sender's rows land in their slice as opaque records.
         buffer = np.empty(total, dtype=dtype)
+        slots = as_records(buffer)
         offset = 0
         for sender in senders:
             n = counts[sender]
@@ -115,7 +117,7 @@ def exchange_particles(
                     f"partition {pid}: sender {sender} announced {n} particles "
                     f"but shipped {len(data)}"
                 )
-            buffer[offset : offset + n] = data
+            slots[offset : offset + n] = as_records(data)
             offset += n
         result.aggregated[pid] = ParticleBatch(buffer)
         result.particles_received += total

@@ -184,15 +184,16 @@ def stratified_lod_order(
     return np.lexsort((cells, order_in_cell))
 
 
-def _axis_sorters(coords: np.ndarray) -> np.ndarray:
+def _axis_sorters(coords: np.ndarray, itype: type[np.signedinteger]) -> np.ndarray:
     """Per axis, the particles in ascending coordinate order, flattened.
 
-    ``coords`` is ``(3, n)``.  Equal coordinates keep input order (the
-    stable order); the unstable sort is used whenever it already gives
-    that order, i.e. whenever the sorted coordinates strictly increase.
+    ``coords`` is ``(3, n)``; the indices come back as ``itype``.  Equal
+    coordinates keep input order (the stable order); the unstable sort is
+    used whenever it already gives that order, i.e. whenever the sorted
+    coordinates strictly increase.
     """
     n = coords.shape[1]
-    out = np.empty((3, n), dtype=np.int64)
+    out = np.empty((3, n), dtype=itype)
     for a in range(3):
         s = coords[a].argsort()
         v = coords[a].take(s)
@@ -253,27 +254,45 @@ def chunk_cluster_order(
         )
     if n == 0:
         return np.empty(0, dtype=np.int64)
+    # Every index below stays under live_nodes * 3n (keys) or 3n: int32
+    # halves the bytes each pass gathers and sorts whenever that allows.
+    itype = np.int32 if 3 * n * (n // (chunk_size + 1) + 1) < 2**31 else np.int64
     # sorter[a * n + r] is the particle of rank r along axis a; rank inverts
     # it with a * n folded in, so both index the same flat (axis, rank) space.
-    sorter = _axis_sorters(coords)
-    rank = np.empty(3 * n, dtype=np.int64)
-    rank[sorter + np.repeat(np.arange(3) * n, n)] = np.arange(3 * n)
-    perm = np.arange(n, dtype=np.int64)
+    sorter = _axis_sorters(coords, itype)
+    rank = np.empty(3 * n, dtype=itype)
+    for lo in range(0, 3 * n, n):
+        rank[lo : lo + n][sorter[lo : lo + n]] = np.arange(lo, lo + n, dtype=itype)
+    perm = np.arange(n, dtype=itype)
     live = seg_len > chunk_size
     start, length = seg_start[live], seg_len[live]
     while len(start):
-        # The live nodes' slots of perm, node after node.
+        # The live nodes' slots of perm, node after node.  Once a geometric
+        # LOD layout's small levels are done its live nodes tile one span,
+        # and a slice stands in for the gathered slot list.
         offs = np.cumsum(length) - length
-        slot = np.arange(int(offs[-1] + length[-1])) - np.repeat(offs - start, length)
-        members = perm.take(slot)
+        total = int(offs[-1] + length[-1])
+        lo = int(start[0])
+        if int(start[-1] + length[-1]) - lo == total:
+            slot: slice | np.ndarray = slice(lo, lo + total)
+        else:
+            slot = np.arange(total) - np.repeat(offs - start, length)
+        members = perm[slot]
         p = coords.take(members, axis=1)
-        extent = np.maximum.reduceat(p, offs, axis=1) - np.minimum.reduceat(p, offs, axis=1)
-        axis_base = np.repeat(extent.argmax(axis=0) * n, length)
-        node_base = np.repeat(np.arange(len(start), dtype=np.int64) * (3 * n), length)
+        extent = np.maximum.reduceat(p, offs, axis=1)
+        extent -= np.minimum.reduceat(p, offs, axis=1)
+        node_base = np.repeat(
+            np.arange(0, len(start) * 3 * n, 3 * n, dtype=itype), length
+        )
         # One sort orders every node along its own axis: keys are unique and
         # grouped by node, and each decodes straight to its particle.
-        key = np.sort(node_base + rank.take(axis_base + members))
-        perm[slot] = sorter.take(key - node_base)
+        key = np.repeat((extent.argmax(axis=0) * n).astype(itype), length)
+        key += members
+        key = rank.take(key)
+        key += node_base
+        key.sort()
+        key -= node_base
+        perm[slot] = sorter.take(key)
         nleft = np.maximum(chunk_size, (length // 2 // chunk_size) * chunk_size)
         start = np.stack((start, start + nleft), axis=1).ravel()
         length = np.stack((nleft, length - nleft), axis=1).ravel()
@@ -281,7 +300,7 @@ def chunk_cluster_order(
         start, length = start[live], length[live]
     # Full leaves tile each segment from its start; shuffle them per segment.
     rng = spawn_rng(seed, 0xC4C, agg_rank)
-    out = perm.copy()
+    out = perm.astype(np.int64)
     lane = np.arange(chunk_size)
     for s, ln in zip(seg_start.tolist(), seg_len.tolist(), strict=True):
         full = ln // chunk_size

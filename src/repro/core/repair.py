@@ -296,10 +296,9 @@ def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
                     f"spatial.meta says {ref.particle_count} particles, file "
                     f"holds {st.header_count}; trusting the file's trailer",
                 )
-            elif manifest is not None and ("entry" in fixes or ref is None and st.section):
-                # With the table lost, the chunk section is re-derived too.
+            elif manifest is not None and "entry" in fixes:
                 add(
-                    "entry" if "entry" in fixes else "rebuild",
+                    "entry",
                     ACTION_REBUILD_ENTRY,
                     path,
                     "manifest checksum entry disagrees with the data file; "

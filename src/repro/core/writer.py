@@ -185,6 +185,8 @@ class SpatialWriter:
     ):
         self.config = config or WriterConfig()
         self.retry = retry or RetryPolicy()
+        # The last static grid built, under the facts it was built from.
+        self._grid: tuple[tuple, BaseAggregationGrid] | None = None
 
     # -- grid construction (steps 1-2) ---------------------------------------
 
@@ -197,7 +199,10 @@ class SpatialWriter:
         """Step 1+2: build the aggregation grid and pick aggregators.
 
         Adaptive mode needs one collective (the extent/count allgather of
-        §6); the static modes are fully deterministic and communication-free.
+        §6), so it builds per write.  The static modes are a pure function
+        of the decomposition and the partitioning settings: the grid is
+        built once and kept until one of those changes.  Grids are
+        read-only once built, so ranks sharing a writer share one grid.
         """
         cfg = self.config
         if decomp.nprocs != comm.size:
@@ -208,13 +213,27 @@ class SpatialWriter:
         if cfg.adaptive:
             counts = comm.allgather(int(local_count))
             return build_adaptive_grid(decomp, counts, cfg.partition_factor)
-        if cfg.align_to_patches:
-            return AggregationGrid.aligned(decomp, cfg.partition_factor)
-        dims = tuple(
-            max(1, -(-decomp.proc_dims[a] // cfg.partition_factor[a]))
-            for a in range(3)
+        key = (
+            cfg.align_to_patches,
+            cfg.partition_factor,
+            decomp.proc_dims,
+            decomp.domain.lo.tobytes(),
+            decomp.domain.hi.tobytes(),
         )
-        return FreeAggregationGrid(decomp, CellGrid(decomp.domain, dims))
+        cached = self._grid
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        grid: BaseAggregationGrid
+        if cfg.align_to_patches:
+            grid = AggregationGrid.aligned(decomp, cfg.partition_factor)
+        else:
+            dims = tuple(
+                max(1, -(-decomp.proc_dims[a] // cfg.partition_factor[a]))
+                for a in range(3)
+            )
+            grid = FreeAggregationGrid(decomp, CellGrid(decomp.domain, dims))
+        self._grid = (key, grid)
+        return grid
 
     # -- the full pipeline -----------------------------------------------------
 
@@ -416,10 +435,13 @@ class SpatialWriter:
                         # Regroup each level into spatially tight chunks so
                         # the sub-file chunk index can actually prune; level
                         # sets (and thus every boundary prefix) are unchanged.
-                        # Clustering sees the positions in LOD order only.
+                        # Clustering sees the positions in LOD order only,
+                        # gathered as (3, n) rows: a column gather out of
+                        # the records would stride over every row's bytes.
+                        coords = np.ascontiguousarray(agg_batch.positions.T)
                         order = order[
                             chunk_cluster_order(
-                                agg_batch.positions[order],
+                                coords.take(order, axis=1).T,
                                 prefix_checksum_boundaries(
                                     len(order), cfg.lod_base, cfg.lod_scale
                                 ),

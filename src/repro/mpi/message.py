@@ -2,10 +2,13 @@
 
 MPI send semantics allow the sender to reuse its buffer as soon as the send
 completes, so the simulator must snapshot payloads at send time.  NumPy
-arrays are snapshotted with ``ndarray.copy()`` (fast); every other object is
-round-tripped through pickle, which both isolates the receiver from later
-sender-side mutation and gives an honest wire-size estimate for the traffic
-statistics.
+arrays are copied as opaque records
+(:func:`~repro.particles.batch.as_records`): a structured particle record is
+one ``np.void`` of its itemsize, so the snapshot is a memcpy per row rather
+than numpy's field-by-field copy; object arrays, whose elements are
+references, keep ``ndarray.copy()``.  Every other object is round-tripped
+through pickle, which both isolates the receiver from later sender-side
+mutation and gives an honest wire-size estimate for the traffic statistics.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from itertools import count
 from typing import Any
 
 import numpy as np
+
+from repro.particles.batch import as_records
 
 # Channels separate user point-to-point traffic from internal collective
 # traffic so a collective can never match a user recv and vice versa.
@@ -33,7 +38,7 @@ def snapshot_payload(payload: Any) -> tuple[Any, int]:
     the metadata-sized objects the library sends that way.
     """
     if isinstance(payload, np.ndarray):
-        return payload.copy(), int(payload.nbytes)
+        return as_records(payload).copy().view(payload.dtype), int(payload.nbytes)
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     return pickle.loads(blob), len(blob)
 

@@ -108,6 +108,33 @@ class TestAlignedExchange:
         (batch,) = agg_res.aggregated.values()
         assert len(batch) == 8 * 123
 
+    def test_buffer_is_senders_rows_in_rank_order(self):
+        """Each sender's rows land in its slice as raw bytes: padding, NaN
+        payloads and negative zeros survive the exchange unchanged."""
+        padded = np.dtype(
+            [("position", "<f8", (3,)), ("type", "u1"), ("mass", "<f8")], align=True
+        )
+
+        def raw_factory(rank, decomp):
+            count = 40 + 7 * rank
+            rng = np.random.default_rng(rank)
+            data = rng.integers(0, 256, count * padded.itemsize, dtype=np.uint8).view(padded)
+            patch = decomp.patch_of_rank(rank)
+            data["position"] = patch.lo + rng.random((count, 3)) * (patch.hi - patch.lo)
+            data["mass"][:2] = [-0.0, np.nan]
+            return ParticleBatch(data)
+
+        _, grid, results = run_exchange(
+            8, lambda d: AggregationGrid.aligned(d, (2, 2, 1)), raw_factory
+        )
+        for pid, agg in enumerate(grid.aggregators):
+            senders = grid.senders_of_partition(pid)
+            assert senders == sorted(senders)
+            (batch,) = results[agg][0].aggregated.values()
+            assert batch.dtype == padded
+            expected = b"".join(results[r][1].data.tobytes() for r in senders)
+            assert batch.data.tobytes() == expected
+
     def test_grid_comm_size_mismatch(self):
         decomp = PatchDecomposition.for_nprocs(DOMAIN, 8)
         grid = AggregationGrid.aligned(decomp, (1, 1, 1))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import DeadlockError, MPIError, RankFailedError
 from repro.mpi import ANY_SOURCE, ANY_TAG, Request, World, run_mpi
+from repro.mpi.message import snapshot_payload
 
 
 class TestSendRecv:
@@ -128,6 +129,81 @@ class TestSendRecv:
 
         with pytest.raises(RankFailedError):
             run_mpi(1, main)
+
+
+#: An aligned record: 7 padding bytes after ``flag``.
+PADDED = np.dtype([("position", "<f8", (3,)), ("flag", "u1"), ("w", "<f8")], align=True)
+
+
+def raw_records(dtype, count, seed=0):
+    """``count`` records whose every byte, padding included, is random,
+    with a NaN carrying payload bits and a negative zero in ``w``."""
+    raw = np.random.default_rng(seed).integers(0, 256, count * dtype.itemsize, dtype=np.uint8)
+    arr = raw.view(dtype)
+    arr["w"][0] = -0.0
+    arr["w"][1:2].view(np.uint64)[0] = 0x7FF8_0000_DEAD_BEEF
+    return arr
+
+
+class TestRawCopies:
+    """Arrays travel as opaque bytes; only object arrays are copied by
+    reference, as ``ndarray.copy()`` does."""
+
+    def test_padded_record_arrives_byte_for_byte(self):
+        sent = raw_records(PADDED, 9)
+        assert PADDED.itemsize == 40  # 24 + 1, padded to 32, + 8
+
+        def main(comm):
+            if comm.rank == 0:
+                comm.isend(sent, 1, tag=3).wait()
+                return None
+            return comm.recv(source=0, tag=3)
+
+        got = run_mpi(2, main)[1]
+        assert got.dtype == PADDED and got.tobytes() == sent.tobytes()
+        assert np.signbit(got["w"][0]) and np.isnan(got["w"][1])
+
+    def test_strided_rows_arrive_byte_for_byte(self):
+        rows = raw_records(PADDED, 12, seed=1)[::3]
+        got, nbytes = snapshot_payload(rows)
+        assert got.flags.c_contiguous and nbytes == rows.nbytes
+        assert got.tobytes() == b"".join(rows[i : i + 1].tobytes() for i in range(len(rows)))
+
+    def test_receiver_isolated_from_sender_mutation(self):
+        sent = raw_records(PADDED, 6, seed=2)
+        original = sent.tobytes()
+
+        def main(comm):
+            if comm.rank == 0:
+                req = comm.isend(sent, 1, tag=0)
+                sent["position"] = -1.0  # reuse the buffer right after isend
+                sent.view(np.uint8)[:] = 0
+                req.wait()
+                comm.send(None, 1, tag=1)
+                return None
+            first = comm.recv(source=0, tag=0)
+            comm.recv(source=0, tag=1)
+            return first
+
+        assert run_mpi(2, main)[1].tobytes() == original
+
+    def test_object_array_copies_references(self):
+        a, b = {"a": 1}, [1, 2]
+        payload = np.array([a, b, None], dtype=object)
+        got, _ = snapshot_payload(payload)
+        assert got is not payload and got[0] is a and got[1] is b
+        payload[0] = "reused"
+        assert got[0] is a
+
+    def test_record_with_object_field_copies_references(self):
+        tag = {"k": 3}
+        dt = np.dtype([("position", "<f8", (3,)), ("tag", "O")])
+        payload = np.zeros(2, dtype=dt)
+        payload["tag"][0] = tag
+        got, _ = snapshot_payload(payload)
+        assert got.dtype == dt and got["tag"][0] is tag
+        payload["tag"][0] = None
+        assert got["tag"][0] is tag
 
 
 class TestNonBlocking:

@@ -344,6 +344,24 @@ class TestObservability:
         assert events and events[0].args["kind"] == ACTION_REBUILD_METADATA
         assert ds.recorder.total(REPAIR_ACTIONS) == len(events)
 
+    def test_lost_table_is_one_rebuild(self):
+        """Losing only ``spatial.meta`` leaves every manifest entry right
+        (chunk sections live in the table), so the one action is the table
+        rebuild: no per-file entry rebuild the manifest never receives."""
+        backend, _, _ = write_dataset(nprocs=8, partition_factor=(2, 2, 1))
+        manifest_before = backend.read_file("manifest.json")
+        backend.delete("spatial.meta")
+        ds = Dataset(backend)
+        report = repair_dataset(ds)
+        assert [(a.kind, a.executed) for a in report.actions] == [
+            (ACTION_REBUILD_METADATA, True)
+        ]
+        assert report.rebuilt_metadata and not report.rebuilt_manifest
+        events = ds.recorder.events_named(EV_REPAIR_ACTION)
+        assert [e.args["kind"] for e in events] == [ACTION_REBUILD_METADATA]
+        assert backend.read_file("manifest.json") == manifest_before
+        assert scrub_dataset(Dataset(backend)).ok
+
 
 def _corrupt_randomly(backend, rng):
     """Apply 1-3 seeded corruption primitives; returns their names."""
@@ -685,8 +703,8 @@ class TestScrubRepairWiring:
 #: The action kinds each fix of the rule table may plan: a salvage whose
 #: prefix does not verify, or a trailer that cannot place its file,
 #: quarantines it; a dropped generation quarantines the files only it held
-#: and removes a generation-0 dataset's stray CURRENT; a table rebuilt from
-#: the trailers re-derives each adopted file's entry.
+#: and removes a generation-0 dataset's stray CURRENT.  A table rebuilt from
+#: the trailers leaves every surviving manifest entry as it is.
 FIX_KINDS = {
     "leave-unresolved": set(),
     "drop-record": {ACTION_DROP_MISSING},
@@ -695,7 +713,7 @@ FIX_KINDS = {
     "adopt-trailer-record": {ACTION_REBUILD_ENTRY, ACTION_QUARANTINE},
     "entry": {ACTION_REBUILD_ENTRY},
     "trailer": {ACTION_REWRITE_TRAILER},
-    "rebuild": {ACTION_REBUILD_METADATA, ACTION_REBUILD_MANIFEST, ACTION_REBUILD_ENTRY},
+    "rebuild": {ACTION_REBUILD_METADATA, ACTION_REBUILD_MANIFEST},
     "pointer": {ACTION_REWRITE_CURRENT},
     "drop-generation": {ACTION_DROP_GENERATION, ACTION_QUARANTINE, ACTION_REWRITE_CURRENT},
     "delete": {ACTION_DROP_GENERATION},

@@ -153,6 +153,60 @@ class TestAdaptiveWrite:
         assert SpatialReader(backend).total_particles == 16 * 100
 
 
+class TestGridReuse:
+    """A writer keeps its static grid between writes.  Writing different
+    decompositions (and configs) back to back with one writer must give
+    exactly what a fresh writer gives each time: the grid is rebuilt
+    whenever anything it depends on changes."""
+
+    UNIT = Box([0, 0, 0], [1, 1, 1])
+    DECOMPS = [
+        PatchDecomposition(UNIT, (2, 2, 2)),
+        PatchDecomposition(UNIT, (4, 2, 1)),
+        PatchDecomposition(Box([0, 0, 0], [2, 1, 1]), (2, 2, 2)),
+        PatchDecomposition(UNIT, (2, 2, 2)),
+    ]
+
+    @staticmethod
+    def written(writer, decomp):
+        backend = VirtualBackend()
+
+        def main(comm):
+            # A pure function of (decomp, rank): both writers see one input.
+            batch = uniform_particles(
+                decomp.patch_of_rank(comm.rank), 150, dtype=MINIMAL_DTYPE, seed=11, rank=comm.rank
+            )
+            writer.write(comm, batch, decomp, backend)
+
+        run_mpi(8, main)
+        return dict(backend._files)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            WriterConfig(partition_factor=(2, 2, 1)),
+            WriterConfig(partition_factor=(2, 1, 1), align_to_patches=False),
+            WriterConfig(partition_factor=(2, 2, 2), adaptive=True),
+        ],
+        ids=["aligned", "free", "adaptive"],
+    )
+    def test_one_writer_matches_fresh_writers(self, config):
+        shared = SpatialWriter(config)
+        for decomp in self.DECOMPS:
+            assert self.written(shared, decomp) == self.written(SpatialWriter(config), decomp)
+
+    def test_config_swap_rebuilds_the_grid(self):
+        shared = SpatialWriter(WriterConfig(partition_factor=(2, 2, 1)))
+        decomp = self.DECOMPS[1]  # 4 patches along x: a factor of 3 cuts
+        self.written(shared, decomp)  # them 3 + 1 aligned, 2 + 2 free
+        for config in (
+            WriterConfig(partition_factor=(3, 2, 1)),
+            WriterConfig(partition_factor=(3, 2, 1), align_to_patches=False),
+        ):
+            shared.config = config
+            assert self.written(shared, decomp) == self.written(SpatialWriter(config), decomp)
+
+
 class TestNonAlignedWrite:
     def test_general_path_roundtrips(self):
         cfg = WriterConfig(partition_factor=(2, 2, 2), align_to_patches=False)
