@@ -547,6 +547,7 @@ class SpatialWriter:
                             agg_batch,
                             actor=comm.rank,
                             trailer=trailer,
+                            payload_crc32=sums["payload_crc32"],
                             recorder=rec,
                         )
                     result.files_written.append(path)

@@ -13,7 +13,7 @@ on the domain's closing face land in the last cell instead of escaping.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,11 +130,6 @@ class CellGrid:
     def boxes(self) -> list[Box]:
         """All cell boxes in flat order."""
         return [self.cell_box_flat(f) for f in range(self.num_cells)]
-
-    def iter_cells(self) -> Iterator[tuple[tuple[int, int, int], Box]]:
-        for flat in range(self.num_cells):
-            ijk = self.unflatten_index(flat)
-            yield ijk, self.cell_box(ijk)
 
     def cells_intersecting(self, box: Box) -> list[int]:
         """Flat ids of cells whose volume overlaps ``box`` (fast index math)."""

@@ -146,11 +146,3 @@ class AdmissionError(ServiceError):
         self.reason = reason
         super().__init__(detail)
 
-
-class IncompleteDatasetError(ReproError, RuntimeError):
-    """A dataset is missing its commit marker or parts of its payload.
-
-    The two-phase writer publishes ``manifest.json`` last; until it exists
-    (and parses), the dataset must be treated as an aborted write rather
-    than a corrupt one — rerunning the write repairs it in place.
-    """

@@ -295,13 +295,18 @@ class FileChunkIndex:
                 f"({n} chunks, {nattrs} attrs, {ncols} columns) needs {size}"
             )
         # The section may sit at any offset of the table: copy each array
-        # out (owned, aligned) so the query path never runs unaligned.
+        # out (owned, aligned) so the query path never runs unaligned.  The
+        # bounds land column-major, so :meth:`select_runs` compares
+        # contiguous per-axis columns rather than strided ones.
         words = np.frombuffer(section, "<u8", offset=_SECTION_HEADER.size)
         arrays, pos = [], 0
         shapes = ((n,), (n,), (n, 3), (n, 3), (n, nattrs, 2), (n, ncols, 3))
-        for dtype, shape in zip(_SECTION_DTYPES, shapes):
+        orders = ("C", "C", "F", "F", "C", "C")
+        for dtype, shape, order in zip(_SECTION_DTYPES, shapes, orders):
             size = math.prod(shape)
-            arrays.append(words[pos : pos + size].view(dtype).reshape(shape).copy())
+            arrays.append(
+                words[pos : pos + size].view(dtype).reshape(shape).copy(order=order)
+            )
             pos += size
         starts, counts, lo, hi, attrs, segs = arrays
         return cls(
@@ -416,8 +421,9 @@ class FileChunkIndex:
         if not len(self.starts):
             return _NO_RUNS
         qlo, qhi = box.lo, box.hi
-        # Per axis on the strided bound columns: a reduction over the short
-        # axis of an (N, 3) temporary costs several times the comparisons.
+        # Per axis on the bound columns (contiguous in an unpacked index): a
+        # reduction over the short axis of an (N, 3) temporary costs
+        # several times the comparisons.
         mask = self.lo[:, 0] <= qhi[0]
         for axis in (1, 2):
             mask &= self.lo[:, axis] <= qhi[axis]

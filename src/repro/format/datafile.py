@@ -86,7 +86,7 @@ from repro.format.metadata import (
     unpack_names,
     unpack_record,
 )
-from repro.io.backend import FileBackend
+from repro.io.backend import FileBackend, ReadRequest
 from repro.particles.batch import ParticleBatch
 
 DATA_MAGIC = b"SPIODATA"
@@ -357,12 +357,60 @@ def _payload_view(batch: ParticleBatch) -> memoryview:
     return memoryview(np.ascontiguousarray(batch.data).view(np.uint8))
 
 
+#: CRC-32's generator polynomial, bit-reflected as zlib uses it.
+_CRC32_POLY = 0xEDB88320
+
+
+def _crc32_mul(a: int, b: int) -> int:
+    """``a * b`` modulo the CRC-32 polynomial, in zlib's reflected order;
+    ``a`` is non-zero (here always a power of x, which never is)."""
+    product, bit = 0, 1 << 31
+    while True:
+        if a & bit:
+            product ^= b
+            if not a & (bit - 1):
+                return product
+        bit >>= 1
+        b = (b >> 1) ^ _CRC32_POLY if b & 1 else b >> 1
+
+
+def _crc32_squares() -> list[int]:
+    """``x^(2^k)`` modulo the polynomial for k = 0..31."""
+    powers = [1 << 30]  # x^1
+    for _ in range(31):
+        powers.append(_crc32_mul(powers[-1], powers[-1]))
+    return powers
+
+
+_CRC32_X2N = _crc32_squares()
+
+
+def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
+    """``zlib.crc32(a + b)`` from ``crc1 = zlib.crc32(a)``,
+    ``crc2 = zlib.crc32(b)`` and ``len2 = len(b)``, without touching the
+    bytes (zlib's ``crc32_combine``, which Python's ``zlib`` lacks).
+
+    Shifts ``crc1`` over ``len2`` zero bytes by multiplying with
+    ``x^(8 * len2)``, built from one squared power per set bit of
+    ``len2``: some forty microseconds whatever the length.
+    """
+    # x^0; bit i of len2 is 8 * 2^i zero bits, the table's power i + 3.
+    shift, k = 1 << 31, 3
+    while len2:
+        if len2 & 1:
+            shift = _crc32_mul(_CRC32_X2N[k & 31], shift)
+        len2 >>= 1
+        k += 1
+    return _crc32_mul(shift, crc1) ^ crc2
+
+
 def build_data_blob(
     payload: bytes | memoryview,
     itemsize: int,
     count: int,
     trailer: RecoveryTrailer | None = None,
     version: int | None = None,
+    payload_crc32: int | None = None,
 ) -> bytes:
     """Assemble a complete data-file image from a raw payload.
 
@@ -371,14 +419,20 @@ def build_data_blob(
     Without an explicit ``version`` the presence of a trailer selects v3
     over v2; columnar writers pass ``version=DATA_VERSION_COLUMNAR`` with
     an already-encoded ``payload`` (``itemsize`` stays the logical row
-    itemsize — the dtype guard).
+    itemsize — the dtype guard).  A writer that has CRC'd the payload
+    already passes ``payload_crc32`` (``zlib.crc32(payload)``), and the
+    footer is combined from it instead of a second pass over the bytes.
     """
     if version is None:
         version = DATA_VERSION if trailer is not None else DATA_VERSION_PLAIN
     if version >= DATA_VERSION_COLUMNAR and trailer is None:
         raise DataFileError("columnar (v4) files require a recovery trailer")
     header = _HEADER.pack(DATA_MAGIC, version, itemsize, count)
-    footer = _FOOTER.pack(FOOTER_MAGIC, zlib.crc32(payload, zlib.crc32(header)))
+    if payload_crc32 is None:
+        crc = zlib.crc32(payload, zlib.crc32(header))
+    else:
+        crc = crc32_combine(zlib.crc32(header), payload_crc32, memoryview(payload).nbytes)
+    footer = _FOOTER.pack(FOOTER_MAGIC, crc)
     tail = trailer.to_bytes() if trailer is not None else b""
     return b"".join((header, payload, footer, tail))  # the payload's one copy
 
@@ -389,15 +443,18 @@ def write_data_file(
     batch: ParticleBatch,
     actor: int = -1,
     trailer: RecoveryTrailer | None = None,
+    payload_crc32: int | None = None,
 ) -> int:
     """Write ``batch`` (already LOD-ordered) to ``path``; returns bytes written.
 
     With a :class:`RecoveryTrailer` the file is written as format v3
     (self-describing); without one it stays a plain v2 file, byte-identical
-    to what earlier writers produced.
+    to what earlier writers produced.  ``payload_crc32``, if known, spares
+    the footer a pass over the payload (see :func:`build_data_blob`).
     """
     blob = build_data_blob(
-        _payload_view(batch), batch.dtype.itemsize, len(batch), trailer
+        _payload_view(batch), batch.dtype.itemsize, len(batch), trailer,
+        payload_crc32=payload_crc32,
     )
     backend.write_file(path, blob, actor=actor)
     return len(blob)
@@ -417,10 +474,13 @@ def write_columnar_data_file(
     ``payload`` comes from :func:`encode_columnar_payload`; ``itemsize`` is
     the *logical* row itemsize (the header's dtype guard) and ``trailer``
     must carry the segment-bearing chunk section plus the codec name — a v4
-    file without them is unreadable.  Returns bytes written.
+    file without them is unreadable.  The trailer's ``payload_crc32`` is
+    the encoded payload's, so the footer is combined from it.  Returns
+    bytes written.
     """
     blob = build_data_blob(
-        payload, itemsize, count, trailer, version=DATA_VERSION_COLUMNAR
+        payload, itemsize, count, trailer, version=DATA_VERSION_COLUMNAR,
+        payload_crc32=trailer.payload_crc32,
     )
     backend.write_file(path, blob, actor=actor)
     return len(blob)
@@ -476,12 +536,11 @@ def _readv_with_header(
     backend: FileBackend,
     path: str,
     header: bytearray,
-    segments: list,
-    end: int,
+    parts,
     actor: int,
 ) -> bool:
-    """Land ``header`` and ``segments``, which end at byte ``end``, in one
-    :meth:`FileBackend.readv` (a single open).
+    """Land ``header`` and the ``(view, offsets, lengths)`` ``parts`` as one
+    :class:`~repro.io.backend.ReadRequest` (a single open).
 
     Returns ``False`` if the request runs past the end of the file.  The
     backend's own bounds check finds that, and ``size`` is asked only when
@@ -490,14 +549,15 @@ def _readv_with_header(
     count raise then, and a request the header does cover means the file is
     shorter than its header says.  A read failing inside the file re-raises.
     """
+    request = ReadRequest([(header, (0,), (HEADER_BYTES,)), *parts])
     try:
-        backend.readv(path, [(0, header), *segments], actor=actor)
+        backend.readv(path, request, actor=actor)
         return True
     except TransientBackendError:
         raise
     except BackendError:
         size = backend.size(path)
-        if end <= size:
+        if request.end <= size:
             raise
     if size < HEADER_BYTES:
         raise DataFileError(f"{path}: truncated header ({size} bytes)")
@@ -569,59 +629,48 @@ def read_particle_runs_into(
     # A row file lands whole records; a projection copies its fields out.
     rows = np.empty(len(out), dtype=dtype) if projected else out
     itemsize = dtype.itemsize
-    # Each run's readv segment: its file offset and its destination bytes
-    # (a uint8 view is cheaper to make, a memoryview cheaper to slice).
-    # A negative run forms no valid segment: it is raised from the checks
-    # below, after the header, as is a run past the header's count.
+    # The runs as one flattened request: each run's file offset and byte
+    # length, landing back to back in ``rows``.  A negative run forms no
+    # valid range: it is raised from the checks below, after the header,
+    # as is a run past the header's count.
     if len(runs) <= _FEW_RUNS:
-        dest = np.frombuffer(rows, np.uint8)
-        segments, total, top, negative = [], 0, 0, False
+        offsets, lengths, total, top, negative = [], [], 0, 0, False
         for start, count in runs:
             if count:
                 negative = negative or start < 0 or count < 0
-                segments.append(
-                    (HEADER_BYTES + start * itemsize,
-                     dest[total * itemsize : (total + count) * itemsize])
-                )
+                offsets.append(HEADER_BYTES + start * itemsize)
+                lengths.append(count * itemsize)
                 total += count
                 if start + count > top:
                     top = start + count
     else:
         arr = Runs.of(runs)
-        dest = memoryview(rows.view(np.uint8))
-        lows = np.cumsum(arr.counts) * itemsize
-        segments = [
-            (offset, dest[lo:hi])
-            for offset, lo, hi in zip(
-                (HEADER_BYTES + arr.starts * itemsize).tolist(),
-                (lows - arr.counts * itemsize).tolist(),
-                lows.tolist(),
-            )
-        ]
+        offsets = (HEADER_BYTES + arr.starts * itemsize).tolist()
+        lengths = (arr.counts * itemsize).tolist()
         total, top = arr.total, int((arr.starts + arr.counts).max())
         negative = bool((arr.starts < 0).any() or (arr.counts < 0).any())
     n = len(out)
-    if not segments and not n:
+    if not offsets and not n:
         return 0
     header = bytearray(HEADER_BYTES)
     # One run from the head is the whole file or an LOD prefix.  A whole
     # file the caller's index predicts (a validated index tiles the file:
     # its last chunk ends at the count) lands its footer in the same readv;
     # any other whole-file read fetches it once the header has said so.
-    head = len(segments) == 1 and segments[0][0] == HEADER_BYTES
+    head = len(offsets) == 1 and offsets[0] == HEADER_BYTES
     indexed = None
     if head and index is not None and len(index) and top > index.starts[-1]:
         indexed = int(index.starts[-1] + index.counts[-1])
-    footer = None
-    if head and top == indexed:
-        footer = bytearray(FOOTER_BYTES)
-        segments.append((HEADER_BYTES + top * itemsize, footer))
+    footer = bytearray(FOOTER_BYTES) if head and top == indexed else None
     landed = True
     if not negative and total == n:
-        end = HEADER_BYTES + top * itemsize + (FOOTER_BYTES if footer is not None else 0)
-        landed = _readv_with_header(backend, path, header, segments, end, actor)
+        payload = np.frombuffer(rows, np.uint8)
+        parts = [(payload, offsets, lengths)]
+        if footer is not None:
+            parts.append((footer, (HEADER_BYTES + top * itemsize,), (FOOTER_BYTES,)))
+        landed = _readv_with_header(backend, path, header, parts, actor)
     else:
-        _readv_with_header(backend, path, header, [], HEADER_BYTES, actor)
+        _readv_with_header(backend, path, header, (), actor)
     version, count = _parse_header(bytes(header), path, dtype)
     if version >= DATA_VERSION_COLUMNAR:
         raise DataFileError(
@@ -642,7 +691,9 @@ def read_particle_runs_into(
     if total != n:
         _check_fill(path, total, n)
     if head and top == count:
-        _check_whole(backend, path, version, count, itemsize, header, segments, landed, actor)
+        _check_whole(
+            backend, path, version, count, itemsize, header, payload, footer, landed, actor
+        )
     elif not landed:
         raise DataFileError(
             f"{path}: truncated before particle {top} of the {count} its header records"
@@ -651,7 +702,7 @@ def read_particle_runs_into(
         for name in out.dtype.names or ():
             out[name] = rows[name]
     if decode_stats is not None:
-        decode_stats["vectorized_runs"] = len(segments) - (footer is not None)
+        decode_stats["vectorized_runs"] = len(offsets)
         decode_stats["bytes"] = total * itemsize
     return total
 
@@ -666,19 +717,21 @@ def _check_fill(path: str, total: int, n: int) -> None:
         )
 
 
-def _check_whole(backend, path, version, count, itemsize, header, segments, landed, actor):
+def _check_whole(
+    backend, path, version, count, itemsize, header, payload, footer, landed, actor
+):
     """The whole-file checks of a row read of every particle.
 
-    ``segments`` are the read's: the payload, then the footer if it was
-    predicted.  v1/v2 files must be exactly header + payload (+ footer),
-    v3+ files at least that long (the recovery trailer follows); a readv
-    that landed the footer proves the latter, anything else asks the
-    backend for the size.  Then the v2+ footer, over header and payload.
+    ``payload`` is the read's destination bytes and ``footer`` the footer
+    it landed, or None where it was not predicted.  v1/v2 files must be
+    exactly header + payload (+ footer), v3+ files at least that long (the
+    recovery trailer follows); a readv that landed the footer proves the
+    latter, anything else asks the backend for the size.  Then the v2+
+    footer, over header and payload.
     """
-    payload = count * itemsize
-    expected = HEADER_BYTES + payload + (FOOTER_BYTES if version >= 2 else 0)
-    predicted = len(segments) > 1
-    if version < 3 or not landed or not predicted:
+    nbytes = count * itemsize
+    expected = HEADER_BYTES + nbytes + (FOOTER_BYTES if version >= 2 else 0)
+    if version < 3 or not landed or footer is None:
         size = backend.size(path)
         if (size < expected) if version >= 3 else (size != expected):
             raise DataFileError(
@@ -686,13 +739,11 @@ def _check_whole(backend, path, version, count, itemsize, header, segments, land
                 f"found {size}"
             )
         if not landed:  # a v1 file: the predicted footer lay past its end
-            backend.readv(path, segments[:1], actor=actor)
+            backend.readv(path, ReadRequest.one(HEADER_BYTES, payload), actor=actor)
     if version >= 2:
-        footer = (
-            segments[1][1] if predicted
-            else backend.read_range(path, HEADER_BYTES + payload, FOOTER_BYTES, actor=actor)
-        )
-        _check_footer(footer, zlib.crc32(segments[0][1], zlib.crc32(header)), path)
+        if footer is None:
+            footer = backend.read_range(path, HEADER_BYTES + nbytes, FOOTER_BYTES, actor=actor)
+        _check_footer(footer, zlib.crc32(payload, zlib.crc32(header)), path)
 
 
 # -- columnar payloads (format v4) ---------------------------------------------
@@ -900,8 +951,8 @@ def _read_columnar(
     projection).  Header plus every needed segment arrive in one
     :meth:`FileBackend.readv` into one landing buffer, and file-adjacent
     segments are **coalesced** first: the writer lays a chunk's columns
-    out back to back, so a contiguous chunk run arrives as one ``readv``
-    segment.  Every segment is then CRC32-verified and inflated on its
+    out back to back, so a contiguous chunk run arrives as one range of
+    the request.  Every segment is then CRC32-verified and inflated on its
     own — the steps that can fail per segment — while the byte unshuffle
     and the scatter run once per column over each stretch of equal-sized
     chunks (:meth:`~repro.format.codecs.Codec.decode_run`).  Runs that
@@ -948,8 +999,9 @@ def _read_columnar(
         )
     # One (offset, length, crc) row per needed segment, chunk-major: the
     # order the writer laid them out in, so file-adjacent segments are
-    # neighbours here and coalesce into single extents — one readv segment
-    # per contiguous byte range, all landing back-to-back in one buffer.
+    # neighbours here and coalesce into single extents — one range of the
+    # request per contiguous byte range, all landing back to back in one
+    # buffer.
     wanted = table[sel][:, need_ids].reshape(-1, 3)
     offs, lens = wanted[:, 0], wanted[:, 1]
     stops = np.cumsum(lens)
@@ -960,16 +1012,12 @@ def _read_columnar(
     nbytes = int(lens.sum())
     landing = memoryview(bytearray(nbytes))
     header = bytearray(HEADER_BYTES)
-    segments = [
-        (offset, landing[lo:hi])
-        for offset, lo, hi in zip(
-            (HEADER_BYTES + offs[ext]).tolist(),
-            begins[ext].tolist(),
-            np.append(begins[ext[1:]], nbytes).tolist(),
-        )
-    ]
-    end = HEADER_BYTES + int((offs + lens).max(initial=0))
-    landed = _readv_with_header(backend, path, header, segments, end, actor)
+    extents = (
+        landing,
+        (HEADER_BYTES + offs[ext]).tolist(),
+        np.diff(begins[ext], append=nbytes).tolist(),
+    )
+    landed = _readv_with_header(backend, path, header, (extents,), actor)
     version, count = _parse_header(bytes(header), path, dtype)
     if version < DATA_VERSION_COLUMNAR:
         raise DataFileError(

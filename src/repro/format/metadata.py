@@ -74,7 +74,7 @@ import numpy as np
 
 from repro.domain.box import Box
 from repro.errors import DataFileError, DomainError, MetadataChecksumError, MetadataError
-from repro.io.backend import FileBackend
+from repro.io.backend import FileBackend, ReadRequest
 
 META_MAGIC = b"SPIOMETA"
 META_VERSION = 3
@@ -531,7 +531,7 @@ class SpatialMetadata:
         read whole."""
         header, head = bytearray(_HEADER.size), None
         try:
-            backend.readv(path, [(0, header)], actor=actor)
+            backend.readv(path, ReadRequest.one(0, header), actor=actor)
             magic, version, head_len, head_offset = _HEADER_HEAD.unpack(header)
             if magic == META_MAGIC and version == META_VERSION_HEAD:
                 # A head past 1 MiB (some ten thousand files) must end the
@@ -542,7 +542,7 @@ class SpatialMetadata:
                         f"a {head_len}-byte head at {head_offset} does not end the table"
                     )
                 head = bytearray(head_len)
-                backend.readv(path, [(head_offset, head)], actor=actor)
+                backend.readv(path, ReadRequest.one(head_offset, head), actor=actor)
             else:
                 raw = backend.read_file(path, actor=actor)
         except Exception as exc:
@@ -628,7 +628,7 @@ def read_section(backend: FileBackend, path: str, rec: MetadataRecord, actor: in
     assert rec.section_ref is not None
     offset, length, crc = rec.section_ref
     section = bytearray(length)
-    backend.readv(path, [(offset, section)], actor=actor)
+    backend.readv(path, ReadRequest.one(offset, section), actor=actor)
     _check_section(section, crc, f"{rec.file_path} in {path!r}")
     return section
 

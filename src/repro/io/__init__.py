@@ -1,9 +1,11 @@
 """Storage backends: where datasets' bytes actually live.
 
 The interface (:class:`FileBackend`) has two read verbs: ``read_file`` for a
-whole object and ``readv(path, [(offset, view), ...])`` for every ranged
-read; ``read_range`` and ``readinto`` are base-class conveniences over
-``readv`` that no backend overrides.  Three leaf backends implement it
+whole object and ``readv(path, request)`` for every ranged read, where a
+:class:`ReadRequest` is one flattened offset–length list landing back to
+back in caller-owned buffers; ``read_range`` and ``readinto`` are
+base-class conveniences over ``readv`` (a one-range request) that no
+backend overrides.  Three leaf backends implement it
 (the third, :class:`RemoteBackend`, is described below):
 
 * :class:`PosixBackend` — a directory on the real filesystem; used by the
@@ -44,7 +46,7 @@ remote outage.  :func:`build_remote_stack` assembles the whole
 composition.
 """
 
-from repro.io.backend import FileBackend, IoOp, WrapperBackend
+from repro.io.backend import FileBackend, IoOp, ReadRequest, WrapperBackend
 from repro.io.cache import CachingBackend
 from repro.io.diskcache import DiskCacheBackend
 from repro.io.executor import (
@@ -83,6 +85,7 @@ __all__ = [
     "FileBackend",
     "WrapperBackend",
     "IoOp",
+    "ReadRequest",
     "PosixBackend",
     "PrefixBackend",
     "VirtualBackend",

@@ -7,10 +7,11 @@ to whatever actually stores the bytes.
 
 A backend implements exactly two read verbs: :meth:`FileBackend.read_file`
 (the whole object — an un-ranged request with its own cache key) and
-:meth:`FileBackend.readv` (every ranged read: a flattened
-``[(offset, view), ...]`` list served under one logical open).
-``read_range`` and ``readinto`` are conveniences defined once, here, over
-``readv``; no backend overrides them.  Backends that delegate to another
+:meth:`FileBackend.readv` (every ranged read: one :class:`ReadRequest`, a
+flattened offset–length list landing back to back in caller-owned
+buffers, served under one logical open).  ``read_range`` and
+``readinto`` are conveniences defined once, here, over ``readv``; no
+backend overrides them.  Backends that delegate to another
 backend derive from :class:`WrapperBackend`, which forwards everything, so
 each overrides only the operations it changes.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import add
 
 from repro.errors import BackendError
 from repro.obs.names import (
@@ -54,6 +56,82 @@ class IoOp:
     nbytes: int = 0
     offset: int = -1
     actor: int = -1
+
+
+def _negative(offset: int, length: int) -> BackendError:
+    return BackendError(f"negative offset/length ({offset}, {length})")
+
+
+class ReadRequest:
+    """One file's ranged read, flattened: byte ranges landing back to back.
+
+    ``parts`` are ``(view, offsets, lengths)`` triples.  A part's file
+    ranges ``[offsets[i], offsets[i] + lengths[i])`` land in order, back
+    to back, in its ``view`` (any writable buffer), which they fill
+    exactly.  So a plan's k chunk runs travel as two int lists and one
+    destination, not as k views: a pruned row read is three parts (header,
+    runs, footer), and :meth:`one` is the one-range case.
+
+    Checked once, here, for every backend: no offset or length is
+    negative, and each part's lengths sum to its view's size.  ``end`` is
+    the furthest byte any range reaches, so a backend checks bounds with
+    one comparison; ``count`` is the number of ranges and ``nbytes`` the
+    bytes they land.
+    """
+
+    __slots__ = ("parts", "end", "count", "nbytes")
+
+    def __init__(self, parts):
+        self.parts = checked = []
+        end = count = nbytes = 0
+        for view, offsets, lengths in parts:
+            view = memoryview(view).cast("B")
+            n = len(offsets)
+            if n == 1 and len(lengths) == 1:
+                offset, size = offsets[0], lengths[0]
+                if offset < 0 or size < 0:
+                    raise _negative(offset, size)
+                top = offset + size
+            elif n != len(lengths):
+                raise ValueError(f"{n} offsets for {len(lengths)} lengths")
+            elif n:
+                if min(offsets) < 0 or min(lengths) < 0:
+                    raise _negative(
+                        *next((o, k) for o, k in zip(offsets, lengths) if o < 0 or k < 0)
+                    )
+                top, size = max(map(add, offsets, lengths)), sum(lengths)
+            else:
+                top = size = 0
+            if size != len(view):
+                raise BackendError(
+                    f"ranges of {size} bytes for a {len(view)}-byte destination"
+                )
+            checked.append((view, offsets, lengths))
+            if top > end:
+                end = top
+            count += n
+            nbytes += size
+        self.end = end
+        self.count = count
+        self.nbytes = nbytes
+
+    @classmethod
+    def one(cls, offset: int, view) -> "ReadRequest":
+        """The one-range request: fill ``view`` from file byte ``offset``."""
+        view = memoryview(view).cast("B")
+        return cls(((view, (offset,), (len(view),)),))
+
+    def ranges(self) -> tuple[list[int], list[int]]:
+        """Every part's offsets and lengths, concatenated in landing order."""
+        offsets: list[int] = []
+        lengths: list[int] = []
+        for _view, offs, lens in self.parts:
+            offsets.extend(offs)
+            lengths.extend(lens)
+        return offsets, lengths
+
+    def __repr__(self) -> str:
+        return f"ReadRequest({self.count} ranges, {self.nbytes} bytes, end {self.end})"
 
 
 class FileBackend(ABC):
@@ -117,18 +195,17 @@ class FileBackend(ABC):
         """Read the entire contents of ``path``."""
 
     @abstractmethod
-    def readv(self, path: str, segments, actor: int = -1) -> int:
-        """Scatter-gather read: fill each ``(offset, view)`` in ``segments``.
+    def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
+        """Scatter-gather read: land every range of ``request``.
 
-        The one ranged read.  Each ``view`` is any writable buffer
-        (memoryview, ndarray byte view) and is filled completely — short
-        reads are an error — so the destination is caller-owned and ranged
-        reads land in a preallocated result with no per-range allocation.
-        One *logical open* of ``path`` serves every segment, so a reader
-        that wants the header, a handful of pruned particle runs, and the
-        footer of one file pays a single open (the dominant fixed cost on
-        parallel filesystems) instead of one per range.  Returns total
-        bytes read.
+        The one ranged read.  Each part's view is filled completely —
+        short reads are an error — so the destination is caller-owned and
+        ranged reads land in a preallocated result with no per-range
+        allocation.  One *logical open* of ``path`` serves every range, so
+        a reader that wants the header, a handful of pruned particle runs,
+        and the footer of one file pays a single open (the dominant fixed
+        cost on parallel filesystems) instead of one per range; ``io.reads``
+        counts one per range.  Returns total bytes read.
         """
 
     # -- conveniences over readv (defined here only) ------------------------
@@ -138,12 +215,12 @@ class FileBackend(ABC):
         if offset < 0 or length < 0:
             raise BackendError(f"negative offset/length ({offset}, {length})")
         buf = bytearray(length)
-        self.readv(path, [(offset, buf)], actor=actor)
+        self.readv(path, ReadRequest.one(offset, buf), actor=actor)
         return bytes(buf)
 
     def readinto(self, path: str, offset: int, view, actor: int = -1) -> int:
-        """Fill ``view`` from ``offset`` as a one-segment :meth:`readv`."""
-        return self.readv(path, [(offset, view)], actor=actor)
+        """Fill ``view`` from ``offset`` as a one-range :meth:`readv`."""
+        return self.readv(path, ReadRequest.one(offset, view), actor=actor)
 
     @abstractmethod
     def exists(self, path: str) -> bool: ...
@@ -170,17 +247,16 @@ class FileBackend(ABC):
         return "/".join(parts)
 
     @staticmethod
-    def _segments(segments) -> list[tuple[int, memoryview]]:
-        """``readv`` segments as ``(int offset, flat byte view)`` pairs,
-        rejecting negative offsets."""
+    def _segments(request: ReadRequest) -> list[tuple[int, memoryview]]:
+        """``request``'s ranges as ``(offset, destination view)`` pairs, in
+        landing order: the form of backends that handle each range on its
+        own (a cache key, a remote range, an in-memory slice)."""
         out = []
-        for offset, view in segments:
-            flat = memoryview(view).cast("B")
-            if offset < 0:
-                raise BackendError(
-                    f"negative offset/length ({offset}, {len(flat)})"
-                )
-            out.append((int(offset), flat))
+        for view, offsets, lengths in request.parts:
+            pos = 0
+            for offset, length in zip(offsets, lengths):
+                out.append((offset, view[pos : pos + length]))
+                pos += length
         return out
 
 
@@ -218,8 +294,8 @@ class WrapperBackend(FileBackend):
     def read_file(self, path: str, actor: int = -1) -> bytes:
         return self._forward("read_file", path, actor=actor)
 
-    def readv(self, path: str, segments, actor: int = -1) -> int:
-        return self._forward("readv", path, segments, actor=actor)
+    def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
+        return self._forward("readv", path, request, actor=actor)
 
     def exists(self, path: str) -> bool:
         return self._forward("exists", path)

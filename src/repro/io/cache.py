@@ -39,7 +39,7 @@ from collections import OrderedDict
 from collections.abc import Callable
 
 from repro.errors import ConfigError
-from repro.io.backend import FileBackend, WrapperBackend
+from repro.io.backend import FileBackend, ReadRequest, WrapperBackend
 from repro.obs.names import CACHE_EVICT, CACHE_HIT, CACHE_MISS
 
 __all__ = ["CachingBackend"]
@@ -180,15 +180,15 @@ class CachingBackend(WrapperBackend):
             ("file", path), path, lambda: self.base.read_file(path, actor=actor)
         )
 
-    def readv(self, path: str, segments, actor: int = -1) -> int:
-        """Serve cached segments from the cache; fetch the misses in one
+    def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
+        """Serve cached ranges from the cache; fetch the misses in one
         :meth:`FileBackend.readv` on the base (one shared open), then cache
         copies of what was fetched (a cached range must outlive any one
         destination buffer)."""
         path = self._normalize(path)
         total = 0
         missing: list[tuple[int, memoryview]] = []
-        for offset, out in self._segments(segments):
+        for offset, out in self._segments(request):
             data = self._lookup(("range", path, offset, len(out)), path)
             if data is not None:
                 out[:] = data
@@ -197,7 +197,11 @@ class CachingBackend(WrapperBackend):
                 missing.append((offset, out))
         if missing:
             epoch = self._epoch(path)
-            total += self.base.readv(path, missing, actor=actor)
+            total += self.base.readv(
+                path,
+                ReadRequest([(out, (offset,), (len(out),)) for offset, out in missing]),
+                actor=actor,
+            )
             for offset, out in missing:
                 self._store(
                     ("range", path, offset, len(out)), path, bytes(out), epoch

@@ -48,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import BackendError, TransientBackendError
-from repro.io.backend import FileBackend, IoOp, WrapperBackend
+from repro.io.backend import FileBackend, IoOp, ReadRequest, WrapperBackend
 from repro.obs.names import EV_FAULT, IO_FAULTS
 
 __all__ = [
@@ -317,18 +317,18 @@ class FaultInjectingBackend(WrapperBackend):
         with self._lock:
             return self._apply_flips(path, data, flips)
 
-    def readv(self, path: str, segments, actor: int = -1) -> int:
+    def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
         # One fault check per readv call, mirroring its one-open semantics
         # (a transient fault fails the whole scatter-gather read, as a real
         # failed open would).
         path = self._normalize(path)
-        segs = self._segments(segments)
         with self._lock:
             self._check_dead(path)
             flips = self._check_read(path)
-        total = self.base.readv(path, segs, actor=actor)
+        total = self.base.readv(path, request, actor=actor)
         if flips:
-            # Flip inside the *data* segments: segment 0 of every
+            segs = self._segments(request)
+            # Flip inside the *data* ranges: range 0 of every
             # scatter-gather read is the fixed-size header, and a header
             # flip fails fast at parse time instead of exercising the
             # per-segment checksum isolation the format promises.  With

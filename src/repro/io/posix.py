@@ -10,13 +10,15 @@ The read side is built for raw speed (the Fig. 7 scaling story):
   handle dropped before a single byte is served.
 * **mmap zero-copy fast path** — files within the mapping budget are
   served as slices of one shared ``mmap`` view: ``read_file`` returns a
-  copy of the mapping, ``readv`` lands bytes via vectorized numpy copies
-  (which release the GIL for large transfers), and repeated reads of a
+  copy of the mapping, ``readv`` lands a request's ranges with one loop
+  of slice assignments per destination (numpy copies, which release the
+  GIL, for large ranges) after one bounds check, and repeated reads of a
   warm file never enter the kernel at all.
 * **``os.preadv`` scatter-gather fallback** — files outside the mapping
-  budget (or with mmap disabled) batch offset-contiguous segments into
-  single ``preadv`` calls on the pooled fd.  ``pread``/``preadv`` release
-  the GIL, so concurrent readers overlap genuine device waits.
+  budget (or with mmap disabled) batch a request's offset-contiguous
+  ranges into single ``preadv`` calls on the pooled fd.
+  ``pread``/``preadv`` release the GIL, so concurrent readers overlap
+  genuine device waits.
 
 All of it stays behind the :class:`FileBackend` contract: per-file
 Darshan counters (``io.opens`` counts *logical* opens, exactly as
@@ -48,14 +50,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import BackendError
-from repro.io.backend import FileBackend
+from repro.io.backend import FileBackend, ReadRequest
 from repro.obs.names import IO_HANDLE_REUSES, IO_MMAP_HITS, IO_MMAP_MISSES
 
 #: Process-wide counter so concurrent writers of the same path (simulated
 #: aggregator ranks are threads) never share a temp file.
 _TMP_IDS = itertools.count()
 
-#: Mapped segments at least this long are landed with a numpy copy, which
+#: Mapped ranges at least this long are landed with a numpy copy, which
 #: releases the GIL so executor threads copy in parallel; shorter ones by
 #: buffer slice assignment, whose fixed cost is several times smaller and
 #: which finishes before another thread could have been scheduled anyway.
@@ -231,11 +233,13 @@ def _numpy_copy(mm: mmap.mmap, offset: int, out: memoryview) -> None:
 def _preadv_fill(fd: int, full: str, items: list[tuple[int, memoryview]]) -> None:
     """Fill each ``(offset, view)`` from ``fd``, batching contiguous runs.
 
-    Offset-contiguous segments are gathered into single ``os.preadv``
-    calls (capped at ``_IOV_MAX`` buffers), so a coalesced chunk-run read
-    costs one syscall per contiguous extent rather than one per segment.
-    Short reads raise the same error the legacy per-segment loop did.
+    ``items`` are a request's ranges (:meth:`FileBackend._segments`).
+    Offset-contiguous ranges are gathered into single ``os.preadv`` calls
+    (capped at ``_IOV_MAX`` buffers), so a coalesced chunk-run read costs
+    one syscall per contiguous extent rather than one per range.  A file
+    that shrank under the request raises a short-read error.
     """
+    items = [(o, v) for o, v in items if len(v)]
     i = 0
     while i < len(items):
         # One contiguous group: [i, j) where each next offset continues on.
@@ -443,46 +447,39 @@ class PosixBackend(FileBackend):
         self._note_read(norm, len(data))
         return data
 
-    def readv(self, path: str, segments, actor: int = -1) -> int:
+    def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
         norm, full = self._resolve(path)
-        items: list[tuple[int, memoryview]] = []
-        for offset, view in segments:
-            out = memoryview(view).cast("B")
-            if offset < 0:
-                raise BackendError(
-                    f"negative offset/length ({offset}, {len(out)})"
-                )
-            items.append((int(offset), out))
         try:
             handle, reused = self._pool.acquire(norm, full)
         except OSError as exc:
             raise BackendError(f"reading {full}: {exc}") from exc
-        total = 0
         try:
             self._note_open(norm)
+            if request.end > handle.size:
+                offset, out = next(
+                    (o, v) for o, v in self._segments(request)
+                    if o + len(v) > handle.size
+                )
+                raise BackendError(
+                    f"short read from {full}: wanted {len(out)} bytes at "
+                    f"{offset}, got {max(0, handle.size - offset)}"
+                )
             if handle.mm is not None:
-                size = handle.size
                 # Released before the handle is: a pooled mapping cannot
                 # close while a buffer export is outstanding.
                 with memoryview(handle.mm) as mapped:
-                    for offset, out in items:
-                        length = len(out)
-                        if offset + length > size:
-                            raise BackendError(
-                                f"short read from {full}: wanted {length} "
-                                f"bytes at {offset}, got {max(0, size - offset)}"
-                            )
-                        if length < _GIL_RELEASING_COPY_BYTES:
-                            out[:] = mapped[offset : offset + length]
-                        else:
-                            _numpy_copy(handle.mm, offset, out)
-                        total += length
+                    for view, offsets, lengths in request.parts:
+                        pos = 0
+                        for offset, length in zip(offsets, lengths):
+                            stop = pos + length
+                            if length < _GIL_RELEASING_COPY_BYTES:
+                                view[pos:stop] = mapped[offset : offset + length]
+                            else:
+                                _numpy_copy(handle.mm, offset, view[pos:stop])
+                            pos = stop
             else:
-                _preadv_fill(
-                    handle.fd, full, [(o, v) for o, v in items if len(v)]
-                )
-                total = sum(len(out) for _offset, out in items)
-            self._note_read(norm, total, reads=len(items))
+                _preadv_fill(handle.fd, full, self._segments(request))
+            self._note_read(norm, request.nbytes, reads=request.count)
             self._note_mmap(norm, handle.mm is not None)
         except OSError as exc:
             raise BackendError(f"reading {full}: {exc}") from exc
@@ -490,7 +487,7 @@ class PosixBackend(FileBackend):
             self._pool.release(handle)
         if reused:
             self._note_reuse(norm)
-        return total
+        return request.nbytes
 
     # -- metadata ------------------------------------------------------------
 

@@ -47,7 +47,7 @@ from repro.errors import (
     RemoteUnavailableError,
     RequestTimeoutError,
 )
-from repro.io.backend import FileBackend
+from repro.io.backend import FileBackend, ReadRequest
 from repro.obs.names import (
     REMOTE_BYTES,
     REMOTE_COST_MICRO,
@@ -584,10 +584,10 @@ class RemoteBackend(FileBackend):
         self._note_read(path, len(data))
         return data
 
-    def readv(self, path: str, segments, actor: int = -1) -> int:
-        """One multi-range GET covering every segment (single request)."""
+    def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
+        """One multi-range GET covering every range (single request)."""
         path = self._normalize(path)
-        segs = self._segments(segments)
+        segs = self._segments(request)
         if not segs:
             return 0
         parts = self._request(

@@ -58,7 +58,7 @@ from repro.errors import (
     DeadlineExceededError,
     TransientBackendError,
 )
-from repro.io.backend import FileBackend, WrapperBackend
+from repro.io.backend import FileBackend, ReadRequest, WrapperBackend
 from repro.obs.names import (
     BREAKER_FAST_FAILS,
     BREAKER_TRANSITIONS,
@@ -481,29 +481,26 @@ class ResilientBackend(WrapperBackend):
             hedge=op == "read_file",
         )
 
-    def readv(self, path: str, segments, actor: int = -1) -> int:
+    def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
         path = self._normalize(path)
-        segs = self._segments(segments)
-        if not segs:
+        if not request.count:
             return 0
+        offsets, lengths = request.ranges()
 
-        def attempt() -> list[bytearray]:
-            # Private buffers per attempt: two racing hedge attempts must
+        def attempt() -> bytearray:
+            # A private landing per attempt: two racing hedge attempts must
             # never write into the caller's views concurrently.
-            bufs = [bytearray(len(out)) for _, out in segs]
-            self.base.readv(
-                path,
-                [(off, buf) for (off, _), buf in zip(segs, bufs)],
-                actor=actor,
-            )
-            return bufs
+            buf = bytearray(request.nbytes)
+            self.base.readv(path, ReadRequest([(buf, offsets, lengths)]), actor=actor)
+            return buf
 
-        bufs = self._guarded(path, "readv", attempt, hedge=True)
-        total = 0
-        for (_, out), buf in zip(segs, bufs):
-            out[:] = buf
-            total += len(out)
-        return total
+        landed = memoryview(self._guarded(path, "readv", attempt, hedge=True))
+        # The ranges landed back to back, so each part is one slice of it.
+        pos = 0
+        for view, _offsets, _lengths in request.parts:
+            view[:] = landed[pos : pos + len(view)]
+            pos += len(view)
+        return request.nbytes
 
     def __repr__(self) -> str:
         return (

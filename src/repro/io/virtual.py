@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 
 from repro.errors import BackendError
-from repro.io.backend import FileBackend, IoOp
+from repro.io.backend import FileBackend, IoOp, ReadRequest
 
 
 class VirtualBackend(FileBackend):
@@ -56,9 +56,9 @@ class VirtualBackend(FileBackend):
         self._note_read(path, len(data))
         return data
 
-    def readv(self, path: str, segments, actor: int = -1) -> int:
+    def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
         path = self._normalize(path)
-        segs = self._segments(segments)
+        segs = self._segments(request)
         total = 0
         with self._lock:
             data = self._files.get(path)

@@ -11,7 +11,6 @@ messages from the same (source, tag, channel) are received in send order
 from __future__ import annotations
 
 import threading
-from typing import Any
 
 from repro.errors import DeadlockError, MPIError
 from repro.mpi.message import Message
@@ -181,12 +180,3 @@ class World:
             for r in range(self.size)
             if r not in self._done
         )
-
-    # -- convenience -------------------------------------------------------
-
-    def total_traffic(self) -> dict[str, Any]:
-        return {
-            "messages": self.stats.total_messages(),
-            "bytes": self.stats.total_bytes(),
-            "offnode_bytes": self.stats.total_bytes(include_self=False),
-        }

@@ -1,5 +1,7 @@
 """Data-file format tests."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from repro.format.chunks import Runs
 from repro.format.datafile import (
     FOOTER_BYTES,
     HEADER_BYTES,
+    build_data_blob,
+    crc32_combine,
     parse_data_header,
     read_particle_runs_into,
     write_data_file,
@@ -183,3 +187,31 @@ class TestCorruption:
         backend.write_file("data/x.pbin", b"garbage-garbage-garbage-")
         with pytest.raises(DataFileError):
             parse_data_header(backend.read_file("data/x.pbin"), "data/x.pbin")
+
+
+class TestCrc32Combine:
+    """The writer derives each footer's CRC from the payload CRC it already
+    has; the combine must equal zlib's one pass over the joined bytes."""
+
+    @pytest.mark.parametrize(
+        "len2", [0, 1, 7, 8, 24, 1023, 65_537, (1 << 20) - 1, (1 << 20) + 13]
+    )
+    def test_equals_zlib_over_the_joined_bytes(self, len2):
+        rng = np.random.default_rng(len2)
+        a = rng.integers(0, 256, HEADER_BYTES, dtype=np.uint8).tobytes()
+        b = rng.integers(0, 256, len2, dtype=np.uint8).tobytes()
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len2) == zlib.crc32(a + b)
+
+    @pytest.mark.parametrize("len1", [0, 1, 5])
+    def test_any_first_part(self, len1):
+        a, b = bytes(range(len1)), b"\xff" * 333
+        assert crc32_combine(zlib.crc32(a), zlib.crc32(b), len(b)) == zlib.crc32(a + b)
+
+    @pytest.mark.parametrize("count", [0, 1, 100])
+    def test_blob_with_a_known_payload_crc_is_byte_identical(self, batch, count):
+        payload = batch.data[:count].tobytes()
+        itemsize = batch.dtype.itemsize
+        combined = build_data_blob(
+            payload, itemsize, count, payload_crc32=zlib.crc32(payload)
+        )
+        assert combined == build_data_blob(payload, itemsize, count)

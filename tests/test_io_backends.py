@@ -10,7 +10,7 @@ import os
 import pytest
 
 from repro.errors import BackendError
-from repro.io import PosixBackend, VirtualBackend
+from repro.io import PosixBackend, ReadRequest, VirtualBackend
 
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
@@ -224,7 +224,7 @@ def _ranged(backend, spelling, path, offset, length):
     if spelling == "readinto":
         got = backend.readinto(path, offset, buf)
     else:
-        got = backend.readv(path, [(offset, buf)])
+        got = backend.readv(path, ReadRequest.one(offset, buf))
     assert got == length
     return bytes(buf)
 

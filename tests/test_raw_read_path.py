@@ -24,7 +24,7 @@ from repro.core import SpatialReader, WriterConfig
 from repro.dataset import Dataset
 from repro.errors import BackendError
 from repro.format.datafile import HEADER_BYTES
-from repro.io import PosixBackend, posix
+from repro.io import PosixBackend, ReadRequest, posix
 from repro.io.executor import ProcessExecutor, SerialExecutor, ThreadedExecutor
 from repro.io.faults import FaultInjectingBackend, FaultPlan
 from repro.obs.names import (
@@ -143,7 +143,7 @@ class TestMmapParity:
 
 
 class TestReadvCopyThreshold:
-    """``readv`` lands short mapped segments by slice assignment and long
+    """``readv`` lands short mapped ranges by slice assignment and long
     ones by the GIL-releasing numpy copy; which one ran is unobservable."""
 
     T = posix._GIL_RELEASING_COPY_BYTES
@@ -158,11 +158,13 @@ class TestReadvCopyThreshold:
     def _readv(self, backend, lengths, first_offset=5):
         rec = Recorder()
         backend.attach_recorder(rec)
-        # Distinct offsets, touching and overlapping freely: segments are
-        # independent reads of one open.
+        # Distinct offsets, touching and overlapping freely: ranges are
+        # independent reads of one open, landing back to back.
         offsets = [first_offset + 7 * i for i in range(len(lengths))]
-        views = [bytearray(n) for n in lengths]
-        total = backend.readv("blob.bin", list(zip(offsets, views)))
+        landing = memoryview(bytearray(sum(lengths)))
+        total = backend.readv("blob.bin", ReadRequest([(landing, offsets, list(lengths))]))
+        ends = np.cumsum(lengths).tolist()
+        views = [landing[end - n : end] for n, end in zip(lengths, ends)]
         return offsets, views, total, rec
 
     def test_lengths_straddling_the_threshold(self, tmp_path):
@@ -190,7 +192,10 @@ class TestReadvCopyThreshold:
         backend = PosixBackend(tmp_path / "raw", use_mmap=use_mmap)
         offset = len(blob) - length + 1  # one byte past EOF
         with pytest.raises(BackendError) as err:
-            backend.readv("blob.bin", [(0, bytearray(8)), (offset, bytearray(length))])
+            request = ReadRequest(
+                [(bytearray(8), (0,), (8,)), (bytearray(length), (offset,), (length,))]
+            )
+            backend.readv("blob.bin", request)
         full = tmp_path / "raw" / "blob.bin"
         assert str(err.value) == (
             f"reading {full}: short read from {full}: wanted {length} "

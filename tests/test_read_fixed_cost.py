@@ -31,6 +31,7 @@ from repro.io import (
     DiskCacheBackend,
     PosixBackend,
     PrefixBackend,
+    ReadRequest,
     RemoteBackend,
     RetryPolicy,
     SimulatedTransport,
@@ -287,6 +288,50 @@ def test_torn_file_fails_the_lod_query(tmp_path):
     assert result.report.skipped[0].reason == "corrupt"
 
 
+class TestOneRequestPerFile:
+    """A pruned read hands each file's k chunk runs to the backend as one
+    flattened request: one ``readv`` per file, carrying the header and k
+    ranges that land back to back in one destination — no per-run view
+    crosses the backend boundary."""
+
+    BOX = Box([0.1, 0.15, 0.05], [0.85, 0.4, 0.7])
+
+    def test_pruned_read_is_one_flattened_readv_per_file(self, tmp_path, monkeypatch):
+        root = tmp_path / "ds"
+        write_dataset(
+            nprocs=8, partition_factor=(1, 1, 1), particles_per_rank=4000,
+            backend=PosixBackend(root),
+        )
+        engine = Dataset.open(PosixBackend(root, create=False)).engine()
+        plan = engine.plan_box(self.BOX)
+        want = engine.run(plan, exact=True)  # warm: every memo hot
+        runs = {
+            rec.file_path: len(plan.chunk_runs[i])
+            for i, (rec, _count) in enumerate(plan.entries)
+            if i in plan.chunk_runs
+        }
+        assert runs and max(runs.values()) > 1
+        requests = []
+        readv = PosixBackend.readv
+
+        def spy(self, path, request, actor=-1):
+            requests.append((path, request))
+            return readv(self, path, request, actor)
+
+        monkeypatch.setattr(PosixBackend, "readv", spy)
+        got = engine.run(plan, exact=True)
+        assert np.array_equal(got.batch.data, want.batch.data)
+        pruned = [(path, r) for path, r in requests if path in runs]
+        assert sorted(path for path, _r in pruned) == sorted(runs)
+        for path, request in pruned:
+            k = runs[path]
+            (header, head_offsets, _), (landing, offsets, lengths) = request.parts
+            assert len(header) == HEADER_BYTES and list(head_offsets) == [0]
+            assert len(offsets) == len(lengths) == k == request.count - 1
+            assert all(type(n) is int for n in (*offsets, *lengths))
+            assert len(landing) == sum(lengths)
+
+
 @pytest.fixture
 def backend(tmp_path):
     backend = PosixBackend(tmp_path / "ds", max_handles=4)
@@ -301,7 +346,7 @@ class TestPathMap:
         buf = bytearray(4)
         for _ in range(3):
             with pytest.raises(ValueError, match=r"\.\."):
-                backend.readv(path, [(0, buf)])
+                backend.readv(path, ReadRequest.one(0, buf))
             with pytest.raises(ValueError, match=r"\.\."):
                 backend.read_file(path)
             with pytest.raises(ValueError, match=r"\.\."):
@@ -364,7 +409,9 @@ def test_path_map_and_span_stacks_under_thread_stress(tmp_path):
                 out = bytearray(16)
                 with recorder.span(f"outer-{k}"):
                     with recorder.span(f"inner-{k}"):
-                        backend.readv("./" * (n % 4) + path, [(HEADER_BYTES, out)])
+                        backend.readv(
+                            "./" * (n % 4) + path, ReadRequest.one(HEADER_BYTES, out)
+                        )
                 if bytes(out) != blobs[path][HEADER_BYTES : HEADER_BYTES + 16]:
                     errors.append((k, n, path))
         except Exception as exc:  # noqa: BLE001 - reported by the assert below

@@ -35,6 +35,7 @@ from repro.io import (
     DiskCacheBackend,
     Hedger,
     OutagePlan,
+    ReadRequest,
     RemoteBackend,
     ResilientBackend,
     RetryPolicy,
@@ -187,8 +188,9 @@ class TestRemoteBackend:
         t = SimulatedTransport(store)
         remote = RemoteBackend(t)
         views = [(0, bytearray(4)), (100, bytearray(8)), (250, bytearray(6))]
+        request = ReadRequest([(view, (off,), (len(view),)) for off, view in views])
         before = t.stats.requests
-        assert remote.readv("f", views) == 18
+        assert remote.readv("f", request) == 18
         assert t.stats.requests == before + 1  # the whole scatter: one GET
         assert bytes(views[0][1]) == bytes(range(4))
         assert bytes(views[1][1]) == bytes(range(100, 108))
@@ -202,7 +204,7 @@ class TestRemoteBackend:
         remote.attach_recorder(rec)
         remote.read_file("f")
         remote.read_range("f", 0, 8)  # a one-range readv: same label
-        remote.readv("f", [(0, bytearray(4)), (8, bytearray(4))])
+        remote.readv("f", ReadRequest([(bytearray(8), (0, 8), (4, 4))]))
         assert rec.value(REMOTE_REQUESTS, key=("get",)) == 1
         assert rec.value(REMOTE_REQUESTS, key=("get_ranges",)) == 2
         assert rec.total(REMOTE_REQUESTS) == 3
@@ -489,7 +491,7 @@ class TestResilientBackend:
             base, hedger=Hedger(min_wait_s=5.0, min_samples=99)
         )
         a, b = bytearray(4), bytearray(4)
-        assert res.readv("f", [(0, a), (96, b)]) == 8
+        assert res.readv("f", ReadRequest([(a, (0,), (4,)), (b, (96,), (4,))])) == 8
         assert bytes(a) == bytes(range(4))
         assert bytes(b) == bytes(range(96, 100))
         res.close()
