@@ -52,7 +52,6 @@ from repro.query.engine import (
     ReadPlan,
     ReadReport,
     SkippedPartition,
-    _skip_reason,
 )
 
 __all__ = [
@@ -62,9 +61,6 @@ __all__ = [
     "SkippedPartition",
     "SpatialReader",
 ]
-
-# Re-exported for importers of the historic module layout.
-_ = _skip_reason
 
 
 class SpatialReader:

@@ -47,14 +47,7 @@ from repro.core.scrub import (
 )
 from repro.dataset import Dataset, as_dataset
 from repro.errors import BackendError, FormatError, MetadataError
-from repro.format.chunks import FileChunkIndex
-from repro.format.datafile import (
-    DATA_VERSION_COLUMNAR,
-    HEADER_BYTES,
-    RecoveryTrailer,
-    build_data_blob,
-    columnar_payload_length,
-)
+from repro.format.datafile import RecoveryTrailer, rebuild_image
 from repro.format.generations import (
     CURRENT_PATH,
     ResolvedGeneration,
@@ -221,9 +214,9 @@ class _RepairPlan:
     #: stray chain state deleted outright (dropped gen manifests/meta,
     #: residue meta without a manifest, stray CURRENT on a gen-0 dataset).
     delete_paths: list[str] = field(default_factory=list)
-    #: path -> (records kept, rec_size, fresh trailer) for truncations
-    #: (the salvaged prefix) and trailer rewrites (the whole payload).
-    rewrite: dict[str, tuple[int, int, RecoveryTrailer]] = field(default_factory=dict)
+    #: path -> the fresh trailer of a truncation (its record counts the
+    #: salvaged prefix) or a trailer rewrite (the whole payload).
+    rewrite: dict[str, RecoveryTrailer] = field(default_factory=dict)
 
 
 def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
@@ -271,7 +264,7 @@ def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
         elif fix == "salvage" and st.salvage is not None and ref is not None:
             count, entry, section = st.salvage
             cut = replace(ref, particle_count=count, section=section)
-            plan.rewrite[path] = (count, st.rec_size, want_trailer(cut, entry, facts))
+            plan.rewrite[path] = want_trailer(cut, entry, facts)
             keep(cut, entry)
             detail = f"{st.detail}; keeping the longest checksum-verified LOD prefix"
             add(fix, ACTION_TRUNCATE, path, detail, salvaged=count, lost=ref.particle_count - count)
@@ -306,9 +299,7 @@ def _plan(sv: Survey, issues: list[ScrubIssue]) -> _RepairPlan:
                 )
             keep(record, st.entry)
             if "trailer" in fixes:
-                plan.rewrite[path] = (
-                    st.header_count, st.rec_size, want_trailer(record, st.entry, facts)
-                )
+                plan.rewrite[path] = want_trailer(record, st.entry, facts)
                 detail = st.trailer_detail or "recovery trailer disagrees with committed state"
                 add("trailer", ACTION_REWRITE_TRAILER, path, detail)
 
@@ -408,22 +399,6 @@ def _quarantine_path(ds: Dataset, path: str, rec: Recorder) -> None:
     ds.retry.call(ds.backend.delete, path, recorder=rec)
 
 
-def _rewrite_file(
-    ds: Dataset, path: str, count: int, rec_size: int, trailer: RecoveryTrailer, rec: Recorder
-) -> None:
-    """Rebuild a file image around the (verified) first ``count`` records —
-    the truncate and rewrite-trailer primitive.  A trailer carrying a codec
-    marks a columnar (v4) file: the kept payload length comes from its
-    segment descriptors (encoded bytes, not ``count * rec_size``)."""
-    raw = ds.retry.call(ds.backend.read_file, path, recorder=rec)
-    length, version = count * rec_size, None
-    if trailer.codec is not None:
-        section, version = trailer.record.section, DATA_VERSION_COLUMNAR
-        length = columnar_payload_length(FileChunkIndex.unpack(section, path)) if section else 0
-    payload = bytes(raw[HEADER_BYTES : HEADER_BYTES + length])
-    _write(ds, path, build_data_blob(payload, rec_size, count, trailer, version=version), rec)
-
-
 def _execute(ds: Dataset, plan: _RepairPlan, report: RepairReport) -> None:
     """Run the plan under the writer's two-phase discipline: invalidate the
     commit marker, fix the data files (fanned on the executor), then write
@@ -441,8 +416,10 @@ def _execute(ds: Dataset, plan: _RepairPlan, report: RepairReport) -> None:
     def apply(action: RepairAction, child: Recorder) -> None:
         if action.kind == ACTION_QUARANTINE:
             _quarantine_path(ds, action.path, child)
-        else:
-            _rewrite_file(ds, action.path, *plan.rewrite[action.path], child)
+        else:  # truncate or rewrite the trailer: one rebuilt image
+            raw = ds.retry.call(ds.backend.read_file, action.path, recorder=child)
+            image = rebuild_image(raw, action.path, plan.rewrite[action.path])
+            _write(ds, action.path, image, child)
 
     file_actions = [a for a in plan.actions if a.kind in FILE_ACTIONS]
     tasks = [(lambda child, a=action: apply(a, child)) for action in file_actions]

@@ -8,10 +8,12 @@ guarantees:
   (a version-6 table's head and each chunk section), and the manifest's
   recorded ``spatial_meta_crc32`` agrees with the bytes on disk;
 * every data file the table or the manifest names exists, has a valid
-  header, the header's particle count matches the table's, the byte length
-  is exact and the v2 footer CRC (v4: every segment CRC) matches; then its
-  table record, manifest entry and v3+ recovery trailer each equal — whole
-  — the ones its payload rebuilds (:func:`want_entry`, :func:`want_trailer`);
+  header whose particle count matches the table's, and passes the read
+  path's own checks over its whole image
+  (:func:`~repro.format.datafile.verify_image`: the size rule, the footer
+  CRC, every v4 segment's CRC and inflate); then its table record,
+  manifest entry and v3+ recovery trailer each equal — whole — the ones
+  its payload rebuilds (:func:`want_entry`, :func:`want_trailer`);
 * no orphan data files sit in ``data/`` (leftovers of an aborted write);
 * the generation chain is structurally sound: the checksummed ``CURRENT``
   pointer parses and names an existing generation, every chained manifest
@@ -47,6 +49,7 @@ from __future__ import annotations
 import re
 import zlib
 from contextlib import suppress
+from itertools import takewhile
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -63,20 +66,15 @@ from repro.errors import (
 )
 from repro.format.chunks import FileChunkIndex, build_chunk_entry
 from repro.format.datafile import (
-    DATA_MAGIC,
-    DATA_VERSION_COLUMNAR,
-    FOOTER_BYTES,
-    HEADER_BYTES,
+    ImageVerdict,
     RecoveryTrailer,
-    columnar_payload_length,
-    decode_columnar_payload,
     extract_recovery_trailer,
+    has_data_magic,
     parse_data_header,
     payload_prefix_checksums,
     prefix_checksum_boundaries,
     read_recovery_trailer,
-    scan_columnar_segments,
-    verify_data_footer,
+    verify_image,
 )
 from repro.format.generations import (
     CURRENT_PATH,
@@ -638,10 +636,12 @@ def inspect_file(
     """Classify one data file (v1–v4, row or columnar) from a single read
     of its bytes under the dataset's retry policy; never raises.
 
-    ``entry`` is the file's :meth:`Survey.entry` — a copy of its chunk
-    index to verify segments against, and the prefix checksums a torn file
-    is salvaged against — or None when nothing committed records the file.
-    A valid file gets its entry and chunk section rebuilt from the payload.
+    The payload is judged by :func:`~repro.format.datafile.verify_image`,
+    the read path's own checks.  ``entry`` is the file's
+    :meth:`Survey.entry` — a copy of its chunk index to verify segments
+    against, and the prefix checksums a damaged file is salvaged against —
+    or None when nothing committed records the file.  A valid file gets
+    its entry and chunk section rebuilt from the payload.
     """
     st = FileState(path)
     try:
@@ -652,18 +652,18 @@ def inspect_file(
         return st.fail("data-unreadable", str(exc))
     st.size = len(raw)
     try:
-        st.version, st.rec_size, st.header_count = parse_data_header(raw, path)
+        header = parse_data_header(raw, path)
     except DataFileError as exc:
         # A data file of a version this reader lacks, or none at all.
-        known = len(raw) >= HEADER_BYTES and raw[:8] == DATA_MAGIC
-        return st.fail("data-corrupt" if known else "data-header", str(exc))
+        return st.fail("data-corrupt" if has_data_magic(raw) else "data-header", str(exc))
+    st.version, st.rec_size, st.header_count = header
     if st.rec_size != facts.dtype.itemsize:
         return st.fail(
             "dtype-mismatch",
             f"record size {st.rec_size} does not match the dataset dtype's "
             f"itemsize {facts.dtype.itemsize}",
         )
-    if st.version >= 3:
+    if header.trailed:
         try:
             st.trailer = extract_recovery_trailer(raw, path)
         except DataFileError as exc:
@@ -674,26 +674,33 @@ def inspect_file(
                     f"trailer says {st.trailer.record.particle_count} "
                     f"particles, header says {st.header_count}"
                 )
-    if st.version >= DATA_VERSION_COLUMNAR:
-        return _inspect_columnar(st, raw, entry, facts)
-
-    footer = FOOTER_BYTES if st.version >= 2 else 0
-    expected = HEADER_BYTES + st.header_count * st.rec_size + footer
-    if len(raw) < expected if st.version >= 3 else len(raw) != expected:
-        st.fail(
-            "data-truncated",
-            f"expected {expected} bytes for {st.header_count} particles, "
-            f"found {len(raw)}",
-        )
-        _find_salvage(st, raw, entry, facts.dtype)
+    if header.columnar:
+        judged = _columnar_verdict(st, raw, entry, facts)
+        if judged is None:
+            return st
+        verdict, codec = judged
+    else:
+        verdict, codec = verify_image(raw, path, st.version, st.header_count, facts.dtype), None
+    if not verdict.ok:
+        return _judge(st, verdict, codec, entry)
+    # The entry from the verified payload: its stored bytes' CRC, its
+    # logical rows' prefix CRCs.
+    boundaries = prefix_checksum_boundaries(st.header_count, facts.lod_base, facts.lod_scale)
+    prefixes = payload_prefix_checksums(verdict.rows.view(np.uint8), st.rec_size, boundaries)
+    st.entry = want_entry(zlib.crc32(verdict.payload), prefixes, codec)
+    batch, stored = ParticleBatch(verdict.rows), verdict.index
+    if stored is not None:
+        # Regraft the chunk geometry from the decoded payload (the truth)
+        # and keep the verified stored segment descriptors — same
+        # partition, so they line up one-to-one.  A geometry whose
+        # partition no longer matches keeps the stored index wholesale (it
+        # verified byte-level).
+        geo = build_chunk_entry(batch, int(stored.counts.max()), boundaries, facts.attr_names)
+        if np.array_equal(geo.starts, stored.starts) and np.array_equal(geo.counts, stored.counts):
+            geo.segments = stored.segments
+            stored = geo
+        st.section = stored.to_section()
         return st
-    if st.version >= 2:
-        try:
-            verify_data_footer(raw[:expected], path)
-        except ChecksumError as exc:
-            return st.fail("data-checksum", str(exc))
-    payload = raw[HEADER_BYTES : expected - footer]
-    boundaries = _rebuild_entry(st, payload, zlib.crc32(payload), None, facts)
     # The chunk grid is fully determined by the payload, the LOD boundaries
     # and the chunk size — recovered from whichever of the file's recorded
     # indexes survives, or the dataset's when no copy is left at all — so a
@@ -708,193 +715,83 @@ def inspect_file(
         else facts.chunk_size
     )
     if chunk_size and st.header_count:
-        st.section = build_chunk_entry(
-            ParticleBatch.frombuffer(payload, facts.dtype),
-            chunk_size,
-            boundaries,
-            facts.attr_names,
-        ).to_section()
+        st.section = build_chunk_entry(batch, chunk_size, boundaries, facts.attr_names).to_section()
     return st
 
 
-def _rebuild_entry(
-    st: FileState, logical, payload_crc: int, codec: str | None, facts: DatasetFacts
-) -> list[int]:
-    """Set ``st.entry`` from its verified ``logical`` rows (``payload_crc``
-    covers the stored payload); returns the per-file LOD boundaries its
-    prefix checksums sit at."""
-    boundaries = prefix_checksum_boundaries(st.header_count, facts.lod_base, facts.lod_scale)
-    prefixes = payload_prefix_checksums(logical, st.rec_size, boundaries)
-    st.entry = want_entry(payload_crc, prefixes, codec)
-    return boundaries
-
-
-def _inspect_columnar(
+def _columnar_verdict(
     st: FileState, raw: bytes, entry: dict | None, facts: DatasetFacts
-) -> FileState:
-    """Classify a columnar (v4) file from its raw bytes, at *segment*
-    granularity, against the first recorded copy of its chunk index (the
-    trailer's, then the table's) under which it verifies; one with damaged
-    or missing tail segments is salvaged.  A valid file's rebuilt entry
-    carries the encoded-payload CRC, logical prefix CRCs and codec, and its
-    section the segment descriptors."""
+) -> tuple[ImageVerdict, str] | None:
+    """A columnar (v4) file's verdict and codec under the first recorded
+    copy of its chunk index (the trailer's, then the table's) under which
+    it verifies.  Either copy may lie while CRC-valid, and a lying copy
+    must cost a repairable index issue, not a verdict on the payload; so
+    the payload is judged under the first copy that validates only when no
+    copy verifies it.  None, the file failed, when no copy validates."""
     copies = []
     if st.trailer is not None:
         copies.append((st.trailer.record.section, st.trailer.codec))
     if entry and entry.get("section"):
         copies.append((entry["section"], entry.get("codec")))
-    check = _verify_columnar(raw, copies, st.header_count, facts.dtype, st.path)
-    if check.rows is None:
-        st.fail(check.code, *check.details)
-        if ISSUES[check.code].fix == "salvage":
-            _find_salvage(st, raw, entry, facts.dtype, check.index, check.codec)
-        return st
-    stored = check.index
-    assert stored is not None  # a verified file verified against an index
-    boundaries = _rebuild_entry(
-        st,
-        np.ascontiguousarray(check.rows).tobytes(),
-        zlib.crc32(raw[HEADER_BYTES : HEADER_BYTES + check.enc_len]),
-        check.codec,
-        facts,
-    )
-    # Regraft the chunk geometry from the decoded payload (the truth) and
-    # keep the verified stored segment descriptors — same partition, so
-    # they line up one-to-one.  A geometry whose partition no longer
-    # matches keeps the stored index wholesale (it verified byte-level).
-    geo = build_chunk_entry(
-        ParticleBatch(check.rows), int(stored.counts.max()), boundaries, facts.attr_names
-    )
-    if np.array_equal(geo.starts, stored.starts) and np.array_equal(
-        geo.counts, stored.counts
-    ):
-        geo.segments = stored.segments
-        stored = geo
-    st.section = stored.to_section()
-    return st
-
-
-@dataclass
-class _ColumnarCheck:
-    """What verifying a columnar (v4) file image against its recorded chunk
-    index established (see :func:`_verify_columnar`)."""
-
-    #: The index the verdict is against: the copy that verified, else the
-    #: first that validated (salvage works from it); None if none did.
-    index: FileChunkIndex | None = None
-    codec: str = "none"
-    #: The decoded logical rows — set iff the file verified.
-    rows: np.ndarray | None = None
-    #: Stored (encoded) payload byte length under ``index``.
-    enc_len: int = 0
-    #: Scrub issue code and details of the failure (empty when verified).
-    code: str = ""
-    details: list[str] = field(default_factory=list)
-
-
-def _verify_columnar(raw: bytes, copies, count: int, dtype, path: str) -> _ColumnarCheck:
-    """Verify a v4 file image against the first recorded copy of its chunk
-    index under which it verifies.
-
-    ``copies`` are ``(section, codec)`` pairs, most trusted first — the
-    trailer's and the table's.  Either may lie while CRC-valid, and a lying
-    copy must cost a repairable index issue, not a verdict on the payload;
-    so the payload is condemned (first copy's failure) only when no copy
-    verifies it.  Damage is pinpointed at *segment* granularity.
-    """
-    first: _ColumnarCheck | None = None
+    judged: tuple[ImageVerdict, str] | None = None
+    unusable = ""
     for section, codec in copies:
-        if not section and count:
+        if not section and st.header_count:
             continue
-        check = _ColumnarCheck(codec=codec or "none")
+        codec = codec or "none"
         try:
             index = FileChunkIndex.empty()
             if section:
-                index = FileChunkIndex.unpack(section, path).validated(count, path, codec)
+                index = FileChunkIndex.unpack(section, st.path)
+                index = index.validated(st.header_count, st.path, codec)
+            verdict = verify_image(raw, st.path, st.version, st.header_count, facts.dtype, index)
         except DataFileError as exc:
-            check.code, check.details = "data-corrupt", [str(exc)]
-            first = first or check
+            unusable = unusable or str(exc)
             continue
-        check.index = index
-        check.enc_len = columnar_payload_length(index) if len(index) else 0
-        expected = HEADER_BYTES + check.enc_len + FOOTER_BYTES
-        bad = scan_columnar_segments(raw, index, dtype)
-        if len(raw) < expected:
-            check.code = "data-truncated"
-            check.details = [
-                f"expected {expected} bytes for {count} particles, found {len(raw)}"
-            ]
-        elif bad:
-            check.code, check.details = "segment-checksum", [d for _c, _n, d in bad]
-        else:
-            try:
-                verify_data_footer(raw[:expected], path)
-            except ChecksumError as exc:
-                check.code, check.details = "data-checksum", [str(exc)]
-            else:
-                try:
-                    check.rows = decode_columnar_payload(
-                        raw[HEADER_BYTES : HEADER_BYTES + check.enc_len],
-                        index, check.codec, dtype, path,
-                    )
-                    return check
-                except (ChecksumError, DataFileError) as exc:
-                    check.code, check.details = "data-corrupt", [str(exc)]
-        if first is None or first.index is None:
-            first = check
-    return first or _ColumnarCheck(
-        code="data-corrupt",
-        details=[
-            "columnar file has no usable segment descriptors "
-            "(recovery trailer and table section both lost)"
-        ],
+        if verdict.ok:
+            return verdict, codec
+        judged = judged or (verdict, codec)
+    if judged is None:
+        st.fail(
+            "data-corrupt",
+            unusable or "columnar file has no usable segment descriptors "
+            "(recovery trailer and table section both lost)",
+        )
+    return judged
+
+
+def _judge(
+    st: FileState, verdict: ImageVerdict, codec: str | None, entry: dict | None
+) -> FileState:
+    """Name a damaged image's issue from its verdict — the size first, then
+    segment CRCs, the footer, and segments that do not inflate.  Where the
+    issue's row salvages, keep the longest prefix of the rows before the
+    first damage that verifies against the committed per-LOD prefix
+    checksums (the trailer's if nothing committed the file): levels are
+    subsets, so it is a valid coarse representation, and chunks never
+    straddle LOD boundaries, so a columnar prefix is whole chunks."""
+    code = (
+        "data-truncated" if verdict.truncated
+        else "segment-checksum" if any(f.checksum for f in verdict.faults)
+        else "data-checksum" if verdict.footer
+        else "data-corrupt"
     )
-
-
-def _find_salvage(
-    st: FileState,
-    raw: bytes,
-    entry: dict | None,
-    dtype,
-    index: FileChunkIndex | None = None,
-    codec: str | None = None,
-) -> None:
-    """The longest prefix of a torn file whose logical rows — a row file's
-    payload, a columnar file's leading chunks under ``index`` that decode —
-    verify against the committed per-LOD prefix checksums (the trailer's if
-    nothing committed the file).  Levels-are-subsets makes it a valid coarse
-    representation; chunks never straddle LOD boundaries, so a columnar
-    prefix is whole chunks whose segment offsets stay valid."""
+    if code in ("segment-checksum", "data-corrupt"):
+        st.fail(code, *(f.detail for f in verdict.faults))
+    else:
+        st.fail(code, verdict.truncated or verdict.footer)
+    if ISSUES[code].fix != "salvage":
+        return st
     recorded = entry or (st.trailer.checksum_entry if st.trailer is not None else {})
-    payload, parts = memoryview(raw)[HEADER_BYTES:], []
-    for k in range(len(index) if index is not None else 0):
-        try:
-            parts.append(decode_columnar_payload(payload, index[k : k + 1], codec, dtype, st.path))
-        except (ChecksumError, DataFileError):
-            break
-    logical = payload if index is None else b"".join(p.tobytes() for p in parts)
-    prefixes: list[list[int]] = []
-    crc, pos = 0, 0
-    for count, stored in recorded.get("prefixes", []):
-        count, stored = int(count), int(stored)
-        if count * st.rec_size > len(logical):
-            break
-        crc = zlib.crc32(logical[pos * st.rec_size : count * st.rec_size], crc)
-        pos = count
-        if crc != stored:
-            break
-        prefixes.append([count, crc])
-    if not prefixes:
-        return
-    (kept, crc), section = prefixes[-1], b""
-    if index is not None:
-        ends = np.cumsum(index.counts)
-        k = int(np.searchsorted(ends, kept)) + 1
-        if ends[k - 1] != kept:
-            return  # a boundary not chunk-aligned
-        crc = zlib.crc32(payload[: columnar_payload_length(index[:k])])
-        section = index[:k].to_section()
-    st.salvage = (kept, want_entry(crc, prefixes, codec), section)
+    logical = verdict.rows.view(np.uint8)
+    committed = [(int(c), int(crc)) for c, crc in recorded.get("prefixes", [])]
+    held = [c for c, _ in takewhile(lambda p: p[0] * st.rec_size <= len(logical), committed)]
+    actual = payload_prefix_checksums(logical, st.rec_size, held)
+    prefixes = [p for p, _ in takewhile(lambda pair: pair[0] == pair[1], zip(actual, committed))]
+    cut = verdict.cut(prefixes[-1][0]) if prefixes else None
+    if cut is not None:
+        st.salvage = (prefixes[-1][0], want_entry(cut[0], prefixes, codec), cut[1])
+    return st
 
 
 def _donor_trailer(ds: Dataset, paths) -> RecoveryTrailer | None:
@@ -1086,7 +983,7 @@ def _check_file(sv: Survey, st: FileState, report: ScrubReport) -> None:
                 "prefix-checksum-mismatch" if key == "prefixes" else "manifest-checksum-mismatch",
                 f"manifest entry's {key} disagrees with the data file",
             )
-    if st.version >= 3:
+    if st.trailer is not None or st.trailer_detail:  # a file that carries one
         assert sv.facts is not None  # files are inspected only under facts
         if st.trailer is None:
             report.add(path, "trailer-damaged", st.trailer_detail)

@@ -56,6 +56,10 @@ The header stores only the record *size*; the full dtype lives in the
 dataset manifest.  Keeping it in both places lets a reader detect a manifest
 / data-file mismatch without decoding garbage.
 
+This module owns every rule of the layout; scrub, repair and the baseline
+reader check and rebuild files with the read path's own code
+(:func:`verify_image`, :func:`rebuild_image`, :func:`read_whole_file`).
+
 Besides the footer, the writer records **per-LOD-level prefix checksums** in
 the manifest (see :func:`compute_file_checksums`): CRC32s of the payload up
 to each per-file level boundary.  Prefix reads — which never see the footer
@@ -67,7 +71,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -486,13 +492,33 @@ def write_columnar_data_file(
     return len(blob)
 
 
-def parse_data_header(raw: bytes, path: str) -> tuple[int, int, int]:
-    """Validate the fixed header without a dtype in hand.
+class DataHeader(NamedTuple):
+    """A data file's fixed header: ``version``, ``rec_size`` (the logical
+    row itemsize, the dtype guard) and the particle ``count``."""
 
-    Returns ``(version, record_size, particle_count)`` — the lenient parse
-    scrub and repair's shared file inspection starts from (it checks the
-    record size against the dataset dtype itself).
-    """
+    version: int
+    rec_size: int
+    count: int
+
+    @property
+    def trailed(self) -> bool:
+        """v3+ files end in a recovery trailer."""
+        return self.version >= 3
+
+    @property
+    def columnar(self) -> bool:
+        """v4 files store their payload as per-chunk column segments."""
+        return self.version >= DATA_VERSION_COLUMNAR
+
+
+def has_data_magic(raw: bytes) -> bool:
+    """Whether ``raw`` starts like a data file: a whole header, the magic."""
+    return len(raw) >= HEADER_BYTES and raw[:8] == DATA_MAGIC
+
+
+def parse_data_header(raw: bytes, path: str, dtype: np.dtype | None = None) -> DataHeader:
+    """Validate the fixed header, and its record size against ``dtype``
+    when one is given (scrub checks it against the dataset dtype itself)."""
     if len(raw) < HEADER_BYTES:
         raise DataFileError(f"{path}: truncated header ({len(raw)} bytes)")
     magic, version, rec_size, count = _HEADER.unpack_from(raw)
@@ -500,31 +526,42 @@ def parse_data_header(raw: bytes, path: str) -> tuple[int, int, int]:
         raise DataFileError(f"{path}: bad magic {magic!r}")
     if version not in SUPPORTED_DATA_VERSIONS:
         raise DataFileError(f"{path}: unsupported version {version}")
-    return int(version), int(rec_size), int(count)
-
-
-def _parse_header(raw: bytes, path: str, dtype: np.dtype) -> tuple[int, int]:
-    """Validate the fixed header; returns ``(version, particle_count)``."""
-    version, rec_size, count = parse_data_header(raw, path)
-    if rec_size != dtype.itemsize:
+    if dtype is not None and rec_size != dtype.itemsize:
         raise DataFileError(
             f"{path}: record size {rec_size} does not match dtype itemsize "
             f"{dtype.itemsize} — manifest and data file disagree"
         )
-    return version, count
+    return DataHeader(int(version), int(rec_size), int(count))
 
 
-def verify_data_footer(raw: bytes, path: str) -> None:
-    """Check the v2+ CRC footer of a complete file image (header + records +
-    footer, no trailer).  Shared with the repair subsystem's inspection."""
-    _check_footer(raw[-FOOTER_BYTES:], zlib.crc32(raw[:-FOOTER_BYTES]), path)
+def _check_size(path: str, version: int, count: int, nbytes: int, size: int) -> None:
+    """The size rule of a file holding ``count`` particles in ``nbytes`` of
+    stored payload: v1/v2 files are exactly header + payload (+ the v2
+    footer), v3+ files at least that long (the recovery trailer follows)."""
+    expected = HEADER_BYTES + nbytes + (FOOTER_BYTES if version >= 2 else 0)
+    if (size < expected) if version >= 3 else (size != expected):
+        raise DataFileError(
+            f"{path}: expected {expected} bytes for {count} particles, found {size}"
+        )
 
 
-def _check_footer(footer, actual: int, path: str) -> None:
-    """A v2+ footer's magic, and its CRC32 against ``actual``."""
-    magic, stored = _FOOTER.unpack(bytes(footer))
+def check_whole_file(
+    path: str, version: int, count: int, nbytes: int, size: int | None,
+    header, payload, footer,
+) -> None:
+    """The whole-file check: the file's byte ``size`` by :func:`_check_size`
+    (None where a landed v3+ footer proved the file long enough), then the
+    v2+ ``footer`` — its bytes, or a callable fetching them once the size
+    holds — against the CRC32 of ``header`` and the ``nbytes`` of
+    ``payload``.  A full row read and :func:`verify_image` both run it."""
+    if size is not None:
+        _check_size(path, version, count, nbytes, size)
+    if version < 2:
+        return
+    magic, stored = _FOOTER.unpack(bytes(footer() if callable(footer) else footer))
     if magic != FOOTER_MAGIC:
         raise DataChecksumError(f"{path}: bad footer magic {magic!r}")
+    actual = zlib.crc32(payload, zlib.crc32(header))
     if actual != stored:
         raise DataChecksumError(
             f"{path}: CRC32 mismatch — stored {stored:#010x}, "
@@ -671,7 +708,7 @@ def read_particle_runs_into(
         landed = _readv_with_header(backend, path, header, parts, actor)
     else:
         _readv_with_header(backend, path, header, (), actor)
-    version, count = _parse_header(bytes(header), path, dtype)
+    version, _rec_size, count = parse_data_header(bytes(header), path, dtype)
     if version >= DATA_VERSION_COLUMNAR:
         raise DataFileError(
             f"{path}: columnar (v4) file read without its chunk index's "
@@ -691,9 +728,18 @@ def read_particle_runs_into(
     if total != n:
         _check_fill(path, total, n)
     if head and top == count:
-        _check_whole(
-            backend, path, version, count, itemsize, header, payload, footer, landed, actor
-        )
+        # The whole file.  A readv that landed a v3 file's footer proves it
+        # long enough; anything else asks for the size, and fetches a footer
+        # the index did not predict once the size holds.
+        nbytes = count * itemsize
+        size = None if version >= 3 and landed and footer is not None else backend.size(path)
+        if footer is None:
+            footer = partial(
+                backend.read_range, path, HEADER_BYTES + nbytes, FOOTER_BYTES, actor=actor
+            )
+        check_whole_file(path, version, count, nbytes, size, header, payload, footer)
+        if not landed:  # a v1 file: the predicted footer lay past its end
+            backend.readv(path, ReadRequest.one(HEADER_BYTES, payload), actor=actor)
     elif not landed:
         raise DataFileError(
             f"{path}: truncated before particle {top} of the {count} its header records"
@@ -715,35 +761,6 @@ def _check_fill(path: str, total: int, n: int) -> None:
         raise DataFileError(
             f"{path}: runs cover {total} particles, destination holds {n}"
         )
-
-
-def _check_whole(
-    backend, path, version, count, itemsize, header, payload, footer, landed, actor
-):
-    """The whole-file checks of a row read of every particle.
-
-    ``payload`` is the read's destination bytes and ``footer`` the footer
-    it landed, or None where it was not predicted.  v1/v2 files must be
-    exactly header + payload (+ footer), v3+ files at least that long (the
-    recovery trailer follows); a readv that landed the footer proves the
-    latter, anything else asks the backend for the size.  Then the v2+
-    footer, over header and payload.
-    """
-    nbytes = count * itemsize
-    expected = HEADER_BYTES + nbytes + (FOOTER_BYTES if version >= 2 else 0)
-    if version < 3 or not landed or footer is None:
-        size = backend.size(path)
-        if (size < expected) if version >= 3 else (size != expected):
-            raise DataFileError(
-                f"{path}: expected {expected} bytes for {count} particles, "
-                f"found {size}"
-            )
-        if not landed:  # a v1 file: the predicted footer lay past its end
-            backend.readv(path, ReadRequest.one(HEADER_BYTES, payload), actor=actor)
-    if version >= 2:
-        if footer is None:
-            footer = backend.read_range(path, HEADER_BYTES + nbytes, FOOTER_BYTES, actor=actor)
-        _check_footer(footer, zlib.crc32(payload, zlib.crc32(header)), path)
 
 
 # -- columnar payloads (format v4) ---------------------------------------------
@@ -844,92 +861,109 @@ def encode_columnar_payload(
     return b"".join(parts), segments
 
 
-def _segment_rows(index: FileChunkIndex, cols) -> list | None:
-    """``index``'s segment table as per-chunk ``[[offset, length, crc32],
-    ...]`` lists, or None unless every chunk has one segment per column."""
-    segs = index.segments
-    if segs is None:
-        return None if len(index) else []
-    return segs.tolist() if segs.shape[1] == len(cols) else None
-
-
 def columnar_payload_length(index: FileChunkIndex) -> int:
     """Stored payload byte length implied by a (validated) segment table."""
+    if not len(index):
+        return 0
     segs = index.segment_table
     return int((segs[..., 0] + segs[..., 1]).max(initial=0))
 
 
-def decode_columnar_payload(
-    payload: bytes,
-    index: FileChunkIndex,
-    codec_name: str,
-    dtype: np.dtype,
-    path: str,
-) -> np.ndarray:
-    """Decode a v4 payload back into logical row records.
-
-    ``index`` carries the segment table; its chunks land back to back from
-    row 0.  Every segment's CRC32 is verified before decode; a mismatch
-    raises :class:`~repro.errors.DataChecksumError` naming the chunk and
-    column.
-    """
-    cols = columnar_columns(dtype)
-    rows = _segment_rows(index, cols)
-    if rows is None:
+def _segment_table(index: FileChunkIndex, cols, path: str) -> np.ndarray:
+    """``index``'s ``(chunks, columns, 3)`` segment table, one segment per
+    chunk for each of ``cols``."""
+    table = index.segments
+    if table is None:
+        raise DataFileError(f"{path}: chunk index carries no column segments")
+    if table.shape[1] != len(cols):
         raise DataFileError(
-            f"{path}: chunks lack segment descriptors for {len(cols)} columns"
+            f"{path}: chunk index has {table.shape[1]} segments per chunk "
+            f"for {len(cols)} columns"
         )
-    out = np.empty(index.total_particles, dtype=dtype)
-    pos = 0
-    for ci, (count, chunk) in enumerate(zip(index.counts.tolist(), rows)):
-        for col, (off, ln, crc) in zip(cols, chunk):
-            enc = payload[off : off + ln]
-            if off < 0 or len(enc) != ln:
-                raise DataFileError(
-                    f"{path}: chunk {ci} column {col.name!r} segment "
-                    f"[{off}, {off + ln}) exceeds payload ({len(payload)} bytes)"
-                )
-            actual = zlib.crc32(enc)
-            if actual != crc:
-                raise DataChecksumError(
-                    f"{path}: chunk {ci} column {col.name!r} segment CRC32 "
-                    f"mismatch — stored {crc:#010x}, computed {actual:#010x}"
-                )
-            raw = get_codec(codec_name).decode(enc, col.itemsize, count * col.nbytes)
-            _column_scatter(out, pos, count, col, raw)
-        pos += count
-    return out
+    return table
 
 
-def scan_columnar_segments(
-    raw: bytes, index: FileChunkIndex, dtype: np.dtype
-) -> list[tuple[int, str, str]]:
-    """CRC-verify every column segment of a v4 file image.
+class SegmentFault(NamedTuple):
+    """One column segment that failed its CRC32 or, CRC-valid, its inflate."""
 
-    Returns one ``(chunk, column-name, detail)`` triple per failing segment
-    (bad extent or CRC32 mismatch) — empty when the stored payload is
-    intact.  Unlike :func:`decode_columnar_payload` this keeps going after
-    a failure, so a scrub can pinpoint *all* damaged segments in one pass.
+    chunk: int
+    column: str
+    #: ``chunk C column 'N'``, then why.
+    detail: str
+    #: True where the CRC32 failed, False where the inflate did.
+    checksum: bool
+
+
+def _inflate_segments(
+    landing, begins, stops, crcs, chunks, counts, need, codec, path: str, strict: bool
+) -> tuple[list, list[SegmentFault]]:
+    """Pass 1 of every columnar decode, one segment at a time: its CRC32,
+    then its inflate — the steps that can fail per segment.
+
+    The segments lie at ``[begins, stops)`` of ``landing`` in chunk-major
+    order, one per column of ``need`` for each chunk (file chunk ids
+    ``chunks``, particle ``counts``).  Returns the inflated segments, None
+    where one failed, and a :class:`SegmentFault` for every failure;
+    ``strict`` raises the first instead.
     """
-    cols = columnar_columns(dtype)
-    rows = _segment_rows(index, cols)
-    if rows is None:
-        return [(0, "*", f"chunks lack segment descriptors for {len(cols)} columns")]
-    bad: list[tuple[int, str, str]] = []
-    for ci, chunk in enumerate(rows):
-        for col, (off, ln, crc) in zip(cols, chunk):
-            seg = raw[HEADER_BYTES + off : HEADER_BYTES + off + ln]
-            if off < 0 or len(seg) != ln:
-                detail = f"[{off}, {off + ln}) exceeds the file"
-            elif zlib.crc32(seg) != crc:
-                detail = (
-                    f"CRC32 mismatch — stored {crc:#010x}, "
-                    f"computed {zlib.crc32(seg):#010x}"
-                )
-            else:
+    raw_lens = counts[:, None] * np.array([col.nbytes for col in need])
+    inflated: list = []
+    faults: list[SegmentFault] = []
+    for k, (lo, hi, crc, itemsize, raw_len) in enumerate(
+        zip(
+            begins.tolist(),
+            stops.tolist(),
+            crcs.tolist(),
+            [col.itemsize for col in need] * len(chunks),
+            raw_lens.reshape(-1).tolist(),
+        )
+    ):
+        enc = landing[lo:hi]
+        actual = zlib.crc32(enc)
+        if actual == crc:
+            try:
+                inflated.append(codec.inflate(enc, itemsize, raw_len))
                 continue
-            bad.append((ci, col.name, f"chunk {ci} column {col.name!r} segment {detail}"))
-    return bad
+            except DataFileError as exc:
+                if strict:
+                    raise
+                why = f": {exc}"
+        else:
+            why = (
+                f" segment CRC32 mismatch — stored {crc:#010x}, "
+                f"computed {actual:#010x}"
+            )
+        at, j = divmod(k, len(need))
+        ci, name = int(chunks[at]), need[j].name
+        detail = f"chunk {ci} column {name!r}{why}"
+        if strict:
+            raise DataChecksumError(f"{path}: {detail}")
+        inflated.append(None)
+        faults.append(SegmentFault(ci, name, detail, actual != crc))
+    return inflated, faults
+
+
+def _land_chunks(target: np.ndarray, inflated: list, counts, keep, need, codec) -> np.ndarray:
+    """Pass 2 of every columnar decode: the chunks at positions ``keep`` of
+    ``counts`` (whose segments ``inflated`` holds, chunk-major), packed to
+    the head of ``target`` with one unshuffle and one scatter per column
+    per stretch of equal-sized chunks.  Returns the kept chunks' counts."""
+    kept = counts[keep]
+    if not len(kept):
+        return kept
+    cuts = [0, *(np.flatnonzero(kept[1:] != kept[:-1]) + 1).tolist(), len(keep)]
+    for j, col in enumerate(need):
+        parts = inflated[j :: len(need)]
+        if len(keep) != len(counts):
+            parts = [parts[at] for at in keep.tolist()]
+        pos = 0
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            n = int(kept[lo]) * (hi - lo)
+            _column_scatter(
+                target, pos, n, col, codec.decode_run(parts[lo:hi], col.itemsize)
+            )
+            pos += n
+    return kept
 
 
 def _read_columnar(
@@ -953,21 +987,19 @@ def _read_columnar(
     segments are **coalesced** first: the writer lays a chunk's columns
     out back to back, so a contiguous chunk run arrives as one range of
     the request.  Every segment is then CRC32-verified and inflated on its
-    own — the steps that can fail per segment — while the byte unshuffle
-    and the scatter run once per column over each stretch of equal-sized
-    chunks (:meth:`~repro.format.codecs.Codec.decode_run`).  Runs that
-    miss chunk boundaries decode their covering chunks into a scratch and
-    are trimmed out of it.
+    own (:func:`_inflate_segments`), and the survivors unshuffled and
+    scattered per stretch of equal-sized chunks (:func:`_land_chunks`).
+    Runs that miss chunk boundaries decode their covering chunks into a
+    scratch and are trimmed out of it.
 
     With ``strict=False`` a segment that fails its CRC (or decode) drops
     only its *chunk*: surviving rows pack to the front of ``out`` and the
     damaged chunks are appended to ``skipped`` as ``(chunk, column,
     detail)``.
     """
-    if index.segments is None:
-        raise DataFileError(f"{path}: chunk index carries no column segments")
-    codec = get_codec(index.codec)
     cols = columnar_columns(dtype)
+    table = _segment_table(index, cols, path)
+    codec = get_codec(index.codec)
     names = out.dtype.names or ()
     need_ids = [j for j, col in enumerate(cols) if col.field in names]
     need = [cols[j] for j in need_ids]
@@ -991,12 +1023,6 @@ def _read_columnar(
     counts = index.counts[sel]
     covered = int(counts.sum())
     target = out if covered == runs.total else np.empty(covered, dtype=out.dtype)
-    table = index.segment_table
-    if table.shape[1] != len(cols):
-        raise DataFileError(
-            f"{path}: chunk {int(sel[0])} has {table.shape[1]} segments for "
-            f"{len(cols)} columns"
-        )
     # One (offset, length, crc) row per needed segment, chunk-major: the
     # order the writer laid them out in, so file-adjacent segments are
     # neighbours here and coalesce into single extents — one range of the
@@ -1018,7 +1044,7 @@ def _read_columnar(
         np.diff(begins[ext], append=nbytes).tolist(),
     )
     landed = _readv_with_header(backend, path, header, (extents,), actor)
-    version, count = _parse_header(bytes(header), path, dtype)
+    version, _rec_size, count = parse_data_header(bytes(header), path, dtype)
     if version < DATA_VERSION_COLUMNAR:
         raise DataFileError(
             f"{path}: expected a columnar (v4) file, found version {version}"
@@ -1034,61 +1060,20 @@ def _read_columnar(
     if decode_stats is not None:
         decode_stats["vectorized_runs"] = len(ext)
         decode_stats["bytes"] = nbytes
-    # Pass 1, per segment: verify, inflate.  A failure costs its chunk.
-    raw_lens = counts[:, None] * np.array([col.nbytes for col in need])
-    inflated: list = []
-    lost: dict[int, tuple[int, str, str]] = {}
-    for k, (lo, hi, crc, itemsize, raw_len) in enumerate(
-        zip(
-            begins.tolist(),
-            stops.tolist(),
-            wanted[:, 2].tolist(),
-            [col.itemsize for col in need] * len(sel),
-            raw_lens.reshape(-1).tolist(),
-        )
-    ):
-        enc = landing[lo:hi]
-        actual = zlib.crc32(enc)
-        if actual == crc:
-            try:
-                inflated.append(codec.inflate(enc, itemsize, raw_len))
-                continue
-            except DataFileError as exc:
-                if strict:
-                    raise
-                why = f": {exc}"
-        else:
-            why = (
-                f" segment CRC32 mismatch — stored {crc:#010x}, "
-                f"computed {actual:#010x}"
-            )
-        at, j = divmod(k, len(need))
-        ci, name = int(sel[at]), need[j].name
-        detail = f"chunk {ci} column {name!r}{why}"
-        if strict:
-            raise DataChecksumError(f"{path}: {detail}")
-        inflated.append(None)
-        lost.setdefault(at, (ci, name, detail))
-    if skipped is not None:
-        skipped.extend(lost.values())
-    # Pass 2, per column per stretch of equal-sized surviving chunks: one
-    # unshuffle and one scatter.  Survivors pack to the head of ``target``.
-    keep = np.delete(np.arange(len(sel)), list(lost))
-    if not len(keep):
-        return 0
-    kept = counts[keep]
-    cuts = [0, *(np.flatnonzero(kept[1:] != kept[:-1]) + 1).tolist(), len(keep)]
-    for j, col in enumerate(need):
-        parts = inflated[j :: len(need)]
-        if lost:
-            parts = [parts[at] for at in keep.tolist()]
-        pos = 0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            n = int(kept[lo]) * (hi - lo)
-            _column_scatter(
-                target, pos, n, col, codec.decode_run(parts[lo:hi], col.itemsize)
-            )
-            pos += n
+    # A failing segment costs its chunk; survivors pack to the head of
+    # ``target``.
+    inflated, faults = _inflate_segments(
+        landing, begins, stops, wanted[:, 2], sel, counts, need, codec, path, strict
+    )
+    keep = np.arange(len(sel))
+    if faults:
+        lost: dict[int, tuple] = {}
+        for fault in faults:
+            lost.setdefault(fault.chunk, fault[:3])  # each chunk's first
+        if skipped is not None:
+            skipped.extend(lost.values())
+        keep = keep[~np.isin(sel, list(lost))]
+    kept = _land_chunks(target, inflated, counts, keep, need, codec)
     if target is out:
         return int(kept.sum())
     # Trim: keep the decoded rows (by file position) that some run names.
@@ -1098,6 +1083,133 @@ def _read_columnar(
     got = int(np.count_nonzero(inside))
     out[:got] = target[: len(rows)][inside]
     return got
+
+
+# -- whole images: verify, rebuild, read -----------------------------------------
+
+
+@dataclass
+class ImageVerdict:
+    """What :func:`verify_image` found in one complete data-file image."""
+
+    #: The stored payload (shorter where the file is).
+    payload: memoryview
+    #: The logical rows before the first damage: all of them when the file
+    #: verified.
+    rows: np.ndarray
+    #: Why the file is too short (or, v1/v2, too long) for its header, and
+    #: why its v2+ footer does not verify: the reader's errors, sans path.
+    truncated: str = ""
+    footer: str = ""
+    #: Every column segment (v4) failing its CRC32 or its inflate.
+    faults: list[SegmentFault] = field(default_factory=list)
+    #: The v4 chunk index the image was checked under.
+    index: FileChunkIndex | None = None
+
+    @property
+    def ok(self) -> bool:
+        return not (self.truncated or self.footer or self.faults)
+
+    def cut(self, count: int) -> tuple[int, bytes] | None:
+        """The stored payload CRC32 and chunk section of this file cut to
+        its first ``count`` particles — for a v4 file whole leading chunks,
+        so None where ``count`` splits one."""
+        if self.index is None:
+            return zlib.crc32(self.payload[: count * self.rows.dtype.itemsize]), b""
+        ends = np.cumsum(self.index.counts)
+        k = int(np.searchsorted(ends, count)) + 1
+        if ends[k - 1] != count:
+            return None
+        head = self.index[:k]
+        return zlib.crc32(self.payload[: columnar_payload_length(head)]), head.to_section()
+
+
+def verify_image(
+    raw: bytes, path: str, version: int, count: int, dtype: np.dtype,
+    index: FileChunkIndex | None = None,
+) -> ImageVerdict:
+    """Check a complete data-file image with the read path's own code,
+    recording every failure instead of raising the first.
+
+    A row file (``index`` None) gets a full read's :func:`check_whole_file`.
+    A columnar (v4) file, under its validated ``index``, gets the same size
+    rule and footer, then every segment that lies inside the image through
+    the reader's per-segment pass (:func:`_inflate_segments`); the chunks
+    before the first failing or missing one decode into ``rows``.  Raises
+    :class:`~repro.errors.DataFileError` only where ``index`` cannot
+    describe ``dtype``'s columns.
+    """
+    view = memoryview(raw)
+    nbytes = count * dtype.itemsize if index is None else columnar_payload_length(index)
+    payload = view[HEADER_BYTES : HEADER_BYTES + nbytes]
+    verdict = ImageVerdict(payload, np.empty(0, dtype), index=index)
+    try:
+        check_whole_file(
+            path, version, count, nbytes, len(raw), view[:HEADER_BYTES], payload,
+            view[HEADER_BYTES + nbytes : HEADER_BYTES + nbytes + FOOTER_BYTES],
+        )
+    except DataChecksumError as exc:
+        verdict.footer = str(exc).removeprefix(f"{path}: ")
+    except DataFileError as exc:
+        verdict.truncated = str(exc).removeprefix(f"{path}: ")
+    if index is None:
+        whole = len(payload) - len(payload) % dtype.itemsize
+        verdict.rows = np.frombuffer(payload[:whole], dtype)
+        return verdict
+    if not len(index):
+        return verdict
+    cols = columnar_columns(dtype)
+    table = _segment_table(index, cols, path)
+    ends = (table[..., 0] + table[..., 1]).max(axis=1)
+    inside = int(np.searchsorted(ends, len(payload), side="right"))
+    flat = table[:inside].reshape(-1, 3)
+    counts = index.counts[:inside]
+    codec = get_codec(index.codec)
+    inflated, verdict.faults = _inflate_segments(
+        payload, flat[:, 0], flat[:, 0] + flat[:, 1], flat[:, 2],
+        np.arange(inside), counts, cols, codec, path, strict=False,
+    )
+    good = min((f.chunk for f in verdict.faults), default=inside)
+    verdict.rows = np.empty(int(counts[:good].sum()), dtype)
+    _land_chunks(verdict.rows, inflated, counts, np.arange(good), cols, codec)
+    return verdict
+
+
+def rebuild_image(raw: bytes, path: str, trailer: RecoveryTrailer) -> bytes:
+    """``raw``'s image around the (verified) particles its fresh
+    ``trailer``'s record counts, and that trailer — repair's truncate and
+    rewrite-trailer primitive.  A trailer carrying a codec marks a columnar
+    (v4) file, whose kept payload is the segments its section describes."""
+    count, itemsize = trailer.record.particle_count, parse_data_header(raw, path).rec_size
+    nbytes, version = count * itemsize, None
+    if trailer.codec is not None:
+        section, version = trailer.record.section, DATA_VERSION_COLUMNAR
+        nbytes = columnar_payload_length(FileChunkIndex.unpack(section, path)) if section else 0
+    payload = bytes(raw[HEADER_BYTES : HEADER_BYTES + nbytes])
+    return build_data_blob(payload, itemsize, count, trailer, version=version)
+
+
+def read_whole_file(
+    backend: FileBackend, path: str, dtype: np.dtype, actor: int = -1
+) -> ParticleBatch:
+    """Every particle of one data file, with no table to size the read: the
+    count comes from the file's header and, for a columnar (v4) file, the
+    chunk index from its own recovery trailer.  A row file failing the size
+    rule is refused before anything is allocated."""
+    size = backend.size(path)
+    head = backend.read_range(path, 0, min(HEADER_BYTES, size), actor=actor)
+    header = parse_data_header(bytes(head), path)
+    index = None
+    if header.columnar and header.count:
+        trailer = read_recovery_trailer(backend, path, actor=actor)
+        index = FileChunkIndex.unpack(trailer.record.section, path).validated(
+            header.count, path, trailer.codec
+        )
+    elif not header.columnar:
+        _check_size(path, header.version, header.count, header.count * header.rec_size, size)
+    out = np.empty(header.count, dtype=dtype)
+    read_particle_runs_into(backend, path, dtype, index, ((0, header.count),), out, actor=actor)
+    return ParticleBatch(out)
 
 
 # -- prefix checksums ----------------------------------------------------------

@@ -23,9 +23,12 @@ Request accounting is the point (the openPMD+Darshan lesson: per-request
 numbers are what make remote I/O tunable): every transport request lands on
 an attached recorder as ``remote.requests`` / ``remote.bytes`` (keyed by
 op), ``remote.cost_micro`` (integer micro-units, so counter sums stay
-exact), and ``remote.time`` seconds.  ``readv`` is one *multi-range GET*:
-one request's RTT and cost amortised over every segment of a coalesced
-chunk-run plan, which is exactly why the planner coalesces.
+exact), and ``remote.time`` seconds; ``remote.bytes`` counts what a put
+sent and what a read returned.  ``readv`` is one ``get_ranges`` call: on a
+transport that packs ranges (the simulated store) one request's RTT and
+cost amortised over every segment of a coalesced chunk-run plan, which is
+exactly why the planner coalesces; over :class:`HttpTransport`, one GET
+per range.
 
 Resilience (deadlines, hedging, circuit breaking, cache fallback) is
 deliberately **not** here — wrap a :class:`RemoteBackend` in
@@ -566,12 +569,16 @@ class RemoteBackend(FileBackend):
             return remaining
         return min(self.default_timeout, remaining)
 
-    def _request(self, op: str, send, *args, nbytes: int = 0):
+    def _request(self, op: str, send, *args, nbytes: int = 0, received=None):
         """One transport request under the ambient time budget, accounted
-        under ``op`` whether it returns or raises."""
+        under ``op`` whether it returns or raises: ``nbytes`` payload bytes
+        sent, plus ``received(result)`` for what a read returned."""
         before = self.transport.stats.snapshot()
         try:
-            return send(*args, timeout=self._timeout())
+            result = send(*args, timeout=self._timeout())
+            if received is not None:
+                nbytes += received(result)
+            return result
         finally:
             self._note_request(op, nbytes, before)
 
@@ -579,13 +586,15 @@ class RemoteBackend(FileBackend):
 
     def read_file(self, path: str, actor: int = -1) -> bytes:
         path = self._normalize(path)
-        data = self._request("get", self.transport.get, path)
+        data = self._request("get", self.transport.get, path, received=len)
         self._note_open(path)
         self._note_read(path, len(data))
         return data
 
     def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
-        """One multi-range GET covering every range (single request)."""
+        """Every range through one ``get_ranges`` call: a single request
+        where the transport packs ranges (``SimulatedTransport``), one GET
+        per range over ``HttpTransport``."""
         path = self._normalize(path)
         segs = self._segments(request)
         if not segs:
@@ -595,6 +604,7 @@ class RemoteBackend(FileBackend):
             self.transport.get_ranges,
             path,
             [(off, len(out)) for off, out in segs],
+            received=lambda parts: sum(map(len, parts)),
         )
         total = 0
         self._note_open(path)

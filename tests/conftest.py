@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core import SpatialReader, SpatialWriter, WriterConfig
 from repro.domain import Box, PatchDecomposition
+from repro.format.codecs import get_codec
+from repro.format.datafile import columnar_columns
 from repro.io import VirtualBackend
 from repro.mpi import run_mpi
 from repro.particles import uniform_particles
@@ -71,3 +75,24 @@ __all__ = [
     "MINIMAL_DTYPE",
     "UINTAH_DTYPE",
 ]
+
+
+def decode_columnar_payload(payload, index, codec_name: str, dtype, path: str) -> np.ndarray:
+    """The per-segment reference decode of a v4 ``payload``: each segment of
+    ``index``'s table CRC-checked, then one ``Codec.decode`` each, scattered
+    into logical rows — what the reader's run decode is compared against."""
+    codec = get_codec(codec_name)
+    out = np.empty(index.total_particles, dtype=dtype)
+    pos = 0
+    for count, chunk in zip(index.counts.tolist(), index.segments.tolist()):
+        for col, (off, length, crc) in zip(columnar_columns(dtype), chunk):
+            enc = bytes(payload[off : off + length])
+            assert zlib.crc32(enc) == crc, f"{path}: segment at {off} fails its CRC32"
+            raw = codec.decode(enc, col.itemsize, count * col.nbytes)
+            vals = np.frombuffer(raw, dtype=col.base)
+            if col.comp is not None:
+                out[col.field][pos : pos + count, col.comp] = vals
+            else:
+                out[col.field][pos : pos + count] = vals.reshape((count, *col.shape))
+        pos += count
+    return out

@@ -30,7 +30,7 @@ import zlib
 import numpy as np
 import pytest
 
-from tests.conftest import write_dataset
+from tests.conftest import decode_columnar_payload, write_dataset
 from repro.core import (
     SpatialReader,
     SpatialWriter,
@@ -60,7 +60,6 @@ from repro.format.datafile import (
     HEADER_BYTES,
     columnar_columns,
     columnar_payload_length,
-    decode_columnar_payload,
     read_particle_runs_into,
 )
 from repro.format.generations import resolve_generation

@@ -27,7 +27,6 @@ from repro.format.datafile import (
     HEADER_BYTES,
     columnar_columns,
     columnar_payload_length,
-    decode_columnar_payload,
     extract_recovery_trailer,
     read_particle_runs_into,
     write_data_file,
@@ -37,7 +36,7 @@ from repro.particles import uniform_particles
 from repro.particles.dtype import MINIMAL_DTYPE, UINTAH_DTYPE
 from repro.query.engine import project_dtype
 
-from .conftest import write_dataset
+from .conftest import decode_columnar_payload, write_dataset
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
 PATH = "data/file_0.pbin"

@@ -52,6 +52,7 @@ from repro.obs.names import (
     EV_BREAKER_STATE,
     HEDGE_LAUNCHED,
     HEDGE_WINS,
+    REMOTE_BYTES,
     REMOTE_REQUESTS,
 )
 from repro.obs.recorder import Recorder
@@ -208,6 +209,8 @@ class TestRemoteBackend:
         assert rec.value(REMOTE_REQUESTS, key=("get",)) == 1
         assert rec.value(REMOTE_REQUESTS, key=("get_ranges",)) == 2
         assert rec.total(REMOTE_REQUESTS) == 3
+        assert rec.value(REMOTE_BYTES, key=("get",)) == 64
+        assert rec.value(REMOTE_BYTES, key=("get_ranges",)) == 8 + 8
 
     def test_deadline_narrows_request_timeout(self):
         store = VirtualBackend()
