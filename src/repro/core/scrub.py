@@ -764,19 +764,19 @@ def _judge(
     st: FileState, verdict: ImageVerdict, codec: str | None, entry: dict | None
 ) -> FileState:
     """Name a damaged image's issue from its verdict — the size first, then
-    segment CRCs, the footer, and segments that do not inflate.  Where the
-    issue's row salvages, keep the longest prefix of the rows before the
-    first damage that verifies against the committed per-LOD prefix
-    checksums (the trailer's if nothing committed the file): levels are
-    subsets, so it is a valid coarse representation, and chunks never
-    straddle LOD boundaries, so a columnar prefix is whole chunks."""
+    column segments failing their CRC or their inflate alike (a degraded
+    read loses just those chunks), then the footer.  Where the issue's row
+    salvages, keep the longest prefix of the rows before the first damage
+    that verifies against the committed per-LOD prefix checksums (the
+    trailer's if nothing committed the file): levels are subsets, so it is
+    a valid coarse representation, and chunks never straddle LOD
+    boundaries, so a columnar prefix is whole chunks."""
     code = (
         "data-truncated" if verdict.truncated
-        else "segment-checksum" if any(f.checksum for f in verdict.faults)
-        else "data-checksum" if verdict.footer
-        else "data-corrupt"
+        else "segment-checksum" if verdict.faults
+        else "data-checksum"
     )
-    if code in ("segment-checksum", "data-corrupt"):
+    if code == "segment-checksum":
         st.fail(code, *(f.detail for f in verdict.faults))
     else:
         st.fail(code, verdict.truncated or verdict.footer)

@@ -890,8 +890,6 @@ class SegmentFault(NamedTuple):
     column: str
     #: ``chunk C column 'N'``, then why.
     detail: str
-    #: True where the CRC32 failed, False where the inflate did.
-    checksum: bool
 
 
 def _inflate_segments(
@@ -939,7 +937,7 @@ def _inflate_segments(
         if strict:
             raise DataChecksumError(f"{path}: {detail}")
         inflated.append(None)
-        faults.append(SegmentFault(ci, name, detail, actual != crc))
+        faults.append(SegmentFault(ci, name, detail))
     return inflated, faults
 
 

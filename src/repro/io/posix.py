@@ -8,24 +8,31 @@ The read side is built for raw speed (the Fig. 7 scaling story):
   ``(st_ino, st_size, st_mtime_ns)`` on every acquire, so an atomic
   ``os.replace`` — ours or anyone else's — is detected and the stale
   handle dropped before a single byte is served.
-* **mmap zero-copy fast path** — files within the mapping budget are
-  served as slices of one shared ``mmap`` view: ``read_file`` returns a
-  copy of the mapping, ``readv`` lands a request's ranges with one loop
-  of slice assignments per destination (numpy copies, which release the
-  GIL, for large ranges) after one bounds check, and repeated reads of a
-  warm file never enter the kernel at all.
+* **Three ways to land a range, picked by its length** — on a file
+  within the mapping budget, a range below 64 KiB is a slice assignment
+  from the handle's shared ``mmap`` view, one below the bulk threshold
+  (4 MiB, :data:`_BULK_READ_BYTES`) a numpy copy from it, which releases
+  the GIL; a range at or above the threshold is read with ``os.preadv``
+  from the pooled fd straight into the caller's buffer.  Copying a bulk
+  range out of the mapping would count each of its pages twice in the
+  reader's RSS: once mapped, once in the result.  The rule bets that bulk
+  ranges are scans, read once per op; a bulk range read again pays
+  ``preadv``'s premium each time.  ``read_file`` of a file at or above
+  the threshold is an ``os.pread`` likewise.
 * **``os.preadv`` scatter-gather fallback** — files outside the mapping
   budget (or with mmap disabled) batch a request's offset-contiguous
-  ranges into single ``preadv`` calls on the pooled fd.
-  ``pread``/``preadv`` release the GIL, so concurrent readers overlap
-  genuine device waits.
+  ranges into single ``preadv`` calls on the pooled fd, the helper bulk
+  ranges use too.  ``pread``/``preadv`` release the GIL, so concurrent
+  readers overlap genuine device waits.
 
 All of it stays behind the :class:`FileBackend` contract: per-file
-Darshan counters (``io.opens`` counts *logical* opens, exactly as
-before), error messages, and atomic-write semantics are unchanged, so
-Virtual/Prefix/Fault/Remote backends and every existing caller are
-untouched.  ``io.mmap_hit`` / ``io.mmap_miss`` / ``io.handle_reuse``
-counters make the fast path observable.
+Darshan counters, error messages, and atomic-write semantics are
+unchanged, so Virtual/Prefix/Fault/Remote backends and every existing
+caller are untouched.  ``io.opens`` counts files opened: one per
+handle-pool miss, while a pooled handle serving another call is an
+``io.handle_reuse``.  ``io.mmap_hit`` / ``io.mmap_miss`` count calls
+served on a mapped / an unmapped handle (a hit's bulk ranges are still
+read by ``preadv``), and ``io.bulk_bytes`` the bytes bulk landing read.
 
 Writes are atomic: data lands in a temp file in the target directory, is
 fsynced, and is renamed into place with ``os.replace``.  A reader (or a
@@ -51,7 +58,7 @@ import numpy as np
 
 from repro.errors import BackendError
 from repro.io.backend import FileBackend, ReadRequest
-from repro.obs.names import IO_HANDLE_REUSES, IO_MMAP_HITS, IO_MMAP_MISSES
+from repro.obs.names import IO_BULK_BYTES, IO_HANDLE_REUSES, IO_MMAP_HITS, IO_MMAP_MISSES
 
 #: Process-wide counter so concurrent writers of the same path (simulated
 #: aggregator ranks are threads) never share a temp file.
@@ -63,6 +70,34 @@ _TMP_IDS = itertools.count()
 #: which finishes before another thread could have been scheduled anyway.
 #: A pruned read's chunk runs are a few KiB each, a scan's payload MiBs.
 _GIL_RELEASING_COPY_BYTES = 1 << 16
+
+#: Ranges at least this long are read with ``os.preadv`` from the pooled
+#: fd straight into the caller's buffer, never copied out of the mapping,
+#: which would add the range's pages to the reader's RSS beside the copy
+#: (``full_scan`` peak RSS 280 -> 184 MB).  ``preadv`` costs more than the mapped numpy copy
+#: at every size, page cache hot and destination prefaulted (2 vCPU Xeon,
+#: python 3.11.7, numpy 2.4.6; median of 3 runs, each the best of 7
+#: passes reading 256 MiB from a 64 MiB file):
+#:
+#: ========  ======
+#: range     preadv
+#: ========  ======
+#: 64 KiB    +17%
+#: 256 KiB   +33%
+#: 1 MiB     +23%
+#: 4 MiB     +12%
+#: 16 MiB    +17%
+#: ========  ======
+#:
+#: so the threshold keeps that premium off the ranges workloads re-read:
+#: a level-10 LOD prefix is 1 MiB per file, and a 64 KiB threshold made
+#: ``lod_prefix`` slower in 4 of 4 pairs.  A scan's per-file payload
+#: (15 MB on the e2e fixture R) is bulk, where the premium is lost in the
+#: op: ``full_scan`` ``op_p50_ms`` +2.7% in the median of 10 pairs, inside
+#: the parent's own quartile spread.  Of the e2e workloads only
+#: ``full_scan`` lands ranges this large (all of its bytes read); the box,
+#: LOD, columnar and serving workloads' largest range is 1 MiB.
+_BULK_READ_BYTES = 1 << 22
 
 #: Most buffers one ``preadv`` call accepts (POSIX IOV_MAX is >= 1024 on
 #: every platform we run on; staying at the floor avoids a sysconf probe).
@@ -383,6 +418,10 @@ class PosixBackend(FileBackend):
         if self.recorder is not None:
             self.recorder.add(IO_HANDLE_REUSES, 1, key=(path,))
 
+    def _note_bulk(self, path: str, nbytes: int) -> None:
+        if self.recorder is not None and nbytes:
+            self.recorder.add(IO_BULK_BYTES, nbytes, key=(path,))
+
     def pool_stats(self) -> dict[str, int]:
         """Handle-pool counters (opens/reuses/evictions/...) and the number
         of resolved path strings held (``paths``); for tests."""
@@ -416,17 +455,27 @@ class PosixBackend(FileBackend):
 
     # -- reads --------------------------------------------------------------
 
-    def read_file(self, path: str, actor: int = -1) -> bytes:
-        norm, full = self._resolve(path)
+    def _acquire(self, norm: str, full: str) -> _Handle:
+        """A pooled handle for one read call; an open only on a pool miss."""
         try:
             handle, reused = self._pool.acquire(norm, full)
         except OSError as exc:
             raise BackendError(f"reading {full}: {exc}") from exc
+        if reused:
+            self._note_reuse(norm)
+        else:
+            self._note_open(norm)
+        return handle
+
+    def read_file(self, path: str, actor: int = -1) -> bytes:
+        norm, full = self._resolve(path)
+        handle = self._acquire(norm, full)
         try:
-            if handle.mm is not None:
+            if handle.mm is not None and handle.size < _BULK_READ_BYTES:
                 data = handle.mm[: handle.size]
-                self._note_mmap(norm, True)
             else:
+                # One pread allocates the result and the kernel fills it:
+                # landing in a buffer would cost a second copy to be bytes.
                 parts = []
                 pos = 0
                 while pos < handle.size:
@@ -436,25 +485,20 @@ class PosixBackend(FileBackend):
                     parts.append(chunk)
                     pos += len(chunk)
                 data = b"".join(parts)
-                self._note_mmap(norm, False)
+            if len(data) >= _BULK_READ_BYTES:
+                self._note_bulk(norm, len(data))
+            self._note_mmap(norm, handle.mm is not None)
         except OSError as exc:
             raise BackendError(f"reading {full}: {exc}") from exc
         finally:
             self._pool.release(handle)
-        if reused:
-            self._note_reuse(norm)
-        self._note_open(norm)
         self._note_read(norm, len(data))
         return data
 
     def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
         norm, full = self._resolve(path)
+        handle = self._acquire(norm, full)
         try:
-            handle, reused = self._pool.acquire(norm, full)
-        except OSError as exc:
-            raise BackendError(f"reading {full}: {exc}") from exc
-        try:
-            self._note_open(norm)
             if request.end > handle.size:
                 offset, out = next(
                     (o, v) for o, v in self._segments(request)
@@ -464,7 +508,11 @@ class PosixBackend(FileBackend):
                     f"short read from {full}: wanted {len(out)} bytes at "
                     f"{offset}, got {max(0, handle.size - offset)}"
                 )
-            if handle.mm is not None:
+            if handle.mm is None:
+                bulk = self._segments(request)
+                bulk_bytes = sum(len(v) for _o, v in bulk if len(v) >= _BULK_READ_BYTES)
+            else:
+                bulk, bulk_bytes = [], 0
                 # Released before the handle is: a pooled mapping cannot
                 # close while a buffer export is outstanding.
                 with memoryview(handle.mm) as mapped:
@@ -474,19 +522,21 @@ class PosixBackend(FileBackend):
                             stop = pos + length
                             if length < _GIL_RELEASING_COPY_BYTES:
                                 view[pos:stop] = mapped[offset : offset + length]
-                            else:
+                            elif length < _BULK_READ_BYTES:
                                 _numpy_copy(handle.mm, offset, view[pos:stop])
+                            else:
+                                bulk.append((offset, view[pos:stop]))
+                                bulk_bytes += length
                             pos = stop
-            else:
-                _preadv_fill(handle.fd, full, self._segments(request))
+            if bulk:
+                _preadv_fill(handle.fd, full, bulk)
+            self._note_bulk(norm, bulk_bytes)
             self._note_read(norm, request.nbytes, reads=request.count)
             self._note_mmap(norm, handle.mm is not None)
         except OSError as exc:
             raise BackendError(f"reading {full}: {exc}") from exc
         finally:
             self._pool.release(handle)
-        if reused:
-            self._note_reuse(norm)
         return request.nbytes
 
     # -- metadata ------------------------------------------------------------

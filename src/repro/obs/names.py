@@ -45,6 +45,8 @@ MPI_COLLECTIVES = "mpi.collectives"
 
 # -- storage counters (Darshan-style, keyed by (path,)) ---------------------
 
+#: Files opened.  A backend with a handle pool (``PosixBackend``) counts
+#: one per pool miss; a backend without one counts one per call.
 IO_OPENS = "io.opens"
 IO_READS = "io.reads"
 IO_WRITES = "io.writes"
@@ -110,13 +112,20 @@ GEN_FALLBACKS = "generation.fallbacks"
 
 # -- raw-speed read path (keyed by (path,); see repro.io.posix) --------------
 
-#: Read ops served zero-copy from a pooled mmap view.
+#: Read calls served on a handle with a pooled mmap view.  The call's
+#: ranges below the bulk threshold copy from the mapping; its bulk ranges
+#: are read with ``preadv`` all the same (see :data:`IO_BULK_BYTES`).
 IO_MMAP_HITS = "io.mmap_hit"
-#: Read ops that fell back to fd-based ``pread``/``preadv`` (file too large
-#: for the mapping budget, empty file, or mmap disabled).
+#: Read calls served on a handle without a mapping, through fd-based
+#: ``pread``/``preadv`` (file too large for the mapping budget, empty
+#: file, or mmap disabled).
 IO_MMAP_MISSES = "io.mmap_miss"
-#: Open handles reused from the backend's LRU pool (the saved ``open``
-#: syscalls satellite — every reuse is one open the legacy path would pay).
+#: Bytes of ranges (and whole files) at or above the bulk threshold, read
+#: with ``pread``/``preadv`` straight into the result whether or not the
+#: file is mapped; the same on every handle.
+IO_BULK_BYTES = "io.bulk_bytes"
+#: Read calls served by a handle reused from the backend's LRU pool: each
+#: is an ``open`` not paid, and not counted in :data:`IO_OPENS`.
 IO_HANDLE_REUSES = "io.handle_reuse"
 
 # -- decode path (keyed by (path,); see repro.query.engine) ------------------

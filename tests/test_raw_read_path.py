@@ -29,6 +29,7 @@ from repro.io.executor import ProcessExecutor, SerialExecutor, ThreadedExecutor
 from repro.io.faults import FaultInjectingBackend, FaultPlan
 from repro.obs.names import (
     DECODE_VECTORIZED_RUNS,
+    IO_BULK_BYTES,
     IO_BYTES_READ,
     IO_HANDLE_REUSES,
     IO_MMAP_HITS,
@@ -142,16 +143,32 @@ class TestMmapParity:
         assert ds.recorder.total(IO_MMAP_MISSES) > 0
 
 
+def rss_file_bytes() -> int:
+    """This process's resident file-backed pages (``RssFile``), in bytes."""
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("RssFile:"))
+    return int(line.split()[1]) * 1024
+
+
 class TestReadvCopyThreshold:
-    """``readv`` lands short mapped ranges by slice assignment and long
-    ones by the GIL-releasing numpy copy; which one ran is unobservable."""
+    """``readv`` lands a range by its length: short mapped ranges by slice
+    assignment, longer ones by the GIL-releasing numpy copy, and bulk ones
+    (mapped or not) by ``preadv`` straight into the caller's view.  The
+    bytes and the ``io.*`` counters cannot tell which ran, and the mapping
+    is the only thing that can: a hit on a mapped handle, else a miss."""
 
     T = posix._GIL_RELEASING_COPY_BYTES
-    LENGTHS = (0, 1, T - 1, T, T + 1, 3 * (1 << 20) + 17)
+    B = posix._BULK_READ_BYTES
+    LENGTHS = (0, 1, T - 1, T, T + 1, B - 1, B, B + 1)
+    BACKENDS = {
+        "mapped": {},
+        "unmapped": {"use_mmap": False},
+        "over-budget": {"max_mapped_bytes": 1},
+    }
 
     def _file(self, tmp_path):
         rng = np.random.default_rng(FAULT_SEED)
-        blob = rng.integers(0, 256, 4 * (1 << 20) + 99, dtype=np.uint8).tobytes()
+        blob = rng.integers(0, 256, self.B + (1 << 20) + 99, dtype=np.uint8).tobytes()
         PosixBackend(tmp_path / "raw").write_file("blob.bin", blob)
         return blob
 
@@ -167,25 +184,36 @@ class TestReadvCopyThreshold:
         views = [landing[end - n : end] for n, end in zip(lengths, ends)]
         return offsets, views, total, rec
 
+    @staticmethod
+    def _counters(rec):
+        return {
+            name: rec.value(name, ("blob.bin",))
+            for name in (IO_READS, IO_BYTES_READ, IO_OPENS, IO_HANDLE_REUSES, IO_BULK_BYTES)
+        }
+
     def test_lengths_straddling_the_threshold(self, tmp_path):
         blob = self._file(tmp_path)
-        mapped = self._readv(PosixBackend(tmp_path / "raw"), self.LENGTHS)
-        fallback = self._readv(
-            PosixBackend(tmp_path / "raw", use_mmap=False), self.LENGTHS
-        )
-        for offsets, views, total, rec in (mapped, fallback):
+        counters = {}
+        for name, kw in self.BACKENDS.items():
+            offsets, views, total, rec = self._readv(
+                PosixBackend(tmp_path / "raw", **kw), self.LENGTHS
+            )
             assert total == sum(self.LENGTHS)
             for off, view, n in zip(offsets, views, self.LENGTHS):
-                assert bytes(view) == blob[off : off + n]
-            assert rec.value(IO_READS, ("blob.bin",)) == len(self.LENGTHS)
-            assert rec.value(IO_BYTES_READ, ("blob.bin",)) == sum(self.LENGTHS)
-            assert rec.value(IO_OPENS, ("blob.bin",)) == 1
-        assert mapped[3].value(IO_MMAP_HITS, ("blob.bin",)) == 1
-        assert mapped[3].value(IO_MMAP_MISSES, ("blob.bin",)) == 0
-        assert fallback[3].value(IO_MMAP_HITS, ("blob.bin",)) == 0
-        assert fallback[3].value(IO_MMAP_MISSES, ("blob.bin",)) == 1
+                assert bytes(view) == blob[off : off + n], (name, n)
+            counters[name] = self._counters(rec)
+            hit = name == "mapped"
+            assert rec.value(IO_MMAP_HITS, ("blob.bin",)) == int(hit)
+            assert rec.value(IO_MMAP_MISSES, ("blob.bin",)) == int(not hit)
+        assert counters["mapped"] == counters["unmapped"] == counters["over-budget"] == {
+            IO_READS: len(self.LENGTHS),
+            IO_BYTES_READ: sum(self.LENGTHS),
+            IO_OPENS: 1,
+            IO_HANDLE_REUSES: 0,
+            IO_BULK_BYTES: sum(n for n in self.LENGTHS if n >= self.B),
+        }
 
-    @pytest.mark.parametrize("length", [1, T - 1, T, T + 1])
+    @pytest.mark.parametrize("length", [1, T - 1, T, T + 1, B - 1, B, B + 1])
     @pytest.mark.parametrize("use_mmap", [True, False])
     def test_short_read_error_text(self, tmp_path, length, use_mmap):
         blob = self._file(tmp_path)
@@ -202,9 +230,48 @@ class TestReadvCopyThreshold:
             f"bytes at {offset}, got {length - 1}"
         )
 
+    def test_read_file_above_the_threshold(self, tmp_path):
+        blob = self._file(tmp_path)
+        for name, kw in self.BACKENDS.items():
+            backend = PosixBackend(tmp_path / "raw", **kw)
+            rec = Recorder()
+            backend.attach_recorder(rec)
+            assert backend.read_file("blob.bin") == blob, name
+            assert rec.value(IO_BULK_BYTES, ("blob.bin",)) == len(blob)
+            assert rec.value(IO_MMAP_HITS, ("blob.bin",)) == int(name == "mapped")
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="RssFile is Linux's"
+    )
+    def test_a_bulk_range_maps_no_page(self, tmp_path):
+        """A bulk ``readv`` of a mapped 16 MiB file leaves its pages out of
+        the reader's RSS: they are read, not faulted in through the map."""
+        size = 16 << 20
+        PosixBackend(tmp_path / "raw").write_file("big.bin", bytes(range(256)) * (size // 256))
+        backend = PosixBackend(tmp_path / "raw")
+        backend.read_range("big.bin", 0, 8)  # pool (and map) the file first
+        assert backend.pool_stats()["mapped_bytes"] == size
+        out = bytearray(size)
+        before = rss_file_bytes()
+        backend.readinto("big.bin", 0, out)
+        assert rss_file_bytes() - before < 1 << 20
+        assert out[:512] == bytes(range(256)) * 2
+
 
 class TestHandlePool:
     """Lifecycle of the LRU handle pool behind every PosixBackend read."""
+
+    def test_opens_count_files_opened(self, tmp_path):
+        """Two reads of one file on a fresh backend: one open, one reuse."""
+        PosixBackend(tmp_path / "raw").write_file("blob.bin", bytes(64))
+        backend = PosixBackend(tmp_path / "raw")
+        rec = Recorder()
+        backend.attach_recorder(rec)
+        for _ in range(2):
+            backend.readv("blob.bin", ReadRequest.one(8, bytearray(16)))
+        assert rec.value(IO_OPENS, ("blob.bin",)) == 1
+        assert rec.value(IO_HANDLE_REUSES, ("blob.bin",)) == 1
+        assert backend.pool_stats()["opens"] == 1
 
     def test_repeat_reads_reuse_the_handle(self, tmp_path):
         backend = write_posix(tmp_path / "ds")

@@ -149,6 +149,7 @@ class TestFlattenedParity:
         for tier in (backend, getattr(backend, "base", None)):
             if hasattr(tier, "clear"):
                 tier.clear()  # cold again: the second read reaches the leaf too
+        backend.close()  # and a pooled handle is dropped: it opens the file again
         split = counters(backend, per_range()[0])
         assert flat == split
         assert flat == {

@@ -13,10 +13,12 @@ from __future__ import annotations
 import re
 import zlib
 
+import numpy as np
 import pytest
 
 import repro.core.writer as writer_module
 from repro.core.config import WriterConfig
+from repro.core.repair import ACTION_TRUNCATE, repair_dataset
 from repro.core.scrub import scrub_dataset
 from repro.dataset import Dataset
 from repro.errors import FormatError
@@ -179,3 +181,34 @@ def test_a_clean_dataset_names_and_skips_nothing(bases):
         backend = clone(bases[base])
         assert scrub_names(backend) == set() == strict_refusals(backend)
         assert degraded_skips(backend) == set()
+
+
+def _crc_break_where_the_stream_breaks(backend, path: str) -> None:
+    """Flip a byte of the segment :func:`_broken_stream` breaks (chunk 1's
+    first) in ``path``, so that segment fails its CRC instead."""
+    rec = next(r for r in SpatialMetadata.read_whole(backend) if r.file_path == path)
+    off, length, _crc = FileChunkIndex.unpack(rec.section, path).segments[1, 0].tolist()
+    raw = bytearray(backend.read_file(path))
+    raw[HEADER_BYTES + off + length // 2] ^= 0x10
+    backend.write_file(path, bytes(raw))
+
+
+def test_repair_keeps_as_much_of_a_stream_that_does_not_inflate(bases):
+    """A CRC-valid segment that does not inflate is salvaged like one
+    failing its CRC: repair keeps the same particles either way."""
+    broken = clone(bases["broken"])
+    ((path, chunk),) = scrub_names(broken)
+    assert chunk == 1
+    crc = clone(bases["columnar"])
+    _crc_break_where_the_stream_breaks(crc, path)
+    assert scrub_names(crc) == {(path, 1)}
+    kept = []
+    for backend in (broken, crc):
+        report = scrub_dataset(Dataset(backend))
+        assert [i.code for i in report.issues] == ["segment-checksum"]
+        result = repair_dataset(Dataset(backend), report)
+        (action,) = [a for a in result.actions if a.path == path]
+        assert action.kind == ACTION_TRUNCATE and action.particles_salvaged > 0
+        assert scrub_dataset(Dataset(backend)).ok
+        kept.append(np.sort(Dataset(backend).reader().read_full().data["id"]))
+    assert np.array_equal(*kept)
