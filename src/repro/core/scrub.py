@@ -176,6 +176,9 @@ ISSUES: dict[str, IssueKind] = {
     "data-truncated": IssueKind(False, "salvage"),
     "data-checksum": IssueKind(False, "quarantine"),
     "segment-checksum": IssueKind(False, "salvage"),
+    # A columnar file whose every segment verifies: reads deliver it whole,
+    # and the salvage keeps every particle under a rewritten footer.
+    "data-footer": IssueKind(False, "salvage"),
     "count-mismatch": IssueKind(False, "adopt-trailer-record"),
     # Derived state disagreeing with verified bytes is lossless to rebuild.
     "manifest-checksum-mismatch": IssueKind(True, "entry"),
@@ -765,7 +768,9 @@ def _judge(
 ) -> FileState:
     """Name a damaged image's issue from its verdict — the size first, then
     column segments failing their CRC or their inflate alike (a degraded
-    read loses just those chunks), then the footer.  Where the issue's row
+    read loses just those chunks), then the footer: a row file's covers
+    its payload, a columnar file's only what its verified segments already
+    vouch for (reads never check it).  Where the issue's row
     salvages, keep the longest prefix of the rows before the first damage
     that verifies against the committed per-LOD prefix checksums (the
     trailer's if nothing committed the file): levels are subsets, so it is
@@ -774,6 +779,7 @@ def _judge(
     code = (
         "data-truncated" if verdict.truncated
         else "segment-checksum" if verdict.faults
+        else "data-footer" if verdict.index is not None
         else "data-checksum"
     )
     if code == "segment-checksum":

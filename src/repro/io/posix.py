@@ -8,22 +8,33 @@ The read side is built for raw speed (the Fig. 7 scaling story):
   ``(st_ino, st_size, st_mtime_ns)`` on every acquire, so an atomic
   ``os.replace`` — ours or anyone else's — is detected and the stale
   handle dropped before a single byte is served.
-* **Three ways to land a range, picked by its length** — on a file
-  within the mapping budget, a range below 64 KiB is a slice assignment
-  from the handle's shared ``mmap`` view, one below the bulk threshold
-  (4 MiB, :data:`_BULK_READ_BYTES`) a numpy copy from it, which releases
-  the GIL; a range at or above the threshold is read with ``os.preadv``
-  from the pooled fd straight into the caller's buffer.  Copying a bulk
-  range out of the mapping would count each of its pages twice in the
-  reader's RSS: once mapped, once in the result.  The rule bets that bulk
-  ranges are scans, read once per op; a bulk range read again pays
-  ``preadv``'s premium each time.  ``read_file`` of a file at or above
-  the threshold is an ``os.pread`` likewise.
-* **``os.preadv`` scatter-gather fallback** — files outside the mapping
-  budget (or with mmap disabled) batch a request's offset-contiguous
-  ranges into single ``preadv`` calls on the pooled fd, the helper bulk
-  ranges use too.  ``pread``/``preadv`` release the GIL, so concurrent
-  readers overlap genuine device waits.
+* **Map a file only when it is read again** — a fresh handle is opened
+  unmapped, and its calls land their ranges with ``os.preadv`` from the
+  pooled fd (``read_file`` with one ``os.pread``).  The pool maps the
+  file, read-only and within the ``max_mapped_bytes`` budget, when it
+  hands the same handle out again.  A one-shot read (a fresh CLI or viz
+  process, ``cold_open_box``'s data files) so holds the bytes it copied,
+  not a window of page cache faulted in around each run, while a file
+  read again (the table within one cold open, every file of a warm
+  facade) is served from its mapping.  The rule is observed from reuse,
+  not configured.
+* **Three ways to land a range on a mapped handle, picked by its
+  length** — a range below 64 KiB is a slice assignment from the
+  handle's shared ``mmap`` view, one below the bulk threshold (4 MiB,
+  :data:`_BULK_READ_BYTES`) a numpy copy from it, which releases the
+  GIL; a range at or above the threshold is read with ``os.preadv`` from
+  the pooled fd straight into the caller's buffer.  Copying a bulk range
+  out of the mapping would count each of its pages twice in the reader's
+  RSS: once mapped, once in the result.  The rule bets that bulk ranges
+  are scans, read once per op; a bulk range read again pays ``preadv``'s
+  premium each time.  ``read_file`` of a file at or above the threshold
+  is an ``os.pread`` likewise.
+* **One ``preadv`` loop** — an unmapped handle's ranges (a fresh handle,
+  a file outside the mapping budget, mmap disabled) and a mapped one's
+  bulk ranges land through :func:`_preadv_into`, which walks the
+  request's own parts and batches offset-contiguous ranges into single
+  ``preadv`` calls on the pooled fd.  ``pread``/``preadv`` release the
+  GIL, so concurrent readers overlap genuine device waits.
 
 All of it stays behind the :class:`FileBackend` contract: per-file
 Darshan counters, error messages, and atomic-write semantics are
@@ -32,7 +43,8 @@ caller are untouched.  ``io.opens`` counts files opened: one per
 handle-pool miss, while a pooled handle serving another call is an
 ``io.handle_reuse``.  ``io.mmap_hit`` / ``io.mmap_miss`` count calls
 served on a mapped / an unmapped handle (a hit's bulk ranges are still
-read by ``preadv``), and ``io.bulk_bytes`` the bytes bulk landing read.
+read by ``preadv``; a fresh handle's first call is always a miss), and
+``io.bulk_bytes`` the bytes bulk landing read.
 
 Writes are atomic: data lands in a temp file in the target directory, is
 fsynced, and is renamed into place with ``os.replace``.  A reader (or a
@@ -110,17 +122,19 @@ class _Handle:
     The refcount lets the pool evict (or invalidate) a handle while
     another thread is mid-read on it: eviction marks the handle closed
     and the *last* releaser actually closes the fd/mapping, so a served
-    view is never yanked out from under a reader.
+    view is never yanked out from under a reader.  ``mm`` is None until
+    the pool hands the handle out again; a read call takes it once, as
+    the handle is mapped while other calls may be reading it.
     """
 
     __slots__ = ("fd", "size", "sig", "mm", "refs", "closed")
 
-    def __init__(self, fd: int, size: int, sig: tuple, mm: mmap.mmap | None):
+    def __init__(self, fd: int, size: int, sig: tuple):
         self.fd = fd
         self.size = size
         self.sig = sig
-        self.mm = mm
-        self.refs = 0
+        self.mm: mmap.mmap | None = None
+        self.refs = 1
         self.closed = False
 
     def _close_now(self) -> None:
@@ -157,10 +171,12 @@ class _HandlePool:
         """An open, identity-validated handle for ``norm``; caller must
         :meth:`release`.  Returns ``(handle, reused)``.
 
-        A pooled handle costs one ``stat`` to validate.  A fresh handle's
-        identity, size and mapping length come from ``fstat`` of the
-        descriptor itself, so a file replaced between any path lookup and
-        the ``open`` is pooled under its own identity, never another's.
+        A pooled handle costs one ``stat`` to validate, and is mapped
+        (within the budget) the first time it is handed out again; a
+        fresh one is opened unmapped.  A fresh handle's identity, size and
+        mapping length come from ``fstat`` of the descriptor itself, so a
+        file replaced between any path lookup and the ``open`` is pooled
+        under its own identity, never another's.
         """
         if norm in self._handles:  # a lock-free peek; re-checked below
             st = os.stat(full)
@@ -172,6 +188,8 @@ class _HandlePool:
                         self._handles.move_to_end(norm)
                         handle.refs += 1
                         self.reuses += 1
+                        if handle.mm is None and self.use_mmap:
+                            self._map_locked(handle)
                         return handle, True
                     # The file was replaced behind our back (atomic rewrite,
                     # external tooling, a test corrupting bytes in place):
@@ -183,21 +201,8 @@ class _HandlePool:
         except OSError:
             os.close(fd)
             raise
-        sig = (st.st_ino, st.st_size, st.st_mtime_ns)
-        mm: mmap.mmap | None = None
+        handle = _Handle(fd, st.st_size, (st.st_ino, st.st_size, st.st_mtime_ns))
         with self._lock:
-            if (
-                self.use_mmap
-                and st.st_size > 0
-                and self._mapped_bytes + st.st_size <= self.max_mapped_bytes
-            ):
-                try:
-                    mm = mmap.mmap(fd, st.st_size, prot=mmap.PROT_READ)
-                    self._mapped_bytes += st.st_size
-                except (OSError, ValueError):
-                    mm = None
-            handle = _Handle(fd, st.st_size, sig, mm)
-            handle.refs = 1
             self.opens += 1
             # Another thread may have pooled the same path while we were
             # opening; replace its entry (ours is at least as fresh).
@@ -210,6 +215,17 @@ class _HandlePool:
                 self._drop_locked(victim_key, victim)
                 self.evictions += 1
         return handle, False
+
+    def _map_locked(self, handle: _Handle) -> None:
+        """Map ``handle``'s file read-only if it fits the budget; a file
+        that does not (or will not map) stays served by its fd."""
+        size = handle.size
+        if size > 0 and self._mapped_bytes + size <= self.max_mapped_bytes:
+            try:
+                handle.mm = mmap.mmap(handle.fd, size, prot=mmap.PROT_READ)
+            except (OSError, ValueError):
+                return
+            self._mapped_bytes += size
 
     def release(self, handle: _Handle) -> None:
         with self._lock:
@@ -265,53 +281,56 @@ def _numpy_copy(mm: mmap.mmap, offset: int, out: memoryview) -> None:
     )
 
 
-def _preadv_fill(fd: int, full: str, items: list[tuple[int, memoryview]]) -> None:
-    """Fill each ``(offset, view)`` from ``fd``, batching contiguous runs.
+def _preadv_into(fd: int, full: str, parts) -> int:
+    """Land ``parts`` — a request's ``(view, offsets, lengths)`` triples —
+    from ``fd``; returns the bytes of ranges at or above the bulk threshold.
 
-    ``items`` are a request's ranges (:meth:`FileBackend._segments`).
-    Offset-contiguous ranges are gathered into single ``os.preadv`` calls
-    (capped at ``_IOV_MAX`` buffers), so a coalesced chunk-run read costs
-    one syscall per contiguous extent rather than one per range.  A file
-    that shrank under the request raises a short-read error.
+    Offset-contiguous ranges, across parts too, are gathered into single
+    ``os.preadv`` calls (capped at ``_IOV_MAX`` buffers), so a coalesced
+    chunk-run read costs one syscall per contiguous extent rather than
+    one per range.  A file that shrank under the request raises a
+    short-read error.
     """
-    items = [(o, v) for o, v in items if len(v)]
-    i = 0
-    while i < len(items):
-        # One contiguous group: [i, j) where each next offset continues on.
-        j = i + 1
-        end = items[i][0] + len(items[i][1])
-        while (
-            j < len(items)
-            and j - i < _IOV_MAX
-            and items[j][0] == end
-        ):
-            end += len(items[j][1])
-            j += 1
-        group = items[i:j]
-        pos = group[0][0]
-        gi = 0          # index into group
-        sub = 0         # bytes already filled of group[gi]
-        while gi < len(group):
-            bufs = [group[gi][1][sub:]] + [v for _o, v in group[gi + 1 :]]
-            bufs = [b for b in bufs if len(b)]
-            if not bufs:
-                break
-            n = os.preadv(fd, bufs, pos)
-            if n <= 0:
-                offset, view = group[gi]
-                raise BackendError(
-                    f"short read from {full}: wanted {len(view)} bytes at "
-                    f"{offset}, got {sub}"
-                )
-            pos += n
-            while n > 0 and gi < len(group):
-                take = min(n, len(group[gi][1]) - sub)
-                sub += take
-                n -= take
-                if sub == len(group[gi][1]):
-                    gi += 1
-                    sub = 0
-        i = j
+    bulk = 0
+    bufs: list[memoryview] = []
+    start = end = 0
+    for view, offsets, lengths in parts:
+        pos = 0
+        for offset, length in zip(offsets, lengths):
+            if not length:
+                continue
+            if offset != end or len(bufs) == _IOV_MAX:
+                if bufs:
+                    _preadv_extent(fd, full, start, bufs, end - start)
+                bufs = []
+                start = end = offset
+            bufs.append(view[pos : pos + length])
+            pos += length
+            end += length
+            if length >= _BULK_READ_BYTES:
+                bulk += length
+    if bufs:
+        _preadv_extent(fd, full, start, bufs, end - start)
+    return bulk
+
+
+def _preadv_extent(fd: int, full: str, start: int, bufs: list, size: int) -> None:
+    """Fill ``bufs``, laid end to end from file byte ``start`` over
+    ``size`` bytes: one ``preadv``, resumed where the kernel stopped short."""
+    done = os.preadv(fd, bufs, start)
+    while done < size:
+        # Resume inside the first buffer not yet filled.
+        i, filled = 0, done
+        while filled >= len(bufs[i]):
+            filled -= len(bufs[i])
+            i += 1
+        n = os.preadv(fd, [bufs[i][filled:], *bufs[i + 1 :]], start + done)
+        if n <= 0:
+            raise BackendError(
+                f"short read from {full}: wanted {len(bufs[i])} bytes at "
+                f"{start + done - filled}, got {filled}"
+            )
+        done += n
 
 
 class PosixBackend(FileBackend):
@@ -470,9 +489,10 @@ class PosixBackend(FileBackend):
     def read_file(self, path: str, actor: int = -1) -> bytes:
         norm, full = self._resolve(path)
         handle = self._acquire(norm, full)
+        mm = handle.mm
         try:
-            if handle.mm is not None and handle.size < _BULK_READ_BYTES:
-                data = handle.mm[: handle.size]
+            if mm is not None and handle.size < _BULK_READ_BYTES:
+                data = mm[: handle.size]
             else:
                 # One pread allocates the result and the kernel fills it:
                 # landing in a buffer would cost a second copy to be bytes.
@@ -487,7 +507,7 @@ class PosixBackend(FileBackend):
                 data = b"".join(parts)
             if len(data) >= _BULK_READ_BYTES:
                 self._note_bulk(norm, len(data))
-            self._note_mmap(norm, handle.mm is not None)
+            self._note_mmap(norm, mm is not None)
         except OSError as exc:
             raise BackendError(f"reading {full}: {exc}") from exc
         finally:
@@ -498,6 +518,7 @@ class PosixBackend(FileBackend):
     def readv(self, path: str, request: ReadRequest, actor: int = -1) -> int:
         norm, full = self._resolve(path)
         handle = self._acquire(norm, full)
+        mm = handle.mm
         try:
             if request.end > handle.size:
                 offset, out = next(
@@ -508,14 +529,13 @@ class PosixBackend(FileBackend):
                     f"short read from {full}: wanted {len(out)} bytes at "
                     f"{offset}, got {max(0, handle.size - offset)}"
                 )
-            if handle.mm is None:
-                bulk = self._segments(request)
-                bulk_bytes = sum(len(v) for _o, v in bulk if len(v) >= _BULK_READ_BYTES)
+            if mm is None:
+                bulk_bytes = _preadv_into(handle.fd, full, request.parts)
             else:
-                bulk, bulk_bytes = [], 0
+                bulk = []
                 # Released before the handle is: a pooled mapping cannot
                 # close while a buffer export is outstanding.
-                with memoryview(handle.mm) as mapped:
+                with memoryview(mm) as mapped:
                     for view, offsets, lengths in request.parts:
                         pos = 0
                         for offset, length in zip(offsets, lengths):
@@ -523,16 +543,14 @@ class PosixBackend(FileBackend):
                             if length < _GIL_RELEASING_COPY_BYTES:
                                 view[pos:stop] = mapped[offset : offset + length]
                             elif length < _BULK_READ_BYTES:
-                                _numpy_copy(handle.mm, offset, view[pos:stop])
+                                _numpy_copy(mm, offset, view[pos:stop])
                             else:
-                                bulk.append((offset, view[pos:stop]))
-                                bulk_bytes += length
+                                bulk.append((view[pos:stop], (offset,), (length,)))
                             pos = stop
-            if bulk:
-                _preadv_fill(handle.fd, full, bulk)
+                bulk_bytes = _preadv_into(handle.fd, full, bulk) if bulk else 0
             self._note_bulk(norm, bulk_bytes)
             self._note_read(norm, request.nbytes, reads=request.count)
-            self._note_mmap(norm, handle.mm is not None)
+            self._note_mmap(norm, mm is not None)
         except OSError as exc:
             raise BackendError(f"reading {full}: {exc}") from exc
         finally:

@@ -16,6 +16,8 @@ replacement, LRU bounds) and the new obs coverage
 """
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -118,8 +120,10 @@ class TestMmapParity:
     def test_mmap_counters(self, tmp_path):
         write_posix(tmp_path / "ds")
         ds = Dataset.open(PosixBackend(tmp_path / "ds"))
+        reader = ds.reader()
+        reader.read_full()  # a file is mapped when its handle is reused
         ds.backend.attach_recorder(ds.recorder)
-        ds.reader().read_full()
+        reader.read_full()
         assert ds.recorder.total(IO_MMAP_HITS) > 0
         assert ds.recorder.total(IO_MMAP_MISSES) == 0
 
@@ -155,7 +159,9 @@ class TestReadvCopyThreshold:
     assignment, longer ones by the GIL-releasing numpy copy, and bulk ones
     (mapped or not) by ``preadv`` straight into the caller's view.  The
     bytes and the ``io.*`` counters cannot tell which ran, and the mapping
-    is the only thing that can: a hit on a mapped handle, else a miss."""
+    is the only thing that can: a hit on a mapped handle, else a miss.
+    Each backend's handle is warmed by one read first, as a file is mapped
+    only when its handle is handed out again."""
 
     T = posix._GIL_RELEASING_COPY_BYTES
     B = posix._BULK_READ_BYTES
@@ -173,6 +179,7 @@ class TestReadvCopyThreshold:
         return blob
 
     def _readv(self, backend, lengths, first_offset=5):
+        backend.read_range("blob.bin", 0, 8)  # pool the handle; reuse maps it
         rec = Recorder()
         backend.attach_recorder(rec)
         # Distinct offsets, touching and overlapping freely: ranges are
@@ -195,9 +202,8 @@ class TestReadvCopyThreshold:
         blob = self._file(tmp_path)
         counters = {}
         for name, kw in self.BACKENDS.items():
-            offsets, views, total, rec = self._readv(
-                PosixBackend(tmp_path / "raw", **kw), self.LENGTHS
-            )
+            backend = PosixBackend(tmp_path / "raw", **kw)
+            offsets, views, total, rec = self._readv(backend, self.LENGTHS)
             assert total == sum(self.LENGTHS)
             for off, view, n in zip(offsets, views, self.LENGTHS):
                 assert bytes(view) == blob[off : off + n], (name, n)
@@ -205,11 +211,12 @@ class TestReadvCopyThreshold:
             hit = name == "mapped"
             assert rec.value(IO_MMAP_HITS, ("blob.bin",)) == int(hit)
             assert rec.value(IO_MMAP_MISSES, ("blob.bin",)) == int(not hit)
+            assert backend.pool_stats()["mapped_bytes"] == len(blob) * hit
         assert counters["mapped"] == counters["unmapped"] == counters["over-budget"] == {
             IO_READS: len(self.LENGTHS),
             IO_BYTES_READ: sum(self.LENGTHS),
-            IO_OPENS: 1,
-            IO_HANDLE_REUSES: 0,
+            IO_OPENS: 0,
+            IO_HANDLE_REUSES: 1,
             IO_BULK_BYTES: sum(n for n in self.LENGTHS if n >= self.B),
         }
 
@@ -234,6 +241,7 @@ class TestReadvCopyThreshold:
         blob = self._file(tmp_path)
         for name, kw in self.BACKENDS.items():
             backend = PosixBackend(tmp_path / "raw", **kw)
+            backend.read_range("blob.bin", 0, 8)  # pool the handle; reuse maps it
             rec = Recorder()
             backend.attach_recorder(rec)
             assert backend.read_file("blob.bin") == blob, name
@@ -249,13 +257,157 @@ class TestReadvCopyThreshold:
         size = 16 << 20
         PosixBackend(tmp_path / "raw").write_file("big.bin", bytes(range(256)) * (size // 256))
         backend = PosixBackend(tmp_path / "raw")
-        backend.read_range("big.bin", 0, 8)  # pool (and map) the file first
+        for _ in range(2):  # pool the handle, then map it on its reuse
+            backend.read_range("big.bin", 0, 8)
         assert backend.pool_stats()["mapped_bytes"] == size
         out = bytearray(size)
         before = rss_file_bytes()
         backend.readinto("big.bin", 0, out)
         assert rss_file_bytes() - before < 1 << 20
         assert out[:512] == bytes(range(256)) * 2
+
+
+class TestMapOnReuse:
+    """A fresh handle is opened unmapped and serves by ``pread``/``preadv``;
+    the pool maps its file, within the budget, when it hands the same
+    handle out again."""
+
+    SIZE = 16 << 20
+
+    def _file(self, tmp_path, name="big.bin", size=SIZE):
+        rng = np.random.default_rng(FAULT_SEED)
+        blob = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        PosixBackend(tmp_path / "raw").write_file(name, blob)
+        return blob
+
+    @staticmethod
+    def _scattered(size, step=1 << 16, length=4096):
+        """A request for one 4 KiB range per 64 KiB of the file."""
+        offsets = list(range(0, size - length, step))
+        out = bytearray(length * len(offsets))
+        return out, offsets, ReadRequest([(out, offsets, [length] * len(offsets))])
+
+    @pytest.mark.parametrize("call", ["readv", "read_file"])
+    def test_a_cold_read_maps_nothing(self, tmp_path, call):
+        blob = self._file(tmp_path)
+        backend = PosixBackend(tmp_path / "raw")
+        rec = Recorder()
+        backend.attach_recorder(rec)
+        if call == "readv":
+            out, offsets, request = self._scattered(len(blob))
+            backend.readv("big.bin", request)
+            assert bytes(out) == b"".join(blob[o : o + 4096] for o in offsets)
+        else:
+            assert backend.read_file("big.bin") == blob
+        assert backend.pool_stats()["mapped_bytes"] == 0
+        assert rec.value(IO_MMAP_MISSES, ("big.bin",)) == 1
+        assert rec.value(IO_MMAP_HITS, ("big.bin",)) == 0
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="RssFile is Linux's"
+    )
+    def test_a_cold_scattered_read_holds_no_page_cache(self, tmp_path):
+        """4 KiB ranges scattered over a fresh 16 MiB handle grow the
+        reader's file-backed RSS by under 1 MiB: mapped, each would fault
+        a window of the file in around it."""
+        blob = self._file(tmp_path)
+        backend = PosixBackend(tmp_path / "raw")
+        out, offsets, request = self._scattered(len(blob))
+        before = rss_file_bytes()
+        backend.readv("big.bin", request)
+        assert rss_file_bytes() - before < 1 << 20
+        assert bytes(out[:4096]) == blob[:4096]
+
+    def test_the_second_acquire_maps_the_file(self, tmp_path):
+        blob = self._file(tmp_path, size=1 << 20)
+        backend = PosixBackend(tmp_path / "raw")
+        rec = Recorder()
+        backend.attach_recorder(rec)
+        assert backend.read_range("big.bin", 0, 64) == blob[:64]
+        assert backend.pool_stats()["mapped_bytes"] == 0
+        assert backend.read_range("big.bin", 64, 64) == blob[64:128]
+        stats = backend.pool_stats()
+        assert (stats["opens"], stats["reuses"], stats["mapped_bytes"]) == (1, 1, len(blob))
+        assert rec.value(IO_MMAP_MISSES, ("big.bin",)) == 1
+        assert rec.value(IO_MMAP_HITS, ("big.bin",)) == 1
+        assert backend.read_file("big.bin") == blob
+        assert backend.pool_stats()["mapped_bytes"] == len(blob)  # mapped once
+        backend.close()
+        assert backend.pool_stats()["mapped_bytes"] == 0
+
+    def test_unmapped_backends_never_map(self, tmp_path):
+        self._file(tmp_path, size=1 << 20)
+        for kw in ({"use_mmap": False}, {"max_mapped_bytes": 1}):
+            backend = PosixBackend(tmp_path / "raw", **kw)
+            for _ in range(3):
+                backend.read_range("big.bin", 0, 64)
+            assert backend.pool_stats()["mapped_bytes"] == 0, kw
+
+    def test_the_budget_holds_at_reuse(self, tmp_path):
+        """Of two reused files only the one that fits the budget maps; the
+        other maps at a later reuse once the budget is free again."""
+        a = self._file(tmp_path, "a.bin", 1 << 20)
+        b = self._file(tmp_path, "b.bin", 1 << 19)
+        backend = PosixBackend(tmp_path / "raw", max_mapped_bytes=(1 << 20) + 100)
+        rec = Recorder()
+        backend.attach_recorder(rec)
+        for _ in range(2):
+            for name in ("a.bin", "b.bin"):
+                backend.read_range(name, 0, 8)
+        assert backend.pool_stats()["mapped_bytes"] == len(a)
+        assert rec.value(IO_MMAP_HITS, ("a.bin",)) == 1
+        assert rec.value(IO_MMAP_HITS, ("b.bin",)) == 0
+        backend.delete("a.bin")  # frees a's mapping
+        assert backend.pool_stats()["mapped_bytes"] == 0
+        assert backend.read_file("b.bin") == b
+        assert backend.pool_stats()["mapped_bytes"] == len(b)
+        assert rec.value(IO_MMAP_HITS, ("b.bin",)) == 1
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["unpooled", "pooled"])
+    def test_concurrent_first_reads_of_one_handle(self, tmp_path, pooled):
+        """Eight threads reading one fresh file at once — racing its open,
+        or its mapping while the others read through the fd — all get the
+        file's bytes, the pool accounts the file mapped at most once, and
+        closing the backend unmaps everything."""
+        blob = self._file(tmp_path, size=1 << 20)
+        wants = {}
+        for i in range(8):
+            _out, offsets, _request = self._scattered(len(blob), length=1000 + i)
+            wants[i] = b"".join(blob[o : o + 1000 + i] for o in offsets)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(5):
+                backend = PosixBackend(tmp_path / "raw")
+                if pooled:
+                    backend.read_range("big.bin", 0, 8)
+                barrier = threading.Barrier(8, timeout=30)
+                got: dict[int, tuple[bytes, bytes]] = {}
+                errors: list[Exception] = []
+
+                def read(i):
+                    try:
+                        out, _offsets, request = self._scattered(len(blob), length=1000 + i)
+                        barrier.wait()
+                        backend.readv("big.bin", request)
+                        got[i] = bytes(out), backend.read_file("big.bin")
+                    except Exception as exc:  # surfaced below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                assert not errors
+                assert got == {i: (wants[i], blob) for i in range(8)}
+                mapped = backend.pool_stats()["mapped_bytes"]
+                assert mapped == len(blob) if pooled else mapped in (0, len(blob))
+                backend.close()
+                assert backend.pool_stats()["mapped_bytes"] == 0
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestHandlePool:

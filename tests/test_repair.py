@@ -49,6 +49,7 @@ from repro.errors import DataFileError, RankFailedError
 from repro.format.datafile import (
     HEADER_BYTES,
     TRAILER_FOOTER_BYTES,
+    columnar_payload_length,
     extract_recovery_trailer,
 )
 from repro.format.chunks import FileChunkIndex
@@ -847,6 +848,12 @@ def _damage_a_late_segment(b):
     edit_bytes(b, VICTIM, lambda raw: raw.__setitem__(pos, raw[pos] ^ 0xFF))
 
 
+def _flip_the_footer(b):
+    rec = next(r for r in SpatialMetadata.read_whole(b).records if r.file_path == VICTIM)
+    pos = HEADER_BYTES + columnar_payload_length(FileChunkIndex.unpack(rec.section)) + 5
+    edit_bytes(b, VICTIM, lambda raw: raw.__setitem__(pos, raw[pos] ^ 0xFF))
+
+
 def _copy_manifest_as(b, gen, **fields):
     doc = json.loads(b.read_file("manifest.gen-1.json"))
     doc.update(fields)
@@ -898,6 +905,7 @@ RECIPES = {
         b, VICTIM, lambda raw: raw.__setitem__(HEADER_BYTES + 4, raw[HEADER_BYTES + 4] ^ 1)
     )),
     "segment-checksum": ("columnar", _damage_a_late_segment),
+    "data-footer": ("columnar", _flip_the_footer),
     "count-mismatch": ("row", lambda b: edit_table(b, _miscount)),
     "manifest-checksum-mismatch": ("row", lambda b: edit_json(
         b, "manifest.json", lambda d: d["checksums"][VICTIM].update(

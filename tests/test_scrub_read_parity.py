@@ -142,22 +142,18 @@ def degraded_skips(backend) -> set[tuple[str, int | None]]:
     return skips
 
 
+#: (base, damage, whether reads refuse the damaged file).  Reads verify a
+#: columnar file segment by segment and never its footer, so a footer flip
+#: there costs no particle: scrub names it ``data-footer``, not a payload code.
 CASES = [
-    ("row", payload_flip),
-    ("row", torn_tail),
-    ("row", footer_flip),
-    ("columnar", payload_flip),
-    ("columnar", segment_crc),
-    ("broken", lambda backend: None),
-    ("columnar", torn_tail),
-    pytest.param(
-        "columnar", footer_flip,
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="reads verify a columnar file segment by segment and never "
-            "its footer, which scrub condemns",
-        ),
-    ),
+    ("row", payload_flip, True),
+    ("row", torn_tail, True),
+    ("row", footer_flip, True),
+    ("columnar", payload_flip, True),
+    ("columnar", segment_crc, True),
+    ("broken", lambda backend: None, True),
+    ("columnar", torn_tail, True),
+    ("columnar", footer_flip, False),
 ]
 IDS = [
     "row-payload-flip", "row-torn-tail", "row-footer-flip", "columnar-payload-flip",
@@ -166,12 +162,12 @@ IDS = [
 ]
 
 
-@pytest.mark.parametrize("base,damage", CASES, ids=IDS)
-def test_scrub_names_what_reads_refuse(bases, base, damage):
+@pytest.mark.parametrize("base,damage,refused", CASES, ids=IDS)
+def test_scrub_names_what_reads_refuse(bases, base, damage, refused):
     backend = clone(bases[base])
     damage(backend)
     named = scrub_names(backend)
-    assert named
+    assert bool(named) == refused
     assert {path for path, _chunk in named} == strict_refusals(backend)
     assert named == degraded_skips(backend)
 
@@ -212,3 +208,26 @@ def test_repair_keeps_as_much_of_a_stream_that_does_not_inflate(bases):
         assert scrub_dataset(Dataset(backend)).ok
         kept.append(np.sort(Dataset(backend).reader().read_full().data["id"]))
     assert np.array_equal(*kept)
+
+
+def _ids(backend) -> np.ndarray:
+    return np.sort(Dataset(backend).reader().read_full().data["id"])
+
+
+def test_repair_keeps_every_particle_of_a_columnar_file_whose_footer_alone_is_damaged(bases):
+    """Every segment verifies, so the file salvages whole: repair rewrites
+    its footer and keeps every particle id."""
+    backend = clone(bases["columnar"])
+    want = _ids(backend)
+    records = Dataset(backend).metadata.records
+    count = next(r.particle_count for r in records if r.file_path == VICTIM)
+    footer_flip(backend)
+    report = scrub_dataset(Dataset(backend))
+    assert [(i.path, i.code) for i in report.issues] == [(VICTIM, "data-footer")]
+    result = repair_dataset(Dataset(backend), report)
+    (action,) = [a for a in result.actions if a.path == VICTIM]
+    assert action.kind == ACTION_TRUNCATE
+    assert (action.particles_salvaged, action.particles_lost) == (count, 0)
+    assert result.exit_code == 0 and not result.data_loss
+    assert scrub_dataset(Dataset(backend)).ok
+    assert np.array_equal(_ids(backend), want)
